@@ -6,8 +6,10 @@ Commands:
     nlsw compare <config.json>              forces scheme=both
     nlsw list-problems
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 identity-oracle validation failure.
+Exit codes: 0 success, 1 internal consistency failure (a realness guard of
+the discrete invariants fired), 2 configuration error, 3 solver failure,
+4 identity-oracle validation failure.  Codes 1-4 come with a one-line JSON
+record on stderr; a failure inside the step loop names its step there.
 """
 
 from __future__ import annotations
@@ -164,14 +166,21 @@ def _write_series(path: Path, rows):
 
 
 def _write_snapshots(path: Path, grid: GridSpec, snapshots):
+    """One CSV block per snapshot, byte for byte what csv.writer writes for
+    rows of f"{v:.17g}" fields: '%.17g' formats a float the same way, and
+    hypot gives the same |u| as Python's abs of a complex."""
     x = grid.nodes
+    block = np.empty((grid.K, 5))
+    block[:, 1] = x
+    row = ",".join(["%.17g"] * 5) + "\r\n"
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SNAPSHOT_HEADER)
+        fh.write(",".join(SNAPSHOT_HEADER) + "\r\n")
         for t, u in snapshots:
-            for k in range(grid.K):
-                writer.writerow([_fmt(t), _fmt(x[k]), _fmt(u[k].real),
-                                 _fmt(u[k].imag), _fmt(abs(u[k]))])
+            block[:, 0] = t
+            block[:, 2] = u.real
+            block[:, 3] = u.imag
+            block[:, 4] = np.hypot(u.real, u.imag)
+            fh.write(row * grid.K % tuple(block.ravel().tolist()))
 
 
 def _config_echo(config: RunConfig) -> dict:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, UsageError
-from .grid import GridSpec, as_field, central_diff, forward_diff, half_average
+from .grid import (GridSpec, as_field, as_level, central_diff, forward_diff,
+                   half_average)
 from .model import PdeParams
 
 # Mass-identity constant as a multiple of beta: printed beta/2, validated beta/4.
@@ -48,11 +49,21 @@ class DiagnosticsRow:
     fp_iters: int | None = None
 
 
-def _half_levels(u_cur, u_next, grid):
-    u_cur = as_field(u_cur, grid)
-    u_next = as_field(u_next, grid)
+def _half_fields(u_cur, u_next, grid):
+    """Half-node values of the time quotient, the temporal mean and its
+    space quotient for the pair (u^j, u^{j+1}).
+
+    The invariants run on every step of a run, whose levels are already
+    checked (see as_level), so only the shapes are checked here: a NaN level
+    gives a NaN invariant.  The per-step reductions in this module call the
+    array methods (x.sum()), the same summation as np.sum without its
+    Python-level dispatch.
+    """
+    u_cur = as_level(u_cur, grid)
+    u_next = as_level(u_next, grid)
     u_mid = 0.5 * (u_cur + u_next)
-    return u_cur, u_next, u_mid
+    return (half_average((u_next - u_cur) / grid.tau), half_average(u_mid),
+            forward_diff(u_mid, grid.h))
 
 
 def mi_energy(u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
@@ -64,18 +75,15 @@ def mi_energy(u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
     everything evaluated on the temporal mean u^{j+1/2}.  The theta term is
     real by discrete skew-adjointness; the realness assertion guards that.
     """
-    u_cur, u_next, u_mid = _half_levels(u_cur, u_next, grid)
-    h, tau = grid.h, grid.tau
-    dt_half = half_average((u_next - u_cur) / tau)
-    mid_half = half_average(u_mid)
-    dx_half = forward_diff(u_mid, h)
+    dt_half, mid_half, dx_half = _half_fields(u_cur, u_next, grid)
+    h = grid.h
     abs2_mid = np.abs(mid_half) ** 2
-    total = (h * np.sum(np.abs(dt_half) ** 2)
-             + 1j * params.theta * h * np.sum(mid_half * np.conj(dx_half))
-             + h * np.sum(np.abs(dx_half) ** 2)
-             + params.lam * h * np.sum(abs2_mid)
-             + 0.5 * params.beta * h * np.sum(abs2_mid ** 2))
-    scale = max(abs(total), h * float(np.sum(np.abs(mid_half) * np.abs(dx_half))))
+    total = (h * (np.abs(dt_half) ** 2).sum()
+             + 1j * params.theta * h * (mid_half * np.conj(dx_half)).sum()
+             + h * (np.abs(dx_half) ** 2).sum()
+             + params.lam * h * abs2_mid.sum()
+             + 0.5 * params.beta * h * (abs2_mid ** 2).sum())
+    scale = max(abs(total), h * float((np.abs(mid_half) * np.abs(dx_half)).sum()))
     if abs(total.imag) > _REALNESS_TOL * max(scale, 1e-30):
         raise ConsistencyError(
             f"discrete energy has spurious imaginary part {total.imag:.3e}")
@@ -93,56 +101,65 @@ def mi_mass(u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
     with every factor taken at half nodes of the temporal mean (the
     half-node norm in the alpha term is what the derivation produces).
     """
-    u_cur, u_next, u_mid = _half_levels(u_cur, u_next, grid)
-    h, tau = grid.h, grid.tau
-    dt_half = half_average((u_next - u_cur) / tau)
-    mid_half = half_average(u_mid)
-    dx_half = forward_diff(u_mid, h)
-    q = (h * np.sum(dt_half * np.conj(mid_half) - mid_half * np.conj(dt_half))
-         - params.gamma * h * np.sum(mid_half * np.conj(dx_half))
-         - 1j * params.alpha * h * np.sum(np.abs(mid_half) ** 2))
-    scale = max(abs(q), h * float(np.sum(np.abs(dt_half) * np.abs(mid_half))))
+    dt_half, mid_half, dx_half = _half_fields(u_cur, u_next, grid)
+    h = grid.h
+    q = (h * (dt_half * np.conj(mid_half) - mid_half * np.conj(dt_half)).sum()
+         - params.gamma * h * (mid_half * np.conj(dx_half)).sum()
+         - 1j * params.alpha * h * (np.abs(mid_half) ** 2).sum())
+    scale = max(abs(q), h * float((np.abs(dt_half) * np.abs(mid_half)).sum()))
     if abs(q.real) > _REALNESS_TOL * max(scale, 1e-30):
         raise ConsistencyError(
             f"discrete mass has spurious real part {q.real:.3e}")
     return float(q.imag)
 
 
+def half_mean(u_from, u_to):
+    """Half-node values of the temporal mean (u_from + u_to)/2 (slot k is
+    k+1/2): the a and b of the identity right-hand sides."""
+    return half_average(0.5 * (u_from + u_to))
+
+
 def _half_node_means(u_prev, u_cur, u_next, grid):
     """Half-node values of the two temporal means around level j."""
-    u_prev = as_field(u_prev, grid)
-    u_cur = as_field(u_cur, grid)
-    u_next = as_field(u_next, grid)
-    a = half_average(0.5 * (u_cur + u_next))   # u^{j+1/2} at k+1/2
-    b = half_average(0.5 * (u_prev + u_cur))   # u^{j-1/2} at k+1/2
-    return a, b
+    u_prev = as_level(u_prev, grid)
+    u_cur = as_level(u_cur, grid)
+    u_next = as_level(u_next, grid)
+    return half_mean(u_cur, u_next), half_mean(u_prev, u_cur)
+
+
+def _identity_rhs(a, b, params: PdeParams, grid: GridSpec,
+                  factor: float = VALIDATED_MASS_FACTOR):
+    """Right-hand sides (energy, mass) of the two identities, from the
+    half-node means a of u^{j+1/2} and b of u^{j-1/2}.
+
+    With d = |a|^2 - |b|^2 and c = factor * beta:
+        energy: -(beta/2) * h * sum d * |a - b|^2   (|a - b| = tau * |centered
+                time quotient|)
+        mass:   -c * h * sum d (a-b)(conj a + conj b) + c * h * sum d^2,
+                which is purely imaginary; its imaginary part is returned.
+    factor=0.25 is the empirically validated mass constant; factor=0.5
+    reproduces the printed form.
+    """
+    d = np.abs(a) ** 2 - np.abs(b) ** 2
+    energy = -0.5 * params.beta * grid.h * (d * np.abs(a - b) ** 2).sum()
+    c = factor * params.beta
+    mass = (-c * grid.h * (d * (a - b) * np.conj(a + b)).sum()
+            + c * grid.h * (d * d).sum())
+    return float(energy), float(mass.imag)
 
 
 def energy_rhs(u_prev, u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
-    """Right-hand side of the energy identity:
-    -(beta/2) * h * sum (|a|^2 - |b|^2) * |a - b|^2  with a, b the two
-    half-node temporal means (|a - b| = tau * |centered time quotient|)."""
+    """Right-hand side of the energy identity (see _identity_rhs)."""
     a, b = _half_node_means(u_prev, u_cur, u_next, grid)
-    d = np.abs(a) ** 2 - np.abs(b) ** 2
-    return float(-0.5 * params.beta * grid.h * np.sum(d * np.abs(a - b) ** 2))
+    return _identity_rhs(a, b, params, grid)[0]
 
 
 def mass_rhs(u_prev, u_cur, u_next, params: PdeParams, grid: GridSpec,
              factor: float = VALIDATED_MASS_FACTOR) -> float:
-    """Right-hand side of the mass identity (imaginary part, as a real).
-
-    With c = factor * beta:
-        -c * h * sum (|a|^2-|b|^2) (a-b)(conj a + conj b)
-        +c * h * sum (|a|^2-|b|^2)^2,
-    which is purely imaginary.  factor=0.25 is the empirically validated
-    constant; factor=0.5 reproduces the printed form.
-    """
+    """Right-hand side of the mass identity, imaginary part as a real (see
+    _identity_rhs for the form and the choice of factor)."""
     a, b = _half_node_means(u_prev, u_cur, u_next, grid)
-    d = np.abs(a) ** 2 - np.abs(b) ** 2
-    c = factor * params.beta
-    rhs = (-c * grid.h * np.sum(d * (a - b) * np.conj(a + b))
-           + c * grid.h * np.sum(d * d))
-    return float(rhs.imag)
+    return _identity_rhs(a, b, params, grid, factor)[1]
 
 
 def mass_rhs_printed(u_prev, u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
@@ -153,6 +170,19 @@ def mass_rhs_printed(u_prev, u_cur, u_next, params: PdeParams, grid: GridSpec) -
 class IdentityGaps:
     energy_gap: float
     mass_gap: float
+
+
+def identity_gaps(d_energy, d_mass, a, b, params: PdeParams,
+                  grid: GridSpec) -> IdentityGaps:
+    """Identity gaps from the invariant increments E^{j+1/2} - E^{j-1/2} and
+    Q^{j+1/2} - Q^{j-1/2} and the half-node means a, b of the two pairs.
+
+    A run carries the invariants and the mean of the previous pair forward,
+    so each step evaluates every invariant once.
+    """
+    rhs_e, rhs_q = _identity_rhs(a, b, params, grid)
+    return IdentityGaps(energy_gap=d_energy - rhs_e,
+                        mass_gap=d_mass / grid.tau - rhs_q)
 
 
 def theorem_identity_gaps(u_prev, u_cur, u_next, params: PdeParams,
@@ -168,11 +198,8 @@ def theorem_identity_gaps(u_prev, u_cur, u_next, params: PdeParams,
     e_minus = mi_energy(u_prev, u_cur, params, grid)
     q_plus = mi_mass(u_cur, u_next, params, grid)
     q_minus = mi_mass(u_prev, u_cur, params, grid)
-    return IdentityGaps(
-        energy_gap=(e_plus - e_minus) - energy_rhs(u_prev, u_cur, u_next, params, grid),
-        mass_gap=(q_plus - q_minus) / grid.tau
-                 - mass_rhs(u_prev, u_cur, u_next, params, grid),
-    )
+    a, b = _half_node_means(u_prev, u_cur, u_next, grid)
+    return identity_gaps(e_plus - e_minus, q_plus - q_minus, a, b, params, grid)
 
 
 @dataclass(frozen=True)

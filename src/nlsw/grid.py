@@ -74,33 +74,58 @@ def as_field(values, grid: GridSpec | None = None) -> np.ndarray:
     return u
 
 
+def as_level(values, grid: GridSpec) -> np.ndarray:
+    """Coerce to a complex mesh function of length K without scanning it.
+
+    For time levels inside a run: bootstrap checks the first two with
+    as_field, and every step rejects a non-finite new level, so the step
+    kernels and per-step diagnostics only need the shape.
+    """
+    u = np.asarray(values, dtype=np.complex128)
+    if u.shape != (grid.K,):
+        raise UsageError(f"mesh function has shape {u.shape}, grid has K={grid.K}")
+    return u
+
+
+# Periodic shifts: slot k of shift_next(u) holds u_{k+1}, slot k of
+# shift_prev(u) holds u_{k-1}.  They give the same arrays as numpy's roll by
+# -1 and +1 at a fraction of its call overhead.
+
+def shift_next(u):
+    return np.concatenate((u[1:], u[:1]))
+
+
+def shift_prev(u):
+    return np.concatenate((u[-1:], u[:-1]))
+
+
 # Bare periodic stencils.  These skip validation and are shared by the
 # time-stepping kernels; the public apply_difference below wraps them.
 
 def forward_diff(u, h):
-    return (np.roll(u, -1) - u) / h
+    return (shift_next(u) - u) / h
 
 
 def backward_diff(u, h):
-    return (u - np.roll(u, 1)) / h
+    return (u - shift_prev(u)) / h
 
 
 def central_diff(u, h):
-    return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * h)
+    return (shift_next(u) - shift_prev(u)) / (2.0 * h)
 
 
 def second_diff(u, h):
-    return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (h * h)
+    return (shift_next(u) - 2.0 * u + shift_prev(u)) / (h * h)
 
 
 def half_average(u):
     """Node field -> half-node field of cell means (slot k is k+1/2)."""
-    return 0.5 * (u + np.roll(u, -1))
+    return 0.5 * (u + shift_next(u))
 
 
 def pair_sum(y):
     """Half-node field -> node field y_{k+1/2} + y_{k-1/2}."""
-    return y + np.roll(y, 1)
+    return y + shift_prev(y)
 
 
 _DISPATCH = {

@@ -6,8 +6,10 @@ Row k of the matrix reads
 
 with indices modulo K, so lower[0] and upper[K-1] carry the periodic
 corner couplings.  The solve peels the two corners off as a rank-one
-update of a plain tridiagonal core (Sherman-Morrison); the core solves go
-through LAPACK's banded routine, which pivots within the band.
+update of a plain tridiagonal core (Sherman-Morrison).  The core is
+factored once with LAPACK's gttrf (LU with partial pivoting, which keeps
+the fill-in within one extra super-diagonal), and every solve after that
+is one gttrs call against the stored factors.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import SingularSystemError, UsageError
+from .grid import shift_next, shift_prev
 
 # The Sherman-Morrison denominator equals det(A)/det(core); relative to the
 # correction scale, anything below this means A itself is singular.
@@ -45,7 +48,7 @@ class CyclicTridiagonalSystem:
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128)
-        return self.lower * np.roll(x, 1) + self.diag * x + self.upper * np.roll(x, -1)
+        return self.lower * shift_prev(x) + self.diag * x + self.upper * shift_next(x)
 
 
 class PreparedCyclicSolver:
@@ -64,12 +67,11 @@ class PreparedCyclicSolver:
         core_diag = d.copy()
         core_diag[0] -= gamma0
         core_diag[K - 1] -= up[K - 1] * lo[0] / gamma0
-        # solve_banded layout: row 0 super-diagonal, row 1 diagonal, row 2 sub.
-        ab = np.zeros((3, K), dtype=np.complex128)
-        ab[0, 1:] = up[:-1]
-        ab[1, :] = core_diag
-        ab[2, :-1] = lo[1:]
-        self._ab = ab
+        *factors, info = zgttrf(lo[1:], core_diag, up[:-1])
+        if info != 0:
+            raise SingularSystemError(
+                f"tridiagonal core is singular: zero pivot at row {info}")
+        self._factors = factors
         self._size = K
         self._v_last = lo[0] / gamma0
         u = np.zeros(K, dtype=np.complex128)
@@ -84,12 +86,10 @@ class PreparedCyclicSolver:
         self._den = den
 
     def _core_solve(self, b):
-        try:
-            x = scipy.linalg.solve_banded((1, 1), self._ab, b,
-                                          overwrite_ab=False, overwrite_b=False)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"tridiagonal core is singular: {exc}") from exc
-        if not np.all(np.isfinite(x)):
+        x, info = zgttrs(*self._factors, b)
+        if info != 0:
+            raise SingularSystemError(f"tridiagonal core solve failed (info={info})")
+        if not np.isfinite(x).all():
             raise SingularSystemError("tridiagonal core solve overflowed (near-zero pivot)")
         return x
 

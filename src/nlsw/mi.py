@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagnostics, problems
-from .errors import ConfigurationError, DivergenceError, StepFailureError, UsageError
-from .grid import (GridSpec, as_field, central_diff, half_average, pair_sum,
-                   second_diff)
+from .errors import (ConfigurationError, DivergenceError, NlswError,
+                     StepFailureError, UsageError)
+from .grid import (GridSpec, as_field, as_level, central_diff, half_average,
+                   pair_sum, second_diff, shift_next, shift_prev)
 from .linsolve import CyclicTridiagonalSystem, PreparedCyclicSolver
 from .model import PdeParams
 
@@ -120,18 +121,19 @@ def assemble_linear(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSyste
 def _pair_avg(u):
     """Quarter-weighted (1, 2, 1) node average: the pair-sum of the two
     adjacent half-node means."""
-    return 0.25 * (np.roll(u, -1) + 2.0 * u + np.roll(u, 1))
+    return 0.25 * (shift_next(u) + 2.0 * u + shift_prev(u))
 
 
 def _known_terms(u_prev, u_cur, params: PdeParams, grid: GridSpec):
     """All linear scheme terms living on levels j and j-1."""
     h, tau = grid.h, grid.tau
+    lagged = 2.0 * u_cur + u_prev
     return (_pair_avg(u_prev - 2.0 * u_cur) / tau ** 2
-            - 0.25 * second_diff(2.0 * u_cur + u_prev, h)
+            - 0.25 * second_diff(lagged, h)
             + (0.5j * params.alpha / tau) * _pair_avg(u_prev)
-            - 0.25j * params.theta * central_diff(2.0 * u_cur + u_prev, h)
+            - 0.25j * params.theta * central_diff(lagged, h)
             - (0.5 * params.gamma / tau) * central_diff(u_prev, h)
-            + 0.25 * params.lam * _pair_avg(2.0 * u_cur + u_prev))
+            + 0.25 * params.lam * _pair_avg(lagged))
 
 
 def _cubic_pair(level_mean):
@@ -152,12 +154,12 @@ def step_mi(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     """
     solver = system if isinstance(system, PreparedCyclicSolver) \
         else PreparedCyclicSolver(system)
-    u_prev = as_field(window.u_prev, grid)
-    u_cur = as_field(window.u_cur, grid)
+    u_prev = as_level(window.u_prev, grid)
+    u_cur = as_level(window.u_cur, grid)
     known = _known_terms(u_prev, u_cur, params, grid)
     if params.beta == 0.0:
         u_next = solver.solve(-known)
-        if not np.all(np.isfinite(u_next)):
+        if not np.isfinite(u_next).all():
             raise DivergenceError("non-finite values after linear solve")
         return u_next, 1
 
@@ -168,11 +170,11 @@ def step_mi(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     for it in range(1, config.fp_max_iter + 1):
         rhs = -(known + quarter_beta * (cubic_lag + _cubic_pair(0.5 * (u_cur + u))))
         u_new = solver.solve(rhs)
-        if not np.all(np.isfinite(u_new)):
+        if not np.isfinite(u_new).all():
             raise DivergenceError("fixed-point iterate diverged to NaN/Inf")
-        diff = float(np.max(np.abs(u_new - u)))
+        diff = float(np.abs(u_new - u).max())
         u = u_new
-        if diff <= config.fp_tol * max(1.0, float(np.max(np.abs(u_new)))):
+        if diff <= config.fp_tol * max(1.0, float(np.abs(u_new).max())):
             return u, it
     raise StepFailureError(
         f"fixed point not converged after {config.fp_max_iter} sweeps "
@@ -199,41 +201,53 @@ def run_mi(problem, grid: GridSpec, config: SolverConfig,
     snapshots = [(0.0, u0.copy()), (grid.tau, u1.copy())]
     rows = []
     total_fp = 0
+    # E, Q and the half-node mean of the pair (u^{j-1}, u^j), carried
+    # forward so that each step evaluates every invariant once.
+    energy_ref = diagnostics.mi_energy(u0, u1, params, grid)
+    mass_ref = diagnostics.mi_mass(u0, u1, params, grid)
+    energy, mass, mean = energy_ref, mass_ref, diagnostics.half_mean(u0, u1)
     u_prev, u_cur = u0, u1
     x = grid.nodes
     for j in range(1, grid.J):
-        window = StateWindow(u_prev, u_cur, j * grid.tau)
+        t_new = (j + 1) * grid.tau
         try:
-            u_next, fp_iters = step_mi(window, solver, params, grid, config)
-        except StepFailureError as exc:
+            u_next, fp_iters = step_mi(StateWindow(u_prev, u_cur, j * grid.tau),
+                                       solver, params, grid, config)
+            energy_next = diagnostics.mi_energy(u_cur, u_next, params, grid)
+            mass_next = diagnostics.mi_mass(u_cur, u_next, params, grid)
+            mean_next = diagnostics.half_mean(u_cur, u_next)
+            gaps = diagnostics.identity_gaps(energy_next - energy, mass_next - mass,
+                                             mean_next, mean, params, grid)
+            row = diagnostics.DiagnosticsRow(
+                step=j + 1, t=t_new, energy_mi=energy_next, mass_mi=mass_next,
+                energy_gap=gaps.energy_gap, mass_gap=gaps.mass_gap,
+                fp_iters=fp_iters)
+            if exact_fn is not None:
+                record_errors(row, u_next, exact_fn(x, t_new), grid)
+        except NlswError as exc:
             exc.step = j + 1
             raise
         total_fp += fp_iters
-        t_new = (j + 1) * grid.tau
-        gaps = diagnostics.theorem_identity_gaps(u_prev, u_cur, u_next, params, grid)
-        row = diagnostics.DiagnosticsRow(
-            step=j + 1, t=t_new,
-            energy_mi=diagnostics.mi_energy(u_cur, u_next, params, grid),
-            mass_mi=diagnostics.mi_mass(u_cur, u_next, params, grid),
-            energy_gap=gaps.energy_gap, mass_gap=gaps.mass_gap,
-            fp_iters=fp_iters)
-        if exact_fn is not None:
-            metrics = problems.error_metrics(
-                u_next, np.asarray(exact_fn(x, t_new), dtype=np.complex128), grid)
-            row.err_max = metrics.err_max
-            row.e_infty_sq = metrics.e_infty_sq
-            row.mod_err = metrics.mod_err
         rows.append(row)
         if j % snapshot_stride == 0:
             snapshots.append((t_new, u_next.copy()))
         u_prev, u_cur = u_cur, u_next
+        energy, mass, mean = energy_next, mass_next, mean_next
 
     meta = {
         "scheme": "mi",
         "bootstrap_mode": config.bootstrap_mode,
         "nonlinear_solver": "picard",
         "total_fp_iters": total_fp,
-        "energy_ref": diagnostics.mi_energy(u0, u1, params, grid),
-        "mass_ref": diagnostics.mi_mass(u0, u1, params, grid),
+        "energy_ref": energy_ref,
+        "mass_ref": mass_ref,
     }
     return Trajectory(grid=grid, snapshots=snapshots, rows=rows, meta=meta)
+
+
+def record_errors(row, u, exact_at_t, grid: GridSpec):
+    """Fill the error columns of a diagnostics row against the exact level."""
+    metrics = problems.error_metrics(u, exact_at_t, grid)
+    row.err_max = metrics.err_max
+    row.e_infty_sq = metrics.e_infty_sq
+    row.mod_err = metrics.mod_err

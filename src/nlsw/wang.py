@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import diagnostics, problems
-from .errors import ConfigurationError, DivergenceError, StepFailureError, UsageError
-from .grid import GridSpec, as_field, backward_diff
+from . import diagnostics
+from .errors import (ConfigurationError, DivergenceError, NlswError,
+                     StepFailureError, UsageError)
+from .grid import GridSpec, as_level, backward_diff, shift_next, shift_prev
 from .linsolve import CyclicTridiagonalSystem, PreparedCyclicSolver
-from .mi import SolverConfig, StateWindow, Trajectory, bootstrap
+from .mi import SolverConfig, StateWindow, Trajectory, bootstrap, record_errors
 from .model import PdeParams
 
 
@@ -52,15 +53,15 @@ def assemble_wang(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSystem:
 
 def _step_wang(window: StateWindow, solver: PreparedCyclicSolver,
                params: PdeParams, grid: GridSpec, config: SolverConfig):
-    u_prev = as_field(window.u_prev, grid)
-    u_cur = as_field(window.u_cur, grid)
+    u_prev = as_level(window.u_prev, grid)
+    u_cur = as_level(window.u_cur, grid)
     h, tau = grid.h, grid.tau
     known = ((u_prev - 2.0 * u_cur) / tau ** 2
-             - 0.5 * (np.roll(u_prev, -1) - 2.0 * u_prev + np.roll(u_prev, 1)) / h ** 2
+             - 0.5 * (shift_next(u_prev) - 2.0 * u_prev + shift_prev(u_prev)) / h ** 2
              + 0.5j * params.alpha * u_prev / tau)
     if params.beta == 0.0:
         u_next = solver.solve(-known)
-        if not np.all(np.isfinite(u_next)):
+        if not np.isfinite(u_next).all():
             raise DivergenceError("non-finite values after linear solve")
         return u_next, 1
     abs2_prev = np.abs(u_prev) ** 2
@@ -70,11 +71,11 @@ def _step_wang(window: StateWindow, solver: PreparedCyclicSolver,
     for it in range(1, config.fp_max_iter + 1):
         cubic = quarter_beta * (np.abs(u) ** 2 + abs2_prev) * (u + u_prev)
         u_new = solver.solve(-(known + cubic))
-        if not np.all(np.isfinite(u_new)):
+        if not np.isfinite(u_new).all():
             raise DivergenceError("fixed-point iterate diverged to NaN/Inf")
-        diff = float(np.max(np.abs(u_new - u)))
+        diff = float(np.abs(u_new - u).max())
         u = u_new
-        if diff <= config.fp_tol * max(1.0, float(np.max(np.abs(u_new)))):
+        if diff <= config.fp_tol * max(1.0, float(np.abs(u_new).max())):
             return u, it
     raise StepFailureError(
         f"fixed point not converged after {config.fp_max_iter} sweeps "
@@ -91,8 +92,8 @@ def step_wang(window: StateWindow, params: PdeParams, grid: GridSpec,
 
 def energy_wang(u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
     """The exactly conserved two-level energy of the scheme."""
-    u_cur = as_field(u_cur, grid)
-    u_next = as_field(u_next, grid)
+    u_cur = as_level(u_cur, grid)
+    u_next = as_level(u_next, grid)
     h, tau = grid.h, grid.tau
     dt = (u_next - u_cur) / tau
     return float(h * np.sum(np.abs(dt) ** 2)
@@ -105,8 +106,8 @@ def energy_wang(u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
 def energy_wang_printed(u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
     """Single-level quartic variant as commonly printed; drifts, recorded
     side by side for comparison."""
-    u_cur = as_field(u_cur, grid)
-    u_next = as_field(u_next, grid)
+    u_cur = as_level(u_cur, grid)
+    u_next = as_level(u_next, grid)
     h, tau = grid.h, grid.tau
     dt = (u_next - u_cur) / tau
     return float(h * np.sum(np.abs(dt) ** 2)
@@ -137,28 +138,24 @@ def run_wang(problem, grid: GridSpec, config: SolverConfig,
     u_prev, u_cur = u0, u1
     x = grid.nodes
     for j in range(1, grid.J):
-        window = StateWindow(u_prev, u_cur, j * grid.tau)
+        t_new = (j + 1) * grid.tau
         try:
-            u_next, fp_iters = _step_wang(window, solver, params, grid, config)
-        except StepFailureError as exc:
+            u_next, fp_iters = _step_wang(StateWindow(u_prev, u_cur, j * grid.tau),
+                                          solver, params, grid, config)
+            row = diagnostics.DiagnosticsRow(
+                step=j + 1, t=t_new,
+                energy_mi=diagnostics.mi_energy(u_cur, u_next, params, grid),
+                mass_mi=diagnostics.mi_mass(u_cur, u_next, params, grid),
+                energy_wang=energy_wang(u_cur, u_next, params, grid),
+                fp_iters=fp_iters)
+            if exact_fn is not None:
+                record_errors(row, u_next, exact_fn(x, t_new), grid)
+            printed = energy_wang_printed(u_cur, u_next, params, grid)
+        except NlswError as exc:
             exc.step = j + 1
             raise
         total_fp += fp_iters
-        t_new = (j + 1) * grid.tau
-        row = diagnostics.DiagnosticsRow(
-            step=j + 1, t=t_new,
-            energy_mi=diagnostics.mi_energy(u_cur, u_next, params, grid),
-            mass_mi=diagnostics.mi_mass(u_cur, u_next, params, grid),
-            energy_wang=energy_wang(u_cur, u_next, params, grid),
-            fp_iters=fp_iters)
-        if exact_fn is not None:
-            metrics = problems.error_metrics(
-                u_next, np.asarray(exact_fn(x, t_new), dtype=np.complex128), grid)
-            row.err_max = metrics.err_max
-            row.e_infty_sq = metrics.e_infty_sq
-            row.mod_err = metrics.mod_err
         rows.append(row)
-        printed = energy_wang_printed(u_cur, u_next, params, grid)
         printed_drift = max(printed_drift,
                             abs(printed - printed_ref) / max(abs(printed_ref), 1e-30))
         if j % snapshot_stride == 0:

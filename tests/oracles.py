@@ -111,3 +111,21 @@ def mi_residual_scale(u_next, params, grid):
                + abs(params.lam) + 3.0 * abs(params.beta)
                * max(1.0, float(np.max(np.abs(u_next)))) ** 2)
     return row_sum * max(1.0, float(np.max(np.abs(u_next))))
+
+
+def write_snapshots_rowwise(path, grid, snapshots):
+    """The per-row snapshot writer: one csv.writer row per node, every
+    field formatted on its own with f"{v:.17g}" and |u| from Python's abs."""
+    import csv
+
+    def fmt(value):
+        return f"{float(value):.17g}"
+
+    x = grid.nodes
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("t", "x", "re_u", "im_u", "abs_u"))
+        for t, u in snapshots:
+            for k in range(grid.K):
+                writer.writerow([fmt(t), fmt(x[k]), fmt(u[k].real),
+                                 fmt(u[k].imag), fmt(abs(u[k]))])

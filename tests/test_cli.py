@@ -4,9 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from nlsw import ConfigurationError, UsageError, parse_config
+from nlsw import ConfigurationError, ConsistencyError, UsageError, build_grid, parse_config
 from nlsw.cli import (ORDERS_HEADER, SERIES_HEADER, SNAPSHOT_HEADER, main,
                       run_convergence, run_experiment)
+from nlsw.cli import _write_snapshots
+
+from oracles import write_snapshots_rowwise
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -122,6 +125,28 @@ class TestRunExperiment:
         assert summary["energy_mi_max_rel_drift"] <= 1e-10
 
 
+class TestSnapshotWriter:
+    def test_block_writer_matches_rowwise_oracle(self, tmp_path, rng):
+        K = 64
+        grid = build_grid(-3.0, 7.0, K, 1.0, 10)
+        extremes = np.array([-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300,
+                             5e-324, 1.0 / 3.0])
+        u_extreme = np.empty(K, dtype=complex)   # every (re, im) pair once
+        u_extreme.real = np.repeat(extremes, 8)
+        u_extreme.imag = np.tile(extremes, 8)
+        snapshots = [(0.0, u_extreme),
+                     (1.0 / 3.0, rng.normal(size=K) + 1j * rng.normal(size=K)),
+                     (2.5e-7, np.exp(1j * grid.nodes) * rng.uniform(0.0, 1e3, K))]
+        snapshots += [(float(j), 10.0 ** rng.uniform(-300.0, 300.0, K)
+                       * np.exp(2j * np.pi * rng.uniform(size=K)))
+                      for j in range(50)]
+        _write_snapshots(tmp_path / "block.csv", grid, snapshots)
+        write_snapshots_rowwise(tmp_path / "rows.csv", grid, snapshots)
+        block = (tmp_path / "block.csv").read_bytes()
+        assert block == (tmp_path / "rows.csv").read_bytes()
+        assert b"-0,-0,0" in block and b"1e+300" in block and b"1e-300" in block
+
+
 class TestRunConvergence:
     def base_config(self, tmp_path, **overrides):
         payload = {"problem": "linear_plane", "K": 16, "J": 400, "T": 0.25,
@@ -201,6 +226,31 @@ class TestMainExitCodes:
                                        "J": 20, "T": 0.2,
                                        "output_dir": str(tmp_path / "g")})
         assert main(["run", path]) == 4
+
+    def test_failure_inside_loop_names_step_exit_1(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # The run's own grid has K=50 (the identity oracle uses K=8): the
+        # reference evaluation before the loop passes, the first in-loop
+        # evaluation (step 2) raises.
+        from nlsw import diagnostics as diag_module
+        original = diag_module.mi_energy
+        calls = []
+
+        def guarded(u_cur, u_next, params, grid):
+            if grid.K == 50:
+                calls.append(grid.K)
+                if len(calls) > 1:
+                    raise ConsistencyError("discrete energy has spurious imaginary part")
+            return original(u_cur, u_next, params, grid)
+
+        monkeypatch.setattr(diag_module, "mi_energy", guarded)
+        path = write_config(tmp_path, {"problem": "plane_beta2", "K": 50,
+                                       "J": 20, "T": 0.2,
+                                       "output_dir": str(tmp_path / "h")})
+        assert main(["run", path]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConsistencyError"
+        assert record["step"] == 2
 
     def test_compare_forces_both(self, tmp_path, capsys):
         path = write_config(tmp_path, {"problem": "plane_beta2", "K": 50,

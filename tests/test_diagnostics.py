@@ -68,6 +68,26 @@ class TestIdentityGapsOnTrajectories:
         e0 = traj.meta["energy_ref"]
         assert max(abs(r.energy_mi - e0) for r in traj.rows) / e_scale > 1e-9
 
+    def test_carried_forward_rows_equal_fresh_evaluation(self):
+        # run_mi evaluates each invariant once per step and carries it to
+        # the next step's identity; every recorded value must be exactly
+        # what the stand-alone functions give on the snapshot levels.
+        prob = builtin_problem("plane_beta2")
+        g = build_grid(prob.x_l, prob.x_r, 32, 1.0, 20)
+        traj = run_mi(prob, g, SolverConfig(), snapshot_stride=1)
+        levels = [u for _, u in traj.snapshots]
+        p = prob.params
+        assert len(levels) == len(traj.rows) + 2
+        for i, row in enumerate(traj.rows, start=1):
+            up, uc, un = levels[i - 1], levels[i], levels[i + 1]
+            gaps = theorem_identity_gaps(up, uc, un, p, g)
+            assert row.energy_mi == mi_energy(uc, un, p, g)
+            assert row.mass_mi == mi_mass(uc, un, p, g)
+            assert row.energy_gap == gaps.energy_gap
+            assert row.mass_gap == gaps.mass_gap
+        assert traj.meta["energy_ref"] == mi_energy(levels[0], levels[1], p, g)
+        assert traj.meta["mass_ref"] == mi_mass(levels[0], levels[1], p, g)
+
     def test_printed_mass_constant_rejected_on_trajectory(self):
         # with the printed beta/2 constant the identity residual is the
         # size of the RHS itself, orders above round-off
