@@ -41,8 +41,10 @@ SERIES_HEADER = ("step", "t", "energy_mi", "mass_mi", "energy_gap", "mass_gap",
 SNAPSHOT_HEADER = ("t", "x", "re_u", "im_u", "abs_u")
 ORDERS_HEADER = ("level", "mesh_param", "err_max", "fitted_order")
 
-_ALLOWED_KEYS = {"problem", "K", "J", "T", "scheme", "bootstrap_mode",
-                 "fp_tol", "fp_max_iter", "snapshot_stride", "output_dir"}
+# Config key -> converter of its JSON value; RunConfig holds the defaults.
+_CONVERTERS = {"problem": lambda value: value, "K": int, "J": int, "T": float,
+               "scheme": str, "bootstrap_mode": str, "fp_tol": float,
+               "fp_max_iter": int, "snapshot_stride": int, "output_dir": str}
 _PARAM_KEYS = {"alpha": "alpha", "gamma": "gamma", "theta": "theta",
                "lam": "lam", "lambda": "lam", "beta": "beta"}
 
@@ -124,25 +126,15 @@ def parse_config(text: str) -> RunConfig:
             f"{exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config document must be a JSON object")
-    unknown = set(raw) - _ALLOWED_KEYS
+    unknown = set(raw) - set(_CONVERTERS)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     for key in ("problem", "K", "J"):
         if key not in raw:
             raise ConfigurationError(f"config is missing required key {key!r}")
     try:
-        config = RunConfig(
-            problem=raw["problem"],
-            K=int(raw["K"]),
-            J=int(raw["J"]),
-            T=float(raw["T"]) if "T" in raw else None,
-            scheme=str(raw.get("scheme", "mi")),
-            bootstrap_mode=str(raw.get("bootstrap_mode", "taylor2")),
-            fp_tol=float(raw.get("fp_tol", 1e-13)),
-            fp_max_iter=int(raw.get("fp_max_iter", 100)),
-            snapshot_stride=int(raw.get("snapshot_stride", 100)),
-            output_dir=str(raw.get("output_dir", "out")),
-        )
+        config = RunConfig(**{key: _CONVERTERS[key](value)
+                              for key, value in raw.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed config value: {exc}") from exc
     resolve(config)
@@ -183,10 +175,6 @@ def _write_snapshots(path: Path, grid: GridSpec, snapshots):
             fh.write(row * grid.K % tuple(block.ravel().tolist()))
 
 
-def _config_echo(config: RunConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 def _problem_echo(problem: ProblemSpec) -> dict:
     return {
         "name": problem.name,
@@ -217,8 +205,23 @@ CONVENTIONS = {
 }
 
 
-def _grid_echo(grid: GridSpec) -> dict:
-    return dataclasses.asdict(grid)
+def _runners() -> dict:
+    """Scheme label -> run function, read from the module at call time."""
+    return {"mi": run_mi, "wang": run_wang}
+
+
+def _write_meta(out: Path, config: RunConfig, problem: ProblemSpec,
+                started: float, **fields) -> str:
+    """Write meta.json: the config and problem echo, the run's own fields
+    and the wall time since `started`."""
+    meta = {"config": dataclasses.asdict(config),
+            "problem": _problem_echo(problem), **fields,
+            "wall_time_seconds": time.perf_counter() - started}
+    path = out / "meta.json"
+    with path.open("w") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return str(path)
 
 
 def _series_summary(traj: Trajectory) -> dict:
@@ -261,18 +264,15 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
             "mass-identity oracle failed: measured factor "
             f"{oracle.measured_mass_factor!r} matches neither candidate")
 
-    runners = []
-    if config.scheme in ("mi", "both"):
-        runners.append(("mi", run_mi))
-    if config.scheme in ("wang", "both"):
-        runners.append(("wang", run_wang))
-
+    labels = ("mi", "wang") if config.scheme == "both" else (config.scheme,)
+    runners = _runners()
     paths = {}
     schemes_meta = {}
     summaries = {}
-    for label, runner in runners:
-        traj = runner(resolved.problem, resolved.grid, resolved.solver_config,
-                      snapshot_stride=config.snapshot_stride)
+    for label in labels:
+        traj = runners[label](resolved.problem, resolved.grid,
+                              resolved.solver_config,
+                              snapshot_stride=config.snapshot_stride)
         suffix = f"_{label}" if config.scheme == "both" else ""
         series_path = out / f"series{suffix}.csv"
         snaps_path = out / f"snapshots{suffix}.csv"
@@ -283,21 +283,11 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
         schemes_meta[label] = traj.meta
         summaries[label] = _series_summary(traj)
 
-    meta = {
-        "config": _config_echo(config),
-        "problem": _problem_echo(resolved.problem),
-        "grid": _grid_echo(resolved.grid),
-        "schemes": schemes_meta,
-        "summaries": summaries,
-        "identity_oracle": dataclasses.asdict(oracle),
-        "conventions": CONVENTIONS,
-        "wall_time_seconds": time.perf_counter() - started,
-    }
-    meta_path = out / "meta.json"
-    with meta_path.open("w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    paths["meta"] = str(meta_path)
+    paths["meta"] = _write_meta(out, config, resolved.problem, started,
+                                grid=dataclasses.asdict(resolved.grid),
+                                schemes=schemes_meta, summaries=summaries,
+                                identity_oracle=dataclasses.asdict(oracle),
+                                conventions=CONVENTIONS)
     return {"paths": paths, "summaries": summaries, "identity_oracle": oracle}
 
 
@@ -320,7 +310,7 @@ def run_convergence(config: RunConfig, axis: str, levels: int,
             "refusing the convergence sweep")
     if config.scheme == "both":
         raise ConfigurationError("convergence sweeps run one scheme at a time")
-    runner = run_mi if config.scheme == "mi" else run_wang
+    runner = _runners()[config.scheme]
 
     started = time.perf_counter()
     out = Path(output_dir if output_dir is not None else config.output_dir)
@@ -346,21 +336,11 @@ def run_convergence(config: RunConfig, axis: str, levels: int,
         for level, mesh_param, err in entries:
             writer.writerow([str(level), _fmt(mesh_param), _fmt(err), _fmt(fitted)])
 
-    meta = {
-        "config": _config_echo(config),
-        "problem": _problem_echo(resolved.problem),
-        "axis": axis,
-        "levels": levels,
-        "fitted_order": fitted,
-        "entries": [{"level": l, "mesh_param": m, "err_max": e}
-                    for l, m, e in entries],
-        "wall_time_seconds": time.perf_counter() - started,
-    }
-    meta_path = out / "meta.json"
-    with meta_path.open("w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return {"paths": {"orders": str(orders_path), "meta": str(meta_path)},
+    meta_path = _write_meta(out, config, resolved.problem, started,
+                            axis=axis, levels=levels, fitted_order=fitted,
+                            entries=[{"level": l, "mesh_param": m, "err_max": e}
+                                     for l, m, e in entries])
+    return {"paths": {"orders": str(orders_path), "meta": meta_path},
             "fitted_order": fitted, "entries": entries}
 
 

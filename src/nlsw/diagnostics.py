@@ -246,40 +246,36 @@ class IdentityOracleResult:
 def run_identity_oracle(steps: int = 3, K: int = 8, tau: float = 0.05) -> IdentityOracleResult:
     """Validate the identity constants on a K=8 nonlinear trajectory.
 
-    Advances a few midpoint steps on strongly nonlinear data, measures the
-    invariant increments directly, and fits the constant of the mass
-    right-hand side.  The energy identity is checked with its stated
+    Runs a few midpoint steps on strongly nonlinear data through run_mi,
+    takes the invariant increments from its rows, and fits the constant of
+    the mass right-hand side.  The energy identity is checked with its stated
     constant; the mass constant is matched against the validated beta/4
     and the printed beta/2 forms.
     """
     from .grid import build_grid
-    from .mi import SolverConfig, StateWindow, assemble_linear, bootstrap, step_mi
-    from .linsolve import PreparedCyclicSolver
+    from .mi import SolverConfig, run_mi
+    from .problems import ProblemSpec
 
     params = PdeParams(alpha=-1.0, gamma=0.0, theta=0.0, lam=0.0, beta=2.0)
-    grid = build_grid(0.0, 2.0 * np.pi, K, steps * tau, steps)
-    f0 = lambda x: np.exp(1j * x) + 0.3 * np.exp(-2j * x)
-    f1 = lambda x: 0.5j * np.exp(1j * x)
-    u0, u1 = bootstrap(f0, f1, params, grid, mode="taylor2")
-    solver = PreparedCyclicSolver(assemble_linear(params, grid))
-    config = SolverConfig(fp_tol=1e-15, fp_max_iter=200)
-
-    levels = [u0, u1]
-    for j in range(1, steps):
-        u_next, _ = step_mi(StateWindow(levels[-2], levels[-1], j * grid.tau),
-                            solver, params, grid, config)
-        levels.append(u_next)
+    problem = ProblemSpec(name="identity_oracle", params=params,
+                          x_l=0.0, x_r=2.0 * np.pi, default_T=steps * tau,
+                          f0=lambda x: np.exp(1j * x) + 0.3 * np.exp(-2j * x),
+                          f1=lambda x: 0.5j * np.exp(1j * x))
+    grid = build_grid(problem.x_l, problem.x_r, K, steps * tau, steps)
+    traj = run_mi(problem, grid, SolverConfig(fp_tol=1e-15, fp_max_iter=200),
+                  snapshot_stride=1)
+    levels = [u for _, u in traj.snapshots]
 
     energy_gaps = []
     factors = []
-    for j in range(1, len(levels) - 1):
+    mass = traj.meta["mass_ref"]
+    for j, row in enumerate(traj.rows, start=1):
         up, uc, un = levels[j - 1], levels[j], levels[j + 1]
-        e_plus = mi_energy(uc, un, params, grid)
-        e_minus = mi_energy(up, uc, params, grid)
         rhs_e = energy_rhs(up, uc, un, params, grid)
-        scale = max(abs(e_plus), abs(rhs_e), 1.0)
-        energy_gaps.append(abs((e_plus - e_minus) - rhs_e) / scale)
-        dq = (mi_mass(uc, un, params, grid) - mi_mass(up, uc, params, grid)) / grid.tau
+        scale = max(abs(row.energy_mi), abs(rhs_e), 1.0)
+        energy_gaps.append(abs(row.energy_gap) / scale)
+        dq = (row.mass_mi - mass) / grid.tau
+        mass = row.mass_mi
         base = mass_rhs(up, uc, un, params, grid, factor=1.0)
         if abs(base) > 1e-10:
             factors.append(dq / base)

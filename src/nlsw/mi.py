@@ -1,4 +1,5 @@
-"""Reduced multisymplectic midpoint time stepper.
+"""Reduced multisymplectic midpoint time stepper, and the run driver that
+both schemes share.
 
 Eliminating the auxiliary variables of the box-form midpoint integrator
 leaves a two-step update for u alone: a constant cyclic tridiagonal
@@ -6,6 +7,11 @@ operator acting on the new level j+1, plus lagged linear terms and cubic
 terms built from half-node temporal means.  Each step runs a Picard
 iteration around the frozen linear part, so the operator is factored once
 per run and every sweep costs one banded solve.
+
+picard is the one fixed-point loop and integrate the one run loop; step_mi
+here and the energy-preserving kernel in wang.py supply only their known
+terms and nonlinear term, and run_mi/run_wang only their operator, kernel
+and per-step columns.
 """
 
 from __future__ import annotations
@@ -142,34 +148,25 @@ def _cubic_pair(level_mean):
     return pair_sum(np.abs(y) ** 2 * y)
 
 
-def step_mi(window: StateWindow, system, params: PdeParams, grid: GridSpec,
-            config: SolverConfig):
-    """Advance one level.  Returns (u_next, fp_iters).
+def picard(solver: PreparedCyclicSolver, known, u_start, nonlinear,
+           config: SolverConfig):
+    """Solve A u = -(known + nonlinear(u)) for the new level.  Returns
+    (u, sweeps).
 
-    The iteration starts from the linear extrapolation 2 u^j - u^{j-1};
-    every sweep rebuilds the cubic terms from the current iterate and
-    solves the constant linear system, stopping once the sup-norm change
-    drops below fp_tol * max(1, |iterate|).  For beta = 0 the single solve
-    is already exact.
+    nonlinear=None (beta = 0) makes the single solve exact.  Otherwise the
+    iteration starts from u_start; every sweep re-evaluates the nonlinear
+    term at the current iterate and solves the frozen linear system, stopping
+    once the sup-norm change drops below fp_tol * max(1, |iterate|).
     """
-    solver = system if isinstance(system, PreparedCyclicSolver) \
-        else PreparedCyclicSolver(system)
-    u_prev = as_level(window.u_prev, grid)
-    u_cur = as_level(window.u_cur, grid)
-    known = _known_terms(u_prev, u_cur, params, grid)
-    if params.beta == 0.0:
+    if nonlinear is None:
         u_next = solver.solve(-known)
         if not np.isfinite(u_next).all():
             raise DivergenceError("non-finite values after linear solve")
         return u_next, 1
-
-    cubic_lag = _cubic_pair(0.5 * (u_prev + u_cur))
-    quarter_beta = 0.25 * params.beta
-    u = 2.0 * u_cur - u_prev
+    u = u_start
     diff = np.inf
     for it in range(1, config.fp_max_iter + 1):
-        rhs = -(known + quarter_beta * (cubic_lag + _cubic_pair(0.5 * (u_cur + u))))
-        u_new = solver.solve(rhs)
+        u_new = solver.solve(-(known + nonlinear(u)))
         if not np.isfinite(u_new).all():
             raise DivergenceError("fixed-point iterate diverged to NaN/Inf")
         diff = float(np.abs(u_new - u).max())
@@ -181,49 +178,77 @@ def step_mi(window: StateWindow, system, params: PdeParams, grid: GridSpec,
         f"(last update {diff:.3e})", residual=diff)
 
 
-def run_mi(problem, grid: GridSpec, config: SolverConfig,
-           snapshot_stride: int = 100) -> Trajectory:
-    """Bootstrap, then advance J-1 steps recording per-step diagnostics.
+def step_mi(window: StateWindow, system, params: PdeParams, grid: GridSpec,
+            config: SolverConfig):
+    """Advance one level.  Returns (u_next, fp_iters).
 
-    Snapshots hold the two bootstrap levels and then every snapshot_stride-th
-    step.  Rows are labelled by the produced level index (2..J); when the
-    problem carries a verified exact solution the error metrics are filled.
+    The Picard iteration starts from the linear extrapolation
+    2 u^j - u^{j-1}; its nonlinear term is the pair of cubic half-node
+    sums, the lagged one fixed and the new one rebuilt from each iterate.
+    """
+    solver = system if isinstance(system, PreparedCyclicSolver) \
+        else PreparedCyclicSolver(system)
+    u_prev = as_level(window.u_prev, grid)
+    u_cur = as_level(window.u_cur, grid)
+    known = _known_terms(u_prev, u_cur, params, grid)
+    if params.beta == 0.0:
+        return picard(solver, known, None, None, config)
+    cubic_lag = _cubic_pair(0.5 * (u_prev + u_cur))
+    quarter_beta = 0.25 * params.beta
+    return picard(solver, known, 2.0 * u_cur - u_prev,
+                  lambda u: quarter_beta * (cubic_lag + _cubic_pair(0.5 * (u_cur + u))),
+                  config)
+
+
+def integrate(problem, grid: GridSpec, config: SolverConfig,
+              snapshot_stride: int, system, step, observe) -> Trajectory:
+    """The run loop of both schemes: factor the operator `system` once,
+    bootstrap, then advance J-1 steps with the kernel
+    step(window, solver, params, grid, config) -> (u_next, fp_iters).
+
+    Every row holds the midpoint invariants E^{j+1/2} and Q^{j+1/2}, each
+    evaluated once per step and carried to the next, and the error metrics
+    when the problem carries a verified exact solution.  The scheme's own
+    columns come from observe(row, u_cur, u_next, energy, mass), where
+    energy and mass belong to the previous pair; it is called once with
+    row=None on the bootstrap pair, then on every step.  Rows are labelled
+    by the produced level index (2..J); snapshots hold the two bootstrap
+    levels and then every snapshot_stride-th step.
     """
     if snapshot_stride < 1:
         raise UsageError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     params = problem.params
-    solver = PreparedCyclicSolver(assemble_linear(params, grid))
+    solver = PreparedCyclicSolver(system)
     u0, u1 = bootstrap(problem.f0, problem.f1, params, grid,
                        mode=config.bootstrap_mode, exact=problem.exact)
     exact_fn = problem.exact if getattr(problem, "exactness", "none") == "verified" \
         else None
 
+    energy_ref = diagnostics.mi_energy(u0, u1, params, grid)
+    mass_ref = diagnostics.mi_mass(u0, u1, params, grid)
+    observe(None, u0, u1, energy_ref, mass_ref)
     snapshots = [(0.0, u0.copy()), (grid.tau, u1.copy())]
     rows = []
     total_fp = 0
-    # E, Q and the half-node mean of the pair (u^{j-1}, u^j), carried
-    # forward so that each step evaluates every invariant once.
-    energy_ref = diagnostics.mi_energy(u0, u1, params, grid)
-    mass_ref = diagnostics.mi_mass(u0, u1, params, grid)
-    energy, mass, mean = energy_ref, mass_ref, diagnostics.half_mean(u0, u1)
+    energy, mass = energy_ref, mass_ref
     u_prev, u_cur = u0, u1
     x = grid.nodes
     for j in range(1, grid.J):
         t_new = (j + 1) * grid.tau
         try:
-            u_next, fp_iters = step_mi(StateWindow(u_prev, u_cur, j * grid.tau),
-                                       solver, params, grid, config)
-            energy_next = diagnostics.mi_energy(u_cur, u_next, params, grid)
-            mass_next = diagnostics.mi_mass(u_cur, u_next, params, grid)
-            mean_next = diagnostics.half_mean(u_cur, u_next)
-            gaps = diagnostics.identity_gaps(energy_next - energy, mass_next - mass,
-                                             mean_next, mean, params, grid)
+            u_next, fp_iters = step(StateWindow(u_prev, u_cur, j * grid.tau),
+                                    solver, params, grid, config)
             row = diagnostics.DiagnosticsRow(
-                step=j + 1, t=t_new, energy_mi=energy_next, mass_mi=mass_next,
-                energy_gap=gaps.energy_gap, mass_gap=gaps.mass_gap,
+                step=j + 1, t=t_new,
+                energy_mi=diagnostics.mi_energy(u_cur, u_next, params, grid),
+                mass_mi=diagnostics.mi_mass(u_cur, u_next, params, grid),
                 fp_iters=fp_iters)
+            observe(row, u_cur, u_next, energy, mass)
             if exact_fn is not None:
-                record_errors(row, u_next, exact_fn(x, t_new), grid)
+                metrics = problems.error_metrics(u_next, exact_fn(x, t_new), grid)
+                row.err_max = metrics.err_max
+                row.e_infty_sq = metrics.e_infty_sq
+                row.mod_err = metrics.mod_err
         except NlswError as exc:
             exc.step = j + 1
             raise
@@ -232,10 +257,9 @@ def run_mi(problem, grid: GridSpec, config: SolverConfig,
         if j % snapshot_stride == 0:
             snapshots.append((t_new, u_next.copy()))
         u_prev, u_cur = u_cur, u_next
-        energy, mass, mean = energy_next, mass_next, mean_next
+        energy, mass = row.energy_mi, row.mass_mi
 
     meta = {
-        "scheme": "mi",
         "bootstrap_mode": config.bootstrap_mode,
         "nonlinear_solver": "picard",
         "total_fp_iters": total_fp,
@@ -245,9 +269,25 @@ def run_mi(problem, grid: GridSpec, config: SolverConfig,
     return Trajectory(grid=grid, snapshots=snapshots, rows=rows, meta=meta)
 
 
-def record_errors(row, u, exact_at_t, grid: GridSpec):
-    """Fill the error columns of a diagnostics row against the exact level."""
-    metrics = problems.error_metrics(u, exact_at_t, grid)
-    row.err_max = metrics.err_max
-    row.e_infty_sq = metrics.e_infty_sq
-    row.mod_err = metrics.mod_err
+def run_mi(problem, grid: GridSpec, config: SolverConfig,
+           snapshot_stride: int = 100) -> Trajectory:
+    """Run the midpoint scheme through integrate, adding the identity gaps
+    of each step from the carried half-node mean of the previous pair."""
+    params = problem.params
+    mean = None
+
+    def identity_gaps(row, u_cur, u_next, energy, mass):
+        nonlocal mean
+        mean_next = diagnostics.half_mean(u_cur, u_next)
+        if row is not None:
+            gaps = diagnostics.identity_gaps(row.energy_mi - energy,
+                                             row.mass_mi - mass,
+                                             mean_next, mean, params, grid)
+            row.energy_gap = gaps.energy_gap
+            row.mass_gap = gaps.mass_gap
+        mean = mean_next
+
+    traj = integrate(problem, grid, config, snapshot_stride,
+                     assemble_linear(params, grid), step_mi, identity_gaps)
+    traj.meta["scheme"] = "mi"
+    return traj

@@ -1,0 +1,64 @@
+"""The benchmark's traced layers stay reachable through module attributes.
+
+benchmarks/spans.py wraps each name in its WRAPPED table by patching module
+attributes, and its per-layer ratios divide by the recorded call counts.  A
+refactor that renames a layer, or that binds a kernel at import time so the
+run loops no longer look it up through the module, would make those counts
+read 0; these checks catch that without running the benchmark.
+"""
+
+import ast
+import functools
+import importlib
+from pathlib import Path
+
+import pytest
+
+from nlsw import SolverConfig, build_grid, builtin_problem, run_mi, run_wang
+
+SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
+
+
+def _wrapped_targets():
+    """The (module, qualname) pairs of spans.py's WRAPPED table, read from
+    the file's source so that the benchmark code is not imported."""
+    tree = ast.parse(SPANS.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "WRAPPED" for target in node.targets):
+            table = ast.literal_eval(node.value)
+            return [pair for targets in table.values() for pair in targets]
+    raise AssertionError("benchmarks/spans.py has no WRAPPED table")
+
+
+@pytest.mark.parametrize("module, qualname", _wrapped_targets())
+def test_wrapped_name_resolves(module, qualname):
+    owner = importlib.import_module(module)
+    for part in qualname.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+@pytest.mark.parametrize("runner, kernel", [
+    (run_mi, ("nlsw.mi", "step_mi")),
+    (run_wang, ("nlsw.wang", "_step_wang")),
+])
+def test_run_loop_calls_patched_module_attributes(monkeypatch, runner, kernel):
+    calls = {}
+
+    def count(module, name):
+        original = getattr(importlib.import_module(module), name)
+
+        @functools.wraps(original)
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(f"{module}.{name}", counted)
+
+    count(*kernel)
+    count("nlsw.diagnostics", "mi_energy")
+    prob = builtin_problem("plane_beta2")
+    J = 6
+    grid = build_grid(prob.x_l, prob.x_r, 16, J * 0.01, J)
+    runner(prob, grid, SolverConfig())
+    assert calls == {kernel[1]: J - 1, "mi_energy": J}

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from nlsw import (PdeParams, SolverConfig, builtin_problem, build_grid,
-                  continuous_invariants, energy_rhs, mass_rhs,
-                  mass_rhs_printed, mi_energy, mi_mass, run_identity_oracle,
-                  run_mi, theorem_identity_gaps)
+                  continuous_invariants, energy_rhs, energy_wang,
+                  energy_wang_printed, mass_rhs, mass_rhs_printed, mi_energy,
+                  mi_mass, run_identity_oracle, run_mi, run_wang,
+                  theorem_identity_gaps)
 from nlsw.diagnostics import PRINTED_MASS_FACTOR, VALIDATED_MASS_FACTOR
 
 from conftest import random_field
@@ -87,6 +88,32 @@ class TestIdentityGapsOnTrajectories:
             assert row.mass_gap == gaps.mass_gap
         assert traj.meta["energy_ref"] == mi_energy(levels[0], levels[1], p, g)
         assert traj.meta["mass_ref"] == mi_mass(levels[0], levels[1], p, g)
+
+    def test_carried_forward_rows_equal_fresh_evaluation_wang(self):
+        # the comparison scheme runs through the same driver: its rows carry
+        # the midpoint invariants forward and add its own energies
+        prob = builtin_problem("plane_beta2")
+        g = build_grid(prob.x_l, prob.x_r, 32, 1.0, 20)
+        traj = run_wang(prob, g, SolverConfig(), snapshot_stride=1)
+        levels = [u for _, u in traj.snapshots]
+        p = prob.params
+        assert len(levels) == len(traj.rows) + 2
+        printed_ref = energy_wang_printed(levels[0], levels[1], p, g)
+        drift = 0.0
+        for i, row in enumerate(traj.rows, start=1):
+            uc, un = levels[i], levels[i + 1]
+            assert row.energy_mi == mi_energy(uc, un, p, g)
+            assert row.mass_mi == mi_mass(uc, un, p, g)
+            assert row.energy_wang == energy_wang(uc, un, p, g)
+            assert row.energy_gap is None and row.mass_gap is None
+            printed = energy_wang_printed(uc, un, p, g)
+            drift = max(drift,
+                        abs(printed - printed_ref) / max(abs(printed_ref), 1e-30))
+        assert traj.meta["energy_ref"] == mi_energy(levels[0], levels[1], p, g)
+        assert traj.meta["mass_ref"] == mi_mass(levels[0], levels[1], p, g)
+        assert traj.meta["energy_wang_ref"] == energy_wang(levels[0], levels[1], p, g)
+        assert traj.meta["energy_wang_printed_ref"] == printed_ref
+        assert traj.meta["energy_wang_printed_max_rel_drift"] == drift
 
     def test_printed_mass_constant_rejected_on_trajectory(self):
         # with the printed beta/2 constant the identity residual is the

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from nlsw import (ConfigurationError, PdeParams, ProblemSpec, SolverConfig,
-                  StateWindow, assemble_wang, builtin_problem, build_grid,
-                  energy_wang, energy_wang_printed, run_wang, step_wang)
+                  StateWindow, StepFailureError, assemble_wang, builtin_problem,
+                  build_grid, energy_wang, energy_wang_printed, run_wang,
+                  step_wang)
 
 from oracles import wang_residual_direct
 
@@ -108,3 +109,14 @@ class TestWangEnergy:
         assert all(r.energy_mi is not None for r in traj.rows)
         assert all(r.mass_mi is not None for r in traj.rows)
         assert all(r.energy_gap is None for r in traj.rows)
+
+
+class TestRunWang:
+    def test_step_failure_carries_step_index(self):
+        # a Picard budget of one sweep cannot converge a beta != 0 step
+        prob = builtin_problem("plane_beta2")
+        g = build_grid(prob.x_l, prob.x_r, 64, 1.0, 100)
+        with pytest.raises(StepFailureError) as err:
+            run_wang(prob, g, SolverConfig(fp_max_iter=1))
+        assert err.value.step == 2
+        assert "not converged after 1 sweeps" in str(err.value)
