@@ -7,9 +7,10 @@ Commands:
     nlsw list-problems
 
 Exit codes: 0 success, 1 internal consistency failure (a realness guard of
-the discrete invariants fired), 2 configuration error, 3 solver failure,
-4 identity-oracle validation failure.  Codes 1-4 come with a one-line JSON
-record on stderr; a failure inside the step loop names its step there.
+the discrete invariants fired), 2 configuration error (a bad config value or
+an unwritable output directory), 3 solver failure, 4 identity-oracle
+validation failure.  Codes 1-4 come with a one-line JSON record on stderr; a
+failure inside the step loop names its step there.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
 
 import numpy as np
 
@@ -41,59 +40,62 @@ SERIES_HEADER = ("step", "t", "energy_mi", "mass_mi", "energy_gap", "mass_gap",
 SNAPSHOT_HEADER = ("t", "x", "re_u", "im_u", "abs_u")
 ORDERS_HEADER = ("level", "mesh_param", "err_max", "fitted_order")
 
-# Config key -> converter of its JSON value; RunConfig holds the defaults.
-_CONVERTERS = {"problem": lambda value: value, "K": int, "J": int, "T": float,
-               "scheme": str, "bootstrap_mode": str, "fp_tol": float,
-               "fp_max_iter": int, "snapshot_stride": int, "output_dir": str}
+# Config key -> accepted JSON types; float stands for any JSON number and
+# stores an integer as a float.  RunConfig and SolverConfig hold the defaults.
+_TYPES = {"problem": (str, dict), "K": (int,), "J": (int,),
+          "T": (float, type(None)), "scheme": (str,), "bootstrap_mode": (str,),
+          "fp_tol": (float,), "fp_max_iter": (int,), "snapshot_stride": (int,),
+          "output_dir": (str,)}
+_JSON_NAMES = {int: "integer", float: "number", str: "string", dict: "object",
+               type(None): "null"}
 _PARAM_KEYS = {"alpha": "alpha", "gamma": "gamma", "theta": "theta",
                "lam": "lam", "lambda": "lam", "beta": "beta"}
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Validated run description; fully deterministic (no seeds anywhere)."""
 
-    problem: Union[str, dict]
+    problem: str | dict
     K: int
     J: int
-    T: Optional[float] = None
+    T: float | None = None
     scheme: str = "mi"
-    bootstrap_mode: str = "taylor2"
-    fp_tol: float = 1e-13
-    fp_max_iter: int = 100
+    bootstrap_mode: str = SolverConfig.bootstrap_mode
+    fp_tol: float = SolverConfig.fp_tol
+    fp_max_iter: int = SolverConfig.fp_max_iter
     snapshot_stride: int = 100
     output_dir: str = "out"
 
 
-@dataclass(frozen=True)
-class ResolvedRun:
-    problem: ProblemSpec
-    grid: GridSpec
-    solver_config: SolverConfig
-    config: RunConfig
+def _checked(key: str, value, types: tuple):
+    """The JSON value of `key` if it has one of `types`, never converted
+    except an integer where a number is accepted; a bool is never a number."""
+    if float in types and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigurationError(
+            f"config key {key!r} must be a JSON "
+            f"{' or '.join(_JSON_NAMES[t] for t in types)}, got {json.dumps(value)}")
+    return value
 
 
 def _resolve_problem(spec) -> ProblemSpec:
     if isinstance(spec, str):
         return builtin_problem(spec)
-    if isinstance(spec, dict):
-        unknown = set(spec) - {"base", "params"}
-        if unknown:
-            raise ConfigurationError(f"unknown keys in inline problem: {sorted(unknown)}")
-        if "base" not in spec:
-            raise ConfigurationError("inline problem needs a 'base' builtin name")
-        base = builtin_problem(spec["base"])
-        overrides = {}
-        for key, value in (spec.get("params") or {}).items():
-            if key not in _PARAM_KEYS:
-                raise ConfigurationError(f"unknown coefficient {key!r} in inline problem")
-            overrides[_PARAM_KEYS[key]] = float(value)
-        return customized(base, **overrides)
-    raise ConfigurationError(
-        f"problem must be a name or an inline spec, got {type(spec).__name__}")
+    unknown = set(spec) - {"base", "params"}
+    if unknown:
+        raise ConfigurationError(f"unknown keys in inline problem: {sorted(unknown)}")
+    base = builtin_problem(_checked("problem.base", spec.get("base"), (str,)))
+    overrides = {}
+    for key, value in _checked("problem.params", spec.get("params", {}), (dict,)).items():
+        if key not in _PARAM_KEYS:
+            raise ConfigurationError(f"unknown coefficient {key!r} in inline problem")
+        overrides[_PARAM_KEYS[key]] = _checked(f"problem.params.{key}", value, (float,))
+    return customized(base, **overrides)
 
 
-def resolve(config: RunConfig) -> ResolvedRun:
+def resolve(config: RunConfig) -> tuple[ProblemSpec, GridSpec, SolverConfig]:
     """Materialize the problem, grid, and solver settings, validating all
     invariants before any compute."""
     problem = _resolve_problem(config.problem)
@@ -107,16 +109,16 @@ def resolve(config: RunConfig) -> ResolvedRun:
     if config.snapshot_stride < 1:
         raise ConfigurationError(
             f"snapshot_stride must be >= 1, got {config.snapshot_stride}")
-    return ResolvedRun(problem=problem, grid=grid,
-                       solver_config=solver_config, config=config)
+    return problem, grid, solver_config
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON configuration document.
 
-    Unknown keys are rejected; defaults are applied for everything except
-    problem, K, and J.  The resulting configuration is resolved once so
-    that grid/solver/problem invariants fail here, not mid-run.
+    Unknown keys and values of the wrong JSON type are rejected; defaults
+    are applied for everything except problem, K, and J.  The resulting
+    configuration is resolved once so that grid/solver/problem invariants
+    fail here, not mid-run.
     """
     try:
         raw = json.loads(text)
@@ -126,17 +128,14 @@ def parse_config(text: str) -> RunConfig:
             f"{exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config document must be a JSON object")
-    unknown = set(raw) - set(_CONVERTERS)
+    unknown = set(raw) - set(_TYPES)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     for key in ("problem", "K", "J"):
         if key not in raw:
             raise ConfigurationError(f"config is missing required key {key!r}")
-    try:
-        config = RunConfig(**{key: _CONVERTERS[key](value)
-                              for key, value in raw.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed config value: {exc}") from exc
+    config = RunConfig(**{key: _checked(key, value, _TYPES[key])
+                          for key, value in raw.items()})
     resolve(config)
     return config
 
@@ -227,11 +226,8 @@ def _write_meta(out: Path, config: RunConfig, problem: ProblemSpec,
 def _series_summary(traj: Trajectory) -> dict:
     """Max relative drifts of the recorded invariants, for quick auditing."""
     def drift(values, ref):
-        vals = [v for v in values if v is not None]
-        if not vals or ref is None:
-            return None
-        scale = max(abs(ref), 1e-30)
-        return max(abs(v - ref) for v in vals) / scale
+        return max((diagnostics.rel_drift(v, ref) for v in values if v is not None),
+                   default=None)
 
     return {
         "steps": len(traj.rows),
@@ -248,15 +244,24 @@ def _series_summary(traj: Trajectory) -> dict:
     }
 
 
+def _output_dir(config: RunConfig, output_dir) -> Path:
+    """The override, else the configured output directory, created if missing."""
+    out = Path(output_dir if output_dir is not None else config.output_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory: {exc}") from exc
+    return out
+
+
 def run_experiment(config: RunConfig, output_dir=None) -> dict:
     """Execute one configured run and emit series/snapshots/meta files.
 
     Returns a report dict with the written paths and per-scheme summaries.
     """
     started = time.perf_counter()
-    resolved = resolve(config)
-    out = Path(output_dir if output_dir is not None else config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    problem, grid, solver_config = resolve(config)
+    out = _output_dir(config, output_dir)
 
     oracle = diagnostics.run_identity_oracle()
     if not oracle.ok:
@@ -266,25 +271,22 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
 
     labels = ("mi", "wang") if config.scheme == "both" else (config.scheme,)
     runners = _runners()
-    paths = {}
-    schemes_meta = {}
-    summaries = {}
+    paths, schemes_meta, summaries = {}, {}, {}
     for label in labels:
-        traj = runners[label](resolved.problem, resolved.grid,
-                              resolved.solver_config,
+        traj = runners[label](problem, grid, solver_config,
                               snapshot_stride=config.snapshot_stride)
         suffix = f"_{label}" if config.scheme == "both" else ""
         series_path = out / f"series{suffix}.csv"
         snaps_path = out / f"snapshots{suffix}.csv"
         _write_series(series_path, traj.rows)
-        _write_snapshots(snaps_path, resolved.grid, traj.snapshots)
+        _write_snapshots(snaps_path, grid, traj.snapshots)
         paths[f"series_{label}"] = str(series_path)
         paths[f"snapshots_{label}"] = str(snaps_path)
         schemes_meta[label] = traj.meta
         summaries[label] = _series_summary(traj)
 
-    paths["meta"] = _write_meta(out, config, resolved.problem, started,
-                                grid=dataclasses.asdict(resolved.grid),
+    paths["meta"] = _write_meta(out, config, problem, started,
+                                grid=dataclasses.asdict(grid),
                                 schemes=schemes_meta, summaries=summaries,
                                 identity_oracle=dataclasses.asdict(oracle),
                                 conventions=CONVENTIONS)
@@ -303,27 +305,24 @@ def run_convergence(config: RunConfig, axis: str, levels: int,
         raise UsageError(f"axis must be 'space' or 'time', got {axis!r}")
     if levels < 2:
         raise UsageError(f"a convergence sweep needs >= 2 levels, got {levels}")
-    resolved = resolve(config)
-    if resolved.problem.exactness != "verified":
+    problem, base_grid, solver_config = resolve(config)
+    if problem.exactness != "verified":
         raise ConfigurationError(
-            f"problem {resolved.problem.name!r} has no verified exact solution; "
+            f"problem {problem.name!r} has no verified exact solution; "
             "refusing the convergence sweep")
     if config.scheme == "both":
         raise ConfigurationError("convergence sweeps run one scheme at a time")
     runner = _runners()[config.scheme]
 
     started = time.perf_counter()
-    out = Path(output_dir if output_dir is not None else config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config, output_dir)
 
     entries = []
     for level in range(levels):
         K = config.K * 2 ** level if axis == "space" else config.K
         J = config.J * 2 ** level if axis == "time" else config.J
-        T = config.T if config.T is not None else resolved.problem.default_T
-        grid = build_grid(resolved.problem.x_l, resolved.problem.x_r, K, T, J)
-        traj = runner(resolved.problem, grid, resolved.solver_config,
-                      snapshot_stride=max(grid.J, 1))
+        grid = build_grid(problem.x_l, problem.x_r, K, base_grid.T, J)
+        traj = runner(problem, grid, solver_config, snapshot_stride=grid.J)
         err = max(row.err_max for row in traj.rows)
         mesh_param = grid.h if axis == "space" else grid.tau
         entries.append((level, mesh_param, err))
@@ -336,7 +335,7 @@ def run_convergence(config: RunConfig, axis: str, levels: int,
         for level, mesh_param, err in entries:
             writer.writerow([str(level), _fmt(mesh_param), _fmt(err), _fmt(fitted)])
 
-    meta_path = _write_meta(out, config, resolved.problem, started,
+    meta_path = _write_meta(out, config, problem, started,
                             axis=axis, levels=levels, fitted_order=fitted,
                             entries=[{"level": l, "mesh_param": m, "err_max": e}
                                      for l, m, e in entries])
@@ -377,20 +376,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "Schrodinger equation with wave operator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute one configured run")
-    p_run.add_argument("config")
-    p_run.add_argument("--output", default=None, help="override output directory")
-
-    p_conv = sub.add_parser("converge", help="mesh-refinement order study")
-    p_conv.add_argument("config")
-    p_conv.add_argument("--axis", choices=("space", "time"), required=True)
-    p_conv.add_argument("--levels", type=int, required=True)
-    p_conv.add_argument("--output", default=None)
-
-    p_cmp = sub.add_parser("compare", help="run both schemes on one config")
-    p_cmp.add_argument("config")
-    p_cmp.add_argument("--output", default=None)
-
+    for name, text in (("run", "execute one configured run"),
+                       ("converge", "mesh-refinement order study"),
+                       ("compare", "run both schemes on one config")):
+        command = sub.add_parser(name, help=text)
+        command.add_argument("config")
+        command.add_argument("--output", default=None, help="override output directory")
+    sub.choices["converge"].add_argument("--axis", choices=("space", "time"),
+                                         required=True)
+    sub.choices["converge"].add_argument("--levels", type=int, required=True)
     sub.add_parser("list-problems", help="list built-in benchmark problems")
     return parser
 
@@ -408,18 +402,14 @@ def main(argv=None) -> int:
                       f"lam={p.lam:g} beta={p.beta:g}")
             return 0
         config = _load_config(args.config)
-        if args.command == "run":
-            report = run_experiment(config, output_dir=args.output)
-        elif args.command == "compare":
-            config = dataclasses.replace(config, scheme="both")
-            report = run_experiment(config, output_dir=args.output)
-        elif args.command == "converge":
+        if args.command == "converge":
             report = run_convergence(config, axis=args.axis, levels=args.levels,
                                      output_dir=args.output)
             print(f"fitted order ({args.axis}): {report['fitted_order']:.4f}")
             return 0
-        else:  # pragma: no cover - argparse enforces the choices
-            raise UsageError(f"unknown command {args.command!r}")
+        if args.command == "compare":
+            config = dataclasses.replace(config, scheme="both")
+        report = run_experiment(config, output_dir=args.output)
         for label, summary in report["summaries"].items():
             print(f"{label}: {summary['steps']} steps, "
                   f"total fp iters {summary['total_fp_iters']}")

@@ -202,6 +202,11 @@ def theorem_identity_gaps(u_prev, u_cur, u_next, params: PdeParams,
     return identity_gaps(e_plus - e_minus, q_plus - q_minus, a, b, params, grid)
 
 
+def rel_drift(value, ref) -> float:
+    """|value - ref| / |ref|, the scale floored at 1e-30."""
+    return abs(value - ref) / max(abs(ref), 1e-30)
+
+
 @dataclass(frozen=True)
 class ContinuousInvariants:
     energy_cont: float

@@ -9,6 +9,7 @@ position k + 1/2; the periodic wrap pairs (K-1, 0).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,11 @@ def build_grid(x_l, x_r, K, T, J) -> GridSpec:
     """Construct a GridSpec with h = (x_r - x_l)/K and tau = T/J.
 
     The three-node periodic stencils need K >= 4, and a two-step scheme
-    needs J >= 2.
+    needs J >= 2; K and J must be integers (numpy integers included).
     """
-    K = int(K)
-    J = int(J)
+    if not (isinstance(K, numbers.Integral) and isinstance(J, numbers.Integral)):
+        raise ConfigurationError(f"K and J must be integers, got K={K!r}, J={J!r}")
+    K, J = int(K), int(J)
     if not (np.isfinite(x_l) and np.isfinite(x_r) and x_r > x_l):
         raise ConfigurationError(f"need x_r > x_l, got [{x_l}, {x_r}]")
     if K < 4:

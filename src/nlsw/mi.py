@@ -16,6 +16,7 @@ and per-step columns.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +43,9 @@ class SolverConfig:
     def __post_init__(self):
         if not (np.isfinite(self.fp_tol) and self.fp_tol > 0):
             raise ConfigurationError(f"fp_tol must be positive, got {self.fp_tol}")
-        if self.fp_max_iter < 1:
-            raise ConfigurationError(f"fp_max_iter must be >= 1, got {self.fp_max_iter}")
+        if not isinstance(self.fp_max_iter, numbers.Integral) or self.fp_max_iter < 1:
+            raise ConfigurationError(
+                f"fp_max_iter must be an integer >= 1, got {self.fp_max_iter!r}")
         if self.bootstrap_mode not in BOOTSTRAP_MODES:
             raise ConfigurationError(
                 f"bootstrap_mode must be one of {BOOTSTRAP_MODES}, "

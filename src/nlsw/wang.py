@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .diagnostics import rel_drift
 from .errors import ConfigurationError
 from .grid import GridSpec, as_level, backward_diff, shift_next, shift_prev
 from .linsolve import CyclicTridiagonalSystem, PreparedCyclicSolver
@@ -122,10 +123,9 @@ def run_wang(problem, grid: GridSpec, config: SolverConfig,
             meta["energy_wang_printed_max_rel_drift"] = 0.0
             return
         row.energy_wang = energy_wang(u_cur, u_next, params, grid)
-        ref = meta["energy_wang_printed_ref"]
         meta["energy_wang_printed_max_rel_drift"] = max(
             meta["energy_wang_printed_max_rel_drift"],
-            abs(printed - ref) / max(abs(ref), 1e-30))
+            rel_drift(printed, meta["energy_wang_printed_ref"]))
 
     traj = integrate(problem, grid, config, snapshot_stride,
                      assemble_wang(params, grid), _step_wang, wang_energies)

@@ -65,6 +65,21 @@ class TestParseConfig:
             parse_config('{"problem": "linear_plane", "K": 64, "J": 10, '
                          '"scheme": "rk4"}')
 
+    # Values that bare int()/str()/float() would turn into another run:
+    # K=64, fp_max_iter=1, a directory named "None", J=1500, beta=1.0.
+    @pytest.mark.parametrize("key, override", [
+        ("K", {"K": 64.7}),
+        ("fp_max_iter", {"fp_max_iter": True}),
+        ("output_dir", {"output_dir": None}),
+        ("J", {"J": "1500"}),
+        ("beta", {"problem": {"base": "plane_beta2", "params": {"beta": True}}}),
+    ])
+    def test_wrong_json_type_rejected_naming_key(self, key, override):
+        payload = {"problem": "linear_plane", "K": 64, "J": 10, **override}
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(json.dumps(payload))
+        assert key in str(err.value)
+
 
 class TestRunExperiment:
     def run_small(self, tmp_path, **overrides):
@@ -123,6 +138,17 @@ class TestRunExperiment:
         report = self.run_small(tmp_path)
         summary = report["summaries"]["mi"]
         assert summary["energy_mi_max_rel_drift"] <= 1e-10
+
+    def test_meta_config_echo_parses_back(self, tmp_path):
+        # No T in the config, so the echo carries "T": null.
+        cfg = parse_config(json.dumps({"problem": "linear_plane", "K": 32,
+                                       "J": 20, "fp_tol": 1,
+                                       "output_dir": str(tmp_path / "rt")}))
+        report = run_experiment(cfg)
+        with open(report["paths"]["meta"]) as fh:
+            echo = json.load(fh)["config"]
+        assert echo["T"] is None and echo["fp_tol"] == 1.0
+        assert parse_config(json.dumps(echo)) == cfg
 
 
 class TestSnapshotWriter:
@@ -251,6 +277,20 @@ class TestMainExitCodes:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConsistencyError"
         assert record["step"] == 2
+
+    @pytest.mark.parametrize("command", [["run"], ["compare"],
+                                         ["converge", "--axis", "time",
+                                          "--levels", "2"]])
+    def test_unwritable_output_dir_exit_2(self, tmp_path, capsys, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        path = write_config(tmp_path, {"problem": "linear_plane", "K": 16,
+                                       "J": 20, "T": 0.2,
+                                       "output_dir": str(blocker / "out")})
+        assert main([command[0], path, *command[1:]]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigurationError"
+        assert str(blocker / "out") in record["message"]
 
     def test_compare_forces_both(self, tmp_path, capsys):
         path = write_config(tmp_path, {"problem": "plane_beta2", "K": 50,

@@ -40,6 +40,14 @@ class TestBuildGrid:
         with pytest.raises(ConfigurationError):
             build_grid(*args)
 
+    def test_rejects_non_integral_sizes(self):
+        # int() would silently run K=64, J=100 for these.
+        for K, J in ((64.7, 100), (64, 100.9), (64.0, 100)):
+            with pytest.raises(ConfigurationError):
+                build_grid(0.0, 1.0, K, 1.0, J)
+        g = build_grid(0.0, 1.0, np.int64(64), 1.0, np.int32(100))
+        assert type(g.K) is int and type(g.J) is int
+
 
 class TestApplyDifference:
     def test_constant_fields_vanish(self, small_grid):

@@ -21,6 +21,16 @@ def exact_levels(problem, grid, j):
             problem.exact(x, (j + 1) * grid.tau))
 
 
+class TestSolverConfig:
+    def test_non_integral_fp_max_iter_rejected(self):
+        # Would otherwise pass construction and fail as a TypeError in the
+        # first Picard sweep.
+        with pytest.raises(ConfigurationError) as err:
+            SolverConfig(fp_max_iter=2.5)
+        assert "fp_max_iter" in str(err.value)
+        assert SolverConfig(fp_max_iter=np.int64(3)).fp_max_iter == 3
+
+
 class TestAssembleLinear:
     def test_diagonal_entry(self):
         g = build_grid(0.0, 2.0 * np.pi, 16, 1.0, 100)
