@@ -16,9 +16,9 @@ failure inside the step loop names its step there.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
+import operator
 import sys
 import time
 from pathlib import Path
@@ -72,6 +72,8 @@ def _checked(key: str, value, types: tuple):
     """The JSON value of `key` if it has one of `types`, never converted
     except an integer where a number is accepted; a bool is never a number."""
     if float in types and isinstance(value, int) and not isinstance(value, bool):
+        if abs(value) > sys.float_info.max:
+            raise ConfigurationError(f"config key {key!r} is beyond the float range")
         return float(value)
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigurationError(
@@ -140,20 +142,25 @@ def parse_config(text: str) -> RunConfig:
     return config
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+def _write_csv(path: Path, header, rows):
+    """Write rows of value tuples one %-template per row: an empty field for
+    None, '%d' for an integer and '%.17g' for anything else, byte for byte
+    what csv.writer writes for those fields.  Rows whose values have the
+    same types share one template."""
+    templates = {}
+    lines = [",".join(header) + "\r\n"]
+    for values in rows:
+        kinds = tuple(map(type, values))
+        if kinds not in templates:
+            templates[kinds] = ",".join(
+                "%.0s" if v is None else "%d" if isinstance(v, (int, np.integer))
+                else "%.17g" for v in values) + "\r\n"
+        lines.append(templates[kinds] % values)
+    path.write_text("".join(lines), newline="")
 
 
 def _write_series(path: Path, rows):
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SERIES_HEADER)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, name)) for name in SERIES_HEADER])
+    _write_csv(path, SERIES_HEADER, map(operator.attrgetter(*SERIES_HEADER), rows))
 
 
 def _write_snapshots(path: Path, grid: GridSpec, snapshots):
@@ -329,11 +336,7 @@ def run_convergence(config: RunConfig, axis: str, levels: int,
 
     fitted = convergence_order([(m, e) for _, m, e in entries])
     orders_path = out / "orders.csv"
-    with orders_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ORDERS_HEADER)
-        for level, mesh_param, err in entries:
-            writer.writerow([str(level), _fmt(mesh_param), _fmt(err), _fmt(fitted)])
+    _write_csv(orders_path, ORDERS_HEADER, [entry + (fitted,) for entry in entries])
 
     meta_path = _write_meta(out, config, problem, started,
                             axis=axis, levels=levels, fitted_order=fitted,

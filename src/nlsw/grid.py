@@ -10,6 +10,7 @@ position k + 1/2; the periodic wrap pairs (K-1, 0).
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,9 @@ def build_grid(x_l, x_r, K, T, J) -> GridSpec:
     if not (isinstance(K, numbers.Integral) and isinstance(J, numbers.Integral)):
         raise ConfigurationError(f"K and J must be integers, got K={K!r}, J={J!r}")
     K, J = int(K), int(J)
+    for name, n in (("K", K), ("J", J)):
+        if n > sys.float_info.max:
+            raise ConfigurationError(f"{name} is beyond the float range")
     if not (np.isfinite(x_l) and np.isfinite(x_r) and x_r > x_l):
         raise ConfigurationError(f"need x_r > x_l, got [{x_l}, {x_r}]")
     if K < 4:
@@ -99,6 +103,13 @@ def shift_next(u):
 
 def shift_prev(u):
     return np.concatenate((u[-1:], u[:-1]))
+
+
+def stencil(coefficients, u):
+    """Three-point periodic stencil (lower, diag, upper), scalars or length-K
+    arrays: slot k holds lower*u_{k-1} + diag*u_k + upper*u_{k+1}."""
+    lower, diag, upper = coefficients
+    return lower * shift_prev(u) + diag * u + upper * shift_next(u)
 
 
 # Bare periodic stencils.  These skip validation and are shared by the

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import SingularSystemError, UsageError
-from .grid import shift_next, shift_prev
+from .grid import stencil
 
 # The Sherman-Morrison denominator equals det(A)/det(core); relative to the
 # correction scale, anything below this means A itself is singular.
@@ -47,8 +47,8 @@ class CyclicTridiagonalSystem:
         return self.diag.shape[0]
 
     def matvec(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128)
-        return self.lower * shift_prev(x) + self.diag * x + self.upper * shift_next(x)
+        return stencil((self.lower, self.diag, self.upper),
+                       np.asarray(x, dtype=np.complex128))
 
 
 class PreparedCyclicSolver:

@@ -2,11 +2,11 @@
 both schemes share.
 
 Eliminating the auxiliary variables of the box-form midpoint integrator
-leaves a two-step update for u alone: a constant cyclic tridiagonal
-operator acting on the new level j+1, plus lagged linear terms and cubic
-terms built from half-node temporal means.  Each step runs a Picard
-iteration around the frozen linear part, so the operator is factored once
-per run and every sweep costs one banded solve.
+leaves a two-step update for u alone, A u^{j+1} + B u^j + C u^{j-1} plus
+cubic half-node terms = 0, with constant three-point stencils A, B, C from
+one table; by time reversal C is A at (-alpha, -gamma).  Each step runs a
+Picard iteration around the frozen operator A, so it is factored once per
+run and every sweep costs one banded solve.
 
 picard is the one fixed-point loop and integrate the one run loop; step_mi
 here and the energy-preserving kernel in wang.py supply only their known
@@ -25,7 +25,7 @@ from . import diagnostics, problems
 from .errors import (ConfigurationError, DivergenceError, NlswError,
                      StepFailureError, UsageError)
 from .grid import (GridSpec, as_field, as_level, central_diff, half_average,
-                   pair_sum, second_diff, shift_next, shift_prev)
+                   pair_sum, second_diff, stencil)
 from .linsolve import CyclicTridiagonalSystem, PreparedCyclicSolver
 from .model import PdeParams
 
@@ -102,46 +102,35 @@ def bootstrap(f0, f1, params: PdeParams, grid: GridSpec, mode: str = "taylor2",
     return u0, u1
 
 
-def assemble_linear(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSystem:
-    """Collect the level-(j+1) coefficients of every linear term of the
-    scheme into one constant cyclic tridiagonal operator.
-
-    diag  = 1/(2 tau^2) + 1/(2 h^2) - i alpha/(4 tau) + lam/8
-    upper = 1/(4 tau^2) - 1/(4 h^2) - i alpha/(8 tau) - i theta/(8 h)
-            + gamma/(4 tau h) + lam/16
-    lower = same with the signs of the theta and gamma terms flipped.
-    """
+def _stencils(params: PdeParams, grid: GridSpec):
+    """(lower, diag, upper) of the stencils acting on u^{j+1}, u^j and
+    u^{j-1}.  Reversing time maps the scheme onto itself with alpha and gamma
+    negated, so the u^{j-1} stencil is the u^{j+1} one at (-alpha, -gamma)."""
     h, tau = grid.h, grid.tau
-    a, g, th, lam = params.alpha, params.gamma, params.theta, params.lam
-    diag = 0.5 / tau ** 2 + 0.5 / h ** 2 - 0.25j * a / tau + 0.125 * lam
-    upper = (0.25 / tau ** 2 - 0.25 / h ** 2 - 0.125j * a / tau
-             - 0.125j * th / h + 0.25 * g / (tau * h) + lam / 16.0)
-    lower = (0.25 / tau ** 2 - 0.25 / h ** 2 - 0.125j * a / tau
-             + 0.125j * th / h - 0.25 * g / (tau * h) + lam / 16.0)
-    K = grid.K
-    return CyclicTridiagonalSystem(
-        lower=np.full(K, lower, dtype=np.complex128),
-        diag=np.full(K, diag, dtype=np.complex128),
-        upper=np.full(K, upper, dtype=np.complex128),
-    )
+    th, lam = params.theta, params.lam
+
+    def new_level(a, g):
+        diag = 0.5 / tau ** 2 + 0.5 / h ** 2 - 0.25j * a / tau + 0.125 * lam
+        off = 0.25 / tau ** 2 - 0.25 / h ** 2 - 0.125j * a / tau + lam / 16.0
+        skew = 0.125j * th / h - 0.25 * g / (tau * h)
+        return off + skew, diag, off - skew
+
+    off = -0.5 / tau ** 2 - 0.5 / h ** 2 + 0.125 * lam
+    skew = 0.25j * th / h
+    return (new_level(params.alpha, params.gamma),
+            (off + skew, -1.0 / tau ** 2 + 1.0 / h ** 2 + 0.25 * lam, off - skew),
+            new_level(-params.alpha, -params.gamma))
 
 
-def _pair_avg(u):
-    """Quarter-weighted (1, 2, 1) node average: the pair-sum of the two
-    adjacent half-node means."""
-    return 0.25 * (shift_next(u) + 2.0 * u + shift_prev(u))
+def assemble_linear(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSystem:
+    """The cyclic tridiagonal operator of the scheme: its u^{j+1} stencil."""
+    return CyclicTridiagonalSystem(*(np.full(grid.K, c) for c in _stencils(params, grid)[0]))
 
 
 def _known_terms(u_prev, u_cur, params: PdeParams, grid: GridSpec):
     """All linear scheme terms living on levels j and j-1."""
-    h, tau = grid.h, grid.tau
-    lagged = 2.0 * u_cur + u_prev
-    return (_pair_avg(u_prev - 2.0 * u_cur) / tau ** 2
-            - 0.25 * second_diff(lagged, h)
-            + (0.5j * params.alpha / tau) * _pair_avg(u_prev)
-            - 0.25j * params.theta * central_diff(lagged, h)
-            - (0.5 * params.gamma / tau) * central_diff(u_prev, h)
-            + 0.25 * params.lam * _pair_avg(lagged))
+    _, on_cur, on_prev = _stencils(params, grid)
+    return stencil(on_cur, u_cur) + stencil(on_prev, u_prev)
 
 
 def _cubic_pair(level_mean):

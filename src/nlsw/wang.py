@@ -15,6 +15,8 @@ so that two-level quartic form is conserved exactly; the commonly quoted
 single-level quartic (beta/2) h sum |u^j|^4 does not telescope and is kept
 only for auditing its drift.
 
+As in mi.py, the linear part is A u^{j+1} + B u^j + C u^{j-1} with constant
+three-point stencils from one table, and by time reversal C is A at -alpha.
 The step kernel supplies its known terms and cubic term to mi.picard, and
 run_wang is mi.integrate with this scheme's operator, kernel and energies.
 """
@@ -25,42 +27,37 @@ import numpy as np
 
 from .diagnostics import rel_drift
 from .errors import ConfigurationError
-from .grid import GridSpec, as_level, backward_diff, shift_next, shift_prev
+from .grid import GridSpec, as_level, backward_diff, stencil
 from .linsolve import CyclicTridiagonalSystem, PreparedCyclicSolver
 from .mi import SolverConfig, StateWindow, Trajectory, integrate, picard
 from .model import PdeParams
 
 
-def _require_compatible(params: PdeParams):
+def _stencils(params: PdeParams, grid: GridSpec):
+    """(lower, diag, upper) of the stencils acting on u^{j+1}, u^j and
+    u^{j-1}; by time reversal the u^{j-1} one is the u^{j+1} one at -alpha."""
+    h, tau = grid.h, grid.tau
+    off = -0.5 / h ** 2
+    on_next, on_prev = ((off, 1.0 / tau ** 2 + 1.0 / h ** 2 - 0.5j * a / tau, off)
+                        for a in (params.alpha, -params.alpha))
+    return on_next, (0.0, -2.0 / tau ** 2, 0.0), on_prev
+
+
+def assemble_wang(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSystem:
+    """The cyclic tridiagonal operator of the scheme: its u^{j+1} stencil."""
     if params.gamma != 0.0 or params.theta != 0.0 or params.lam != 0.0:
         raise ConfigurationError(
             "the energy-preserving scheme covers gamma = theta = lam = 0 only; "
             f"got gamma={params.gamma}, theta={params.theta}, lam={params.lam}")
-
-
-def assemble_wang(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSystem:
-    """Constant linear part acting on level j+1:
-    diag 1/tau^2 + 1/h^2 - i*alpha/(2 tau), off-diagonals -1/(2 h^2)."""
-    _require_compatible(params)
-    h, tau = grid.h, grid.tau
-    diag = 1.0 / tau ** 2 + 1.0 / h ** 2 - 0.5j * params.alpha / tau
-    off = -0.5 / h ** 2
-    K = grid.K
-    return CyclicTridiagonalSystem(
-        lower=np.full(K, off, dtype=np.complex128),
-        diag=np.full(K, diag, dtype=np.complex128),
-        upper=np.full(K, off, dtype=np.complex128),
-    )
+    return CyclicTridiagonalSystem(*(np.full(grid.K, c) for c in _stencils(params, grid)[0]))
 
 
 def _step_wang(window: StateWindow, solver: PreparedCyclicSolver,
                params: PdeParams, grid: GridSpec, config: SolverConfig):
     u_prev = as_level(window.u_prev, grid)
     u_cur = as_level(window.u_cur, grid)
-    h, tau = grid.h, grid.tau
-    known = ((u_prev - 2.0 * u_cur) / tau ** 2
-             - 0.5 * (shift_next(u_prev) - 2.0 * u_prev + shift_prev(u_prev)) / h ** 2
-             + 0.5j * params.alpha * u_prev / tau)
+    _, on_cur, on_prev = _stencils(params, grid)
+    known = stencil(on_cur, u_cur) + stencil(on_prev, u_prev)
     if params.beta == 0.0:
         return picard(solver, known, None, None, config)
     abs2_prev = np.abs(u_prev) ** 2

@@ -129,3 +129,25 @@ def write_snapshots_rowwise(path, grid, snapshots):
             for k in range(grid.K):
                 writer.writerow([fmt(t), fmt(x[k]), fmt(u[k].real),
                                  fmt(u[k].imag), fmt(abs(u[k]))])
+
+
+def write_series_rowwise(path, rows):
+    """The per-row series writer: one csv.writer row per step, every field
+    formatted on its own, empty for None, str(int) for integers and
+    f"{v:.17g}" for anything else."""
+    import csv
+
+    def fmt(value):
+        if value is None:
+            return ""
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return f"{float(value):.17g}"
+
+    header = ("step", "t", "energy_mi", "mass_mi", "energy_gap", "mass_gap",
+              "energy_wang", "err_max", "e_infty_sq", "mod_err", "fp_iters")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(getattr(row, name)) for name in header])

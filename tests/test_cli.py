@@ -1,15 +1,18 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nlsw import ConfigurationError, ConsistencyError, UsageError, build_grid, parse_config
+from nlsw import (ConfigurationError, ConsistencyError, SolverConfig, UsageError,
+                  build_grid, builtin_problem, parse_config, run_mi, run_wang)
 from nlsw.cli import (ORDERS_HEADER, SERIES_HEADER, SNAPSHOT_HEADER, main,
                       run_convergence, run_experiment)
-from nlsw.cli import _write_snapshots
+from nlsw.cli import _write_series, _write_snapshots
+from nlsw.diagnostics import DiagnosticsRow
 
-from oracles import write_snapshots_rowwise
+from oracles import write_series_rowwise, write_snapshots_rowwise
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -66,13 +69,20 @@ class TestParseConfig:
                          '"scheme": "rk4"}')
 
     # Values that bare int()/str()/float() would turn into another run:
-    # K=64, fp_max_iter=1, a directory named "None", J=1500, beta=1.0.
+    # K=64, fp_max_iter=1, a directory named "None", J=1500, beta=1.0; then
+    # integers beyond the float range, which float() cannot convert.
     @pytest.mark.parametrize("key, override", [
         ("K", {"K": 64.7}),
         ("fp_max_iter", {"fp_max_iter": True}),
         ("output_dir", {"output_dir": None}),
         ("J", {"J": "1500"}),
         ("beta", {"problem": {"base": "plane_beta2", "params": {"beta": True}}}),
+        ("T", {"T": 10 ** 400}),
+        ("fp_tol", {"fp_tol": 10 ** 400}),
+        ("K", {"K": 10 ** 400}),
+        ("J", {"J": 10 ** 400}),
+        ("beta", {"problem": {"base": "plane_beta2",
+                              "params": {"beta": -10 ** 400}}}),
     ])
     def test_wrong_json_type_rejected_naming_key(self, key, override):
         payload = {"problem": "linear_plane", "K": 64, "J": 10, **override}
@@ -113,8 +123,8 @@ class TestRunExperiment:
         r1 = self.run_small(tmp_path, output_dir=str(tmp_path / "a"))
         r2 = self.run_small(tmp_path, output_dir=str(tmp_path / "b"))
         for key in ("series_mi", "snapshots_mi"):
-            b1 = open(r1["paths"][key], "rb").read()
-            b2 = open(r2["paths"][key], "rb").read()
+            b1 = Path(r1["paths"][key]).read_bytes()
+            b2 = Path(r2["paths"][key]).read_bytes()
             assert b1 == b2
         m1 = json.loads((tmp_path / "a" / "meta.json").read_text())
         m2 = json.loads((tmp_path / "b" / "meta.json").read_text())
@@ -171,6 +181,33 @@ class TestSnapshotWriter:
         block = (tmp_path / "block.csv").read_bytes()
         assert block == (tmp_path / "rows.csv").read_bytes()
         assert b"-0,-0,0" in block and b"1e+300" in block and b"1e-300" in block
+
+
+class TestSeriesWriter:
+    def test_block_writer_matches_rowwise_oracle(self, tmp_path, rng):
+        # Real rows of both schemes, then rows whose field types vary from
+        # row to row: None, Python and numpy integers and floats, an integer
+        # in a float column, and extreme or non-finite floats.
+        prob = builtin_problem("plane_beta2")
+        grid = build_grid(prob.x_l, prob.x_r, 16, 0.1, 10)
+        rows = (run_mi(prob, grid, SolverConfig()).rows
+                + run_wang(prob, grid, SolverConfig()).rows)
+        extremes = [-0.0, 0.0, 1e-300, -1e300, 5e-324, 1.0 / 3.0, np.inf,
+                    -np.inf, np.nan, 0, -7, np.float64(2.5), np.int64(9), None]
+        for j in range(200):
+            values = [rng.choice(extremes) if rng.uniform() < 0.3
+                      else float(10.0 ** rng.uniform(-300.0, 300.0)
+                                 * rng.choice([-1.0, 1.0]))
+                      for _ in SERIES_HEADER[2:-1]]
+            step = np.int64(j) if j % 2 else j
+            fp_iters = None if j % 5 == 0 else int(rng.integers(1, 100))
+            rows.append(DiagnosticsRow(step, float(rng.uniform()), *values,
+                                       fp_iters=fp_iters))
+        _write_series(tmp_path / "block.csv", rows)
+        write_series_rowwise(tmp_path / "rows.csv", rows)
+        block = (tmp_path / "block.csv").read_bytes()
+        assert block == (tmp_path / "rows.csv").read_bytes()
+        assert b",," in block and b"nan" in block and b"-0," in block
 
 
 class TestRunConvergence:
@@ -291,6 +328,14 @@ class TestMainExitCodes:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigurationError"
         assert str(blocker / "out") in record["message"]
+
+    def test_overflowing_integer_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"problem": "linear_plane", "K": 64,
+                                       "J": 20, "T": 10 ** 400})
+        assert main(["run", path]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigurationError"
+        assert "'T'" in record["message"]
 
     def test_compare_forces_both(self, tmp_path, capsys):
         path = write_config(tmp_path, {"problem": "plane_beta2", "K": 50,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nlsw import (ConfigurationError, PdeParams, SolverConfig, StateWindow,
                   StepFailureError, Trajectory, assemble_linear, bootstrap,
@@ -9,6 +10,8 @@ from nlsw.linsolve import PreparedCyclicSolver
 from nlsw.mi import _known_terms, _cubic_pair
 
 from oracles import mi_residual_direct, mi_residual_scale
+from strategies import (coefficient, gamma_coefficient, periodic_grid, seeds,
+                        sizes, time_steps)
 
 EX1 = builtin_problem("linear_plane")
 EX3 = builtin_problem("plane_beta2")
@@ -19,6 +22,24 @@ def exact_levels(problem, grid, j):
     return (problem.exact(x, (j - 1) * grid.tau),
             problem.exact(x, j * grid.tau),
             problem.exact(x, (j + 1) * grid.tau))
+
+
+def exact_case(problem):
+    """(params, grid, levels j-1, j, j+1) of the exact solution at K=32,
+    tau=0.01."""
+    g = build_grid(problem.x_l, problem.x_r, 32, 1.0, 100)
+    return problem.params, g, exact_levels(problem, g, 5)
+
+
+@st.composite
+def drawn_case(draw):
+    """(params, grid, three random levels) with drawn coefficients."""
+    params = PdeParams(alpha=draw(coefficient), gamma=draw(gamma_coefficient),
+                       theta=draw(coefficient), lam=draw(coefficient),
+                       beta=draw(coefficient))
+    g = periodic_grid(draw(sizes), draw(time_steps))
+    rng = np.random.default_rng(draw(seeds))
+    return params, g, tuple(rng.normal(size=(3, g.K)) + 1j * rng.normal(size=(3, g.K)))
 
 
 class TestSolverConfig:
@@ -60,21 +81,23 @@ class TestAssembleLinear:
         assert np.allclose(s1.lower - s0.lower, -dcoef)
         assert np.array_equal(s1.diag, s0.diag)
 
-    def test_operator_plus_known_terms_reproduce_scheme(self):
+    @settings(max_examples=40, deadline=None)
+    @given(case=drawn_case())
+    @example(case=exact_case(EX1))
+    @example(case=exact_case(EX3))
+    def test_operator_plus_known_terms_reproduce_scheme(self, case):
         # Applying the assembled operator to the new level plus the
         # explicitly evaluated lagged/cubic terms must equal the direct
-        # per-node evaluation of the scheme.
-        for prob in (EX1, EX3):
-            g = build_grid(prob.x_l, prob.x_r, 32, 1.0, 100)
-            up, uc, un = exact_levels(prob, g, 5)
-            p = prob.params
-            sys_ = assemble_linear(p, g)
-            lhs = (sys_.matvec(un) + _known_terms(up, uc, p, g)
-                   + 0.25 * p.beta * (_cubic_pair(0.5 * (uc + un))
-                                      + _cubic_pair(0.5 * (up + uc))))
-            direct = mi_residual_direct(up, uc, un, p, g)
-            scale = mi_residual_scale(un, p, g)
-            assert np.max(np.abs(lhs - direct)) <= 1e-13 * scale
+        # per-node evaluation of the scheme: on exact levels of the builtin
+        # problems and on random levels with drawn coefficients.
+        p, g, (up, uc, un) = case
+        sys_ = assemble_linear(p, g)
+        lhs = (sys_.matvec(un) + _known_terms(up, uc, p, g)
+               + 0.25 * p.beta * (_cubic_pair(0.5 * (uc + un))
+                                  + _cubic_pair(0.5 * (up + uc))))
+        direct = mi_residual_direct(up, uc, un, p, g)
+        scale = mi_residual_scale(un, p, g)
+        assert np.max(np.abs(lhs - direct)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("prob", [EX1, EX3], ids=lambda p: p.name)
     def test_truncation_second_order(self, prob):

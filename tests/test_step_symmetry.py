@@ -1,31 +1,26 @@
 """Property tests: one step of either scheme commutes with a global phase
-rotation and with a periodic shift of the grid.
+rotation and with a periodic shift of the grid, and is undone by the step
+of the time-reversed scheme.
 
 Both symmetries hold exactly for the schemes (constant coefficients, cubic
 term |u|^2 u), so a step taken on rotated or shifted levels must equal the
-rotated or shifted step up to round-off and the Picard tolerance.
+rotated or shifted step up to round-off and the Picard tolerance.  Reversing
+time maps each scheme onto itself with alpha and gamma negated, so stepping
+back from (u^{j+1}, u^j) with those coefficients returns u^{j-1}.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from nlsw import (PdeParams, SolverConfig, StateWindow, assemble_linear,
-                  build_grid, step_mi, step_wang)
+                  step_mi, step_wang)
+
+from strategies import (coefficient, gamma_coefficient, levels, periodic_grid,
+                        seeds, sizes, time_steps)
 
 REL_TOL = 1e-11
-
-coefficient = st.floats(min_value=-2.0, max_value=2.0)
-# gamma = +-2 degenerates the first-order reduction (PdeParams rejects it).
-gamma_coefficient = st.floats(min_value=-1.5, max_value=1.5)
-
-
-def _levels(seed, K):
-    rng = np.random.default_rng(seed)
-    x = np.linspace(0.0, 2.0 * np.pi, K, endpoint=False)
-    u_cur = np.exp(1j * x) + 0.3 * (rng.normal(size=K) + 1j * rng.normal(size=K))
-    u_prev = u_cur * np.exp(0.05j) + 0.05 * (rng.normal(size=K)
-                                              + 1j * rng.normal(size=K))
-    return u_prev, u_cur
 
 
 def _mi(params, grid):
@@ -51,28 +46,49 @@ def _check_symmetries(step, u_prev, u_cur, phase, shift):
     assert np.abs(shifted - np.roll(u_next, shift)).max() <= REL_TOL * scale
 
 
+def _check_time_reversal(scheme, params, grid, u_prev, u_cur):
+    u_next = scheme(params, grid)(u_prev, u_cur)
+    reversed_params = dataclasses.replace(params, alpha=-params.alpha,
+                                          gamma=-params.gamma)
+    u_back = scheme(reversed_params, grid)(u_next, u_cur)
+    scale = max(1.0, float(np.abs(u_prev).max()))
+    assert np.abs(u_back - u_prev).max() <= REL_TOL * scale
+
+
 @settings(max_examples=40, deadline=None)
 @given(alpha=coefficient, gamma=gamma_coefficient, theta=coefficient,
-       lam=coefficient, beta=coefficient, K=st.integers(8, 64),
-       tau=st.floats(min_value=0.01, max_value=0.1),
-       seed=st.integers(0, 2 ** 32 - 1),
+       lam=coefficient, beta=coefficient, K=sizes, tau=time_steps, seed=seeds,
        phase=st.floats(min_value=0.0, max_value=2.0 * np.pi),
        shift=st.integers(1, 7))
 def test_step_mi_commutes_with_phase_and_shift(alpha, gamma, theta, lam, beta,
                                                K, tau, seed, phase, shift):
     params = PdeParams(alpha=alpha, gamma=gamma, theta=theta, lam=lam, beta=beta)
-    grid = build_grid(0.0, 2.0 * np.pi, K, 10 * tau, 10)
-    _check_symmetries(_mi(params, grid), *_levels(seed, K), phase, shift)
+    _check_symmetries(_mi(params, periodic_grid(K, tau)), *levels(seed, K),
+                      phase, shift)
 
 
 @settings(max_examples=40, deadline=None)
-@given(alpha=coefficient, beta=coefficient, K=st.integers(8, 64),
-       tau=st.floats(min_value=0.01, max_value=0.1),
-       seed=st.integers(0, 2 ** 32 - 1),
+@given(alpha=coefficient, beta=coefficient, K=sizes, tau=time_steps, seed=seeds,
        phase=st.floats(min_value=0.0, max_value=2.0 * np.pi),
        shift=st.integers(1, 7))
 def test_step_wang_commutes_with_phase_and_shift(alpha, beta, K, tau, seed,
                                                  phase, shift):
     params = PdeParams(alpha=alpha, gamma=0.0, theta=0.0, lam=0.0, beta=beta)
-    grid = build_grid(0.0, 2.0 * np.pi, K, 10 * tau, 10)
-    _check_symmetries(_wang(params, grid), *_levels(seed, K), phase, shift)
+    _check_symmetries(_wang(params, periodic_grid(K, tau)), *levels(seed, K),
+                      phase, shift)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=coefficient, gamma=gamma_coefficient, theta=coefficient,
+       lam=coefficient, beta=coefficient, K=sizes, tau=time_steps, seed=seeds)
+def test_step_mi_undone_by_time_reversed_step(alpha, gamma, theta, lam, beta,
+                                              K, tau, seed):
+    params = PdeParams(alpha=alpha, gamma=gamma, theta=theta, lam=lam, beta=beta)
+    _check_time_reversal(_mi, params, periodic_grid(K, tau), *levels(seed, K))
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=coefficient, beta=coefficient, K=sizes, tau=time_steps, seed=seeds)
+def test_step_wang_undone_by_time_reversed_step(alpha, beta, K, tau, seed):
+    params = PdeParams(alpha=alpha, gamma=0.0, theta=0.0, lam=0.0, beta=beta)
+    _check_time_reversal(_wang, params, periodic_grid(K, tau), *levels(seed, K))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nlsw import (ConfigurationError, PdeParams, ProblemSpec, SolverConfig,
                   StateWindow, StepFailureError, assemble_wang, builtin_problem,
@@ -7,6 +8,7 @@ from nlsw import (ConfigurationError, PdeParams, ProblemSpec, SolverConfig,
                   step_wang)
 
 from oracles import wang_residual_direct
+from strategies import coefficient, levels, periodic_grid, seeds, sizes, time_steps
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0   # omega^2 - omega - 1 = 0
 
@@ -21,6 +23,23 @@ def golden_plane_problem():
         f1=lambda x: -1j * GOLDEN * np.exp(1j * x),
         exact=lambda x, t: np.exp(1j * (x - GOLDEN * t)),
         exactness="verified")
+
+
+def exact_case():
+    """(params, grid, levels j-1, j) of plane_beta2 at K=100, tau=0.01."""
+    prob = builtin_problem("plane_beta2")
+    g = build_grid(prob.x_l, prob.x_r, 100, 1.0, 100)
+    return prob.params, g, (prob.exact(g.nodes, 4 * g.tau),
+                            prob.exact(g.nodes, 5 * g.tau))
+
+
+@st.composite
+def drawn_case(draw):
+    """(params, grid, random levels j-1, j) with drawn alpha and beta."""
+    params = PdeParams(alpha=draw(coefficient), gamma=0.0, theta=0.0, lam=0.0,
+                       beta=draw(coefficient))
+    K = draw(sizes)
+    return params, periodic_grid(K, draw(time_steps)), levels(draw(seeds), K)
 
 
 class TestStepWang:
@@ -39,16 +58,15 @@ class TestStepWang:
         with pytest.raises(ConfigurationError):
             run_wang(prob, g, SolverConfig())
 
-    def test_step_satisfies_scheme_oracle(self):
-        prob = builtin_problem("plane_beta2")
-        g = build_grid(prob.x_l, prob.x_r, 100, 1.0, 100)
-        x = g.nodes
-        up = prob.exact(x, 4 * g.tau)
-        uc = prob.exact(x, 5 * g.tau)
-        u_next = step_wang(StateWindow(up, uc, 5 * g.tau), prob.params, g,
-                           SolverConfig())
-        resid = np.max(np.abs(wang_residual_direct(up, uc, u_next,
-                                                   prob.params, g)))
+    @settings(max_examples=40, deadline=None)
+    @given(case=drawn_case())
+    @example(case=exact_case())
+    def test_step_satisfies_scheme_oracle(self, case):
+        # On exact plane_beta2 levels and on random levels with drawn
+        # coefficients, the step satisfies the directly evaluated scheme.
+        params, g, (up, uc) = case
+        u_next = step_wang(StateWindow(up, uc, 0.0), params, g, SolverConfig())
+        resid = np.max(np.abs(wang_residual_direct(up, uc, u_next, params, g)))
         assert resid <= 1e-10
 
     def test_second_order_convergence_linear(self):
