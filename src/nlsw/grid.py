@@ -9,6 +9,7 @@ position k + 1/2; the periodic wrap pairs (K-1, 0).
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -53,9 +54,10 @@ def build_grid(x_l, x_r, K, T, J) -> GridSpec:
     if not (isinstance(K, numbers.Integral) and isinstance(J, numbers.Integral)):
         raise ConfigurationError(f"K and J must be integers, got K={K!r}, J={J!r}")
     K, J = int(K), int(J)
-    for name, n in (("K", K), ("J", J)):
-        if n > sys.float_info.max:
-            raise ConfigurationError(f"{name} is beyond the float range")
+    if K > np.iinfo(np.intp).max:
+        raise ConfigurationError(f"K={K} is beyond numpy's index range")
+    if J > sys.float_info.max:
+        raise ConfigurationError("J is beyond the float range")
     if not (np.isfinite(x_l) and np.isfinite(x_r) and x_r > x_l):
         raise ConfigurationError(f"need x_r > x_l, got [{x_l}, {x_r}]")
     if K < 4:
@@ -64,8 +66,22 @@ def build_grid(x_l, x_r, K, T, J) -> GridSpec:
         raise ConfigurationError(f"J={J} too small: two-step scheme needs J >= 2")
     if not (np.isfinite(T) and T > 0):
         raise ConfigurationError(f"final time must be positive, got T={T}")
+    h = (float(x_r) - float(x_l)) / K
+    tau = float(T) / J
+    # The stencils divide by tau^2, h^2 and tau*h.
+    if not _finite_inverse_square(tau):
+        raise ConfigurationError(
+            f"T={T} is too small for J={J}: 1/tau^2 is not finite")
+    if not _finite_inverse_square(h):
+        raise ConfigurationError(
+            f"[{x_l}, {x_r}] is too short for K={K}: 1/h^2 is not finite")
     return GridSpec(x_l=float(x_l), x_r=float(x_r), K=K, J=J, T=float(T),
-                    h=(float(x_r) - float(x_l)) / K, tau=float(T) / J)
+                    h=h, tau=tau)
+
+
+def _finite_inverse_square(step: float) -> bool:
+    square = step * step
+    return square > 0.0 and math.isfinite(1.0 / square)
 
 
 def as_field(values, grid: GridSpec | None = None) -> np.ndarray:

@@ -16,6 +16,7 @@ and per-step columns.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 
@@ -102,10 +103,14 @@ def bootstrap(f0, f1, params: PdeParams, grid: GridSpec, mode: str = "taylor2",
     return u0, u1
 
 
+@functools.lru_cache(maxsize=8)
 def _stencils(params: PdeParams, grid: GridSpec):
     """(lower, diag, upper) of the stencils acting on u^{j+1}, u^j and
     u^{j-1}.  Reversing time maps the scheme onto itself with alpha and gamma
-    negated, so the u^{j-1} stencil is the u^{j+1} one at (-alpha, -gamma)."""
+    negated, so the u^{j-1} stencil is the u^{j+1} one at (-alpha, -gamma).
+
+    Cached: params and grid are frozen, and a run asks for the same table on
+    every step."""
     h, tau = grid.h, grid.tau
     th, lam = params.theta, params.lam
 
@@ -156,14 +161,23 @@ def picard(solver: PreparedCyclicSolver, known, u_start, nonlinear,
         return u_next, 1
     u = u_start
     diff = np.inf
-    for it in range(1, config.fp_max_iter + 1):
-        u_new = solver.solve(-(known + nonlinear(u)))
-        if not np.isfinite(u_new).all():
-            raise DivergenceError("fixed-point iterate diverged to NaN/Inf")
-        diff = float(np.abs(u_new - u).max())
-        u = u_new
-        if diff <= config.fp_tol * max(1.0, float(np.abs(u_new).max())):
-            return u, it
+    # A diverging iterate overflows inside the cubic term; the non-finite
+    # right-hand side is reported below, so the overflow itself stays quiet.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, config.fp_max_iter + 1):
+            rhs = -(known + nonlinear(u))
+            if not np.isfinite(rhs).all():
+                raise DivergenceError(
+                    f"fixed-point iterate diverged: non-finite nonlinear term "
+                    f"in sweep {it}")
+            u_new = solver.solve(rhs)
+            diff = float(np.abs(u_new - u).max())
+            peak = float(np.abs(u_new).max())
+            if not peak < np.inf:
+                raise DivergenceError("fixed-point iterate diverged to NaN/Inf")
+            u = u_new
+            if diff <= config.fp_tol * max(1.0, peak):
+                return u, it
     raise StepFailureError(
         f"fixed point not converged after {config.fp_max_iter} sweeps "
         f"(last update {diff:.3e})", residual=diff)
@@ -191,6 +205,11 @@ def step_mi(window: StateWindow, system, params: PdeParams, grid: GridSpec,
                   config)
 
 
+def _read_only(u):
+    u.flags.writeable = False
+    return u
+
+
 def integrate(problem, grid: GridSpec, config: SolverConfig,
               snapshot_stride: int, system, step, observe) -> Trajectory:
     """The run loop of both schemes: factor the operator `system` once,
@@ -199,7 +218,10 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
 
     Every row holds the midpoint invariants E^{j+1/2} and Q^{j+1/2}, each
     evaluated once per step and carried to the next, and the error metrics
-    when the problem carries a verified exact solution.  The scheme's own
+    when the problem carries a verified exact solution.  Every level is made
+    read-only as it is produced (the bootstrap levels are copied first), so
+    the per-step diagnostics may share their half-node fields between calls;
+    snapshots are writeable copies.  The scheme's own
     columns come from observe(row, u_cur, u_next, energy, mass), where
     energy and mass belong to the previous pair; it is called once with
     row=None on the bootstrap pair, then on every step.  Rows are labelled
@@ -210,8 +232,9 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
         raise UsageError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     params = problem.params
     solver = PreparedCyclicSolver(system)
-    u0, u1 = bootstrap(problem.f0, problem.f1, params, grid,
-                       mode=config.bootstrap_mode, exact=problem.exact)
+    u0, u1 = (_read_only(u.copy()) for u in bootstrap(
+        problem.f0, problem.f1, params, grid, mode=config.bootstrap_mode,
+        exact=problem.exact))
     exact_fn = problem.exact if getattr(problem, "exactness", "none") == "verified" \
         else None
 
@@ -229,6 +252,7 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
         try:
             u_next, fp_iters = step(StateWindow(u_prev, u_cur, j * grid.tau),
                                     solver, params, grid, config)
+            _read_only(u_next)
             row = diagnostics.DiagnosticsRow(
                 step=j + 1, t=t_new,
                 energy_mi=diagnostics.mi_energy(u_cur, u_next, params, grid),
@@ -269,7 +293,7 @@ def run_mi(problem, grid: GridSpec, config: SolverConfig,
 
     def identity_gaps(row, u_cur, u_next, energy, mass):
         nonlocal mean
-        mean_next = diagnostics.half_mean(u_cur, u_next)
+        mean_next = diagnostics.half_mean(u_cur, u_next, grid)
         if row is not None:
             gaps = diagnostics.identity_gaps(row.energy_mi - energy,
                                              row.mass_mi - mass,

@@ -23,6 +23,8 @@ run_wang is mi.integrate with this scheme's operator, kernel and energies.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .diagnostics import rel_drift
@@ -33,9 +35,11 @@ from .mi import SolverConfig, StateWindow, Trajectory, integrate, picard
 from .model import PdeParams
 
 
+@functools.lru_cache(maxsize=8)
 def _stencils(params: PdeParams, grid: GridSpec):
     """(lower, diag, upper) of the stencils acting on u^{j+1}, u^j and
-    u^{j-1}; by time reversal the u^{j-1} one is the u^{j+1} one at -alpha."""
+    u^{j-1}; by time reversal the u^{j-1} one is the u^{j+1} one at -alpha.
+    Cached like mi._stencils."""
     h, tau = grid.h, grid.tau
     off = -0.5 / h ** 2
     on_next, on_prev = ((off, 1.0 / tau ** 2 + 1.0 / h ** 2 - 0.5j * a / tau, off)

@@ -151,3 +151,48 @@ def write_series_rowwise(path, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([fmt(getattr(row, name)) for name in header])
+
+
+def half_fields_elementwise(u_cur, u_next, grid):
+    """Half-node time quotient, temporal mean and its space quotient of the
+    pair (u^j, u^{j+1}), each built from its own shifted copies."""
+    u_cur = np.asarray(u_cur, dtype=complex)
+    u_next = np.asarray(u_next, dtype=complex)
+    dt = (u_next - u_cur) / grid.tau
+    mid = 0.5 * (u_cur + u_next)
+    return (0.5 * (dt + np.roll(dt, -1)), 0.5 * (mid + np.roll(mid, -1)),
+            (np.roll(mid, -1) - mid) / grid.h)
+
+
+def mi_energy_elementwise(u_cur, u_next, params, grid):
+    """E^{j+1/2} with every sum formed elementwise and then summed."""
+    dt_half, mid_half, dx_half = half_fields_elementwise(u_cur, u_next, grid)
+    h = grid.h
+    abs2_mid = np.abs(mid_half) ** 2
+    total = (h * (np.abs(dt_half) ** 2).sum()
+             + 1j * params.theta * h * (mid_half * np.conj(dx_half)).sum()
+             + h * (np.abs(dx_half) ** 2).sum()
+             + params.lam * h * abs2_mid.sum()
+             + 0.5 * params.beta * h * (abs2_mid ** 2).sum())
+    return float(total.real)
+
+
+def mi_mass_elementwise(u_cur, u_next, params, grid):
+    """Im Q^{j+1/2} with every sum formed elementwise and then summed."""
+    dt_half, mid_half, dx_half = half_fields_elementwise(u_cur, u_next, grid)
+    h = grid.h
+    q = (h * (dt_half * np.conj(mid_half) - mid_half * np.conj(dt_half)).sum()
+         - params.gamma * h * (mid_half * np.conj(dx_half)).sum()
+         - 1j * params.alpha * h * (np.abs(mid_half) ** 2).sum())
+    return float(q.imag)
+
+
+def identity_rhs_elementwise(a, b, params, grid, factor=0.25):
+    """(energy, Im mass) right-hand sides of the two identities from the
+    half-node means a, b, every sum formed elementwise."""
+    d = np.abs(a) ** 2 - np.abs(b) ** 2
+    energy = -0.5 * params.beta * grid.h * (d * np.abs(a - b) ** 2).sum()
+    c = factor * params.beta
+    mass = (-c * grid.h * (d * (a - b) * np.conj(a + b)).sum()
+            + c * grid.h * (d * d).sum())
+    return float(energy), float(mass.imag)

@@ -352,3 +352,29 @@ class TestMainExitCodes:
         assert code == 0
         assert "fitted order" in capsys.readouterr().out
         assert (tmp_path / "k" / "orders.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_diverging_picard_exit_3_names_step(self, tmp_path, capsys, command):
+        # beta = 1e6 drives the first step's iterate to overflow; the sweep
+        # must report that itself, without arithmetic warnings on stderr.
+        path = write_config(tmp_path, {
+            "problem": {"base": "plane_beta2", "params": {"beta": 1e6}},
+            "K": 32, "J": 4, "T": 2, "fp_max_iter": 500,
+            "output_dir": str(tmp_path / "d")})
+        assert main([command, path]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        record = json.loads(err)
+        assert record["error"] == "DivergenceError"
+        assert record["step"] == 2
+
+    @pytest.mark.parametrize("key, value", [("T", 1e-320), ("T", 1e-160),
+                                            ("K", 10 ** 20)])
+    def test_degenerate_mesh_exit_2(self, tmp_path, capsys, key, value):
+        payload = {"problem": "linear_plane", "K": 64, "J": 10, "T": 1.0,
+                   "output_dir": str(tmp_path / "m")}
+        payload[key] = value
+        assert main(["run", write_config(tmp_path, payload)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigurationError"
+        assert f"{key}=" in record["message"]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from nlsw import diagnostics
 from nlsw import (PdeParams, SolverConfig, builtin_problem, build_grid,
                   continuous_invariants, energy_rhs, energy_wang,
                   energy_wang_printed, mass_rhs, mass_rhs_printed, mi_energy,
@@ -8,7 +10,10 @@ from nlsw import (PdeParams, SolverConfig, builtin_problem, build_grid,
                   theorem_identity_gaps)
 from nlsw.diagnostics import PRINTED_MASS_FACTOR, VALIDATED_MASS_FACTOR
 
+import oracles
 from conftest import random_field
+from strategies import (coefficient, gamma_coefficient, levels, periodic_grid,
+                        seeds, sizes, time_steps)
 
 EX1 = builtin_problem("linear_plane")
 
@@ -198,3 +203,120 @@ class TestContinuousInvariants:
             errs.append(abs(inv.energy_cont - 24.0 * np.pi)
                         + abs(inv.mass_cont + 8.0 * np.pi))
         assert 2.8 <= errs[0] / errs[1] <= 5.2
+
+
+def _three_levels(seed, K):
+    """(u^{j-1}, u^j, u^{j+1}): strategies.levels plus a third level that
+    continues the rotation with fresh noise."""
+    u_prev, u_cur = levels(seed, K)
+    rng = np.random.default_rng(seed + 1)
+    u_next = u_cur * np.exp(-0.05j) + 0.05 * (rng.normal(size=K)
+                                               + 1j * rng.normal(size=K))
+    return u_prev, u_cur, u_next
+
+
+def _frozen_copy(u):
+    u = np.array(u)
+    u.flags.writeable = False
+    return u
+
+
+class TestDotProductEvaluator:
+    """The invariants and identity right-hand sides against the elementwise
+    sums of tests/oracles.py, within 1e-13 of the sum of the magnitudes of
+    their terms; served from the one-slot memo or evaluated afresh."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=coefficient, gamma=gamma_coefficient, theta=coefficient,
+           lam=coefficient, beta=coefficient, K=sizes, tau=time_steps,
+           seed=seeds)
+    def test_matches_elementwise_sums(self, alpha, gamma, theta, lam, beta, K,
+                                      tau, seed):
+        p = PdeParams(alpha=alpha, gamma=gamma, theta=theta, lam=lam, beta=beta)
+        g = periodic_grid(K, tau)
+        u_prev, u_cur, u_next = _three_levels(seed, K)
+        dt, mid, dx = oracles.half_fields_elementwise(u_cur, u_next, g)
+        h = g.h
+        abs_mid, abs_dx, abs_dt = np.abs(mid), np.abs(dx), np.abs(dt)
+        e_scale = h * np.sum(abs_dt ** 2 + abs(theta) * abs_mid * abs_dx
+                             + abs_dx ** 2 + abs(lam) * abs_mid ** 2
+                             + 0.5 * abs(beta) * abs_mid ** 4)
+        q_scale = h * np.sum(2.0 * abs_dt * abs_mid + abs(gamma) * abs_mid * abs_dx
+                             + abs(alpha) * abs_mid ** 2)
+        e_ref = oracles.mi_energy_elementwise(u_cur, u_next, p, g)
+        q_ref = oracles.mi_mass_elementwise(u_cur, u_next, p, g)
+        for pair in ((u_cur, u_next), (_frozen_copy(u_cur), _frozen_copy(u_next))):
+            assert abs(mi_energy(*pair, p, g) - e_ref) <= 1e-13 * e_scale
+            assert abs(mi_mass(*pair, p, g) - q_ref) <= 1e-13 * q_scale
+
+        a, b = mid, oracles.half_fields_elementwise(u_prev, u_cur, g)[1]
+        d = np.abs(np.abs(a) ** 2 - np.abs(b) ** 2)
+        rhs_e_scale = 0.5 * abs(beta) * h * np.sum(d * np.abs(a - b) ** 2)
+        rhs_q_scale = 0.25 * abs(beta) * h * np.sum(d * np.abs(a - b)
+                                                     * np.abs(a + b))
+        rhs_e, rhs_q = diagnostics._identity_rhs(a, b, p, g)
+        ref_e, ref_q = oracles.identity_rhs_elementwise(a, b, p, g)
+        assert abs(rhs_e - ref_e) <= 1e-13 * rhs_e_scale
+        assert abs(rhs_q - ref_q) <= 1e-13 * rhs_q_scale
+        assert energy_rhs(u_prev, u_cur, u_next, p, g) == rhs_e
+        assert mass_rhs(u_prev, u_cur, u_next, p, g) == rhs_q
+
+
+class TestHalfFieldMemo:
+    P = PdeParams(alpha=0.7, gamma=1.3, theta=-2.0, lam=0.5, beta=1.5)
+
+    def test_read_only_owned_pair_is_served_from_memo(self, rng, small_grid):
+        u = _frozen_copy(random_field(rng, small_grid.K))
+        v = _frozen_copy(random_field(rng, small_grid.K))
+        first = diagnostics._half_fields(u, v, small_grid)
+        assert diagnostics._half_fields(u, v, small_grid) is first
+        fresh = diagnostics._half_fields(u.copy(), v.copy(), small_grid)
+        for served, recomputed in zip(first, fresh):
+            assert np.array_equal(served, recomputed)
+
+    def test_writeable_pair_changed_in_place_is_evaluated_afresh(self, rng,
+                                                                small_grid):
+        u = random_field(rng, small_grid.K)
+        v = random_field(rng, small_grid.K)
+        before = (mi_energy(u, v, self.P, small_grid),
+                  mi_mass(u, v, self.P, small_grid))
+        v[3] += 1.0 - 2.0j
+        after = (mi_energy(u, v, self.P, small_grid),
+                 mi_mass(u, v, self.P, small_grid))
+        assert after != before
+        assert after == (mi_energy(u.copy(), v.copy(), self.P, small_grid),
+                         mi_mass(u.copy(), v.copy(), self.P, small_grid))
+
+    def test_read_only_view_of_writeable_base_is_never_memoised(self, rng,
+                                                               small_grid):
+        u = _frozen_copy(random_field(rng, small_grid.K))
+        base = random_field(rng, small_grid.K)
+        view = base[:]
+        view.flags.writeable = False
+        before = mi_energy(u, view, self.P, small_grid)
+        base[5] *= 3.0
+        after = mi_energy(u, view, self.P, small_grid)
+        assert after != before
+        assert after == mi_energy(u, base.copy(), self.P, small_grid)
+
+
+@pytest.mark.parametrize("runner", [run_mi, run_wang])
+def test_run_levels_read_only_and_snapshots_writeable_copies(monkeypatch,
+                                                             runner):
+    seen = []
+    original = diagnostics.mi_energy
+
+    def recording(u_cur, u_next, params, grid):
+        seen.extend((u_cur, u_next))
+        return original(u_cur, u_next, params, grid)
+
+    monkeypatch.setattr(diagnostics, "mi_energy", recording)
+    prob = builtin_problem("plane_beta2")
+    g = build_grid(prob.x_l, prob.x_r, 16, 0.1, 10)
+    traj = runner(prob, g, SolverConfig(), snapshot_stride=1)
+    assert len(seen) == 2 * g.J
+    assert not any(u.flags.writeable for u in seen)
+    assert len(traj.snapshots) == g.J + 1
+    for _, snap in traj.snapshots:
+        assert snap.flags.writeable
+        assert not any(np.shares_memory(snap, u) for u in seen)

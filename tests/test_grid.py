@@ -48,6 +48,17 @@ class TestBuildGrid:
         g = build_grid(0.0, 1.0, np.int64(64), 1.0, np.int32(100))
         assert type(g.K) is int and type(g.J) is int
 
+    @pytest.mark.parametrize("args, name", [
+        ((0.0, 1.0, 8, 1e-320, 10), "T="),        # tau^2 underflows to 0
+        ((0.0, 1.0, 8, 1e-160, 10), "T="),        # 1/tau^2 overflows
+        ((0.0, 1e-160, 8, 1.0, 10), "K="),        # 1/h^2 overflows
+        ((0.0, 1.0, 2 ** 63, 1.0, 10), "K="),     # beyond numpy's index range
+    ])
+    def test_rejects_degenerate_meshes_naming_them(self, args, name):
+        with pytest.raises(ConfigurationError) as err:
+            build_grid(*args)
+        assert name in str(err.value)
+
 
 class TestApplyDifference:
     def test_constant_fields_vanish(self, small_grid):

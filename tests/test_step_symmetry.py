@@ -1,6 +1,7 @@
 """Property tests: one step of either scheme commutes with a global phase
 rotation and with a periodic shift of the grid, and is undone by the step
-of the time-reversed scheme.
+of the time-reversed scheme; the constant stencils of both schemes are
+adjoint in time (C = A^H, B = B^H).
 
 Both symmetries hold exactly for the schemes (constant coefficients, cubic
 term |u|^2 u), so a step taken on rotated or shifted levels must equal the
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlsw import (PdeParams, SolverConfig, StateWindow, assemble_linear,
                   step_mi, step_wang)
+from nlsw import mi, wang
 
 from strategies import (coefficient, gamma_coefficient, levels, periodic_grid,
                         seeds, sizes, time_steps)
@@ -92,3 +94,30 @@ def test_step_mi_undone_by_time_reversed_step(alpha, gamma, theta, lam, beta,
 def test_step_wang_undone_by_time_reversed_step(alpha, beta, K, tau, seed):
     params = PdeParams(alpha=alpha, gamma=0.0, theta=0.0, lam=0.0, beta=beta)
     _check_time_reversal(_wang, params, periodic_grid(K, tau), *levels(seed, K))
+
+
+def _adjoint(stencil):
+    """(lower, diag, upper) of the conjugate transpose of a constant
+    three-point periodic stencil."""
+    lower, diag, upper = stencil
+    return (np.conj(upper), np.conj(diag), np.conj(lower))
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=coefficient, gamma=gamma_coefficient, theta=coefficient,
+       lam=coefficient, beta=coefficient, K=sizes, tau=time_steps)
+def test_mi_stencils_adjoint(alpha, gamma, theta, lam, beta, K, tau):
+    # C = A^H and B = B^H: the scheme is a discrete Euler-Lagrange equation.
+    params = PdeParams(alpha=alpha, gamma=gamma, theta=theta, lam=lam, beta=beta)
+    on_next, on_cur, on_prev = mi._stencils(params, periodic_grid(K, tau))
+    assert on_prev == _adjoint(on_next)
+    assert on_cur == _adjoint(on_cur)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=coefficient, beta=coefficient, K=sizes, tau=time_steps)
+def test_wang_stencils_adjoint(alpha, beta, K, tau):
+    params = PdeParams(alpha=alpha, gamma=0.0, theta=0.0, lam=0.0, beta=beta)
+    on_next, on_cur, on_prev = wang._stencils(params, periodic_grid(K, tau))
+    assert on_prev == _adjoint(on_next)
+    assert on_cur == _adjoint(on_cur)
