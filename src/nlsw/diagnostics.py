@@ -8,9 +8,10 @@ increment minus that residual ("identity gap") must sit at round-off on
 any converged trajectory.
 
 The three half-node fields of a pair (time quotient, temporal mean and its
-space quotient) are built once per pair: the levels of a run are read-only,
-so the energy, the mass and the identity mean of a step share one
-evaluation, and every sum is one dot product.
+space quotient) come from half_nodes.  A run builds them once per pair and
+hands them to the energy, the mass and the identity mean through their
+`half` argument; no state persists between calls, and every sum is one dot
+product.
 
 The printed constant of the mass identity does not survive re-derivation:
 expanding the inner-product argument on a tiny grid shows the increment
@@ -53,54 +54,26 @@ class DiagnosticsRow:
     fp_iters: int | None = None
 
 
-# One-slot memo of _half_fields: ((u_cur, u_next, grid), fields), replaced as
-# one tuple so that a reader never sees half of an update.
-_last_pair = (None, None)
-
-
-def _frozen(u) -> bool:
-    """True for a read-only array that owns its data.  integrate makes each
-    level read-only as soon as it exists and returns none of them (its
-    snapshots are copies), so no writeable view of a level exists and its
-    values cannot change while it sits in the memo.  (numpy lets the owner
-    of an array set it writeable again; a caller that does so, changes it
-    and freezes it again between two calls on the same pair is served the
-    old fields.)"""
-    return (isinstance(u, np.ndarray) and not u.flags.writeable
-            and u.flags.owndata)
-
-
-def _half_fields(u_cur, u_next, grid):
-    """Half-node values of the time quotient, the temporal mean and its
-    space quotient for the pair (u^j, u^{j+1}).
-
-    A run's per-step diagnostics ask for the same pair three times (energy,
-    mass, identity mean), so the last pair of read-only levels is served
-    from a one-slot memo keyed on the identity of (u_cur, u_next, grid).
-    Writeable arrays, and views, are evaluated afresh on every call.
+def half_nodes(u_cur, u_next, grid):
+    """Half-node values (slot k is k+1/2) of the time quotient, the temporal
+    mean and its space quotient for the pair (u^j, u^{j+1}).
 
     The invariants run on every step of a run, whose levels are already
     checked (see as_level), so only the shapes are checked here: a NaN level
     gives a NaN invariant.
     """
-    global _last_pair
-    key, fields = _last_pair
-    if key is not None and key[0] is u_cur and key[1] is u_next and key[2] is grid:
-        return fields
     v_cur = as_level(u_cur, grid)
     v_next = as_level(u_next, grid)
     u_mid = 0.5 * (v_cur + v_next)
     mid_next = shift_next(u_mid)
     du = v_next - v_cur
-    fields = ((du + shift_next(du)) * (0.5 / grid.tau),
-              0.5 * (u_mid + mid_next),
-              (mid_next - u_mid) / grid.h)
-    if _frozen(u_cur) and _frozen(u_next):
-        _last_pair = ((u_cur, u_next, grid), fields)
-    return fields
+    return ((du + shift_next(du)) * (0.5 / grid.tau),
+            0.5 * (u_mid + mid_next),
+            (mid_next - u_mid) / grid.h)
 
 
-def mi_energy(u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
+def mi_energy(u_cur, u_next, params: PdeParams, grid: GridSpec,
+              half=None) -> float:
     """Discrete energy E^{j+1/2} of the midpoint scheme.
 
     E = ||dt u||_{1/2}^2 + i*theta*h*sum u_{k+1/2} dx conj(u)_{k+1/2}
@@ -108,8 +81,11 @@ def mi_energy(u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
 
     everything evaluated on the temporal mean u^{j+1/2}.  The theta term is
     real by discrete skew-adjointness; the realness assertion guards that.
+    half, if given, is half_nodes(u_cur, u_next, grid), already built.
     """
-    dt_half, mid_half, dx_half = _half_fields(u_cur, u_next, grid)
+    if half is None:
+        half = half_nodes(u_cur, u_next, grid)
+    dt_half, mid_half, dx_half = half
     h = grid.h
     abs_mid = np.abs(mid_half)
     abs2_mid = abs_mid * abs_mid
@@ -124,7 +100,8 @@ def mi_energy(u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
     return float(total.real)
 
 
-def mi_mass(u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
+def mi_mass(u_cur, u_next, params: PdeParams, grid: GridSpec,
+            half=None) -> float:
     """Discrete mass Q^{j+1/2} (purely imaginary by construction; the
     imaginary part is returned).
 
@@ -136,9 +113,11 @@ def mi_mass(u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
     half-node norm in the alpha term is what the derivation produces).  The
     first sum is m - conj(m) with m = sum dt u * conj(u), exactly imaginary
     like each of its terms, so only the gamma term can trip the realness
-    assertion.
+    assertion.  half is as in mi_energy.
     """
-    dt_half, mid_half, dx_half = _half_fields(u_cur, u_next, grid)
+    if half is None:
+        half = half_nodes(u_cur, u_next, grid)
+    dt_half, mid_half, dx_half = half
     h = grid.h
     abs_mid = np.abs(mid_half)
     m = np.vdot(mid_half, dt_half)
@@ -152,15 +131,9 @@ def mi_mass(u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
     return float(q.imag)
 
 
-def half_mean(u_from, u_to, grid: GridSpec):
-    """Half-node values of the temporal mean (u_from + u_to)/2 (slot k is
-    k+1/2): the a and b of the identity right-hand sides."""
-    return _half_fields(u_from, u_to, grid)[1]
-
-
 def _half_node_means(u_prev, u_cur, u_next, grid):
     """Half-node values of the two temporal means around level j."""
-    return half_mean(u_cur, u_next, grid), half_mean(u_prev, u_cur, grid)
+    return half_nodes(u_cur, u_next, grid)[1], half_nodes(u_prev, u_cur, grid)[1]
 
 
 def _identity_rhs(a, b, params: PdeParams, grid: GridSpec,
@@ -231,12 +204,13 @@ def theorem_identity_gaps(u_prev, u_cur, u_next, params: PdeParams,
 
     Both sit at round-off for a converged midpoint step.
     """
-    e_plus = mi_energy(u_cur, u_next, params, grid)
-    e_minus = mi_energy(u_prev, u_cur, params, grid)
-    q_plus = mi_mass(u_cur, u_next, params, grid)
-    q_minus = mi_mass(u_prev, u_cur, params, grid)
-    a, b = _half_node_means(u_prev, u_cur, u_next, grid)
-    return identity_gaps(e_plus - e_minus, q_plus - q_minus, a, b, params, grid)
+    plus = half_nodes(u_cur, u_next, grid)
+    minus = half_nodes(u_prev, u_cur, grid)
+    d_energy = (mi_energy(u_cur, u_next, params, grid, half=plus)
+                - mi_energy(u_prev, u_cur, params, grid, half=minus))
+    d_mass = (mi_mass(u_cur, u_next, params, grid, half=plus)
+              - mi_mass(u_prev, u_cur, params, grid, half=minus))
+    return identity_gaps(d_energy, d_mass, plus[1], minus[1], params, grid)
 
 
 def rel_drift(value, ref) -> float:

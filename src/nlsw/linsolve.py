@@ -78,6 +78,9 @@ class PreparedCyclicSolver:
         u[0] = gamma0
         u[K - 1] = up[K - 1]
         q = self._core_solve(u)
+        if not np.isfinite(q).all():
+            raise SingularSystemError(
+                "tridiagonal core solve overflowed (near-zero pivot)")
         den = 1.0 + q[0] + self._v_last * q[K - 1]
         if abs(den) < _DEGENERACY_TOL * (1.0 + abs(q[0]) + abs(self._v_last * q[K - 1])):
             raise SingularSystemError(
@@ -89,8 +92,6 @@ class PreparedCyclicSolver:
         x, info = zgttrs(*self._factors, b)
         if info != 0:
             raise SingularSystemError(f"tridiagonal core solve failed (info={info})")
-        if not np.isfinite(x).all():
-            raise SingularSystemError("tridiagonal core solve overflowed (near-zero pivot)")
         return x
 
     def solve(self, rhs) -> np.ndarray:
@@ -99,7 +100,11 @@ class PreparedCyclicSolver:
             raise UsageError(f"rhs has shape {rhs.shape}, expected ({self._size},)")
         y = self._core_solve(rhs)
         corr = (y[0] + self._v_last * y[-1]) / self._den
-        return y - corr * self._q
+        x = y - corr * self._q
+        if not np.isfinite(x).all():
+            raise SingularSystemError(
+                "cyclic solve overflowed (near-singular matrix or huge right-hand side)")
+        return x
 
 
 def solve_cyclic_tridiagonal(system: CyclicTridiagonalSystem, rhs) -> np.ndarray:

@@ -154,16 +154,14 @@ def picard(solver: PreparedCyclicSolver, known, u_start, nonlinear,
     term at the current iterate and solves the frozen linear system, stopping
     once the sup-norm change drops below fp_tol * max(1, |iterate|).
     """
-    if nonlinear is None:
-        u_next = solver.solve(-known)
-        if not np.isfinite(u_next).all():
-            raise DivergenceError("non-finite values after linear solve")
-        return u_next, 1
-    u = u_start
-    diff = np.inf
-    # A diverging iterate overflows inside the cubic term; the non-finite
-    # right-hand side is reported below, so the overflow itself stays quiet.
+    # An overflow inside the cubic term is reported from the non-finite
+    # right-hand side below, and one inside a solve by the solver itself
+    # (SingularSystemError), so the overflow stays quiet.
     with np.errstate(over="ignore", invalid="ignore"):
+        if nonlinear is None:
+            return solver.solve(-known), 1
+        u = u_start
+        diff = np.inf
         for it in range(1, config.fp_max_iter + 1):
             rhs = -(known + nonlinear(u))
             if not np.isfinite(rhs).all():
@@ -173,8 +171,6 @@ def picard(solver: PreparedCyclicSolver, known, u_start, nonlinear,
             u_new = solver.solve(rhs)
             diff = float(np.abs(u_new - u).max())
             peak = float(np.abs(u_new).max())
-            if not peak < np.inf:
-                raise DivergenceError("fixed-point iterate diverged to NaN/Inf")
             u = u_new
             if diff <= config.fp_tol * max(1.0, peak):
                 return u, it
@@ -205,11 +201,6 @@ def step_mi(window: StateWindow, system, params: PdeParams, grid: GridSpec,
                   config)
 
 
-def _read_only(u):
-    u.flags.writeable = False
-    return u
-
-
 def integrate(problem, grid: GridSpec, config: SolverConfig,
               snapshot_stride: int, system, step, observe) -> Trajectory:
     """The run loop of both schemes: factor the operator `system` once,
@@ -218,29 +209,29 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
 
     Every row holds the midpoint invariants E^{j+1/2} and Q^{j+1/2}, each
     evaluated once per step and carried to the next, and the error metrics
-    when the problem carries a verified exact solution.  Every level is made
-    read-only as it is produced (the bootstrap levels are copied first), so
-    the per-step diagnostics may share their half-node fields between calls;
-    snapshots are writeable copies.  The scheme's own
-    columns come from observe(row, u_cur, u_next, energy, mass), where
-    energy and mass belong to the previous pair; it is called once with
-    row=None on the bootstrap pair, then on every step.  Rows are labelled
-    by the produced level index (2..J); snapshots hold the two bootstrap
-    levels and then every snapshot_stride-th step.
+    when the problem carries a verified exact solution.  The half-node
+    fields of each pair are built once, by diagnostics.half_nodes, and
+    handed to both invariants and to the observer; nothing persists between
+    calls.  Snapshots are copies of the levels.  The scheme's own columns
+    come from observe(row, u_cur, u_next, energy, mass, half), where energy
+    and mass belong to the previous pair and half to (u_cur, u_next); it is
+    called once with row=None on the bootstrap pair, then on every step.
+    Rows are labelled by the produced level index (2..J); snapshots hold the
+    two bootstrap levels and then every snapshot_stride-th step.
     """
     if snapshot_stride < 1:
         raise UsageError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     params = problem.params
     solver = PreparedCyclicSolver(system)
-    u0, u1 = (_read_only(u.copy()) for u in bootstrap(
-        problem.f0, problem.f1, params, grid, mode=config.bootstrap_mode,
-        exact=problem.exact))
+    u0, u1 = bootstrap(problem.f0, problem.f1, params, grid,
+                       mode=config.bootstrap_mode, exact=problem.exact)
     exact_fn = problem.exact if getattr(problem, "exactness", "none") == "verified" \
         else None
 
-    energy_ref = diagnostics.mi_energy(u0, u1, params, grid)
-    mass_ref = diagnostics.mi_mass(u0, u1, params, grid)
-    observe(None, u0, u1, energy_ref, mass_ref)
+    half = diagnostics.half_nodes(u0, u1, grid)
+    energy_ref = diagnostics.mi_energy(u0, u1, params, grid, half=half)
+    mass_ref = diagnostics.mi_mass(u0, u1, params, grid, half=half)
+    observe(None, u0, u1, energy_ref, mass_ref, half)
     snapshots = [(0.0, u0.copy()), (grid.tau, u1.copy())]
     rows = []
     total_fp = 0
@@ -252,13 +243,15 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
         try:
             u_next, fp_iters = step(StateWindow(u_prev, u_cur, j * grid.tau),
                                     solver, params, grid, config)
-            _read_only(u_next)
+            half = diagnostics.half_nodes(u_cur, u_next, grid)
             row = diagnostics.DiagnosticsRow(
                 step=j + 1, t=t_new,
-                energy_mi=diagnostics.mi_energy(u_cur, u_next, params, grid),
-                mass_mi=diagnostics.mi_mass(u_cur, u_next, params, grid),
+                energy_mi=diagnostics.mi_energy(u_cur, u_next, params, grid,
+                                                half=half),
+                mass_mi=diagnostics.mi_mass(u_cur, u_next, params, grid,
+                                            half=half),
                 fp_iters=fp_iters)
-            observe(row, u_cur, u_next, energy, mass)
+            observe(row, u_cur, u_next, energy, mass, half)
             if exact_fn is not None:
                 metrics = problems.error_metrics(u_next, exact_fn(x, t_new), grid)
                 row.err_max = metrics.err_max
@@ -287,13 +280,14 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
 def run_mi(problem, grid: GridSpec, config: SolverConfig,
            snapshot_stride: int = 100) -> Trajectory:
     """Run the midpoint scheme through integrate, adding the identity gaps
-    of each step from the carried half-node mean of the previous pair."""
+    of each step from the half-node means of its pair and of the previous
+    pair, carried over."""
     params = problem.params
     mean = None
 
-    def identity_gaps(row, u_cur, u_next, energy, mass):
+    def identity_gaps(row, u_cur, u_next, energy, mass, half):
         nonlocal mean
-        mean_next = diagnostics.half_mean(u_cur, u_next, grid)
+        mean_next = half[1]
         if row is not None:
             gaps = diagnostics.identity_gaps(row.energy_mi - energy,
                                              row.mass_mi - mass,

@@ -116,7 +116,7 @@ def run_wang(problem, grid: GridSpec, config: SolverConfig,
     params = problem.params
     meta = {"scheme": "wang"}
 
-    def wang_energies(row, u_cur, u_next, energy, mass):
+    def wang_energies(row, u_cur, u_next, energy, mass, half):
         printed = energy_wang_printed(u_cur, u_next, params, grid)
         if row is None:
             meta["energy_wang_ref"] = energy_wang(u_cur, u_next, params, grid)

@@ -56,9 +56,17 @@ def test_run_loop_calls_patched_module_attributes(monkeypatch, runner, kernel):
         monkeypatch.setattr(f"{module}.{name}", counted)
 
     count(*kernel)
-    count("nlsw.diagnostics", "mi_energy")
-    prob = builtin_problem("plane_beta2")
+    # half_nodes is not traced; counting it checks that each pair's fields
+    # are built once and handed to both invariants.
+    for name in ("half_nodes", "mi_energy", "mi_mass"):
+        count("nlsw.diagnostics", name)
     J = 6
+    expected = {kernel[1]: J - 1, "half_nodes": J, "mi_energy": J, "mi_mass": J}
+    if runner is run_wang:
+        for name in ("energy_wang", "energy_wang_printed"):
+            count("nlsw.wang", name)
+            expected[name] = J
+    prob = builtin_problem("plane_beta2")
     grid = build_grid(prob.x_l, prob.x_r, 16, J * 0.01, J)
     runner(prob, grid, SolverConfig())
-    assert calls == {kernel[1]: J - 1, "mi_energy": J}
+    assert calls == expected

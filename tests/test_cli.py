@@ -299,12 +299,12 @@ class TestMainExitCodes:
         original = diag_module.mi_energy
         calls = []
 
-        def guarded(u_cur, u_next, params, grid):
+        def guarded(u_cur, u_next, params, grid, half=None):
             if grid.K == 50:
                 calls.append(grid.K)
                 if len(calls) > 1:
                     raise ConsistencyError("discrete energy has spurious imaginary part")
-            return original(u_cur, u_next, params, grid)
+            return original(u_cur, u_next, params, grid, half=half)
 
         monkeypatch.setattr(diag_module, "mi_energy", guarded)
         path = write_config(tmp_path, {"problem": "plane_beta2", "K": 50,

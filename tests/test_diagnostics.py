@@ -8,7 +8,8 @@ from nlsw import (PdeParams, SolverConfig, builtin_problem, build_grid,
                   energy_wang_printed, mass_rhs, mass_rhs_printed, mi_energy,
                   mi_mass, run_identity_oracle, run_mi, run_wang,
                   theorem_identity_gaps)
-from nlsw.diagnostics import PRINTED_MASS_FACTOR, VALIDATED_MASS_FACTOR
+from nlsw.diagnostics import (PRINTED_MASS_FACTOR, VALIDATED_MASS_FACTOR,
+                              half_nodes)
 
 import oracles
 from conftest import random_field
@@ -224,7 +225,8 @@ def _frozen_copy(u):
 class TestDotProductEvaluator:
     """The invariants and identity right-hand sides against the elementwise
     sums of tests/oracles.py, within 1e-13 of the sum of the magnitudes of
-    their terms; served from the one-slot memo or evaluated afresh."""
+    their terms; the invariants are the same with the half-node fields
+    handed over as without."""
 
     @settings(max_examples=60, deadline=None)
     @given(alpha=coefficient, gamma=gamma_coefficient, theta=coefficient,
@@ -245,9 +247,13 @@ class TestDotProductEvaluator:
                              + abs(alpha) * abs_mid ** 2)
         e_ref = oracles.mi_energy_elementwise(u_cur, u_next, p, g)
         q_ref = oracles.mi_mass_elementwise(u_cur, u_next, p, g)
-        for pair in ((u_cur, u_next), (_frozen_copy(u_cur), _frozen_copy(u_next))):
-            assert abs(mi_energy(*pair, p, g) - e_ref) <= 1e-13 * e_scale
-            assert abs(mi_mass(*pair, p, g) - q_ref) <= 1e-13 * q_scale
+        plain = (mi_energy(u_cur, u_next, p, g), mi_mass(u_cur, u_next, p, g))
+        for half in (None, half_nodes(u_cur, u_next, g)):
+            energy = mi_energy(u_cur, u_next, p, g, half=half)
+            mass = mi_mass(u_cur, u_next, p, g, half=half)
+            assert abs(energy - e_ref) <= 1e-13 * e_scale
+            assert abs(mass - q_ref) <= 1e-13 * q_scale
+            assert (energy, mass) == plain
 
         a, b = mid, oracles.half_fields_elementwise(u_prev, u_cur, g)[1]
         d = np.abs(np.abs(a) ** 2 - np.abs(b) ** 2)
@@ -263,16 +269,24 @@ class TestDotProductEvaluator:
 
 
 class TestHalfFieldMemo:
+    """A pair changed in place between two calls is evaluated afresh:
+    nothing is memoised, whatever the arrays' flags."""
+
     P = PdeParams(alpha=0.7, gamma=1.3, theta=-2.0, lam=0.5, beta=1.5)
 
-    def test_read_only_owned_pair_is_served_from_memo(self, rng, small_grid):
+    def test_refrozen_pair_changed_in_place_is_evaluated_afresh(self, rng,
+                                                               small_grid):
         u = _frozen_copy(random_field(rng, small_grid.K))
         v = _frozen_copy(random_field(rng, small_grid.K))
-        first = diagnostics._half_fields(u, v, small_grid)
-        assert diagnostics._half_fields(u, v, small_grid) is first
-        fresh = diagnostics._half_fields(u.copy(), v.copy(), small_grid)
-        for served, recomputed in zip(first, fresh):
-            assert np.array_equal(served, recomputed)
+        before = mi_energy(u, v, self.P, small_grid)
+        v.flags.writeable = True
+        v[3] += 1.0 - 2.0j
+        v.flags.writeable = False
+        after = (mi_energy(u, v, self.P, small_grid),
+                 mi_mass(u, v, self.P, small_grid))
+        assert after[0] != before
+        assert after == (mi_energy(u.copy(), v.copy(), self.P, small_grid),
+                         mi_mass(u.copy(), v.copy(), self.P, small_grid))
 
     def test_writeable_pair_changed_in_place_is_evaluated_afresh(self, rng,
                                                                 small_grid):
@@ -301,21 +315,19 @@ class TestHalfFieldMemo:
 
 
 @pytest.mark.parametrize("runner", [run_mi, run_wang])
-def test_run_levels_read_only_and_snapshots_writeable_copies(monkeypatch,
-                                                             runner):
+def test_run_snapshots_are_writeable_copies(monkeypatch, runner):
     seen = []
     original = diagnostics.mi_energy
 
-    def recording(u_cur, u_next, params, grid):
+    def recording(u_cur, u_next, params, grid, half=None):
         seen.extend((u_cur, u_next))
-        return original(u_cur, u_next, params, grid)
+        return original(u_cur, u_next, params, grid, half=half)
 
     monkeypatch.setattr(diagnostics, "mi_energy", recording)
     prob = builtin_problem("plane_beta2")
     g = build_grid(prob.x_l, prob.x_r, 16, 0.1, 10)
     traj = runner(prob, g, SolverConfig(), snapshot_stride=1)
     assert len(seen) == 2 * g.J
-    assert not any(u.flags.writeable for u in seen)
     assert len(traj.snapshots) == g.J + 1
     for _, snap in traj.snapshots:
         assert snap.flags.writeable

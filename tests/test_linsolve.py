@@ -84,6 +84,32 @@ class TestSolve:
         with pytest.raises(SingularSystemError):
             solve_cyclic_tridiagonal(sys_, np.ones(K))
 
+    def test_overflowing_core_rejected_at_setup(self):
+        # Diagonal rows with a subnormal last pivot: the core factors, but
+        # its solve against the corner vector overflows.
+        K = 8
+        diag = np.ones(K)
+        diag[K - 1] = 1e-310
+        upper = np.zeros(K)
+        upper[K - 1] = 1.0
+        sys_ = CyclicTridiagonalSystem(lower=np.zeros(K), diag=diag, upper=upper)
+        with pytest.raises(SingularSystemError, match="overflowed"):
+            PreparedCyclicSolver(sys_)
+
+    def test_overflow_in_cyclic_correction_rejected(self):
+        # The periodic Laplacian shifted by eps keeps a well-conditioned core
+        # but maps the constant vector to itself over eps: a 1e301 right-hand
+        # side has a finite core solution and an overflowing corrected one.
+        K = 8
+        eps = 1e-8
+        sys_ = CyclicTridiagonalSystem(lower=-np.ones(K), diag=np.full(K, 2.0 + eps),
+                                       upper=-np.ones(K))
+        solver = PreparedCyclicSolver(sys_)
+        assert np.allclose(solver.solve(np.ones(K)), 1.0 / eps)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SingularSystemError, match="overflowed"):
+            solver.solve(np.full(K, 1e301))
+
     def test_shape_validation(self):
         with pytest.raises(UsageError):
             CyclicTridiagonalSystem(lower=np.zeros(3), diag=np.zeros(4),
