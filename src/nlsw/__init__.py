@@ -24,6 +24,17 @@ from .diagnostics import (ContinuousInvariants, DiagnosticsRow, IdentityGaps,
 from .problems import (ErrorMetrics, ProblemSpec, PROBLEM_NAMES,
                        builtin_problem, convergence_order, customized,
                        error_metrics)
-from .cli import RunConfig, parse_config, run_convergence, run_experiment
 
 __version__ = "0.1.0"
+
+_CLI_NAMES = ("RunConfig", "parse_config", "run_convergence", "run_experiment")
+
+
+def __getattr__(name):
+    # The CLI layer is imported on first use, not with the package: otherwise
+    # `python -m nlsw.cli` finds nlsw.cli already imported and runpy warns on
+    # stderr ahead of the run's own JSON record.
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

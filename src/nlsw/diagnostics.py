@@ -8,10 +8,16 @@ increment minus that residual ("identity gap") must sit at round-off on
 any converged trajectory.
 
 The three half-node fields of a pair (time quotient, temporal mean and its
-space quotient) come from half_nodes.  A run builds them once per pair and
-hands them to the energy, the mass and the identity mean through their
-`half` argument; no state persists between calls, and every sum is one dot
-product.
+space quotient) come from half_nodes.  A run builds them once per block of
+pairs and hands them to the energy, the mass and the identity mean through
+their `half` argument; no state persists between calls.
+
+Every function here takes one pair of levels, shape (K,), or stacks of
+pairs, shape [..., K], evaluated row by row: each sum is one np.vecdot or
+one sum over the last axis, which gives every row the same bits as its
+one-pair evaluation.  One pair gives Python floats, a stack float arrays of
+shape [...].  The run loop (mi.integrate) evaluates a block of levels at a
+time this way.
 
 The printed constant of the mass identity does not survive re-derivation:
 expanding the inner-product argument on a tiny grid shows the increment
@@ -27,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, UsageError
-from .grid import GridSpec, as_field, as_level, central_diff, shift_next
+from .grid import (GridSpec, as_field, as_level, central_diff, scalar_or_rows,
+                   shift_next)
 from .model import PdeParams
 
 # Mass-identity constant as a multiple of beta: printed beta/2, validated beta/4.
@@ -54,13 +61,23 @@ class DiagnosticsRow:
     fp_iters: int | None = None
 
 
+def _check_negligible(part, scale, what):
+    """Raise ConsistencyError, naming the first offending row of a stack,
+    where |part| exceeds _REALNESS_TOL * scale."""
+    bad = np.flatnonzero(np.abs(part) > _REALNESS_TOL * np.maximum(scale, 1e-30))
+    if bad.size:
+        row = int(bad[0])
+        raise ConsistencyError(f"{what} {np.ravel(part)[row]:.3e}", row=row)
+
+
 def half_nodes(u_cur, u_next, grid):
     """Half-node values (slot k is k+1/2) of the time quotient, the temporal
-    mean and its space quotient for the pair (u^j, u^{j+1}).
+    mean and its space quotient for the pair (u^j, u^{j+1}), or for each row
+    of [..., K] stacks of pairs.
 
-    The invariants run on every step of a run, whose levels are already
-    checked (see as_level), so only the shapes are checked here: a NaN level
-    gives a NaN invariant.
+    The invariants run on every level of a run, whose levels are already
+    checked (see as_level), so only the last axis is checked here: a NaN
+    level gives a NaN invariant.
     """
     v_cur = as_level(u_cur, grid)
     v_next = as_level(u_next, grid)
@@ -80,7 +97,8 @@ def mi_energy(u_cur, u_next, params: PdeParams, grid: GridSpec,
         + ||dx u||_{1/2}^2 + lam*||u||_{1/2}^2 + (beta/2)*h*sum |u_{k+1/2}|^4,
 
     everything evaluated on the temporal mean u^{j+1/2}.  The theta term is
-    real by discrete skew-adjointness; the realness assertion guards that.
+    real by discrete skew-adjointness; the realness assertion guards that,
+    and on a stack its ConsistencyError carries the first offending row.
     half, if given, is half_nodes(u_cur, u_next, grid), already built.
     """
     if half is None:
@@ -89,15 +107,14 @@ def mi_energy(u_cur, u_next, params: PdeParams, grid: GridSpec,
     h = grid.h
     abs_mid = np.abs(mid_half)
     abs2_mid = abs_mid * abs_mid
-    total = (h * (np.vdot(dt_half, dt_half).real + np.vdot(dx_half, dx_half).real
-                  + params.lam * np.dot(abs_mid, abs_mid)
-                  + 0.5 * params.beta * np.dot(abs2_mid, abs2_mid))
-             + 1j * params.theta * h * np.vdot(dx_half, mid_half))
-    scale = max(abs(total), h * float(np.dot(abs_mid, np.abs(dx_half))))
-    if abs(total.imag) > _REALNESS_TOL * max(scale, 1e-30):
-        raise ConsistencyError(
-            f"discrete energy has spurious imaginary part {total.imag:.3e}")
-    return float(total.real)
+    total = (h * (np.vecdot(dt_half, dt_half).real + np.vecdot(dx_half, dx_half).real
+                  + params.lam * np.vecdot(abs_mid, abs_mid)
+                  + 0.5 * params.beta * np.vecdot(abs2_mid, abs2_mid))
+             + 1j * params.theta * h * np.vecdot(dx_half, mid_half))
+    scale = np.maximum(np.abs(total), h * np.vecdot(abs_mid, np.abs(dx_half)))
+    _check_negligible(total.imag, scale,
+                      "discrete energy has spurious imaginary part")
+    return scalar_or_rows(total.real)
 
 
 def mi_mass(u_cur, u_next, params: PdeParams, grid: GridSpec,
@@ -113,22 +130,20 @@ def mi_mass(u_cur, u_next, params: PdeParams, grid: GridSpec,
     half-node norm in the alpha term is what the derivation produces).  The
     first sum is m - conj(m) with m = sum dt u * conj(u), exactly imaginary
     like each of its terms, so only the gamma term can trip the realness
-    assertion.  half is as in mi_energy.
+    assertion.  half and stacks are as in mi_energy.
     """
     if half is None:
         half = half_nodes(u_cur, u_next, grid)
     dt_half, mid_half, dx_half = half
     h = grid.h
     abs_mid = np.abs(mid_half)
-    m = np.vdot(mid_half, dt_half)
+    m = np.vecdot(mid_half, dt_half)
     q = (h * (m - m.conjugate())
-         - params.gamma * h * np.vdot(dx_half, mid_half)
-         - 1j * params.alpha * h * np.dot(abs_mid, abs_mid))
-    scale = max(abs(q), h * float(np.dot(np.abs(dt_half), abs_mid)))
-    if abs(q.real) > _REALNESS_TOL * max(scale, 1e-30):
-        raise ConsistencyError(
-            f"discrete mass has spurious real part {q.real:.3e}")
-    return float(q.imag)
+         - params.gamma * h * np.vecdot(dx_half, mid_half)
+         - 1j * params.alpha * h * np.vecdot(abs_mid, abs_mid))
+    scale = np.maximum(np.abs(q), h * np.vecdot(np.abs(dt_half), abs_mid))
+    _check_negligible(q.real, scale, "discrete mass has spurious real part")
+    return scalar_or_rows(q.imag)
 
 
 def _half_node_means(u_prev, u_cur, u_next, grid):
@@ -139,7 +154,7 @@ def _half_node_means(u_prev, u_cur, u_next, grid):
 def _identity_rhs(a, b, params: PdeParams, grid: GridSpec,
                   factor: float = VALIDATED_MASS_FACTOR):
     """Right-hand sides (energy, mass) of the two identities, from the
-    half-node means a of u^{j+1/2} and b of u^{j-1/2}.
+    half-node means a of u^{j+1/2} and b of u^{j-1/2} (row-wise for stacks).
 
     With d = |a|^2 - |b|^2 and c = factor * beta:
         energy: -(beta/2) * h * sum d * |a - b|^2   (|a - b| = tau * |centered
@@ -153,9 +168,9 @@ def _identity_rhs(a, b, params: PdeParams, grid: GridSpec,
     d = np.abs(a) ** 2 - np.abs(b) ** 2
     jump = a - b
     weighted = d * jump
-    energy = -0.5 * params.beta * grid.h * np.vdot(jump, weighted).real
-    mass = -factor * params.beta * grid.h * np.vdot(a + b, weighted).imag
-    return float(energy), float(mass)
+    energy = -0.5 * params.beta * grid.h * np.vecdot(jump, weighted).real
+    mass = -factor * params.beta * grid.h * np.vecdot(a + b, weighted).imag
+    return scalar_or_rows(energy), scalar_or_rows(mass)
 
 
 def energy_rhs(u_prev, u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
@@ -185,10 +200,11 @@ class IdentityGaps:
 def identity_gaps(d_energy, d_mass, a, b, params: PdeParams,
                   grid: GridSpec) -> IdentityGaps:
     """Identity gaps from the invariant increments E^{j+1/2} - E^{j-1/2} and
-    Q^{j+1/2} - Q^{j-1/2} and the half-node means a, b of the two pairs.
+    Q^{j+1/2} - Q^{j-1/2} and the half-node means a, b of the two pairs;
+    row-wise for stacks (arrays of increments, [..., K] means).
 
     A run carries the invariants and the mean of the previous pair forward,
-    so each step evaluates every invariant once.
+    so each level's invariants are evaluated once.
     """
     rhs_e, rhs_q = _identity_rhs(a, b, params, grid)
     return IdentityGaps(energy_gap=d_energy - rhs_e,

@@ -31,7 +31,12 @@ class DivergenceError(StepFailureError):
 
 
 class ConsistencyError(NlswError):
-    """An internal realness/imaginariness invariant was violated."""
+    """An internal realness/imaginariness invariant was violated; row is the
+    first offending row of a stacked evaluation, if known."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class IdentityValidationError(NlswError):

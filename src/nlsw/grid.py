@@ -97,39 +97,49 @@ def as_field(values, grid: GridSpec | None = None) -> np.ndarray:
 
 
 def as_level(values, grid: GridSpec) -> np.ndarray:
-    """Coerce to a complex mesh function of length K without scanning it.
+    """Coerce to complex mesh functions, shape [..., K], without scanning them.
 
     For time levels inside a run: bootstrap checks the first two with
     as_field, and every step rejects a non-finite new level, so the step
-    kernels and per-step diagnostics only need the shape.
+    kernels and the diagnostics only need the last axis to be the mesh.
     """
     u = np.asarray(values, dtype=np.complex128)
-    if u.shape != (grid.K,):
+    if u.ndim == 0 or u.shape[-1] != grid.K:
         raise UsageError(f"mesh function has shape {u.shape}, grid has K={grid.K}")
     return u
 
 
-# Periodic shifts: slot k of shift_next(u) holds u_{k+1}, slot k of
-# shift_prev(u) holds u_{k-1}.  They give the same arrays as numpy's roll by
-# -1 and +1 at a fraction of its call overhead.
+def scalar_or_rows(values):
+    """A Python float for a reduction over one mesh function, the float
+    array as it is for a reduction over a [..., K] stack."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+# Periodic shifts along the last (mesh) axis, so that they and the stencils
+# below act on one level or on a [..., K] stack of levels alike: slot k of
+# shift_next(u) holds u_{k+1}, slot k of shift_prev(u) holds u_{k-1}.  They
+# give the same arrays as numpy's roll by -1 and +1 at a fraction of its call
+# overhead.
 
 def shift_next(u):
-    return np.concatenate((u[1:], u[:1]))
+    return np.concatenate((u[..., 1:], u[..., :1]), axis=-1)
 
 
 def shift_prev(u):
-    return np.concatenate((u[-1:], u[:-1]))
+    return np.concatenate((u[..., -1:], u[..., :-1]), axis=-1)
 
 
 def stencil(coefficients, u):
     """Three-point periodic stencil (lower, diag, upper), scalars or length-K
-    arrays: slot k holds lower*u_{k-1} + diag*u_k + upper*u_{k+1}."""
+    arrays, on the last axis of u: slot k holds
+    lower*u_{k-1} + diag*u_k + upper*u_{k+1}."""
     lower, diag, upper = coefficients
     return lower * shift_prev(u) + diag * u + upper * shift_next(u)
 
 
-# Bare periodic stencils.  These skip validation and are shared by the
-# time-stepping kernels; the public apply_difference below wraps them.
+# Bare periodic stencils on the last axis.  These skip validation and are
+# shared by the time-stepping kernels and the diagnostics; the public
+# apply_difference below wraps them.
 
 def forward_diff(u, h):
     return (shift_next(u) - u) / h

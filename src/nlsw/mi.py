@@ -32,6 +32,11 @@ from .model import PdeParams
 
 BOOTSTRAP_MODES = ("taylor2", "exact")
 
+# Complex values per block of levels whose diagnostics integrate evaluates in
+# one pass: B = max(1, BLOCK_VALUES // K) pairs, so at small K one call serves
+# many steps and at K >= BLOCK_VALUES every step is its own block.
+BLOCK_VALUES = 4096
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -207,17 +212,27 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     bootstrap, then advance J-1 steps with the kernel
     step(window, solver, params, grid, config) -> (u_next, fp_iters).
 
-    Every row holds the midpoint invariants E^{j+1/2} and Q^{j+1/2}, each
-    evaluated once per step and carried to the next, and the error metrics
-    when the problem carries a verified exact solution.  The half-node
-    fields of each pair are built once, by diagnostics.half_nodes, and
-    handed to both invariants and to the observer; nothing persists between
-    calls.  Snapshots are copies of the levels.  The scheme's own columns
-    come from observe(row, u_cur, u_next, energy, mass, half), where energy
-    and mass belong to the previous pair and half to (u_cur, u_next); it is
-    called once with row=None on the bootstrap pair, then on every step.
-    Rows are labelled by the produced level index (2..J); snapshots hold the
-    two bootstrap levels and then every snapshot_stride-th step.
+    Every row holds the midpoint invariants E^{j+1/2} and Q^{j+1/2} of its
+    pair, and the error metrics when the problem carries a verified exact
+    solution.  None of them feeds back into the stepping, so they are
+    evaluated a block at a time: each new level is copied into a
+    (B+1, K) buffer, B = max(1, BLOCK_VALUES // K), whose B pairs of
+    consecutive rows are evaluated as [B, K] stacks (see diagnostics) once
+    it fills and once more at the end of the run.  Per block, the half-node
+    fields are built once by diagnostics.half_nodes and handed to both
+    invariants and to the observer, and the exact solution is evaluated once
+    on the column of the block's times.  The scheme's own columns come from
+    observe(rows, u_cur, u_next, energy, mass, half): rows is the block's
+    list of rows (None for the bootstrap pair, evaluated first on its own),
+    u_cur and u_next the [n, K] stacks of its pairs, energy and mass their
+    invariants as float arrays and half their half-node fields.
+
+    A failure names its step.  A realness guard that fires on row i of a
+    block names the block's first step plus i, and a failing step first
+    evaluates the block's completed steps, so the earliest failure in step
+    order is the one reported.  Rows are labelled by the produced level
+    index (2..J); snapshots, copies of the levels, hold the two bootstrap
+    levels and then every snapshot_stride-th step.
     """
     if snapshot_stride < 1:
         raise UsageError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
@@ -227,45 +242,74 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
                        mode=config.bootstrap_mode, exact=problem.exact)
     exact_fn = problem.exact if getattr(problem, "exactness", "none") == "verified" \
         else None
+    x = grid.nodes
 
-    half = diagnostics.half_nodes(u0, u1, grid)
-    energy_ref = diagnostics.mi_energy(u0, u1, params, grid, half=half)
-    mass_ref = diagnostics.mi_mass(u0, u1, params, grid, half=half)
-    observe(None, u0, u1, energy_ref, mass_ref, half)
+    def evaluate(levels, rows):
+        """Diagnostics of the pairs of consecutive levels, written into rows;
+        returns the pairs' invariants."""
+        u_cur, u_next = levels[:-1], levels[1:]
+        half = diagnostics.half_nodes(u_cur, u_next, grid)
+        energy = diagnostics.mi_energy(u_cur, u_next, params, grid, half=half)
+        mass = diagnostics.mi_mass(u_cur, u_next, params, grid, half=half)
+        observe(rows, u_cur, u_next, energy, mass, half)
+        if rows is None:
+            return energy, mass
+        for row, energy_mi, mass_mi in zip(rows, energy.tolist(), mass.tolist()):
+            row.energy_mi, row.mass_mi = energy_mi, mass_mi
+        if exact_fn is not None:
+            t = np.array([row.t for row in rows])
+            metrics = problems.error_metrics(u_next, exact_fn(x, t[:, None]), grid)
+            for row, *values in zip(rows, metrics.err_max.tolist(),
+                                    metrics.e_infty_sq.tolist(),
+                                    metrics.mod_err.tolist()):
+                row.err_max, row.e_infty_sq, row.mod_err = values
+        return energy, mass
+
+    def flush(levels, rows):
+        """Evaluate the pending rows.  On a failure in row i, the rows before
+        it are evaluated alone first, so that a failure there, which the
+        row-by-row order meets first, is the one raised."""
+        if not rows:
+            return
+        try:
+            evaluate(levels[:len(rows) + 1], rows)
+        except NlswError as exc:
+            row = getattr(exc, "row", None) or 0
+            flush(levels, rows[:row])
+            exc.step = rows[0].step + row
+            raise
+
+    energy_ref, mass_ref = (float(v[0]) for v in evaluate(np.stack((u0, u1)), None))
     snapshots = [(0.0, u0.copy()), (grid.tau, u1.copy())]
     rows = []
     total_fp = 0
-    energy, mass = energy_ref, mass_ref
     u_prev, u_cur = u0, u1
-    x = grid.nodes
+    levels = np.empty((max(1, BLOCK_VALUES // grid.K) + 1, grid.K),
+                      dtype=np.complex128)
+    levels[0] = u1
+    pending = []
     for j in range(1, grid.J):
         t_new = (j + 1) * grid.tau
         try:
             u_next, fp_iters = step(StateWindow(u_prev, u_cur, j * grid.tau),
                                     solver, params, grid, config)
-            half = diagnostics.half_nodes(u_cur, u_next, grid)
-            row = diagnostics.DiagnosticsRow(
-                step=j + 1, t=t_new,
-                energy_mi=diagnostics.mi_energy(u_cur, u_next, params, grid,
-                                                half=half),
-                mass_mi=diagnostics.mi_mass(u_cur, u_next, params, grid,
-                                            half=half),
-                fp_iters=fp_iters)
-            observe(row, u_cur, u_next, energy, mass, half)
-            if exact_fn is not None:
-                metrics = problems.error_metrics(u_next, exact_fn(x, t_new), grid)
-                row.err_max = metrics.err_max
-                row.e_infty_sq = metrics.e_infty_sq
-                row.mod_err = metrics.mod_err
         except NlswError as exc:
+            flush(levels, pending)
             exc.step = j + 1
             raise
         total_fp += fp_iters
+        row = diagnostics.DiagnosticsRow(step=j + 1, t=t_new, fp_iters=fp_iters)
         rows.append(row)
+        pending.append(row)
+        levels[len(pending)] = u_next
+        if len(pending) == len(levels) - 1:
+            flush(levels, pending)
+            levels[0] = u_next
+            pending = []
         if j % snapshot_stride == 0:
             snapshots.append((t_new, u_next.copy()))
         u_prev, u_cur = u_cur, u_next
-        energy, mass = row.energy_mi, row.mass_mi
+    flush(levels, pending)
 
     meta = {
         "bootstrap_mode": config.bootstrap_mode,
@@ -280,21 +324,25 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
 def run_mi(problem, grid: GridSpec, config: SolverConfig,
            snapshot_stride: int = 100) -> Trajectory:
     """Run the midpoint scheme through integrate, adding the identity gaps
-    of each step from the half-node means of its pair and of the previous
-    pair, carried over."""
+    of each step from the invariant increments and the half-node means of
+    its pair and of the previous pair; the last pair of each block is
+    carried to the next."""
     params = problem.params
-    mean = None
+    carried = None
 
-    def identity_gaps(row, u_cur, u_next, energy, mass, half):
-        nonlocal mean
-        mean_next = half[1]
-        if row is not None:
-            gaps = diagnostics.identity_gaps(row.energy_mi - energy,
-                                             row.mass_mi - mass,
-                                             mean_next, mean, params, grid)
-            row.energy_gap = gaps.energy_gap
-            row.mass_gap = gaps.mass_gap
-        mean = mean_next
+    def identity_gaps(rows, u_cur, u_next, energy, mass, half):
+        nonlocal carried
+        mean = half[1]
+        if rows is not None:
+            energy_prev, mass_prev, mean_prev = carried
+            gaps = diagnostics.identity_gaps(
+                energy - np.append(energy_prev, energy[:-1]),
+                mass - np.append(mass_prev, mass[:-1]),
+                mean, np.vstack((mean_prev, mean[:-1])), params, grid)
+            for row, energy_gap, mass_gap in zip(rows, gaps.energy_gap.tolist(),
+                                                 gaps.mass_gap.tolist()):
+                row.energy_gap, row.mass_gap = energy_gap, mass_gap
+        carried = energy[-1], mass[-1], mean[-1]
 
     traj = integrate(problem, grid, config, snapshot_stride,
                      assemble_linear(params, grid), step_mi, identity_gaps)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .grid import GridSpec, as_level
+from .grid import GridSpec, as_level, scalar_or_rows
 from .model import PdeParams, continuous_residual
 
 EXACTNESS_LEVELS = ("verified", "claimed_inconsistent", "none")
@@ -31,7 +31,14 @@ _GATE_SEED = 20240811
 @dataclass(frozen=True)
 class ProblemSpec:
     """A benchmark: coefficients, domain, initial data, optional exact
-    solution, and how much that exact solution can be trusted."""
+    solution, and how much that exact solution can be trusted.
+
+    exact(x, t) takes the node array x and a time t, a float or a column of
+    n times, shape (n, 1).  For the column it returns shape (n, len(x)),
+    whose row i equals exact(x, t_i) exactly, since a run evaluates the
+    exact solution once per block of levels (see mi.integrate).  Verified
+    problems are checked for this at construction.
+    """
 
     name: str
     params: PdeParams
@@ -52,6 +59,7 @@ class ProblemSpec:
         self._check_periodic_compatibility()
         if self.exactness == "verified":
             self._check_exactness()
+            self._check_time_column()
 
     def _check_periodic_compatibility(self):
         for fn, label in ((self.f0, "f0"), (self.f1, "f1")):
@@ -74,6 +82,21 @@ class ProblemSpec:
                 raise ConfigurationError(
                     f"{self.name}: claimed exact solution fails the residual "
                     f"gate at ({x:.4f}, {t:.4f}): |r| = {abs(r):.3e}")
+
+    def _check_time_column(self):
+        x = np.linspace(self.x_l, self.x_r, 7, endpoint=False)
+        t = min(self.default_T, 10.0) * np.array([0.0, 0.37, 1.0])
+        failure = ConfigurationError(
+            f"{self.name}: exact(x, t[:, None]) must return shape "
+            f"({t.size}, {x.size}) with row i equal to exact(x, t[i])")
+        try:
+            column = np.asarray(self.exact(x, t[:, None]))
+        except (TypeError, ValueError) as exc:
+            raise failure from exc
+        if column.shape != (t.size, x.size) or not all(
+                np.array_equal(row, self.exact(x, float(ti)))
+                for row, ti in zip(column, t)):
+            raise failure
 
 
 def _linear_plane():
@@ -191,16 +214,18 @@ class ErrorMetrics:
 def error_metrics(u, exact_at_t, grid: GridSpec) -> ErrorMetrics:
     """Pointwise max error, max squared-modulus error, and max modulus error.
 
-    Runs on every step of a run with a verified exact solution, so both
-    levels are length-checked only (as_level); NaN input gives NaN errors.
+    Runs on every level of a run with a verified exact solution, a block of
+    levels at a time: u and exact_at_t are one level, giving floats, or
+    [..., K] stacks, giving float arrays of shape [...].  Both are checked
+    on the last axis only (as_level); NaN input gives NaN errors.
     """
     u = as_level(u, grid)
     ref = as_level(exact_at_t, grid)
     au, aref = np.abs(u), np.abs(ref)
     return ErrorMetrics(
-        err_max=float(np.abs(u - ref).max()),
-        e_infty_sq=float(np.abs(au ** 2 - aref ** 2).max()),
-        mod_err=float(np.abs(au - aref).max()),
+        err_max=scalar_or_rows(np.abs(u - ref).max(axis=-1)),
+        e_infty_sq=scalar_or_rows(np.abs(au ** 2 - aref ** 2).max(axis=-1)),
+        mod_err=scalar_or_rows(np.abs(au - aref).max(axis=-1)),
     )
 
 

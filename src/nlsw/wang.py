@@ -29,7 +29,7 @@ import numpy as np
 
 from .diagnostics import rel_drift
 from .errors import ConfigurationError
-from .grid import GridSpec, as_level, backward_diff, stencil
+from .grid import GridSpec, as_level, backward_diff, scalar_or_rows, stencil
 from .linsolve import CyclicTridiagonalSystem, PreparedCyclicSolver
 from .mi import SolverConfig, StateWindow, Trajectory, integrate, picard
 from .model import PdeParams
@@ -79,32 +79,40 @@ def step_wang(window: StateWindow, params: PdeParams, grid: GridSpec,
     return u_next
 
 
-def _kinetic_gradient(u_cur, u_next, grid: GridSpec):
+def kinetic_gradient(u_cur, u_next, grid: GridSpec):
     """h ||dt u||^2 + (h/2)(||dx u^{j+1}||^2 + ||dx u^j||^2), the part both
-    energy variants share."""
+    energy variants share, summed over the last axis."""
     h = grid.h
     dt = (u_next - u_cur) / grid.tau
-    return (h * np.sum(np.abs(dt) ** 2)
-            + 0.5 * h * (np.sum(np.abs(backward_diff(u_next, h)) ** 2)
-                         + np.sum(np.abs(backward_diff(u_cur, h)) ** 2)))
+    return (h * np.sum(np.abs(dt) ** 2, axis=-1)
+            + 0.5 * h * (np.sum(np.abs(backward_diff(u_next, h)) ** 2, axis=-1)
+                         + np.sum(np.abs(backward_diff(u_cur, h)) ** 2, axis=-1)))
 
 
-def energy_wang(u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
-    """The exactly conserved two-level energy of the scheme."""
+def energy_wang(u_cur, u_next, params: PdeParams, grid: GridSpec,
+                kinetic=None) -> float:
+    """The exactly conserved two-level energy of the scheme: a float for one
+    pair, a float array for [..., K] stacks of pairs, row by row.  kinetic,
+    if given, is kinetic_gradient(u_cur, u_next, grid), already built."""
     u_cur = as_level(u_cur, grid)
     u_next = as_level(u_next, grid)
-    return float(_kinetic_gradient(u_cur, u_next, grid)
-                 + 0.25 * params.beta * grid.h * np.sum(np.abs(u_next) ** 4
-                                                        + np.abs(u_cur) ** 4))
+    if kinetic is None:
+        kinetic = kinetic_gradient(u_cur, u_next, grid)
+    return scalar_or_rows(
+        kinetic + 0.25 * params.beta * grid.h * np.sum(np.abs(u_next) ** 4
+                                                       + np.abs(u_cur) ** 4, axis=-1))
 
 
-def energy_wang_printed(u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
+def energy_wang_printed(u_cur, u_next, params: PdeParams, grid: GridSpec,
+                        kinetic=None) -> float:
     """Single-level quartic variant as commonly printed; drifts, recorded
-    side by side for comparison."""
+    side by side for comparison.  Stacks and kinetic as in energy_wang."""
     u_cur = as_level(u_cur, grid)
     u_next = as_level(u_next, grid)
-    return float(_kinetic_gradient(u_cur, u_next, grid)
-                 + 0.5 * params.beta * grid.h * np.sum(np.abs(u_cur) ** 4))
+    if kinetic is None:
+        kinetic = kinetic_gradient(u_cur, u_next, grid)
+    return scalar_or_rows(
+        kinetic + 0.5 * params.beta * grid.h * np.sum(np.abs(u_cur) ** 4, axis=-1))
 
 
 def run_wang(problem, grid: GridSpec, config: SolverConfig,
@@ -116,17 +124,20 @@ def run_wang(problem, grid: GridSpec, config: SolverConfig,
     params = problem.params
     meta = {"scheme": "wang"}
 
-    def wang_energies(row, u_cur, u_next, energy, mass, half):
-        printed = energy_wang_printed(u_cur, u_next, params, grid)
-        if row is None:
-            meta["energy_wang_ref"] = energy_wang(u_cur, u_next, params, grid)
-            meta["energy_wang_printed_ref"] = printed
+    def wang_energies(rows, u_cur, u_next, energy, mass, half):
+        kinetic = kinetic_gradient(u_cur, u_next, grid)
+        printed = energy_wang_printed(u_cur, u_next, params, grid, kinetic=kinetic)
+        conserved = energy_wang(u_cur, u_next, params, grid, kinetic=kinetic)
+        if rows is None:
+            meta["energy_wang_ref"] = float(conserved[0])
+            meta["energy_wang_printed_ref"] = float(printed[0])
             meta["energy_wang_printed_max_rel_drift"] = 0.0
             return
-        row.energy_wang = energy_wang(u_cur, u_next, params, grid)
+        for row, value in zip(rows, conserved.tolist()):
+            row.energy_wang = value
         meta["energy_wang_printed_max_rel_drift"] = max(
             meta["energy_wang_printed_max_rel_drift"],
-            rel_drift(printed, meta["energy_wang_printed_ref"]))
+            *rel_drift(printed, meta["energy_wang_printed_ref"]).tolist())
 
     traj = integrate(problem, grid, config, snapshot_stride,
                      assemble_wang(params, grid), _step_wang, wang_energies)

@@ -10,11 +10,13 @@ read 0; these checks catch that without running the benchmark.
 import ast
 import functools
 import importlib
+import math
 from pathlib import Path
 
 import pytest
 
 from nlsw import SolverConfig, build_grid, builtin_problem, run_mi, run_wang
+from nlsw.mi import BLOCK_VALUES
 
 SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
 
@@ -56,17 +58,23 @@ def test_run_loop_calls_patched_module_attributes(monkeypatch, runner, kernel):
         monkeypatch.setattr(f"{module}.{name}", counted)
 
     count(*kernel)
-    # half_nodes is not traced; counting it checks that each pair's fields
+    # half_nodes is not traced; counting it checks that each block's fields
     # are built once and handed to both invariants.
-    for name in ("half_nodes", "mi_energy", "mi_mass"):
+    diagnostics = ("half_nodes", "mi_energy", "mi_mass")
+    for name in diagnostics:
         count("nlsw.diagnostics", name)
-    J = 6
-    expected = {kernel[1]: J - 1, "half_nodes": J, "mi_energy": J, "mi_mass": J}
     if runner is run_wang:
-        for name in ("energy_wang", "energy_wang_printed"):
+        diagnostics += ("energy_wang", "energy_wang_printed")
+        for name in diagnostics[3:]:
             count("nlsw.wang", name)
-            expected[name] = J
+    J = 6
     prob = builtin_problem("plane_beta2")
-    grid = build_grid(prob.x_l, prob.x_r, 16, J * 0.01, J)
-    runner(prob, grid, SolverConfig())
-    assert calls == expected
+    # K = 16 runs its 5 steps as one block, K = 1024 as blocks of 4 and 1.
+    for K in (16, 1024):
+        calls.clear()
+        block = max(1, BLOCK_VALUES // K)
+        # One call for the bootstrap pair, then one per block of steps.
+        per_block = 1 + math.ceil((J - 1) / block)
+        grid = build_grid(prob.x_l, prob.x_r, K, J * 0.01, J)
+        runner(prob, grid, SolverConfig())
+        assert calls == {kernel[1]: J - 1, **dict.fromkeys(diagnostics, per_block)}

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlsw
 from nlsw import (ConfigurationError, ConsistencyError, SolverConfig, UsageError,
                   build_grid, builtin_problem, parse_config, run_mi, run_wang)
 from nlsw.cli import (ORDERS_HEADER, SERIES_HEADER, SNAPSHOT_HEADER, main,
@@ -264,6 +268,21 @@ class TestMainExitCodes:
         assert main(["run", path]) == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigurationError"
+
+    def test_module_entry_point_writes_one_record(self, tmp_path):
+        # `python -m nlsw.cli` under -W error: the package must not import
+        # nlsw.cli ahead of runpy, whose warning would precede the record.
+        path = write_config(tmp_path, {"problem": "linear_plane", "K": 16,
+                                       "J": 10, "bogus": 1})
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(nlsw.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "nlsw.cli",
+                               "run", path], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 2
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigurationError"
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["run", "/nonexistent/config.json"]) == 2

@@ -1,15 +1,20 @@
+import math
+from dataclasses import astuple
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from nlsw import diagnostics
 from nlsw import (PdeParams, SolverConfig, builtin_problem, build_grid,
                   continuous_invariants, energy_rhs, energy_wang,
-                  energy_wang_printed, mass_rhs, mass_rhs_printed, mi_energy,
-                  mi_mass, run_identity_oracle, run_mi, run_wang,
-                  theorem_identity_gaps)
+                  energy_wang_printed, error_metrics, mass_rhs,
+                  mass_rhs_printed, mi_energy, mi_mass, run_identity_oracle,
+                  run_mi, run_wang, theorem_identity_gaps)
 from nlsw.diagnostics import (PRINTED_MASS_FACTOR, VALIDATED_MASS_FACTOR,
                               half_nodes)
+from nlsw.mi import BLOCK_VALUES
+from nlsw.wang import kinetic_gradient
 
 import oracles
 from conftest import random_field
@@ -268,6 +273,47 @@ class TestDotProductEvaluator:
         assert mass_rhs(u_prev, u_cur, u_next, p, g) == rhs_q
 
 
+class TestStackedEvaluation:
+    """On [n, K] stacks of pairs every diagnostic equals, under ==, its
+    one-pair evaluation row by row, with the half-node fields and the wang
+    kinetic part handed over as a run does; one pair gives Python floats."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=coefficient, gamma=gamma_coefficient, theta=coefficient,
+           lam=coefficient, beta=coefficient, K=sizes, tau=time_steps,
+           n=st.integers(1, 9), seed=seeds)
+    def test_rows_equal_one_pair_evaluations(self, alpha, gamma, theta, lam,
+                                             beta, K, tau, n, seed):
+        p = PdeParams(alpha=alpha, gamma=gamma, theta=theta, lam=lam, beta=beta)
+        g = periodic_grid(K, tau)
+        rng = np.random.default_rng(seed)
+        stack = np.vstack(levels(seed, K)
+                          + tuple(random_field(rng, K)[None] for _ in range(n - 1)))
+        u_cur, u_next = stack[:-1], stack[1:]
+        ref = u_next + 0.1 * random_field(rng, K)
+        half = half_nodes(u_cur, u_next, g)
+        # Each row's mean against the previous row's, wrapping around.
+        a, b = half[1], np.roll(half[1], 1, axis=0)
+        kinetic = kinetic_gradient(u_cur, u_next, g)
+        blocked = (mi_energy(u_cur, u_next, p, g, half=half),
+                   mi_mass(u_cur, u_next, p, g, half=half),
+                   *diagnostics._identity_rhs(a, b, p, g),
+                   energy_wang(u_cur, u_next, p, g, kinetic=kinetic),
+                   energy_wang_printed(u_cur, u_next, p, g, kinetic=kinetic),
+                   *astuple(error_metrics(u_next, ref, g)))
+        for i in range(n):
+            one = half_nodes(u_cur[i], u_next[i], g)
+            assert all(np.array_equal(x[i], y) for x, y in zip(half, one))
+            rowwise = (mi_energy(u_cur[i], u_next[i], p, g),
+                       mi_mass(u_cur[i], u_next[i], p, g),
+                       *diagnostics._identity_rhs(a[i], b[i], p, g),
+                       energy_wang(u_cur[i], u_next[i], p, g),
+                       energy_wang_printed(u_cur[i], u_next[i], p, g),
+                       *astuple(error_metrics(u_next[i], ref[i], g)))
+            assert all(type(value) is float for value in rowwise)
+            assert [values[i] for values in blocked] == list(rowwise)
+
+
 class TestHalfFieldMemo:
     """A pair changed in place between two calls is evaluated afresh:
     nothing is memoised, whatever the arrays' flags."""
@@ -327,7 +373,9 @@ def test_run_snapshots_are_writeable_copies(monkeypatch, runner):
     prob = builtin_problem("plane_beta2")
     g = build_grid(prob.x_l, prob.x_r, 16, 0.1, 10)
     traj = runner(prob, g, SolverConfig(), snapshot_stride=1)
-    assert len(seen) == 2 * g.J
+    # One call for the bootstrap pair, then one per block of steps.
+    blocks = math.ceil((g.J - 1) / max(1, BLOCK_VALUES // g.K))
+    assert len(seen) == 2 * (1 + blocks)
     assert len(traj.snapshots) == g.J + 1
     for _, snap in traj.snapshots:
         assert snap.flags.writeable

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nlsw import (ConfigurationError, PdeParams, SolverConfig, StateWindow,
-                  StepFailureError, Trajectory, assemble_linear, bootstrap,
-                  builtin_problem, build_grid, mi_energy, mi_mass, run_mi,
-                  step_mi)
+from nlsw import (ConfigurationError, ConsistencyError, PdeParams, SolverConfig,
+                  StateWindow, StepFailureError, Trajectory, assemble_linear,
+                  bootstrap, builtin_problem, build_grid, diagnostics, mi,
+                  mi_energy, mi_mass, run_mi, step_mi)
 from nlsw.linsolve import PreparedCyclicSolver
-from nlsw.mi import _known_terms, _cubic_pair
+from nlsw.mi import BLOCK_VALUES, _known_terms, _cubic_pair
 
 from oracles import mi_residual_direct, mi_residual_scale
 from strategies import (coefficient, gamma_coefficient, periodic_grid, seeds,
@@ -278,3 +278,79 @@ class TestRunMi:
         with pytest.raises(StepFailureError) as err:
             run_mi(EX3, g, SolverConfig(fp_max_iter=1))
         assert err.value.step == 2
+
+
+def _noisy_mean(monkeypatch, call, row):
+    """Patch diagnostics.half_nodes so that on its call-th call (0 is the
+    bootstrap pair) the temporal mean of the given row is noise, which trips
+    the energy's realness guard there (theta != 0)."""
+    original = diagnostics.half_nodes
+    calls = []
+
+    def noisy(u_cur, u_next, grid):
+        dt, mid, dx = original(u_cur, u_next, grid)
+        if len(calls) == call and len(mid) > row:
+            rng = np.random.default_rng(row)
+            mid[row] = rng.normal(size=grid.K) + 1j * rng.normal(size=grid.K)
+        calls.append(len(mid))
+        return dt, mid, dx
+    monkeypatch.setattr(diagnostics, "half_nodes", noisy)
+
+
+def _guard_fires(monkeypatch, name, row):
+    """Make diagnostics.<name> raise a guard failure at the given row of
+    every stack longer than that."""
+    original = getattr(diagnostics, name)
+
+    def failing(u_cur, u_next, params, grid, half=None):
+        value = original(u_cur, u_next, params, grid, half=half)
+        if len(value) > row:
+            raise ConsistencyError(f"{name} failed", row=row)
+        return value
+    monkeypatch.setattr(diagnostics, name, failing)
+
+
+class TestBlockedDiagnostics:
+    """integrate evaluates the diagnostics B = BLOCK_VALUES // K levels at a
+    time; a failure still names the step, and is the failure, that a
+    step-by-step evaluation would have met first."""
+
+    def grid(self):
+        # K = 64: blocks of 64 steps, so steps 2..100 are blocks of 64 and 35.
+        return build_grid(EX1.x_l, EX1.x_r, 64, 1.0, 100)
+
+    def test_guard_failure_mid_block_names_its_step(self, monkeypatch):
+        g = self.grid()
+        block = BLOCK_VALUES // g.K
+        _noisy_mean(monkeypatch, call=2, row=5)
+        with pytest.raises(ConsistencyError, match="energy") as err:
+            run_mi(EX1, g, SolverConfig())
+        assert err.value.row == 5
+        assert err.value.step == 2 + block + 5
+
+    def test_step_failure_reports_pending_guard_failure_first(self, monkeypatch):
+        g = self.grid()
+        original = mi.step_mi
+
+        def failing(window, *args):
+            if window.t_cur > 9.5 * g.tau:
+                raise StepFailureError("injected")
+            return original(window, *args)
+        monkeypatch.setattr(mi, "step_mi", failing)
+        with pytest.raises(StepFailureError) as err:
+            run_mi(EX1, g, SolverConfig())
+        assert err.value.step == 11
+        # The same failure with a guard failure at step 5 pending.
+        _noisy_mean(monkeypatch, call=1, row=3)
+        with pytest.raises(ConsistencyError) as err:
+            run_mi(EX1, g, SolverConfig())
+        assert err.value.step == 5
+
+    def test_earlier_row_wins_across_diagnostics(self, monkeypatch):
+        # Energy is evaluated before mass on each step, but a mass failure
+        # two steps earlier is the one a step-by-step loop meets first.
+        _guard_fires(monkeypatch, "mi_energy", row=6)
+        _guard_fires(monkeypatch, "mi_mass", row=4)
+        with pytest.raises(ConsistencyError, match="mi_mass") as err:
+            run_mi(EX1, self.grid(), SolverConfig())
+        assert err.value.step == 6

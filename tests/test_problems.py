@@ -70,6 +70,24 @@ class TestBuiltins:
                         exact=lambda x, t: np.exp(1j * (x - 2.9 * t)),
                         exactness="verified")
 
+    @pytest.mark.parametrize("exact", [
+        # Only scalar times: fails on a column, ...
+        lambda x, t: np.exp(1j * (x - 3.0 * float(t))),
+        # ... returns one level for it, ...
+        lambda x, t: np.exp(1j * (x - 3.0 * np.ravel(t)[0])),
+        # ... or one level per time, all at the last one.
+        lambda x, t: np.exp(1j * (x - 3.0 * np.max(t))) + 0.0 * t,
+    ])
+    def test_exact_solution_without_time_columns_rejected(self, exact):
+        params = PdeParams(alpha=-1.0, gamma=1.0, theta=-1.0, lam=3.0, beta=0.0)
+        with pytest.raises(ConfigurationError,
+                           match=r"scalar_times: exact\(x, t\[:, None\]\)"):
+            ProblemSpec(name="scalar_times", params=params, x_l=0.0,
+                        x_r=2.0 * np.pi, default_T=1.0,
+                        f0=lambda x: np.exp(1j * x),
+                        f1=lambda x: -3j * np.exp(1j * x),
+                        exact=exact, exactness="verified")
+
     def test_periodic_compatibility_rejected(self):
         params = PdeParams(alpha=-1.0, gamma=0.0, theta=0.0, lam=0.0, beta=0.0)
         with pytest.raises(ConfigurationError):
