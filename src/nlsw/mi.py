@@ -4,14 +4,13 @@ both schemes share.
 Eliminating the auxiliary variables of the box-form midpoint integrator
 leaves a two-step update for u alone, A u^{j+1} + B u^j + C u^{j-1} plus
 cubic half-node terms = 0, with constant three-point stencils A, B, C from
-one table; by time reversal C is A at (-alpha, -gamma).  Each step runs a
-Picard iteration around the frozen operator A, so it is factored once per
-run and every sweep costs one banded solve.
+one table.  The scheme is a discrete Euler-Lagrange equation, so C = A^H,
+the adjoint that time reversal produces.  Each step runs a Picard iteration
+around the frozen operator A, factored once per run, so every sweep costs
+one banded solve.
 
-picard is the one fixed-point loop and integrate the one run loop; step_mi
-here and the energy-preserving kernel in wang.py supply only their known
-terms and nonlinear term, and run_mi/run_wang only their operator, kernel
-and per-step columns.
+picard is the one step kernel and integrate the one run loop; each scheme
+supplies only its stencil table, cubic term, operator and per-step columns.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .errors import (ConfigurationError, DivergenceError, NlswError,
 from .grid import (GridSpec, as_field, as_level, central_diff, half_average,
                    pair_sum, second_diff, stencil)
 from .linsolve import CyclicTridiagonalSystem, PreparedCyclicSolver
-from .model import PdeParams
+from .model import PdeParams, is_number
 
 BOOTSTRAP_MODES = ("taylor2", "exact")
 
@@ -47,9 +46,9 @@ class SolverConfig:
     bootstrap_mode: str = "taylor2"
 
     def __post_init__(self):
-        if not (np.isfinite(self.fp_tol) and self.fp_tol > 0):
-            raise ConfigurationError(f"fp_tol must be positive, got {self.fp_tol}")
-        if not isinstance(self.fp_max_iter, numbers.Integral) or self.fp_max_iter < 1:
+        if not (is_number(self.fp_tol) and self.fp_tol > 0):
+            raise ConfigurationError(f"fp_tol must be positive, got {self.fp_tol!r}")
+        if not is_number(self.fp_max_iter, numbers.Integral) or self.fp_max_iter < 1:
             raise ConfigurationError(
                 f"fp_max_iter must be an integer >= 1, got {self.fp_max_iter!r}")
         if self.bootstrap_mode not in BOOTSTRAP_MODES:
@@ -111,25 +110,22 @@ def bootstrap(f0, f1, params: PdeParams, grid: GridSpec, mode: str = "taylor2",
 @functools.lru_cache(maxsize=8)
 def _stencils(params: PdeParams, grid: GridSpec):
     """(lower, diag, upper) of the stencils acting on u^{j+1}, u^j and
-    u^{j-1}.  Reversing time maps the scheme onto itself with alpha and gamma
-    negated, so the u^{j-1} stencil is the u^{j+1} one at (-alpha, -gamma).
+    u^{j-1}.  The u^{j-1} stencil is built as the adjoint C = A^H of the
+    u^{j+1} one, what reversing time (negating alpha and gamma) makes of A.
 
     Cached: params and grid are frozen, and a run asks for the same table on
     every step."""
     h, tau = grid.h, grid.tau
-    th, lam = params.theta, params.lam
-
-    def new_level(a, g):
-        diag = 0.5 / tau ** 2 + 0.5 / h ** 2 - 0.25j * a / tau + 0.125 * lam
-        off = 0.25 / tau ** 2 - 0.25 / h ** 2 - 0.125j * a / tau + lam / 16.0
-        skew = 0.125j * th / h - 0.25 * g / (tau * h)
-        return off + skew, diag, off - skew
-
+    a, th, lam = params.alpha, params.theta, params.lam
+    diag = 0.5 / tau ** 2 + 0.5 / h ** 2 - 0.25j * a / tau + 0.125 * lam
+    off = 0.25 / tau ** 2 - 0.25 / h ** 2 - 0.125j * a / tau + lam / 16.0
+    skew = 0.125j * th / h - 0.25 * params.gamma / (tau * h)
+    lower, upper = off + skew, off - skew
     off = -0.5 / tau ** 2 - 0.5 / h ** 2 + 0.125 * lam
     skew = 0.25j * th / h
-    return (new_level(params.alpha, params.gamma),
+    return ((lower, diag, upper),
             (off + skew, -1.0 / tau ** 2 + 1.0 / h ** 2 + 0.25 * lam, off - skew),
-            new_level(-params.alpha, -params.gamma))
+            (upper.conjugate(), diag.conjugate(), lower.conjugate()))
 
 
 def assemble_linear(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSystem:
@@ -137,9 +133,9 @@ def assemble_linear(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSyste
     return CyclicTridiagonalSystem(*(np.full(grid.K, c) for c in _stencils(params, grid)[0]))
 
 
-def _known_terms(u_prev, u_cur, params: PdeParams, grid: GridSpec):
-    """All linear scheme terms living on levels j and j-1."""
-    _, on_cur, on_prev = _stencils(params, grid)
+def _known_terms(u_prev, u_cur, params: PdeParams, grid: GridSpec, table=_stencils):
+    """All linear scheme terms living on levels j and j-1, from table."""
+    _, on_cur, on_prev = table(params, grid)
     return stencil(on_cur, u_cur) + stencil(on_prev, u_prev)
 
 
@@ -149,23 +145,36 @@ def _cubic_pair(level_mean):
     return pair_sum(np.abs(y) ** 2 * y)
 
 
-def picard(solver: PreparedCyclicSolver, known, u_start, nonlinear,
-           config: SolverConfig):
-    """Solve A u = -(known + nonlinear(u)) for the new level.  Returns
-    (u, sweeps).
+def _cubic(quarter_beta, u_prev, u_cur):
+    """The nonlinear term as a function of the new level: the pair of cubic
+    half-node sums, the lagged one built once, the new one per iterate."""
+    lagged = _cubic_pair(0.5 * (u_prev + u_cur))
+    return lambda u: quarter_beta * (lagged + _cubic_pair(0.5 * (u_cur + u)))
 
-    nonlinear=None (beta = 0) makes the single solve exact.  Otherwise the
-    iteration starts from u_start; every sweep re-evaluates the nonlinear
-    term at the current iterate and solves the frozen linear system, stopping
-    once the sup-norm change drops below fp_tol * max(1, |iterate|).
+
+def picard(window: StateWindow, solver: PreparedCyclicSolver, params: PdeParams,
+           grid: GridSpec, config: SolverConfig, table, cubic):
+    """The step of both schemes: solve A u + B u^j + C u^{j-1} + N(u) = 0
+    for the new level u, with (A, B, C) = table(params, grid) and A factored
+    in solver.  Returns (u, sweeps).
+
+    beta = 0 makes one solve exact.  Otherwise N = cubic(beta/4, u^{j-1},
+    u^j) is built once, the iteration starts from 2 u^j - u^{j-1}, and every
+    sweep re-evaluates N at the current iterate and solves the frozen linear
+    system, stopping once the sup-norm change drops below
+    fp_tol * max(1, |iterate|).
     """
+    u_prev = as_level(window.u_prev, grid)
+    u_cur = as_level(window.u_cur, grid)
+    known = _known_terms(u_prev, u_cur, params, grid, table)
     # An overflow inside the cubic term is reported from the non-finite
     # right-hand side below, and one inside a solve by the solver itself
     # (SingularSystemError), so the overflow stays quiet.
     with np.errstate(over="ignore", invalid="ignore"):
-        if nonlinear is None:
+        if params.beta == 0.0:
             return solver.solve(-known), 1
-        u = u_start
+        nonlinear = cubic(0.25 * params.beta, u_prev, u_cur)
+        u = 2.0 * u_cur - u_prev
         diff = np.inf
         for it in range(1, config.fp_max_iter + 1):
             rhs = -(known + nonlinear(u))
@@ -186,30 +195,18 @@ def picard(solver: PreparedCyclicSolver, known, u_start, nonlinear,
 
 def step_mi(window: StateWindow, system, params: PdeParams, grid: GridSpec,
             config: SolverConfig):
-    """Advance one level.  Returns (u_next, fp_iters).
-
-    The Picard iteration starts from the linear extrapolation
-    2 u^j - u^{j-1}; its nonlinear term is the pair of cubic half-node
-    sums, the lagged one fixed and the new one rebuilt from each iterate.
-    """
+    """Advance one level: picard with this scheme's table and cubic term,
+    system the assemble_linear operator or its PreparedCyclicSolver.
+    Returns (u_next, fp_iters)."""
     solver = system if isinstance(system, PreparedCyclicSolver) \
         else PreparedCyclicSolver(system)
-    u_prev = as_level(window.u_prev, grid)
-    u_cur = as_level(window.u_cur, grid)
-    known = _known_terms(u_prev, u_cur, params, grid)
-    if params.beta == 0.0:
-        return picard(solver, known, None, None, config)
-    cubic_lag = _cubic_pair(0.5 * (u_prev + u_cur))
-    quarter_beta = 0.25 * params.beta
-    return picard(solver, known, 2.0 * u_cur - u_prev,
-                  lambda u: quarter_beta * (cubic_lag + _cubic_pair(0.5 * (u_cur + u))),
-                  config)
+    return picard(window, solver, params, grid, config, _stencils, _cubic)
 
 
 def integrate(problem, grid: GridSpec, config: SolverConfig,
               snapshot_stride: int, system, step, observe) -> Trajectory:
     """The run loop of both schemes: factor the operator `system` once,
-    bootstrap, then advance J-1 steps with the kernel
+    bootstrap, then advance J-1 steps with the scheme's step
     step(window, solver, params, grid, config) -> (u_next, fp_iters).
 
     Every row holds the midpoint invariants E^{j+1/2} and Q^{j+1/2} of its
@@ -234,8 +231,9 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     index (2..J); snapshots, copies of the levels, hold the two bootstrap
     levels and then every snapshot_stride-th step.
     """
-    if snapshot_stride < 1:
-        raise UsageError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
+    if not is_number(snapshot_stride, numbers.Integral) or snapshot_stride < 1:
+        raise UsageError(
+            f"snapshot_stride must be an integer >= 1, got {snapshot_stride!r}")
     params = problem.params
     solver = PreparedCyclicSolver(system)
     u0, u1 = bootstrap(problem.f0, problem.f1, params, grid,

@@ -17,12 +17,21 @@ dI/dt + dG/dx = 0 whose densities are evaluated pointwise here.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
 from .grid import GridSpec, as_field, central_diff
+
+
+def is_number(value, kind=numbers.Real) -> bool:
+    """Whether value is a kind (Real or Integral) inside the float range; a
+    bool is never a number, and NaN and the infinities are out of range."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -36,9 +45,11 @@ class PdeParams:
     beta: float
 
     def __post_init__(self):
-        vals = (self.alpha, self.gamma, self.theta, self.lam, self.beta)
-        if not all(np.isfinite(v) for v in vals):
-            raise ConfigurationError(f"coefficients must be finite, got {vals}")
+        for name in ("alpha", "gamma", "theta", "lam", "beta"):
+            value = getattr(self, name)
+            if not is_number(value):
+                raise ConfigurationError(
+                    f"coefficient {name} must be a finite number, got {value!r}")
         # The first-order reduction divides by 1 - gamma^2/4.
         if abs(1.0 - 0.25 * self.gamma * self.gamma) < 1e-12:
             raise ConfigurationError(

@@ -16,9 +16,10 @@ single-level quartic (beta/2) h sum |u^j|^4 does not telescope and is kept
 only for auditing its drift.
 
 As in mi.py, the linear part is A u^{j+1} + B u^j + C u^{j-1} with constant
-three-point stencils from one table, and by time reversal C is A at -alpha.
-The step kernel supplies its known terms and cubic term to mi.picard, and
-run_wang is mi.integrate with this scheme's operator, kernel and energies.
+three-point stencils from one table, and C = A^H, the adjoint that time
+reversal produces.  A step is mi.picard with this scheme's table and cubic
+term, and run_wang is mi.integrate with this scheme's operator, step and
+energies.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .diagnostics import rel_drift
 from .errors import ConfigurationError
-from .grid import GridSpec, as_level, backward_diff, scalar_or_rows, stencil
+from .grid import GridSpec, as_level, backward_diff, scalar_or_rows
 from .linsolve import CyclicTridiagonalSystem, PreparedCyclicSolver
 from .mi import SolverConfig, StateWindow, Trajectory, integrate, picard
 from .model import PdeParams
@@ -38,13 +39,12 @@ from .model import PdeParams
 @functools.lru_cache(maxsize=8)
 def _stencils(params: PdeParams, grid: GridSpec):
     """(lower, diag, upper) of the stencils acting on u^{j+1}, u^j and
-    u^{j-1}; by time reversal the u^{j-1} one is the u^{j+1} one at -alpha.
-    Cached like mi._stencils."""
+    u^{j-1}; the u^{j-1} one is built as the adjoint C = A^H of the u^{j+1}
+    one, what reversing time makes of A.  Cached like mi._stencils."""
     h, tau = grid.h, grid.tau
     off = -0.5 / h ** 2
-    on_next, on_prev = ((off, 1.0 / tau ** 2 + 1.0 / h ** 2 - 0.5j * a / tau, off)
-                        for a in (params.alpha, -params.alpha))
-    return on_next, (0.0, -2.0 / tau ** 2, 0.0), on_prev
+    diag = 1.0 / tau ** 2 + 1.0 / h ** 2 - 0.5j * params.alpha / tau
+    return (off, diag, off), (0.0, -2.0 / tau ** 2, 0.0), (off, diag.conjugate(), off)
 
 
 def assemble_wang(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSystem:
@@ -56,19 +56,16 @@ def assemble_wang(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSystem:
     return CyclicTridiagonalSystem(*(np.full(grid.K, c) for c in _stencils(params, grid)[0]))
 
 
+def _cubic(quarter_beta, u_prev, u_cur):
+    """(beta/4)(|u|^2 + |u^{j-1}|^2)(u + u^{j-1}) as a function of the new level u."""
+    abs2_prev = np.abs(u_prev) ** 2
+    return lambda u: quarter_beta * (np.abs(u) ** 2 + abs2_prev) * (u + u_prev)
+
+
 def _step_wang(window: StateWindow, solver: PreparedCyclicSolver,
                params: PdeParams, grid: GridSpec, config: SolverConfig):
-    u_prev = as_level(window.u_prev, grid)
-    u_cur = as_level(window.u_cur, grid)
-    _, on_cur, on_prev = _stencils(params, grid)
-    known = stencil(on_cur, u_cur) + stencil(on_prev, u_prev)
-    if params.beta == 0.0:
-        return picard(solver, known, None, None, config)
-    abs2_prev = np.abs(u_prev) ** 2
-    quarter_beta = 0.25 * params.beta
-    return picard(solver, known, 2.0 * u_cur - u_prev,
-                  lambda u: quarter_beta * (np.abs(u) ** 2 + abs2_prev) * (u + u_prev),
-                  config)
+    """Advance one level: picard with this scheme's table and cubic term."""
+    return picard(window, solver, params, grid, config, _stencils, _cubic)
 
 
 def step_wang(window: StateWindow, params: PdeParams, grid: GridSpec,

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nlsw import (ConfigurationError, ConsistencyError, PdeParams, SolverConfig,
-                  StateWindow, StepFailureError, Trajectory, assemble_linear,
-                  bootstrap, builtin_problem, build_grid, diagnostics, mi,
-                  mi_energy, mi_mass, run_mi, step_mi)
+                  StateWindow, StepFailureError, Trajectory, UsageError,
+                  assemble_linear, bootstrap, builtin_problem, build_grid,
+                  diagnostics, mi, mi_energy, mi_mass, run_mi, step_mi)
 from nlsw.linsolve import PreparedCyclicSolver
 from nlsw.mi import BLOCK_VALUES, _known_terms, _cubic_pair
 
@@ -45,10 +45,14 @@ def drawn_case(draw):
 class TestSolverConfig:
     def test_non_integral_fp_max_iter_rejected(self):
         # Would otherwise pass construction and fail as a TypeError in the
-        # first Picard sweep.
-        with pytest.raises(ConfigurationError) as err:
-            SolverConfig(fp_max_iter=2.5)
-        assert "fp_max_iter" in str(err.value)
+        # first Picard sweep, or, for a bool, run as 1; as at the CLI, a bool
+        # is never a number, and the error names the field.
+        for field, value in (("fp_max_iter", 2.5), ("fp_max_iter", True),
+                             ("fp_tol", True), ("fp_tol", None),
+                             ("fp_tol", "1e-13"), ("fp_tol", 10 ** 400)):
+            with pytest.raises(ConfigurationError) as err:
+                SolverConfig(**{field: value})
+            assert field in str(err.value)
         assert SolverConfig(fp_max_iter=np.int64(3)).fp_max_iter == 3
 
 
@@ -214,6 +218,14 @@ class TestRunMi:
         assert len(traj.snapshots) == 3      # two bootstrap levels + one step
         times = [t for t, _ in traj.snapshots]
         assert times == sorted(times)
+
+    @pytest.mark.parametrize("stride", [0, 2.5, True])
+    def test_non_integral_snapshot_stride_rejected(self, stride):
+        # 2.5 would keep the steps with j % 2.5 == 0 and True would run as 1.
+        g = build_grid(EX1.x_l, EX1.x_r, 64, 0.02, 2)
+        with pytest.raises(UsageError) as err:
+            run_mi(EX1, g, SolverConfig(), snapshot_stride=stride)
+        assert "snapshot_stride" in str(err.value)
 
     def test_snapshot_count_formula(self):
         g = build_grid(EX1.x_l, EX1.x_r, 64, 1.0, 100)

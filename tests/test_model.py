@@ -22,8 +22,11 @@ class TestParams:
                 PdeParams(alpha=0.0, gamma=gamma, theta=0.0, lam=0.0, beta=0.0)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PdeParams(alpha=np.nan, gamma=0.0, theta=0.0, lam=0.0, beta=0.0)
+        # A bool is never a number, as at the CLI; the error names the field.
+        for alpha in (np.nan, True, None, 10 ** 400):
+            with pytest.raises(ConfigurationError) as err:
+                PdeParams(alpha=alpha, gamma=0.0, theta=0.0, lam=0.0, beta=0.0)
+            assert "alpha" in str(err.value)
 
 
 class TestHamiltonian:

@@ -1,7 +1,7 @@
 """Property tests: one step of either scheme commutes with a global phase
 rotation and with a periodic shift of the grid, and is undone by the step
-of the time-reversed scheme; the constant stencils of both schemes are
-adjoint in time (C = A^H, B = B^H).
+of the time-reversed scheme; the stencil tables build C as A^H, which must
+equal the u^{j+1} stencil of the time-reversed scheme, and B = B^H.
 
 Both symmetries hold exactly for the schemes (constant coefficients, cubic
 term |u|^2 u), so a step taken on rotated or shifted levels must equal the
@@ -107,10 +107,14 @@ def _adjoint(stencil):
 @given(alpha=coefficient, gamma=gamma_coefficient, theta=coefficient,
        lam=coefficient, beta=coefficient, K=sizes, tau=time_steps)
 def test_mi_stencils_adjoint(alpha, gamma, theta, lam, beta, K, tau):
-    # C = A^H and B = B^H: the scheme is a discrete Euler-Lagrange equation.
+    # The table builds C as A^H; that adjoint must be the u^{j+1} stencil of
+    # the time-reversed scheme, and B = B^H: the scheme is a discrete
+    # Euler-Lagrange equation.
     params = PdeParams(alpha=alpha, gamma=gamma, theta=theta, lam=lam, beta=beta)
-    on_next, on_cur, on_prev = mi._stencils(params, periodic_grid(K, tau))
-    assert on_prev == _adjoint(on_next)
+    grid = periodic_grid(K, tau)
+    _, on_cur, on_prev = mi._stencils(params, grid)
+    reversed_params = dataclasses.replace(params, alpha=-alpha, gamma=-gamma)
+    assert on_prev == mi._stencils(reversed_params, grid)[0]
     assert on_cur == _adjoint(on_cur)
 
 
@@ -118,6 +122,8 @@ def test_mi_stencils_adjoint(alpha, gamma, theta, lam, beta, K, tau):
 @given(alpha=coefficient, beta=coefficient, K=sizes, tau=time_steps)
 def test_wang_stencils_adjoint(alpha, beta, K, tau):
     params = PdeParams(alpha=alpha, gamma=0.0, theta=0.0, lam=0.0, beta=beta)
-    on_next, on_cur, on_prev = wang._stencils(params, periodic_grid(K, tau))
-    assert on_prev == _adjoint(on_next)
+    grid = periodic_grid(K, tau)
+    _, on_cur, on_prev = wang._stencils(params, grid)
+    reversed_params = dataclasses.replace(params, alpha=-alpha)
+    assert on_prev == wang._stencils(reversed_params, grid)[0]
     assert on_cur == _adjoint(on_cur)
