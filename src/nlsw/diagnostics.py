@@ -275,7 +275,7 @@ class IdentityOracleResult:
     printed_mass_factor: float = PRINTED_MASS_FACTOR
 
 
-def run_identity_oracle(steps: int = 3, K: int = 8, tau: float = 0.05) -> IdentityOracleResult:
+def run_identity_oracle() -> IdentityOracleResult:
     """Validate the identity constants on a K=8 nonlinear trajectory.
 
     Runs a few midpoint steps on strongly nonlinear data through run_mi,
@@ -288,6 +288,7 @@ def run_identity_oracle(steps: int = 3, K: int = 8, tau: float = 0.05) -> Identi
     from .mi import SolverConfig, run_mi
     from .problems import ProblemSpec
 
+    steps, K, tau = 3, 8, 0.05
     params = PdeParams(alpha=-1.0, gamma=0.0, theta=0.0, lam=0.0, beta=2.0)
     problem = ProblemSpec(name="identity_oracle", params=params,
                           x_l=0.0, x_r=2.0 * np.pi, default_T=steps * tau,

@@ -10,9 +10,9 @@ position k + 1/2; the periodic wrap pairs (K-1, 0).
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -20,6 +20,13 @@ from .errors import ConfigurationError, UsageError
 
 DIFFERENCE_KINDS = ("forward", "backward", "central", "second",
                     "half_average", "half_forward")
+
+
+def is_number(value, kind=Real) -> bool:
+    """Whether value is a kind (Real or Integral) inside the float range; a
+    bool is never a number, and NaN and the infinities are out of range."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -49,22 +56,23 @@ def build_grid(x_l, x_r, K, T, J) -> GridSpec:
     """Construct a GridSpec with h = (x_r - x_l)/K and tau = T/J.
 
     The three-node periodic stencils need K >= 4, and a two-step scheme
-    needs J >= 2; K and J must be integers (numpy integers included).
+    needs J >= 2; all five are numbers as is_number has it, K and J integers.
     """
-    if not (isinstance(K, numbers.Integral) and isinstance(J, numbers.Integral)):
-        raise ConfigurationError(f"K and J must be integers, got K={K!r}, J={J!r}")
+    for name, value, kind in (("x_l", x_l, Real), ("x_r", x_r, Real), ("K", K, Integral),
+                              ("T", T, Real), ("J", J, Integral)):
+        if not is_number(value, kind):
+            noun = "an integer" if kind is Integral else "a real number"
+            raise ConfigurationError(f"{name}={value!r} is not {noun} in the float range")
     K, J = int(K), int(J)
     if K > np.iinfo(np.intp).max:
         raise ConfigurationError(f"K={K} is beyond numpy's index range")
-    if J > sys.float_info.max:
-        raise ConfigurationError("J is beyond the float range")
-    if not (np.isfinite(x_l) and np.isfinite(x_r) and x_r > x_l):
+    if not x_r > x_l:
         raise ConfigurationError(f"need x_r > x_l, got [{x_l}, {x_r}]")
     if K < 4:
         raise ConfigurationError(f"K={K} too small: stencil needs K >= 4")
     if J < 2:
         raise ConfigurationError(f"J={J} too small: two-step scheme needs J >= 2")
-    if not (np.isfinite(T) and T > 0):
+    if not T > 0:
         raise ConfigurationError(f"final time must be positive, got T={T}")
     h = (float(x_r) - float(x_l)) / K
     tau = float(T) / J

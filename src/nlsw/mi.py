@@ -25,9 +25,9 @@ from . import diagnostics, problems
 from .errors import (ConfigurationError, DivergenceError, NlswError,
                      StepFailureError, UsageError)
 from .grid import (GridSpec, as_field, as_level, central_diff, half_average,
-                   pair_sum, second_diff, stencil)
+                   is_number, pair_sum, second_diff, stencil)
 from .linsolve import CyclicTridiagonalSystem, PreparedCyclicSolver
-from .model import PdeParams, is_number
+from .model import PdeParams
 
 BOOTSTRAP_MODES = ("taylor2", "exact")
 
@@ -152,11 +152,11 @@ def _cubic(quarter_beta, u_prev, u_cur):
     return lambda u: quarter_beta * (lagged + _cubic_pair(0.5 * (u_cur + u)))
 
 
-def picard(window: StateWindow, solver: PreparedCyclicSolver, params: PdeParams,
-           grid: GridSpec, config: SolverConfig, table, cubic):
+def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
+           config: SolverConfig, table, cubic):
     """The step of both schemes: solve A u + B u^j + C u^{j-1} + N(u) = 0
-    for the new level u, with (A, B, C) = table(params, grid) and A factored
-    in solver.  Returns (u, sweeps).
+    for the new level u, with (A, B, C) = table(params, grid) and system A or
+    its PreparedCyclicSolver (A is factored here).  Returns (u, sweeps).
 
     beta = 0 makes one solve exact.  Otherwise N = cubic(beta/4, u^{j-1},
     u^j) is built once, the iteration starts from 2 u^j - u^{j-1}, and every
@@ -164,6 +164,8 @@ def picard(window: StateWindow, solver: PreparedCyclicSolver, params: PdeParams,
     system, stopping once the sup-norm change drops below
     fp_tol * max(1, |iterate|).
     """
+    solver = system if isinstance(system, PreparedCyclicSolver) \
+        else PreparedCyclicSolver(system)
     u_prev = as_level(window.u_prev, grid)
     u_cur = as_level(window.u_cur, grid)
     known = _known_terms(u_prev, u_cur, params, grid, table)
@@ -198,9 +200,7 @@ def step_mi(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     """Advance one level: picard with this scheme's table and cubic term,
     system the assemble_linear operator or its PreparedCyclicSolver.
     Returns (u_next, fp_iters)."""
-    solver = system if isinstance(system, PreparedCyclicSolver) \
-        else PreparedCyclicSolver(system)
-    return picard(window, solver, params, grid, config, _stencils, _cubic)
+    return picard(window, system, params, grid, config, _stencils, _cubic)
 
 
 def integrate(problem, grid: GridSpec, config: SolverConfig,

@@ -17,21 +17,12 @@ dI/dt + dG/dx = 0 whose densities are evaluated pointwise here.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .grid import GridSpec, as_field, central_diff
-
-
-def is_number(value, kind=numbers.Real) -> bool:
-    """Whether value is a kind (Real or Integral) inside the float range; a
-    bool is never a number, and NaN and the infinities are out of range."""
-    return (isinstance(value, kind) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+from .grid import GridSpec, as_field, central_diff, is_number
 
 
 @dataclass(frozen=True)

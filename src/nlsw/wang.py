@@ -31,7 +31,7 @@ import numpy as np
 from .diagnostics import rel_drift
 from .errors import ConfigurationError
 from .grid import GridSpec, as_level, backward_diff, scalar_or_rows
-from .linsolve import CyclicTridiagonalSystem, PreparedCyclicSolver
+from .linsolve import CyclicTridiagonalSystem
 from .mi import SolverConfig, StateWindow, Trajectory, integrate, picard
 from .model import PdeParams
 
@@ -41,6 +41,10 @@ def _stencils(params: PdeParams, grid: GridSpec):
     """(lower, diag, upper) of the stencils acting on u^{j+1}, u^j and
     u^{j-1}; the u^{j-1} one is built as the adjoint C = A^H of the u^{j+1}
     one, what reversing time makes of A.  Cached like mi._stencils."""
+    if params.gamma != 0.0 or params.theta != 0.0 or params.lam != 0.0:
+        raise ConfigurationError(
+            "the energy-preserving scheme covers gamma = theta = lam = 0 only; "
+            f"got gamma={params.gamma}, theta={params.theta}, lam={params.lam}")
     h, tau = grid.h, grid.tau
     off = -0.5 / h ** 2
     diag = 1.0 / tau ** 2 + 1.0 / h ** 2 - 0.5j * params.alpha / tau
@@ -49,10 +53,6 @@ def _stencils(params: PdeParams, grid: GridSpec):
 
 def assemble_wang(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSystem:
     """The cyclic tridiagonal operator of the scheme: its u^{j+1} stencil."""
-    if params.gamma != 0.0 or params.theta != 0.0 or params.lam != 0.0:
-        raise ConfigurationError(
-            "the energy-preserving scheme covers gamma = theta = lam = 0 only; "
-            f"got gamma={params.gamma}, theta={params.theta}, lam={params.lam}")
     return CyclicTridiagonalSystem(*(np.full(grid.K, c) for c in _stencils(params, grid)[0]))
 
 
@@ -62,18 +62,17 @@ def _cubic(quarter_beta, u_prev, u_cur):
     return lambda u: quarter_beta * (np.abs(u) ** 2 + abs2_prev) * (u + u_prev)
 
 
-def _step_wang(window: StateWindow, solver: PreparedCyclicSolver,
-               params: PdeParams, grid: GridSpec, config: SolverConfig):
-    """Advance one level: picard with this scheme's table and cubic term."""
-    return picard(window, solver, params, grid, config, _stencils, _cubic)
+def step_wang(window: StateWindow, system, params: PdeParams, grid: GridSpec,
+              config: SolverConfig):
+    """Advance one level: picard with this scheme's table and cubic term,
+    system the assemble_wang operator or its PreparedCyclicSolver.
+    Returns (u_next, fp_iters)."""
+    return picard(window, system, params, grid, config, _stencils, _cubic)
 
 
-def step_wang(window: StateWindow, params: PdeParams, grid: GridSpec,
-              config: SolverConfig) -> np.ndarray:
-    """Advance one level of the energy-preserving scheme."""
-    solver = PreparedCyclicSolver(assemble_wang(params, grid))
-    u_next, _ = _step_wang(window, solver, params, grid, config)
-    return u_next
+# The name run_wang steps through: benchmarks/spans.py traces wang.step under
+# it, and tests/test_benchmark_hooks.py counts the calls run_wang makes to it.
+_step_wang = step_wang
 
 
 def kinetic_gradient(u_cur, u_next, grid: GridSpec):

@@ -59,6 +59,21 @@ class TestBuildGrid:
             build_grid(*args)
         assert name in str(err.value)
 
+    @pytest.mark.parametrize("args, name", [
+        ((False, 1.0, 8, 1.0, 4), "x_l"),         # a bool is not a number
+        ((0.0, True, 8, 1.0, 4), "x_r"),
+        ((0.0, "1", 8, 1.0, 4), "x_r"),           # nor is a string
+        ((0.0, 1.0, True, 1.0, 4), "K"),
+        ((0.0, 1.0, 8, True, 4), "T"),
+        ((0.0, 1.0, 8, 10 ** 400, 4), "T"),       # beyond the float range
+        ((0.0, 1.0, 8, 1.0, 10 ** 400), "J"),
+    ])
+    def test_rejects_non_numbers_naming_them(self, args, name):
+        value = args[("x_l", "x_r", "K", "T", "J").index(name)]
+        with pytest.raises(ConfigurationError) as err:
+            build_grid(*args)
+        assert f"{name}={value!r}" in str(err.value)
+
 
 class TestApplyDifference:
     def test_constant_fields_vanish(self, small_grid):

@@ -1,7 +1,8 @@
 """Property tests: one step of either scheme commutes with a global phase
 rotation and with a periodic shift of the grid, and is undone by the step
 of the time-reversed scheme; the stencil tables build C as A^H, which must
-equal the u^{j+1} stencil of the time-reversed scheme, and B = B^H.
+equal the u^{j+1} stencil of the time-reversed scheme, and B = B^H.  Both
+steps take the assembled operator or its prepared solver alike.
 
 Both symmetries hold exactly for the schemes (constant coefficients, cubic
 term |u|^2 u), so a step taken on rotated or shifted levels must equal the
@@ -13,9 +14,11 @@ back from (u^{j+1}, u^j) with those coefficients returns u^{j-1}.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlsw import (PdeParams, SolverConfig, StateWindow, assemble_linear,
+from nlsw import (PdeParams, PreparedCyclicSolver, SolverConfig, StateWindow,
+                  assemble_linear, assemble_wang, build_grid, builtin_problem,
                   step_mi, step_wang)
 from nlsw import mi, wang
 
@@ -33,9 +36,10 @@ def _mi(params, grid):
 
 
 def _wang(params, grid):
+    system = assemble_wang(params, grid)
     config = SolverConfig()
-    return lambda u_prev, u_cur: step_wang(StateWindow(u_prev, u_cur, 0.0),
-                                           params, grid, config)
+    return lambda u_prev, u_cur: step_wang(StateWindow(u_prev, u_cur, 0.0), system,
+                                           params, grid, config)[0]
 
 
 def _check_symmetries(step, u_prev, u_cur, phase, shift):
@@ -127,3 +131,30 @@ def test_wang_stencils_adjoint(alpha, beta, K, tau):
     reversed_params = dataclasses.replace(params, alpha=-alpha)
     assert on_prev == wang._stencils(reversed_params, grid)[0]
     assert on_cur == _adjoint(on_cur)
+
+
+@pytest.mark.parametrize("assemble, step", [(assemble_linear, step_mi),
+                                            (assemble_wang, step_wang)])
+def test_step_takes_system_or_prepared_solver(monkeypatch, assemble, step):
+    # Both schemes share one step contract: the assembled operator or its
+    # prepared solver give the same level and sweep count, and a prepared
+    # solver is used as it is, without a second factorisation.
+    prob = builtin_problem("plane_beta2")
+    grid = build_grid(prob.x_l, prob.x_r, 64, 1.0, 100)
+    window = StateWindow(prob.exact(grid.nodes, 4 * grid.tau),
+                         prob.exact(grid.nodes, 5 * grid.tau), 0.0)
+    config = SolverConfig()
+    system = assemble(prob.params, grid)
+    solver = PreparedCyclicSolver(system)
+    u_system, sweeps_system = step(window, system, prob.params, grid, config)
+    factored = []
+    prepare = PreparedCyclicSolver.__init__
+
+    def counted(self, *args):
+        factored.append(args)
+        prepare(self, *args)
+    monkeypatch.setattr(PreparedCyclicSolver, "__init__", counted)
+    u_solver, sweeps_solver = step(window, solver, prob.params, grid, config)
+    assert np.array_equal(u_solver, u_system)
+    assert sweeps_solver == sweeps_system > 1
+    assert factored == []

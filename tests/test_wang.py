@@ -3,9 +3,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nlsw import (ConfigurationError, PdeParams, ProblemSpec, SolverConfig,
-                  StateWindow, StepFailureError, assemble_wang, builtin_problem,
-                  build_grid, energy_wang, energy_wang_printed, run_wang,
-                  step_wang)
+                  StateWindow, StepFailureError, assemble_linear, assemble_wang,
+                  builtin_problem, build_grid, energy_wang, energy_wang_printed,
+                  run_wang, step_wang)
 
 from oracles import wang_residual_direct
 from strategies import coefficient, levels, periodic_grid, seeds, sizes, time_steps
@@ -47,7 +47,8 @@ class TestStepWang:
         p = PdeParams(alpha=-1.0, gamma=0.0, theta=0.0, lam=0.0, beta=2.0)
         g = build_grid(0.0, 2.0 * np.pi, 32, 1.0, 100)
         zero = np.zeros(32, dtype=complex)
-        u_next = step_wang(StateWindow(zero, zero, 0.0), p, g, SolverConfig())
+        u_next, _ = step_wang(StateWindow(zero, zero, 0.0), assemble_wang(p, g), p, g,
+                              SolverConfig())
         assert np.all(u_next == 0.0)
 
     def test_rejects_incompatible_coefficients(self):
@@ -57,6 +58,10 @@ class TestStepWang:
             assemble_wang(prob.params, g)
         with pytest.raises(ConfigurationError):
             run_wang(prob, g, SolverConfig())
+        zero = np.zeros(32, dtype=complex)
+        with pytest.raises(ConfigurationError):
+            step_wang(StateWindow(zero, zero, 0.0), assemble_linear(prob.params, g),
+                      prob.params, g, SolverConfig())
 
     @settings(max_examples=40, deadline=None)
     @given(case=drawn_case())
@@ -65,7 +70,8 @@ class TestStepWang:
         # On exact plane_beta2 levels and on random levels with drawn
         # coefficients, the step satisfies the directly evaluated scheme.
         params, g, (up, uc) = case
-        u_next = step_wang(StateWindow(up, uc, 0.0), params, g, SolverConfig())
+        u_next, _ = step_wang(StateWindow(up, uc, 0.0), assemble_wang(params, g),
+                              params, g, SolverConfig())
         resid = np.max(np.abs(wang_residual_direct(up, uc, u_next, params, g)))
         assert resid <= 1e-10
 
