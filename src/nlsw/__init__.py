@@ -17,7 +17,7 @@ from .mi import (SolverConfig, StateWindow, Trajectory, assemble_linear,
                  bootstrap, run_mi, step_mi)
 from .wang import (assemble_wang, energy_wang, energy_wang_printed, run_wang,
                    step_wang)
-from .diagnostics import (ContinuousInvariants, DiagnosticsRow, IdentityGaps,
+from .diagnostics import (SERIES_COLUMNS, ContinuousInvariants, IdentityGaps,
                           IdentityOracleResult, continuous_invariants,
                           energy_rhs, mass_rhs, mass_rhs_printed, mi_energy,
                           mi_mass, run_identity_oracle, theorem_identity_gaps)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import operator
+import itertools
 import sys
 import time
 from pathlib import Path
@@ -28,15 +28,13 @@ import numpy as np
 from . import diagnostics, problems
 from .errors import (ConfigurationError, IdentityValidationError, NlswError,
                      SingularSystemError, StepFailureError, UsageError)
-from .grid import GridSpec, build_grid
+from .grid import GridSpec, build_grid, is_number
 from .mi import SolverConfig, Trajectory, run_mi
 from .problems import ProblemSpec, builtin_problem, convergence_order, customized
 from .wang import run_wang
 
 SCHEMES = ("mi", "wang", "both")
 
-SERIES_HEADER = ("step", "t", "energy_mi", "mass_mi", "energy_gap", "mass_gap",
-                 "energy_wang", "err_max", "e_infty_sq", "mod_err", "fp_iters")
 SNAPSHOT_HEADER = ("t", "x", "re_u", "im_u", "abs_u")
 ORDERS_HEADER = ("level", "mesh_param", "err_max", "fitted_order")
 
@@ -72,7 +70,7 @@ def _checked(key: str, value, types: tuple):
     """The JSON value of `key` if it has one of `types`, never converted
     except an integer where a number is accepted; a bool is never a number."""
     if float in types and isinstance(value, int) and not isinstance(value, bool):
-        if abs(value) > sys.float_info.max:
+        if not is_number(value):
             raise ConfigurationError(f"config key {key!r} is beyond the float range")
         return float(value)
     if isinstance(value, bool) or not isinstance(value, types):
@@ -89,8 +87,12 @@ def _resolve_problem(spec) -> ProblemSpec:
     if unknown:
         raise ConfigurationError(f"unknown keys in inline problem: {sorted(unknown)}")
     base = builtin_problem(_checked("problem.base", spec.get("base"), (str,)))
+    params = _checked("problem.params", spec.get("params", {}), (dict,))
+    if {"lam", "lambda"} <= set(params):
+        raise ConfigurationError(
+            "inline problem gives coefficient 'lam' twice, as 'lam' and 'lambda'")
     overrides = {}
-    for key, value in _checked("problem.params", spec.get("params", {}), (dict,)).items():
+    for key, value in params.items():
         if key not in _PARAM_KEYS:
             raise ConfigurationError(f"unknown coefficient {key!r} in inline problem")
         overrides[_PARAM_KEYS[key]] = _checked(f"problem.params.{key}", value, (float,))
@@ -114,16 +116,26 @@ def resolve(config: RunConfig) -> tuple[ProblemSpec, GridSpec, SolverConfig]:
     return problem, grid, solver_config
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; json.loads alone keeps a repeated key's last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigurationError(f"config key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON configuration document.
 
-    Unknown keys and values of the wrong JSON type are rejected; defaults
-    are applied for everything except problem, K, and J.  The resulting
-    configuration is resolved once so that grid/solver/problem invariants
-    fail here, not mid-run.
+    Unknown keys, keys given twice and values of the wrong JSON type are
+    rejected; defaults are applied for everything except problem, K, and
+    J.  The resulting configuration is resolved once so that
+    grid/solver/problem invariants fail here, not mid-run.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: "
@@ -142,25 +154,24 @@ def parse_config(text: str) -> RunConfig:
     return config
 
 
-def _write_csv(path: Path, header, rows):
-    """Write rows of value tuples one %-template per row: an empty field for
-    None, '%d' for an integer and '%.17g' for anything else, byte for byte
-    what csv.writer writes for those fields.  Rows whose values have the
-    same types share one template."""
-    templates = {}
-    lines = [",".join(header) + "\r\n"]
-    for values in rows:
-        kinds = tuple(map(type, values))
-        if kinds not in templates:
-            templates[kinds] = ",".join(
-                "%.0s" if v is None else "%d" if isinstance(v, (int, np.integer))
-                else "%.17g" for v in values) + "\r\n"
-        lines.append(templates[kinds] % values)
-    path.write_text("".join(lines), newline="")
+def _write_csv(path: Path, header, columns):
+    """Write columns, a dict from names of header to arrays of one length,
+    with one %-template for every row: an empty field for a name without a
+    column, '%d' for an integer column and '%.17g' for any other, byte for
+    byte what csv.writer writes for those fields."""
+    names = [name for name in header if name in columns]
+    row = ",".join(
+        "" if name not in columns
+        else "%d" if np.issubdtype(columns[name].dtype, np.integer) else "%.17g"
+        for name in header) + "\r\n"
+    rows = list(zip(*(columns[name].tolist() for name in names)))
+    path.write_text(",".join(header) + "\r\n"
+                    + row * len(rows) % tuple(itertools.chain.from_iterable(rows)),
+                    newline="")
 
 
-def _write_series(path: Path, rows):
-    _write_csv(path, SERIES_HEADER, map(operator.attrgetter(*SERIES_HEADER), rows))
+def _write_series(path: Path, series):
+    _write_csv(path, diagnostics.SERIES_COLUMNS, series)
 
 
 def _write_snapshots(path: Path, grid: GridSpec, snapshots):
@@ -232,22 +243,24 @@ def _write_meta(out: Path, config: RunConfig, problem: ProblemSpec,
 
 def _series_summary(traj: Trajectory) -> dict:
     """Max relative drifts of the recorded invariants, for quick auditing."""
-    def drift(values, ref):
-        return max((diagnostics.rel_drift(v, ref) for v in values if v is not None),
-                   default=None)
+    series, meta = traj.series, traj.meta
+
+    def drift(name, ref):
+        return float(diagnostics.rel_drift(series[name], meta[ref]).max()) \
+            if name in series else None
+
+    def final(name):
+        return float(series[name][-1]) if name in series else None
 
     return {
-        "steps": len(traj.rows),
-        "total_fp_iters": traj.meta.get("total_fp_iters"),
-        "max_fp_iters": max((r.fp_iters for r in traj.rows), default=None),
-        "energy_mi_max_rel_drift": drift((r.energy_mi for r in traj.rows),
-                                         traj.meta.get("energy_ref")),
-        "mass_mi_max_rel_drift": drift((r.mass_mi for r in traj.rows),
-                                       traj.meta.get("mass_ref")),
-        "energy_wang_max_rel_drift": drift((r.energy_wang for r in traj.rows),
-                                           traj.meta.get("energy_wang_ref")),
-        "final_err_max": traj.rows[-1].err_max if traj.rows else None,
-        "final_e_infty_sq": traj.rows[-1].e_infty_sq if traj.rows else None,
+        "steps": len(series["step"]),
+        "total_fp_iters": meta.get("total_fp_iters"),
+        "max_fp_iters": int(series["fp_iters"].max()),
+        "energy_mi_max_rel_drift": drift("energy_mi", "energy_ref"),
+        "mass_mi_max_rel_drift": drift("mass_mi", "mass_ref"),
+        "energy_wang_max_rel_drift": drift("energy_wang", "energy_wang_ref"),
+        "final_err_max": final("err_max"),
+        "final_e_infty_sq": final("e_infty_sq"),
     }
 
 
@@ -285,7 +298,7 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
         suffix = f"_{label}" if config.scheme == "both" else ""
         series_path = out / f"series{suffix}.csv"
         snaps_path = out / f"snapshots{suffix}.csv"
-        _write_series(series_path, traj.rows)
+        _write_series(series_path, traj.series)
         _write_snapshots(snaps_path, grid, traj.snapshots)
         paths[f"series_{label}"] = str(series_path)
         paths[f"snapshots_{label}"] = str(snaps_path)
@@ -330,13 +343,14 @@ def run_convergence(config: RunConfig, axis: str, levels: int,
         J = config.J * 2 ** level if axis == "time" else config.J
         grid = build_grid(problem.x_l, problem.x_r, K, base_grid.T, J)
         traj = runner(problem, grid, solver_config, snapshot_stride=grid.J)
-        err = max(row.err_max for row in traj.rows)
+        err = float(traj.series["err_max"].max())
         mesh_param = grid.h if axis == "space" else grid.tau
         entries.append((level, mesh_param, err))
 
     fitted = convergence_order([(m, e) for _, m, e in entries])
     orders_path = out / "orders.csv"
-    _write_csv(orders_path, ORDERS_HEADER, [entry + (fitted,) for entry in entries])
+    columns = map(np.array, zip(*(entry + (fitted,) for entry in entries)))
+    _write_csv(orders_path, ORDERS_HEADER, dict(zip(ORDERS_HEADER, columns)))
 
     meta_path = _write_meta(out, config, problem, started,
                             axis=axis, levels=levels, fitted_order=fitted,

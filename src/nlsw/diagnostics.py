@@ -44,21 +44,10 @@ VALIDATED_MASS_FACTOR = 0.25
 _REALNESS_TOL = 1e-12
 
 
-@dataclass
-class DiagnosticsRow:
-    """One per-step record; optional fields stay None when not applicable."""
-
-    step: int
-    t: float
-    energy_mi: float | None = None
-    mass_mi: float | None = None
-    energy_gap: float | None = None
-    mass_gap: float | None = None
-    energy_wang: float | None = None
-    err_max: float | None = None
-    e_infty_sq: float | None = None
-    mod_err: float | None = None
-    fp_iters: int | None = None
+# The per-step series of a run, in series.csv column order: Trajectory.series
+# maps each name that applies to the run to one array with a row per step.
+SERIES_COLUMNS = ("step", "t", "energy_mi", "mass_mi", "energy_gap", "mass_gap",
+                  "energy_wang", "err_max", "e_infty_sq", "mod_err", "fp_iters")
 
 
 def _check_negligible(part, scale, what):
@@ -229,8 +218,9 @@ def theorem_identity_gaps(u_prev, u_cur, u_next, params: PdeParams,
     return identity_gaps(d_energy, d_mass, plus[1], minus[1], params, grid)
 
 
-def rel_drift(value, ref) -> float:
-    """|value - ref| / |ref|, the scale floored at 1e-30."""
+def rel_drift(value, ref):
+    """|value - ref| / |ref|, the scale floored at 1e-30; elementwise for an
+    array of values."""
     return abs(value - ref) / max(abs(ref), 1e-30)
 
 
@@ -279,7 +269,7 @@ def run_identity_oracle() -> IdentityOracleResult:
     """Validate the identity constants on a K=8 nonlinear trajectory.
 
     Runs a few midpoint steps on strongly nonlinear data through run_mi,
-    takes the invariant increments from its rows, and fits the constant of
+    takes the invariant increments from its series, and fits the constant of
     the mass right-hand side.  The energy identity is checked with its stated
     constant; the mass constant is matched against the validated beta/4
     and the printed beta/2 forms.
@@ -297,26 +287,21 @@ def run_identity_oracle() -> IdentityOracleResult:
     grid = build_grid(problem.x_l, problem.x_r, K, steps * tau, steps)
     traj = run_mi(problem, grid, SolverConfig(fp_tol=1e-15, fp_max_iter=200),
                   snapshot_stride=1)
-    levels = [u for _, u in traj.snapshots]
+    series = traj.series
+    levels = np.array([u for _, u in traj.snapshots])
+    triples = levels[:-2], levels[1:-1], levels[2:]
 
-    energy_gaps = []
-    factors = []
-    mass = traj.meta["mass_ref"]
-    for j, row in enumerate(traj.rows, start=1):
-        up, uc, un = levels[j - 1], levels[j], levels[j + 1]
-        rhs_e = energy_rhs(up, uc, un, params, grid)
-        scale = max(abs(row.energy_mi), abs(rhs_e), 1.0)
-        energy_gaps.append(abs(row.energy_gap) / scale)
-        dq = (row.mass_mi - mass) / grid.tau
-        mass = row.mass_mi
-        base = mass_rhs(up, uc, un, params, grid, factor=1.0)
-        if abs(base) > 1e-10:
-            factors.append(dq / base)
-    if not factors:
+    rhs_e = energy_rhs(*triples, params, grid)
+    scale = np.maximum(np.maximum(np.abs(series["energy_mi"]), np.abs(rhs_e)), 1.0)
+    energy_max = float(np.max(np.abs(series["energy_gap"]) / scale))
+    dq = np.diff(series["mass_mi"], prepend=traj.meta["mass_ref"]) / grid.tau
+    base = mass_rhs(*triples, params, grid, factor=1.0)
+    usable = np.abs(base) > 1e-10
+    factors = dq[usable] / base[usable]
+    if not factors.size:
         raise UsageError("identity oracle produced no usable mass increments")
     measured = float(np.mean(factors))
-    spread = float(np.max(np.abs(np.asarray(factors) - measured)))
-    energy_max = float(np.max(energy_gaps))
+    spread = float(np.max(np.abs(factors - measured)))
     matches_validated = (spread < 1e-6
                          and abs(measured - VALIDATED_MASS_FACTOR) < 1e-6)
     matches_printed = (spread < 1e-6

@@ -68,11 +68,13 @@ class StateWindow:
 
 @dataclass
 class Trajectory:
-    """Snapshots at a configured stride plus the per-step diagnostics."""
+    """Snapshots at a configured stride plus the per-step diagnostics: a
+    column of J-1 rows for each name of diagnostics.SERIES_COLUMNS that
+    applies to the run."""
 
     grid: GridSpec
     snapshots: list
-    rows: list
+    series: dict
     meta: dict = field(default_factory=dict)
 
 
@@ -209,27 +211,28 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     bootstrap, then advance J-1 steps with the scheme's step
     step(window, solver, params, grid, config) -> (u_next, fp_iters).
 
-    Every row holds the midpoint invariants E^{j+1/2} and Q^{j+1/2} of its
-    pair, and the error metrics when the problem carries a verified exact
-    solution.  None of them feeds back into the stepping, so they are
-    evaluated a block at a time: each new level is copied into a
+    The series holds step (the produced level index, 2..J), t, fp_iters, the
+    midpoint invariants energy_mi and mass_mi of each step's pair, the error
+    metrics when the problem carries a verified exact solution, and the
+    scheme's own columns.  None of these feeds back into the stepping, so
+    they are evaluated a block at a time: each new level is copied into a
     (B+1, K) buffer, B = max(1, BLOCK_VALUES // K), whose B pairs of
     consecutive rows are evaluated as [B, K] stacks (see diagnostics) once
-    it fills and once more at the end of the run.  Per block, the half-node
-    fields are built once by diagnostics.half_nodes and handed to both
-    invariants and to the observer, and the exact solution is evaluated once
-    on the column of the block's times.  The scheme's own columns come from
-    observe(rows, u_cur, u_next, energy, mass, half): rows is the block's
-    list of rows (None for the bootstrap pair, evaluated first on its own),
-    u_cur and u_next the [n, K] stacks of its pairs, energy and mass their
-    invariants as float arrays and half their half-node fields.
+    it fills and once more at the end of the run, and slice-assigned into
+    the columns.  Per block, diagnostics.half_nodes builds the half-node
+    fields once for both invariants and the observer, and the exact solution
+    is evaluated once on the block's slice of t.  The scheme's own columns
+    come from observe(levels, energy, mass, half) -> {name: array}: levels
+    is the block's (n+1, K) stack of consecutive levels, energy and mass the
+    invariants of its n pairs and half their half-node fields.  The
+    bootstrap pair is evaluated first, on its own, and gives meta its
+    references: energy_ref, mass_ref and <name>_ref for each observed name.
 
     A failure names its step.  A realness guard that fires on row i of a
     block names the block's first step plus i, and a failing step first
     evaluates the block's completed steps, so the earliest failure in step
-    order is the one reported.  Rows are labelled by the produced level
-    index (2..J); snapshots, copies of the levels, hold the two bootstrap
-    levels and then every snapshot_stride-th step.
+    order is the one reported.  Snapshots, copies of the levels, hold the two
+    bootstrap levels and then every snapshot_stride-th step.
     """
     if not is_number(snapshot_stride, numbers.Integral) or snapshot_stride < 1:
         raise UsageError(
@@ -241,106 +244,100 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     exact_fn = problem.exact if getattr(problem, "exactness", "none") == "verified" \
         else None
     x = grid.nodes
+    t = grid.times[2:]
+    fp_iters = np.empty(grid.J - 1, dtype=np.int64)
+    series = {"step": np.arange(2, grid.J + 1), "t": t, "fp_iters": fp_iters}
+    levels = np.empty((max(1, BLOCK_VALUES // grid.K) + 1, grid.K),
+                      dtype=np.complex128)
 
-    def evaluate(levels, rows):
-        """Diagnostics of the pairs of consecutive levels, written into rows;
-        returns the pairs' invariants."""
+    def evaluate(levels):
+        """The invariants and the observed columns of the pairs of
+        consecutive levels."""
         u_cur, u_next = levels[:-1], levels[1:]
         half = diagnostics.half_nodes(u_cur, u_next, grid)
         energy = diagnostics.mi_energy(u_cur, u_next, params, grid, half=half)
         mass = diagnostics.mi_mass(u_cur, u_next, params, grid, half=half)
-        observe(rows, u_cur, u_next, energy, mass, half)
-        if rows is None:
-            return energy, mass
-        for row, energy_mi, mass_mi in zip(rows, energy.tolist(), mass.tolist()):
-            row.energy_mi, row.mass_mi = energy_mi, mass_mi
-        if exact_fn is not None:
-            t = np.array([row.t for row in rows])
-            metrics = problems.error_metrics(u_next, exact_fn(x, t[:, None]), grid)
-            for row, *values in zip(rows, metrics.err_max.tolist(),
-                                    metrics.e_infty_sq.tolist(),
-                                    metrics.mod_err.tolist()):
-                row.err_max, row.e_infty_sq, row.mod_err = values
-        return energy, mass
+        return {"energy_mi": energy, "mass_mi": mass,
+                **observe(levels, energy, mass, half)}
 
-    def flush(levels, rows):
-        """Evaluate the pending rows.  On a failure in row i, the rows before
-        it are evaluated alone first, so that a failure there, which the
-        row-by-row order meets first, is the one raised."""
-        if not rows:
+    def flush(start, stop):
+        """Fill rows start..stop-1 from levels[:stop - start + 1].  On a
+        failure in row start + i, the rows before it are evaluated alone
+        first, so that a failure there, which the row-by-row order meets
+        first, is the one raised."""
+        if start == stop:
             return
         try:
-            evaluate(levels[:len(rows) + 1], rows)
+            columns = evaluate(levels[:stop - start + 1])
+            if exact_fn is not None:
+                columns.update(vars(problems.error_metrics(
+                    levels[1:stop - start + 1], exact_fn(x, t[start:stop, None]), grid)))
         except NlswError as exc:
             row = getattr(exc, "row", None) or 0
-            flush(levels, rows[:row])
-            exc.step = rows[0].step + row
+            flush(start, start + row)
+            exc.step = start + 2 + row
             raise
+        for name, values in columns.items():
+            if name not in series:
+                series[name] = np.empty(grid.J - 1)
+            series[name][start:stop] = values
 
-    energy_ref, mass_ref = (float(v[0]) for v in evaluate(np.stack((u0, u1)), None))
+    refs = {f"{name}_ref": float(values[0])
+            for name, values in evaluate(np.stack((u0, u1))).items()}
     snapshots = [(0.0, u0.copy()), (grid.tau, u1.copy())]
-    rows = []
-    total_fp = 0
     u_prev, u_cur = u0, u1
-    levels = np.empty((max(1, BLOCK_VALUES // grid.K) + 1, grid.K),
-                      dtype=np.complex128)
     levels[0] = u1
-    pending = []
+    start = 0
     for j in range(1, grid.J):
-        t_new = (j + 1) * grid.tau
         try:
-            u_next, fp_iters = step(StateWindow(u_prev, u_cur, j * grid.tau),
-                                    solver, params, grid, config)
+            u_next, fp_iters[j - 1] = step(StateWindow(u_prev, u_cur, j * grid.tau),
+                                           solver, params, grid, config)
         except NlswError as exc:
-            flush(levels, pending)
+            flush(start, j - 1)
             exc.step = j + 1
             raise
-        total_fp += fp_iters
-        row = diagnostics.DiagnosticsRow(step=j + 1, t=t_new, fp_iters=fp_iters)
-        rows.append(row)
-        pending.append(row)
-        levels[len(pending)] = u_next
-        if len(pending) == len(levels) - 1:
-            flush(levels, pending)
+        levels[j - start] = u_next
+        if j - start == len(levels) - 1:
+            flush(start, j)
             levels[0] = u_next
-            pending = []
+            start = j
         if j % snapshot_stride == 0:
-            snapshots.append((t_new, u_next.copy()))
+            snapshots.append(((j + 1) * grid.tau, u_next.copy()))
         u_prev, u_cur = u_cur, u_next
-    flush(levels, pending)
+    flush(start, grid.J - 1)
 
     meta = {
         "bootstrap_mode": config.bootstrap_mode,
         "nonlinear_solver": "picard",
-        "total_fp_iters": total_fp,
-        "energy_ref": energy_ref,
-        "mass_ref": mass_ref,
+        "total_fp_iters": int(fp_iters.sum()),
+        "energy_ref": refs.pop("energy_mi_ref"),
+        "mass_ref": refs.pop("mass_mi_ref"),
+        **refs,
     }
-    return Trajectory(grid=grid, snapshots=snapshots, rows=rows, meta=meta)
+    return Trajectory(grid=grid, snapshots=snapshots, series=series, meta=meta)
 
 
 def run_mi(problem, grid: GridSpec, config: SolverConfig,
            snapshot_stride: int = 100) -> Trajectory:
     """Run the midpoint scheme through integrate, adding the identity gaps
     of each step from the invariant increments and the half-node means of
-    its pair and of the previous pair; the last pair of each block is
-    carried to the next."""
+    its pair and of the previous pair; the last pair of each block (first
+    the bootstrap pair, which has no gaps) is carried to the next."""
     params = problem.params
     carried = None
 
-    def identity_gaps(rows, u_cur, u_next, energy, mass, half):
+    def identity_gaps(levels, energy, mass, half):
         nonlocal carried
         mean = half[1]
-        if rows is not None:
-            energy_prev, mass_prev, mean_prev = carried
-            gaps = diagnostics.identity_gaps(
-                energy - np.append(energy_prev, energy[:-1]),
-                mass - np.append(mass_prev, mass[:-1]),
-                mean, np.vstack((mean_prev, mean[:-1])), params, grid)
-            for row, energy_gap, mass_gap in zip(rows, gaps.energy_gap.tolist(),
-                                                 gaps.mass_gap.tolist()):
-                row.energy_gap, row.mass_gap = energy_gap, mass_gap
-        carried = energy[-1], mass[-1], mean[-1]
+        previous, carried = carried, (energy[-1], mass[-1], mean[-1])
+        if previous is None:
+            return {}
+        energy_prev, mass_prev, mean_prev = previous
+        gaps = diagnostics.identity_gaps(
+            energy - np.append(energy_prev, energy[:-1]),
+            mass - np.append(mass_prev, mass[:-1]),
+            mean, np.vstack((mean_prev, mean[:-1])), params, grid)
+        return {"energy_gap": gaps.energy_gap, "mass_gap": gaps.mass_gap}
 
     traj = integrate(problem, grid, config, snapshot_stride,
                      assemble_linear(params, grid), step_mi, identity_gaps)

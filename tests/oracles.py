@@ -131,10 +131,10 @@ def write_snapshots_rowwise(path, grid, snapshots):
                                  fmt(u[k].imag), fmt(abs(u[k]))])
 
 
-def write_series_rowwise(path, rows):
-    """The per-row series writer: one csv.writer row per step, every field
-    formatted on its own, empty for None, str(int) for integers and
-    f"{v:.17g}" for anything else."""
+def write_series_rowwise(path, series):
+    """The per-row series writer: one csv.writer row per step of the series
+    columns, every field formatted on its own, empty for an absent column,
+    str(int) for integers and f"{v:.17g}" for anything else."""
     import csv
 
     def fmt(value):
@@ -149,8 +149,21 @@ def write_series_rowwise(path, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(getattr(row, name)) for name in header])
+        for i in range(len(series["step"])):
+            writer.writerow([fmt(series[name][i] if name in series else None)
+                             for name in header])
+
+
+def kinetic_gradient_pairwise(u_cur, u_next, grid):
+    """The wang kinetic part of one pair, h ||dt u||^2
+    + (h/2)(||dx u^{j+1}||^2 + ||dx u^j||^2), with a backward difference of
+    each of the two levels of its own."""
+    h = grid.h
+    dt = (u_next - u_cur) / grid.tau
+    dx_next = (u_next - np.roll(u_next, 1)) / h
+    dx_cur = (u_cur - np.roll(u_cur, 1)) / h
+    return (h * np.sum(np.abs(dt) ** 2)
+            + 0.5 * h * (np.sum(np.abs(dx_next) ** 2) + np.sum(np.abs(dx_cur) ** 2)))
 
 
 def half_fields_elementwise(u_cur, u_next, grid):

@@ -70,8 +70,8 @@ def test_criterion_1_second_order_convergence(tmp_path):
 def test_criterion_2_exact_conservation_beta_zero(linear_long_run):
     traj = linear_long_run
     e0, q0 = traj.meta["energy_ref"], traj.meta["mass_ref"]
-    e_drift = max(abs(r.energy_mi - e0) for r in traj.rows) / abs(e0)
-    q_drift = max(abs(r.mass_mi - q0) for r in traj.rows) / abs(q0)
+    e_drift = np.abs(traj.series["energy_mi"] - e0).max() / abs(e0)
+    q_drift = np.abs(traj.series["mass_mi"] - q0).max() / abs(q0)
     ok = e_drift <= 1e-10 and q_drift <= 1e-10
     report(2, ok, f"relative drifts over T=100: energy {e_drift:.2e}, "
                   f"mass {q_drift:.2e} (tolerance 1e-10)")
@@ -82,14 +82,14 @@ def test_criterion_2_exact_conservation_beta_zero(linear_long_run):
 def test_error_constant_on_long_linear_run(linear_long_run):
     # supplementary: max error over T=100 bounded by C*(tau^2 + h^2), C <~ 10
     traj = linear_long_run
-    err = max(r.err_max for r in traj.rows)
+    err = traj.series["err_max"].max()
     bound = 10.0 * (traj.grid.tau ** 2 + traj.grid.h ** 2)
     assert err <= bound, f"err {err:.3e} vs 10*(tau^2+h^2) = {bound:.3e}"
 
 
 def test_criterion_3_unit_circle_modulus(linear_long_run):
     # exact amplitude is 1, so the recorded modulus error is max||u|-1|
-    dev = max(r.mod_err for r in linear_long_run.rows)
+    dev = linear_long_run.series["mod_err"].max()
     ok = dev <= 1e-3
     report(3, ok, f"max modulus deviation from the unit circle {dev:.2e} "
                   f"(tolerance 1e-3)")
@@ -98,9 +98,9 @@ def test_criterion_3_unit_circle_modulus(linear_long_run):
 
 def test_criterion_4_energy_identity_roundoff(beta2_runs):
     mi_traj, _ = beta2_runs
-    rel_gaps = [abs(r.energy_gap) / abs(r.energy_mi) for r in mi_traj.rows]
+    rel_gaps = np.abs(mi_traj.series["energy_gap"]) / np.abs(mi_traj.series["energy_mi"])
     e0 = mi_traj.meta["energy_ref"]
-    raw_drift = max(abs(r.energy_mi - e0) for r in mi_traj.rows) / abs(e0)
+    raw_drift = np.abs(mi_traj.series["energy_mi"] - e0).max() / abs(e0)
     ok_gap = max(rel_gaps) <= 1e-10
     ok_visible = raw_drift > 1e-9
     ok = ok_gap and ok_visible
@@ -114,7 +114,7 @@ def test_criterion_4_energy_identity_roundoff(beta2_runs):
 def test_criterion_5_mass_identity_oracle(beta2_runs):
     oracle = run_identity_oracle()
     mi_traj, _ = beta2_runs
-    rel_gaps = [abs(r.mass_gap) / abs(r.mass_mi) for r in mi_traj.rows]
+    rel_gaps = np.abs(mi_traj.series["mass_gap"]) / np.abs(mi_traj.series["mass_mi"])
     corrected = oracle.mass_matches_validated and not oracle.mass_matches_printed
     ok = oracle.ok and max(rel_gaps) <= 1e-9
     report(5, ok, f"tiny-grid oracle: measured factor "
@@ -129,11 +129,11 @@ def test_criterion_5_mass_identity_oracle(beta2_runs):
 def test_criterion_6_scheme_comparison(beta2_runs):
     mi_traj, wang_traj = beta2_runs
     ew0 = wang_traj.meta["energy_wang_ref"]
-    wang_drift = max(abs(r.energy_wang - ew0) for r in wang_traj.rows) / abs(ew0)
-    mi_final = mi_traj.rows[-1].e_infty_sq
-    wang_final = wang_traj.rows[-1].e_infty_sq
+    wang_drift = np.abs(wang_traj.series["energy_wang"] - ew0).max() / abs(ew0)
+    mi_final = mi_traj.series["e_infty_sq"][-1]
+    wang_final = wang_traj.series["e_infty_sq"][-1]
     q0 = mi_traj.meta["mass_ref"]
-    residuals = [abs(r.mass_mi - q0) for r in mi_traj.rows]
+    residuals = np.abs(mi_traj.series["mass_mi"] - q0)
     half = len(residuals) // 2
     first, second = max(residuals[:half]), max(residuals[half:])
     ok_a = wang_drift <= 1e-9
@@ -151,7 +151,7 @@ def test_criterion_6_scheme_comparison(beta2_runs):
 def test_criterion_7_wang_energy_variants(beta2_runs):
     _, wang_traj = beta2_runs
     ref = wang_traj.meta["energy_wang_ref"]
-    derived_drift = max(abs(r.energy_wang - ref) for r in wang_traj.rows) / abs(ref)
+    derived_drift = np.abs(wang_traj.series["energy_wang"] - ref).max() / abs(ref)
     printed_drift = wang_traj.meta["energy_wang_printed_max_rel_drift"]
     ok = derived_drift <= 1e-10
     report(7, ok, f"derived two-level energy drift {derived_drift:.2e} "
@@ -256,10 +256,10 @@ def test_criterion_9_benchmark_robustness():
         grid = build_grid(prob.x_l, prob.x_r, K, T, J)
         # stride 333 divides J-1 = 999, so the final level t = T is snapshotted
         traj = run_mi(prob, grid, cfg, snapshot_stride=333)
-        max_fp = max(r.fp_iters for r in traj.rows)
+        max_fp = traj.series["fp_iters"].max()
         e0, q0 = traj.meta["energy_ref"], traj.meta["mass_ref"]
-        e_drift = max(abs(r.energy_mi - e0) for r in traj.rows) / abs(e0)
-        q_drift = max(abs(r.mass_mi - q0) for r in traj.rows) / abs(q0)
+        e_drift = np.abs(traj.series["energy_mi"] - e0).max() / abs(e0)
+        q_drift = np.abs(traj.series["mass_mi"] - q0).max() / abs(q0)
         ok_run = max_fp <= 30 and e_drift <= 1e-3 and q_drift <= 1e-3
         detail = (f"{name}: fp<= {max_fp}, energy drift {e_drift:.2e}, "
                   f"mass drift {q_drift:.2e}")

@@ -11,10 +11,10 @@ import pytest
 import nlsw
 from nlsw import (ConfigurationError, ConsistencyError, SolverConfig, UsageError,
                   build_grid, builtin_problem, parse_config, run_mi, run_wang)
-from nlsw.cli import (ORDERS_HEADER, SERIES_HEADER, SNAPSHOT_HEADER, main,
-                      run_convergence, run_experiment)
+from nlsw.cli import (ORDERS_HEADER, SNAPSHOT_HEADER, main, run_convergence,
+                      run_experiment)
 from nlsw.cli import _write_series, _write_snapshots
-from nlsw.diagnostics import DiagnosticsRow
+from nlsw.diagnostics import SERIES_COLUMNS
 
 from oracles import write_series_rowwise, write_snapshots_rowwise
 
@@ -72,6 +72,25 @@ class TestParseConfig:
             parse_config('{"problem": "linear_plane", "K": 64, "J": 10, '
                          '"scheme": "rk4"}')
 
+    # A repeated key would silently keep its last value, and lam and lambda
+    # name the same coefficient.
+    @pytest.mark.parametrize("text, key", [
+        ('{"problem": "linear_plane", "K": 16, "J": 4, "K": 32}', "'K'"),
+        ('{"problem": {"base": "plane_beta2", "params": {"beta": 1, "beta": 2}},'
+         ' "K": 16, "J": 4}', "'beta'"),
+        ('{"problem": {"base": "plane_beta2", "params": {"lam": 0.5, '
+         '"lambda": 1.0}}, "K": 16, "J": 4}', "'lambda'"),
+    ])
+    def test_value_given_twice_rejected_naming_key(self, tmp_path, capsys, text, key):
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(text)
+        assert key in str(err.value)
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigurationError" and key in record["message"]
+
     # Values that bare int()/str()/float() would turn into another run:
     # K=64, fp_max_iter=1, a directory named "None", J=1500, beta=1.0; then
     # integers beyond the float range, which float() cannot convert.
@@ -108,11 +127,11 @@ class TestRunExperiment:
         report = self.run_small(tmp_path)
         with open(report["paths"]["series_mi"]) as fh:
             rows = list(csv.reader(fh))
-        assert tuple(rows[0]) == SERIES_HEADER
+        assert tuple(rows[0]) == SERIES_COLUMNS
         assert len(rows) - 1 == 50 - 1            # J - 1 data rows
         assert rows[1][0] == "2"                  # first produced level
         # energy_wang column empty on an MI run
-        assert rows[1][SERIES_HEADER.index("energy_wang")] == ""
+        assert rows[1][SERIES_COLUMNS.index("energy_wang")] == ""
         with open(report["paths"]["snapshots_mi"]) as fh:
             snap_rows = list(csv.reader(fh))
         assert tuple(snap_rows[0]) == SNAPSHOT_HEADER
@@ -145,8 +164,8 @@ class TestRunExperiment:
         assert (tmp_path / "cmp" / "series_wang.csv").exists()
         with open(report["paths"]["series_wang"]) as fh:
             rows = list(csv.reader(fh))
-        assert rows[1][SERIES_HEADER.index("energy_wang")] != ""
-        assert rows[1][SERIES_HEADER.index("energy_gap")] == ""
+        assert rows[1][SERIES_COLUMNS.index("energy_wang")] != ""
+        assert rows[1][SERIES_COLUMNS.index("energy_gap")] == ""
 
     def test_energy_drift_visible_in_series(self, tmp_path):
         report = self.run_small(tmp_path)
@@ -189,29 +208,61 @@ class TestSnapshotWriter:
 
 class TestSeriesWriter:
     def test_block_writer_matches_rowwise_oracle(self, tmp_path, rng):
-        # Real rows of both schemes, then rows whose field types vary from
-        # row to row: None, Python and numpy integers and floats, an integer
-        # in a float column, and extreme or non-finite floats.
+        # The columns of real runs of both schemes, then columns of extreme
+        # or non-finite floats and numpy integers, with one column absent.
         prob = builtin_problem("plane_beta2")
         grid = build_grid(prob.x_l, prob.x_r, 16, 0.1, 10)
-        rows = (run_mi(prob, grid, SolverConfig()).rows
-                + run_wang(prob, grid, SolverConfig()).rows)
-        extremes = [-0.0, 0.0, 1e-300, -1e300, 5e-324, 1.0 / 3.0, np.inf,
-                    -np.inf, np.nan, 0, -7, np.float64(2.5), np.int64(9), None]
-        for j in range(200):
-            values = [rng.choice(extremes) if rng.uniform() < 0.3
-                      else float(10.0 ** rng.uniform(-300.0, 300.0)
-                                 * rng.choice([-1.0, 1.0]))
-                      for _ in SERIES_HEADER[2:-1]]
-            step = np.int64(j) if j % 2 else j
-            fp_iters = None if j % 5 == 0 else int(rng.integers(1, 100))
-            rows.append(DiagnosticsRow(step, float(rng.uniform()), *values,
-                                       fp_iters=fp_iters))
-        _write_series(tmp_path / "block.csv", rows)
-        write_series_rowwise(tmp_path / "rows.csv", rows)
-        block = (tmp_path / "block.csv").read_bytes()
-        assert block == (tmp_path / "rows.csv").read_bytes()
-        assert b",," in block and b"nan" in block and b"-0," in block
+        n = 200
+        extremes = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300,
+                             np.inf, -np.inf, np.nan, 1e-300, 1.0 / 3.0])
+        synthetic = {name: np.where(rng.uniform(size=n) < 0.3,
+                                    rng.choice(extremes, n),
+                                    10.0 ** rng.uniform(-300.0, 300.0, n)
+                                    * rng.choice([-1.0, 1.0], n))
+                     for name in SERIES_COLUMNS[1:-1] if name != "energy_wang"}
+        synthetic["t"][:len(extremes)] = extremes
+        synthetic["step"] = np.arange(n, dtype=np.int64) - 7
+        synthetic["step"][-1] = np.iinfo(np.int64).max  # no float holds it exactly
+        synthetic["fp_iters"] = rng.integers(1, 100, n).astype(np.int32)
+        synthetic["fp_iters"][:2] = np.iinfo(np.int32).max, np.iinfo(np.int32).min
+        for i, series in enumerate((run_mi(prob, grid, SolverConfig()).series,
+                                    run_wang(prob, grid, SolverConfig()).series,
+                                    synthetic)):
+            _write_series(tmp_path / f"block{i}.csv", series)
+            write_series_rowwise(tmp_path / f"rows{i}.csv", series)
+            block = (tmp_path / f"block{i}.csv").read_bytes()
+            assert block == (tmp_path / f"rows{i}.csv").read_bytes()
+        for token in (b",,", b"nan", b"-0,", b"inf", b"-inf", b"4.9406564584124654e-324",
+                      b"1e+300",
+                      b"-2147483648", b"9223372036854775807"):
+            assert token in block
+
+
+@pytest.mark.parametrize("runner, columns", [
+    (run_mi, {"energy_gap", "mass_gap"}),
+    (run_wang, {"energy_wang"}),
+])
+@pytest.mark.parametrize("name, K, T, errors", [
+    ("plane_beta2", 16, 0.1, {"err_max", "e_infty_sq", "mod_err"}),
+    ("gauss_split", 64, 0.1, set()),
+])
+def test_series_holds_exactly_the_columns_that_apply(tmp_path, runner, columns,
+                                                     name, K, T, errors):
+    # The midpoint invariants always, the scheme's own columns, and the error
+    # metrics only with a verified exact solution; series.csv leaves exactly
+    # the absent columns empty.
+    prob = builtin_problem(name)
+    grid = build_grid(prob.x_l, prob.x_r, K, T, 10)
+    series = runner(prob, grid, SolverConfig()).series
+    assert set(series) == {"step", "t", "energy_mi", "mass_mi", "fp_iters",
+                           *columns, *errors}
+    assert all(len(values) == grid.J - 1 for values in series.values())
+    _write_series(tmp_path / "series.csv", series)
+    with open(tmp_path / "series.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == grid.J
+    absent = [name not in series for name in SERIES_COLUMNS]
+    assert all([field == "" for field in row] == absent for row in rows[1:])
 
 
 class TestRunConvergence:

@@ -74,11 +74,11 @@ class TestIdentityGapsOnTrajectories:
         traj = run_mi(prob, g, SolverConfig())
         e_scale = abs(traj.meta["energy_ref"])
         q_scale = abs(traj.meta["mass_ref"])
-        assert max(abs(r.energy_gap) for r in traj.rows) <= 1e-11 * e_scale
-        assert max(abs(r.mass_gap) for r in traj.rows) <= 1e-9 * q_scale
+        assert np.abs(traj.series["energy_gap"]).max() <= 1e-11 * e_scale
+        assert np.abs(traj.series["mass_gap"]).max() <= 1e-9 * q_scale
         # while the raw invariants visibly drift
         e0 = traj.meta["energy_ref"]
-        assert max(abs(r.energy_mi - e0) for r in traj.rows) / e_scale > 1e-9
+        assert np.abs(traj.series["energy_mi"] - e0).max() / e_scale > 1e-9
 
     def test_carried_forward_rows_equal_fresh_evaluation(self):
         # run_mi evaluates each invariant once per step and carries it to
@@ -89,14 +89,15 @@ class TestIdentityGapsOnTrajectories:
         traj = run_mi(prob, g, SolverConfig(), snapshot_stride=1)
         levels = [u for _, u in traj.snapshots]
         p = prob.params
-        assert len(levels) == len(traj.rows) + 2
-        for i, row in enumerate(traj.rows, start=1):
+        series = traj.series
+        assert len(levels) == len(series["step"]) + 2
+        for i in range(1, len(levels) - 1):
             up, uc, un = levels[i - 1], levels[i], levels[i + 1]
             gaps = theorem_identity_gaps(up, uc, un, p, g)
-            assert row.energy_mi == mi_energy(uc, un, p, g)
-            assert row.mass_mi == mi_mass(uc, un, p, g)
-            assert row.energy_gap == gaps.energy_gap
-            assert row.mass_gap == gaps.mass_gap
+            assert series["energy_mi"][i - 1] == mi_energy(uc, un, p, g)
+            assert series["mass_mi"][i - 1] == mi_mass(uc, un, p, g)
+            assert series["energy_gap"][i - 1] == gaps.energy_gap
+            assert series["mass_gap"][i - 1] == gaps.mass_gap
         assert traj.meta["energy_ref"] == mi_energy(levels[0], levels[1], p, g)
         assert traj.meta["mass_ref"] == mi_mass(levels[0], levels[1], p, g)
 
@@ -108,15 +109,16 @@ class TestIdentityGapsOnTrajectories:
         traj = run_wang(prob, g, SolverConfig(), snapshot_stride=1)
         levels = [u for _, u in traj.snapshots]
         p = prob.params
-        assert len(levels) == len(traj.rows) + 2
+        series = traj.series
+        assert len(levels) == len(series["step"]) + 2
         printed_ref = energy_wang_printed(levels[0], levels[1], p, g)
         drift = 0.0
-        for i, row in enumerate(traj.rows, start=1):
+        assert "energy_gap" not in series and "mass_gap" not in series
+        for i in range(1, len(levels) - 1):
             uc, un = levels[i], levels[i + 1]
-            assert row.energy_mi == mi_energy(uc, un, p, g)
-            assert row.mass_mi == mi_mass(uc, un, p, g)
-            assert row.energy_wang == energy_wang(uc, un, p, g)
-            assert row.energy_gap is None and row.mass_gap is None
+            assert series["energy_mi"][i - 1] == mi_energy(uc, un, p, g)
+            assert series["mass_mi"][i - 1] == mi_mass(uc, un, p, g)
+            assert series["energy_wang"][i - 1] == energy_wang(uc, un, p, g)
             printed = energy_wang_printed(uc, un, p, g)
             drift = max(drift,
                         abs(printed - printed_ref) / max(abs(printed_ref), 1e-30))
@@ -294,7 +296,7 @@ class TestStackedEvaluation:
         half = half_nodes(u_cur, u_next, g)
         # Each row's mean against the previous row's, wrapping around.
         a, b = half[1], np.roll(half[1], 1, axis=0)
-        kinetic = kinetic_gradient(u_cur, u_next, g)
+        kinetic = kinetic_gradient(stack, g)
         blocked = (mi_energy(u_cur, u_next, p, g, half=half),
                    mi_mass(u_cur, u_next, p, g, half=half),
                    *diagnostics._identity_rhs(a, b, p, g),
@@ -312,6 +314,28 @@ class TestStackedEvaluation:
                        *astuple(error_metrics(u_next[i], ref[i], g)))
             assert all(type(value) is float for value in rowwise)
             assert [values[i] for values in blocked] == list(rowwise)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(K=sizes, tau=time_steps, n=st.integers(1, 9), m=st.integers(1, 3),
+           seed=seeds)
+    def test_kinetic_gradient_equals_two_differences_per_pair(self, K, tau, n,
+                                                              m, seed):
+        # One backward difference per level of an [m, n+1, K] stack gives
+        # each pair the bits of differencing its two levels on their own.
+        g = periodic_grid(K, tau)
+        rng = np.random.default_rng(seed)
+        stack = np.stack([np.vstack(levels(seed + b, K)
+                                    + tuple(random_field(rng, K)[None]
+                                            for _ in range(n - 1)))
+                          for b in range(m)])
+        kinetic = kinetic_gradient(stack, g)
+        assert kinetic.shape == (m, n)
+        for b in range(m):
+            assert list(kinetic_gradient(stack[b], g)) == list(kinetic[b])
+            for i in range(n):
+                assert kinetic[b, i] == oracles.kinetic_gradient_pairwise(
+                    stack[b, i], stack[b, i + 1], g)
 
 
 class TestHalfFieldMemo:

@@ -213,8 +213,8 @@ class TestRunMi:
         g = build_grid(EX1.x_l, EX1.x_r, 64, 0.02, 2)
         traj = run_mi(EX1, g, SolverConfig(), snapshot_stride=1)
         assert isinstance(traj, Trajectory)
-        assert len(traj.rows) == 1           # J - 1 steps
-        assert traj.rows[0].step == 2
+        assert len(traj.series["step"]) == 1   # J - 1 steps
+        assert traj.series["step"][0] == 2
         assert len(traj.snapshots) == 3      # two bootstrap levels + one step
         times = [t for t, _ in traj.snapshots]
         assert times == sorted(times)
@@ -238,18 +238,18 @@ class TestRunMi:
         g = build_grid(EX1.x_l, EX1.x_r, 64, 10.0, 1000)
         traj = run_mi(EX1, g, SolverConfig())
         e0, q0 = traj.meta["energy_ref"], traj.meta["mass_ref"]
-        e_drift = max(abs(r.energy_mi - e0) for r in traj.rows) / abs(e0)
-        q_drift = max(abs(r.mass_mi - q0) for r in traj.rows) / abs(q0)
+        e_drift = np.abs(traj.series["energy_mi"] - e0).max() / abs(e0)
+        q_drift = np.abs(traj.series["mass_mi"] - q0).max() / abs(q0)
         assert e_drift <= 1e-10
         assert q_drift <= 1e-10
         # beta = 0: the identity right-hand sides vanish identically
-        assert all(r.fp_iters == 1 for r in traj.rows)
+        assert (traj.series["fp_iters"] == 1).all()
 
     def test_error_metrics_recorded(self):
         g = build_grid(EX1.x_l, EX1.x_r, 64, 1.0, 100)
         traj = run_mi(EX1, g, SolverConfig())
-        assert all(r.err_max is not None for r in traj.rows)
-        assert traj.rows[-1].err_max < 1e-2
+        assert "err_max" in traj.series
+        assert traj.series["err_max"][-1] < 1e-2
 
     def test_gauge_covariance_of_whole_run(self):
         # phase-rotated initial data propagates to a phase-rotated run
@@ -276,13 +276,13 @@ class TestRunMi:
         for K in (32, 64):
             g = build_grid(EX1.x_l, EX1.x_r, K, 1.0, 2000)
             traj = run_mi(EX1, g, cfg, snapshot_stride=g.J)
-            errs_h.append(max(r.err_max for r in traj.rows))
+            errs_h.append(traj.series["err_max"].max())
         assert 2.8 <= errs_h[0] / errs_h[1] <= 5.2
         errs_t = []
         for J in (50, 100):
             g = build_grid(EX1.x_l, EX1.x_r, 1024, 1.0, J)
             traj = run_mi(EX1, g, cfg, snapshot_stride=g.J)
-            errs_t.append(max(r.err_max for r in traj.rows))
+            errs_t.append(traj.series["err_max"].max())
         assert 2.8 <= errs_t[0] / errs_t[1] <= 5.2
 
     def test_step_failure_carries_step_index(self):

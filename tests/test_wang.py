@@ -83,7 +83,7 @@ class TestStepWang:
         for J in (50, 100, 200):
             g = build_grid(prob.x_l, prob.x_r, 512, 1.0, J)
             traj = run_wang(prob, g, cfg, snapshot_stride=g.J)
-            errs_t.append(max(r.err_max for r in traj.rows))
+            errs_t.append(traj.series["err_max"].max())
         slope = np.polyfit(np.log([1.0 / J for J in (50, 100, 200)]),
                            np.log(errs_t), 1)[0]
         assert 1.7 <= slope <= 2.3
@@ -91,7 +91,7 @@ class TestStepWang:
         for K in (16, 32, 64):
             g = build_grid(prob.x_l, prob.x_r, K, 1.0, 2000)
             traj = run_wang(prob, g, cfg, snapshot_stride=g.J)
-            errs_h.append(max(r.err_max for r in traj.rows))
+            errs_h.append(traj.series["err_max"].max())
         slope = np.polyfit(np.log([2.0 * np.pi / K for K in (16, 32, 64)]),
                            np.log(errs_h), 1)[0]
         assert 1.7 <= slope <= 2.3
@@ -116,7 +116,7 @@ class TestWangEnergy:
         g = build_grid(prob.x_l, prob.x_r, 200, 2.0, 200)
         traj = run_wang(prob, g, SolverConfig())
         ref = traj.meta["energy_wang_ref"]
-        drift = max(abs(r.energy_wang - ref) for r in traj.rows) / abs(ref)
+        drift = np.abs(traj.series["energy_wang"] - ref).max() / abs(ref)
         assert drift <= 1e-11
 
     def test_printed_variant_drift_recorded(self):
@@ -130,9 +130,9 @@ class TestWangEnergy:
         prob = builtin_problem("plane_beta2")
         g = build_grid(prob.x_l, prob.x_r, 100, 0.5, 50)
         traj = run_wang(prob, g, SolverConfig())
-        assert all(r.energy_mi is not None for r in traj.rows)
-        assert all(r.mass_mi is not None for r in traj.rows)
-        assert all(r.energy_gap is None for r in traj.rows)
+        assert "energy_mi" in traj.series
+        assert "mass_mi" in traj.series
+        assert "energy_gap" not in traj.series
 
 
 class TestRunWang:
