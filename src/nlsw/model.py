@@ -125,14 +125,19 @@ class Densities:
 
 
 def local_densities(z, params: PdeParams) -> Densities:
-    """Energy density E, energy flux F, momentum density I, momentum flux G."""
+    """Energy density E, energy flux F, momentum density I, momentum flux G.
+
+    For any smooth u, dE/dt + dF/dx = Re(R conj(u_t)) and
+    dI/dt + dG/dx = -Re(R conj(u_x)), with R the left-hand side of the PDE
+    (multiply it by conj(u_t) or conj(u_x) and take real parts)."""
     phi, psi, v, w, f, g = z if not isinstance(z, ZField) else z.as_tuple()
     n2 = phi * phi + psi * psi
     vw2 = v * v + w * w
     fg2 = f * f + g * g
     E = 0.5 * (params.lam * n2 + 0.5 * params.beta * n2 * n2 + vw2 + fg2
                + params.theta * (phi * g - psi * f))
-    F = 0.5 * params.theta * (phi * w - psi * v) - 0.5 * params.gamma * vw2
+    F = (0.5 * params.gamma * vw2 + 0.5 * params.theta * (psi * v - phi * w)
+         - (f * v + g * w))
     I = (0.5 * params.alpha * (phi * g - psi * f) - (f * v + g * w)
          - 0.5 * params.gamma * fg2)
     G = (-0.5 * params.lam * n2 - 0.25 * params.beta * n2 * n2

@@ -3,16 +3,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import nlsw
 from nlsw import (ConfigurationError, ConsistencyError, SolverConfig, UsageError,
                   build_grid, builtin_problem, parse_config, run_mi, run_wang)
-from nlsw.cli import (ORDERS_HEADER, SNAPSHOT_HEADER, main, run_convergence,
-                      run_experiment)
+from nlsw.cli import (ORDERS_HEADER, SNAPSHOT_HEADER, main, resolve,
+                      run_convergence, run_experiment)
 from nlsw.cli import _write_series, _write_snapshots
 from nlsw.diagnostics import SERIES_COLUMNS
 
@@ -152,8 +154,20 @@ class TestRunExperiment:
         m1 = json.loads((tmp_path / "a" / "meta.json").read_text())
         m2 = json.loads((tmp_path / "b" / "meta.json").read_text())
         m1["wall_time_seconds"] = m2["wall_time_seconds"] = None
+        m1["timings"] = m2["timings"] = None
         m1["config"]["output_dir"] = m2["config"]["output_dir"] = None
         assert m1 == m2
+
+    def test_meta_records_run_and_writer_timings(self, tmp_path):
+        payload = {"problem": "plane_beta2", "K": 32, "J": 20, "T": 0.2,
+                   "scheme": "both", "output_dir": str(tmp_path / "tm")}
+        report = run_experiment(parse_config(json.dumps(payload)))
+        timings = json.loads(Path(report["paths"]["meta"]).read_text())["timings"]
+        assert set(timings) == {"mi", "wang"}
+        for phases in timings.values():
+            assert set(phases) == {"run_s", "write_series_s", "write_snapshots_s"}
+            assert all(type(value) is float and value >= 0.0
+                       for value in phases.values())
 
     def test_both_schemes_two_series_files(self, tmp_path):
         payload = {"problem": "plane_beta2", "K": 50, "J": 40, "T": 0.4,
@@ -204,6 +218,52 @@ class TestSnapshotWriter:
         block = (tmp_path / "block.csv").read_bytes()
         assert block == (tmp_path / "rows.csv").read_bytes()
         assert b"-0,-0,0" in block and b"1e+300" in block and b"1e-300" in block
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_block_writer_matches_rowwise_oracle_property(self, data):
+        # Bounds, times and components at the edges of the float range,
+        # signed zeros, infinities and NaN, on small grids.  Components stay
+        # within 1e300, since beyond float max |u| Python's abs raises where
+        # hypot gives inf.
+        bounds = st.sampled_from([-1e300, -3.0, -1e-300, 0.0, 1e-300, 1.0, 1e300])
+        x_l, x_r = sorted(data.draw(st.lists(bounds | st.floats(-1e3, 1e3),
+                                             min_size=2, max_size=2, unique=True)))
+        K = data.draw(st.integers(4, 9))
+        assume((x_r - x_l) / K > 1e-150)   # 1/h^2 finite, as build_grid needs
+        grid = build_grid(x_l, x_r, K, 1.0, 2)
+        times = st.sampled_from([0.0, 5e-324, 1.0 / 3.0, 1e300]) | st.floats()
+        component = (st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, np.inf,
+                                      -np.inf, np.nan])
+                     | st.floats(-1e300, 1e300))
+        snapshots = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            u = np.empty(K, dtype=complex)   # no complex arithmetic on inf/nan
+            u.real = data.draw(st.lists(component, min_size=K, max_size=K))
+            u.imag = data.draw(st.lists(component, min_size=K, max_size=K))
+            snapshots.append((data.draw(times), u))
+        with tempfile.TemporaryDirectory() as tmp:
+            block, rows = Path(tmp, "block.csv"), Path(tmp, "rows.csv")
+            _write_snapshots(block, grid, snapshots)
+            write_snapshots_rowwise(rows, grid, snapshots)
+            assert block.read_bytes() == rows.read_bytes()
+
+    def test_run_files_match_rowwise_oracle(self, tmp_path):
+        # Every level of both schemes' gauss_split runs, against the oracle
+        # writing the same trajectories.
+        config = parse_config(json.dumps({
+            "problem": "gauss_split", "K": 256, "J": 20, "T": 0.2,
+            "scheme": "both", "snapshot_stride": 1,
+            "output_dir": str(tmp_path / "run")}))
+        report = run_experiment(config)
+        problem, grid, solver_config = resolve(config)
+        for label, runner in (("mi", run_mi), ("wang", run_wang)):
+            traj = runner(problem, grid, solver_config, snapshot_stride=1)
+            assert len(traj.snapshots) == grid.J + 1
+            write_snapshots_rowwise(tmp_path / f"rows_{label}.csv", grid,
+                                    traj.snapshots)
+            written = Path(report["paths"][f"snapshots_{label}"]).read_bytes()
+            assert written == (tmp_path / f"rows_{label}.csv").read_bytes()
 
 
 class TestSeriesWriter:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlsw import (ConfigurationError, PdeParams, ZField, builtin_problem,
                   build_grid, continuous_residual, grad_S, hamiltonian_S,
                   local_densities, local_law_residual, reconstruct_z,
                   structure_matrices)
+
+from strategies import coefficient, gamma_coefficient, seeds
 
 EX1 = PdeParams(alpha=-1.0, gamma=1.0, theta=-1.0, lam=3.0, beta=0.0)
 EX3 = PdeParams(alpha=-1.0, gamma=0.0, theta=0.0, lam=0.0, beta=2.0)
@@ -137,7 +140,7 @@ class TestLocalDensities:
         p = PdeParams(alpha=0.0, gamma=1.0, theta=0.0, lam=0.0, beta=0.0)
         d = local_densities((0.0, 0.0, 1.0, 0.0, 0.0, 0.0), p)
         assert d.E == pytest.approx(0.5)
-        assert d.F == pytest.approx(-0.5)
+        assert d.F == pytest.approx(0.5)   # (gamma/2)(v^2 + w^2)
         assert d.I == 0.0
         assert d.G == pytest.approx(0.5)
 
@@ -158,6 +161,53 @@ class TestLocalDensities:
             d0, d1 = local_densities(z, p), local_densities(zr, p)
             for name in ("E", "F", "I", "G"):
                 assert abs(getattr(d1, name) - getattr(d0, name)) <= 1e-12
+
+
+def _fourier_modes(seed):
+    """z(x, t) of u = sum_m a_m exp(i(k_m x - omega_m t)): two to four modes
+    with distinct wavenumbers, so the densities vary in x, and frequencies
+    off the dispersion relation, so the PDE residual R is O(1)."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(2, 5)
+    amp = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+    k = rng.choice(np.arange(-3.0, 4.0), n, replace=False)
+    omega = rng.uniform(-3.0, 3.0, n)
+
+    def z(x, t):
+        e = amp * np.exp(1j * (k * x - omega * t))
+        u, ut, ux = e.sum(), (-1j * omega * e).sum(), (1j * k * e).sum()
+        return u, ut, ux, (u.real, u.imag, ut.real, ut.imag, ux.real, ux.imag)
+
+    return z, (rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=coefficient, gamma=gamma_coefficient, theta=coefficient,
+       lam=coefficient, beta=coefficient, seed=seeds)
+def test_local_laws_balance_the_residual(alpha, gamma, theta, lam, beta, seed):
+    # Multiplying the PDE by conj(u_t) or conj(u_x) and taking real parts:
+    # dE/dt + dF/dx = Re(R conj u_t) and dI/dt + dG/dx = -Re(R conj u_x)
+    # for any smooth u, not only for solutions; derivatives of the densities
+    # by 4th-order central differences.
+    p = PdeParams(alpha=alpha, gamma=gamma, theta=theta, lam=lam, beta=beta)
+    z, (x, t) = _fourier_modes(seed)
+    step = 1e-3
+
+    def d1(fn):
+        return (-fn(2 * step) + 8.0 * fn(step) - 8.0 * fn(-step)
+                + fn(-2 * step)) / (12.0 * step)
+
+    def dens(dx, dt):
+        return local_densities(z(x + dx, t + dt)[3], p)
+
+    _, ut, ux, _ = z(x, t)
+    r = continuous_residual(lambda xx, tt: z(xx, tt)[0], p, (x, t))
+    energy = d1(lambda e: dens(0.0, e).E) + d1(lambda e: dens(e, 0.0).F)
+    momentum = d1(lambda e: dens(0.0, e).I) + d1(lambda e: dens(e, 0.0).G)
+    # The differencing noise is measured below 3e-8 of this scale.
+    tol = 1e-6 * (1.0 + abs(r) * max(abs(ut), abs(ux)))
+    assert abs(energy - (r * np.conj(ut)).real) <= tol
+    assert abs(momentum + (r * np.conj(ux)).real) <= tol
 
 
 class TestContinuousResidual:
@@ -239,23 +289,25 @@ class TestLocalLawResidual:
 
     def test_momentum_law_two_mode_slope_two(self):
         # Superposing two on-dispersion modes of the linear problem gives a
-        # non-degenerate exact solution; the momentum law residual then
-        # shows genuine second-order decay.
+        # non-degenerate exact solution; the energy and momentum law
+        # residuals then show genuine second-order decay.
         p = PdeParams(alpha=-1.0, gamma=1.0, theta=-1.0, lam=3.0, beta=0.0)
         omega2 = (3.0 + np.sqrt(29.0)) / 2.0   # mode-2 root of the dispersion
         exact = lambda x, t: (np.exp(1j * (x - 3.0 * t))
                               + 0.5 * np.exp(1j * (2.0 * x - omega2 * t)))
         assert abs(continuous_residual(
             lambda x, t: complex(exact(x, t)), p, (0.3, 0.7))) < 1e-6
-        sizes, errs = [], []
+        sizes, energy, momentum = [], [], []
         for K, J in ((32, 125), (64, 250), (128, 500), (256, 1000)):
             g = build_grid(0.0, 2.0 * np.pi, K, 1.0, J)
             zs = _inject_z_levels(exact, g, 0.4)
             r = local_law_residual(zs[0], zs[1], zs[2], p, g)
             sizes.append(g.h)
-            errs.append(np.max(np.abs(r.momentum_res)))
-        slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
-        assert 1.7 <= slope <= 2.3
+            energy.append(np.max(np.abs(r.energy_res)))
+            momentum.append(np.max(np.abs(r.momentum_res)))
+        for errs in (energy, momentum):
+            slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
+            assert 1.7 <= slope <= 2.3
 
     def test_numerical_trajectory_residual_decays(self):
         # z reconstructed from a converged numerical run: halving h and tau
