@@ -177,7 +177,8 @@ def _write_series(path: Path, series):
 def _write_snapshots(path: Path, grid: GridSpec, snapshots):
     """One CSV block per snapshot, byte for byte what csv.writer writes for
     rows of f"{v:.17g}" fields: '%.17g' formats a float the same way, and
-    hypot gives the same |u| as Python's abs of a complex.
+    hypot gives the same |u| as Python's abs of a complex, except that a |u|
+    beyond the float max is written as inf, where Python's abs raises.
 
     x is formatted once per file into the block template and t once per
     snapshot, in place of the NUL that stands for it; only re_u, im_u and
@@ -190,7 +191,8 @@ def _write_snapshots(path: Path, grid: GridSpec, snapshots):
         for t, u in snapshots:
             values[:, 0] = u.real
             values[:, 1] = u.imag
-            np.hypot(u.real, u.imag, out=values[:, 2])
+            with np.errstate(over="ignore"):
+                np.hypot(u.real, u.imag, out=values[:, 2])
             fh.write(block.replace("\0", "%.17g" % t)
                      % tuple(values.ravel().tolist()))
 
@@ -258,6 +260,8 @@ def _series_summary(traj: Trajectory) -> dict:
     return {
         "steps": len(series["step"]),
         "total_fp_iters": meta.get("total_fp_iters"),
+        "min_fp_iters": int(series["fp_iters"].min()),
+        "mean_fp_iters": float(series["fp_iters"].mean()),
         "max_fp_iters": int(series["fp_iters"].max()),
         "energy_mi_max_rel_drift": drift("energy_mi", "energy_ref"),
         "mass_mi_max_rel_drift": drift("mass_mi", "mass_ref"),

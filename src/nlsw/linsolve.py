@@ -98,13 +98,13 @@ class PreparedCyclicSolver:
         rhs = np.asarray(rhs, dtype=np.complex128)
         if rhs.shape != (self._size,):
             raise UsageError(f"rhs has shape {rhs.shape}, expected ({self._size},)")
+        # gttrs returns a fresh array, so the correction is subtracted in place.
         y = self._core_solve(rhs)
-        corr = (y[0] + self._v_last * y[-1]) / self._den
-        x = y - corr * self._q
-        if not np.isfinite(x).all():
+        y -= (y[0] + self._v_last * y[-1]) / self._den * self._q
+        if not np.logical_and.reduce(np.isfinite(y)):
             raise SingularSystemError(
                 "cyclic solve overflowed (near-singular matrix or huge right-hand side)")
-        return x
+        return y
 
 
 def solve_cyclic_tridiagonal(system: CyclicTridiagonalSystem, rhs) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import diagnostics, problems
 from .errors import (ConfigurationError, DivergenceError, NlswError,
-                     StepFailureError, UsageError)
+                     SingularSystemError, StepFailureError, UsageError)
 from .grid import (GridSpec, as_field, as_level, central_diff, half_average,
                    is_number, pair_sum, second_diff, stencil)
 from .linsolve import CyclicTridiagonalSystem, PreparedCyclicSolver
@@ -35,6 +35,15 @@ BOOTSTRAP_MODES = ("taylor2", "exact")
 # one pass: B = max(1, BLOCK_VALUES // K) pairs, so at small K one call serves
 # many steps and at K >= BLOCK_VALUES every step is its own block.
 BLOCK_VALUES = 4096
+
+# Sweeps in a row without a smaller update than the smallest so far, after
+# which picard gives a step up as stalled: the iteration sits at its
+# round-off floor above fp_tol, or does not contract at all.
+STALL_SWEEPS = 3
+
+# The most bytes of levels and series columns a run may hold; integrate
+# checks a run against it before allocating any of them.
+MEMORY_CAP_BYTES = 4 * 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -59,11 +68,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StateWindow:
-    """Two consecutive levels (u^{j-1}, u^j) driving the two-step update."""
+    """Two consecutive levels (u^{j-1}, u^j) driving the two-step update,
+    and optionally u^{j-2}, which only sharpens the Picard starting guess."""
 
     u_prev: np.ndarray
     u_cur: np.ndarray
     t_cur: float
+    u_prev2: np.ndarray | None = None
 
 
 @dataclass
@@ -161,37 +172,58 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     its PreparedCyclicSolver (A is factored here).  Returns (u, sweeps).
 
     beta = 0 makes one solve exact.  Otherwise N = cubic(beta/4, u^{j-1},
-    u^j) is built once, the iteration starts from 2 u^j - u^{j-1}, and every
-    sweep re-evaluates N at the current iterate and solves the frozen linear
+    u^j) is built once and the iteration starts from the quadratic
+    extrapolation 3 u^j - 3 u^{j-1} + u^{j-2}, or from the linear
+    2 u^j - u^{j-1} when the window carries no u^{j-2}.  Every sweep
+    re-evaluates N at the current iterate and solves the frozen linear
     system, stopping once the sup-norm change drops below
-    fp_tol * max(1, |iterate|).
+    fp_tol * max(1, |iterate|).  STALL_SWEEPS sweeps in a row that bring no
+    smaller change than the smallest so far end the step early, and so does
+    a budget of fp_max_iter sweeps, both with StepFailureError.
     """
     solver = system if isinstance(system, PreparedCyclicSolver) \
         else PreparedCyclicSolver(system)
     u_prev = as_level(window.u_prev, grid)
     u_cur = as_level(window.u_cur, grid)
     known = _known_terms(u_prev, u_cur, params, grid, table)
-    # An overflow inside the cubic term is reported from the non-finite
-    # right-hand side below, and one inside a solve by the solver itself
-    # (SingularSystemError), so the overflow stays quiet.
+    # An overflow inside the cubic term or a solve makes the solve's result
+    # non-finite, which the solver reports (SingularSystemError, told apart
+    # below from a non-finite right-hand side), so the overflow stays quiet.
     with np.errstate(over="ignore", invalid="ignore"):
         if params.beta == 0.0:
             return solver.solve(-known), 1
         nonlinear = cubic(0.25 * params.beta, u_prev, u_cur)
-        u = 2.0 * u_cur - u_prev
-        diff = np.inf
+        if window.u_prev2 is None:
+            u = 2.0 * u_cur - u_prev
+        else:
+            u = 3.0 * (u_cur - u_prev) + as_level(window.u_prev2, grid)
+        diff = smallest = np.inf
+        stalled = 0
         for it in range(1, config.fp_max_iter + 1):
             rhs = -(known + nonlinear(u))
-            if not np.isfinite(rhs).all():
+            try:
+                u_new = solver.solve(rhs)
+            except SingularSystemError:
+                if np.logical_and.reduce(np.isfinite(rhs)):
+                    raise
                 raise DivergenceError(
                     f"fixed-point iterate diverged: non-finite nonlinear term "
-                    f"in sweep {it}")
-            u_new = solver.solve(rhs)
-            diff = float(np.abs(u_new - u).max())
-            peak = float(np.abs(u_new).max())
+                    f"in sweep {it}") from None
+            previous = diff
+            diff = float(np.maximum.reduce(np.abs(u_new - u)))
+            peak = float(np.maximum.reduce(np.abs(u_new)))
             u = u_new
             if diff <= config.fp_tol * max(1.0, peak):
                 return u, it
+            if diff < smallest:
+                smallest, stalled = diff, 0
+                continue
+            stalled += 1
+            if stalled == STALL_SWEEPS:
+                raise StepFailureError(
+                    f"fixed point stalled in sweep {it}: {STALL_SWEEPS} sweeps "
+                    f"without a smaller update (last two {previous:.3e}, "
+                    f"{diff:.3e})", residual=diff)
     raise StepFailureError(
         f"fixed point not converged after {config.fp_max_iter} sweeps "
         f"(last update {diff:.3e})", residual=diff)
@@ -205,11 +237,22 @@ def step_mi(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     return picard(window, system, params, grid, config, _stencils, _cubic)
 
 
+def held_bytes(grid: GridSpec, snapshot_stride: int) -> int:
+    """The bytes integrate holds for a run: the snapshot levels, the block
+    buffer of levels, and J+1 rows of each series column (at most every name
+    of diagnostics.SERIES_COLUMNS, the printed wang energy and grid.times)."""
+    levels = (grid.J - 1) // snapshot_stride + 2 + max(1, BLOCK_VALUES // grid.K) + 1
+    return 16 * grid.K * levels + 8 * (grid.J + 1) * (len(diagnostics.SERIES_COLUMNS) + 2)
+
+
 def integrate(problem, grid: GridSpec, config: SolverConfig,
-              snapshot_stride: int, system, step, observe) -> Trajectory:
-    """The run loop of both schemes: factor the operator `system` once,
-    bootstrap, then advance J-1 steps with the scheme's step
-    step(window, solver, params, grid, config) -> (u_next, fp_iters).
+              snapshot_stride: int, assemble, step, observe) -> Trajectory:
+    """The run loop of both schemes: check that the run fits in
+    MEMORY_CAP_BYTES (see held_bytes) before allocating anything, factor the
+    operator assemble(params, grid) once, bootstrap, then advance J-1 steps
+    with the scheme's step
+    step(window, solver, params, grid, config) -> (u_next, fp_iters),
+    whose window carries u^{j-2} from the second step on.
 
     The series holds step (the produced level index, 2..J), t, fp_iters, the
     midpoint invariants energy_mi and mass_mi of each step's pair, the error
@@ -237,8 +280,14 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     if not is_number(snapshot_stride, numbers.Integral) or snapshot_stride < 1:
         raise UsageError(
             f"snapshot_stride must be an integer >= 1, got {snapshot_stride!r}")
+    held = held_bytes(grid, snapshot_stride)
+    if held > MEMORY_CAP_BYTES:
+        raise ConfigurationError(
+            f"a run with K={grid.K}, J={grid.J} and snapshot_stride="
+            f"{snapshot_stride} would hold {held} bytes of levels and series, "
+            f"above the cap of {MEMORY_CAP_BYTES} bytes")
     params = problem.params
-    solver = PreparedCyclicSolver(system)
+    solver = PreparedCyclicSolver(assemble(params, grid))
     u0, u1 = bootstrap(problem.f0, problem.f1, params, grid,
                        mode=config.bootstrap_mode, exact=problem.exact)
     exact_fn = problem.exact if getattr(problem, "exactness", "none") == "verified" \
@@ -285,13 +334,14 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     refs = {f"{name}_ref": float(values[0])
             for name, values in evaluate(np.stack((u0, u1))).items()}
     snapshots = [(0.0, u0.copy()), (grid.tau, u1.copy())]
-    u_prev, u_cur = u0, u1
+    u_prev2, u_prev, u_cur = None, u0, u1
     levels[0] = u1
     start = 0
     for j in range(1, grid.J):
         try:
-            u_next, fp_iters[j - 1] = step(StateWindow(u_prev, u_cur, j * grid.tau),
-                                           solver, params, grid, config)
+            u_next, fp_iters[j - 1] = step(
+                StateWindow(u_prev, u_cur, j * grid.tau, u_prev2),
+                solver, params, grid, config)
         except NlswError as exc:
             flush(start, j - 1)
             exc.step = j + 1
@@ -303,7 +353,7 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
             start = j
         if j % snapshot_stride == 0:
             snapshots.append(((j + 1) * grid.tau, u_next.copy()))
-        u_prev, u_cur = u_cur, u_next
+        u_prev2, u_prev, u_cur = u_prev, u_cur, u_next
     flush(start, grid.J - 1)
 
     meta = {
@@ -340,6 +390,6 @@ def run_mi(problem, grid: GridSpec, config: SolverConfig,
         return {"energy_gap": gaps.energy_gap, "mass_gap": gaps.mass_gap}
 
     traj = integrate(problem, grid, config, snapshot_stride,
-                     assemble_linear(params, grid), step_mi, identity_gaps)
+                     assemble_linear, step_mi, identity_gaps)
     traj.meta["scheme"] = "mi"
     return traj

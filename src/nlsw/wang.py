@@ -129,7 +129,7 @@ def run_wang(problem, grid: GridSpec, config: SolverConfig,
                                                            grid, kinetic=kinetic)}
 
     traj = integrate(problem, grid, config, snapshot_stride,
-                     assemble_wang(params, grid), _step_wang, wang_energies)
+                     assemble_wang, _step_wang, wang_energies)
     printed = traj.series.pop("energy_wang_printed")
     traj.meta["scheme"] = "wang"
     traj.meta["energy_wang_printed_max_rel_drift"] = float(

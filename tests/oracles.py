@@ -113,13 +113,42 @@ def mi_residual_scale(u_next, params, grid):
     return row_sum * max(1.0, float(np.max(np.abs(u_next))))
 
 
+def picard_linear_start(window, solver, params, grid, config, table, cubic):
+    """The Picard step as it was before the quadratic start: from
+    2 u^j - u^{j-1}, one finiteness scan of the right-hand side per sweep,
+    and the budget of fp_max_iter sweeps as the only way to give up.
+    Returns (u, sweeps)."""
+    from nlsw.mi import _known_terms
+
+    known = _known_terms(window.u_prev, window.u_cur, params, grid, table)
+    nonlinear = cubic(0.25 * params.beta, window.u_prev, window.u_cur)
+    u = 2.0 * window.u_cur - window.u_prev
+    for it in range(1, config.fp_max_iter + 1):
+        rhs = -(known + nonlinear(u))
+        assert np.isfinite(rhs).all()
+        u_new = solver.solve(rhs)
+        diff = float(np.abs(u_new - u).max())
+        peak = float(np.abs(u_new).max())
+        u = u_new
+        if diff <= config.fp_tol * max(1.0, peak):
+            return u, it
+    raise AssertionError(f"not converged after {config.fp_max_iter} sweeps")
+
+
 def write_snapshots_rowwise(path, grid, snapshots):
     """The per-row snapshot writer: one csv.writer row per node, every
-    field formatted on its own with f"{v:.17g}" and |u| from Python's abs."""
+    field formatted on its own with f"{v:.17g}" and |u| from Python's abs,
+    or inf where |u| is beyond the float max and abs raises."""
     import csv
 
     def fmt(value):
         return f"{float(value):.17g}"
+
+    def modulus(z):
+        try:
+            return abs(z)
+        except OverflowError:
+            return float("inf")
 
     x = grid.nodes
     with open(path, "w", newline="") as fh:
@@ -128,7 +157,7 @@ def write_snapshots_rowwise(path, grid, snapshots):
         for t, u in snapshots:
             for k in range(grid.K):
                 writer.writerow([fmt(t), fmt(x[k]), fmt(u[k].real),
-                                 fmt(u[k].imag), fmt(abs(u[k]))])
+                                 fmt(u[k].imag), fmt(modulus(u[k]))])
 
 
 def write_series_rowwise(path, series):

@@ -12,13 +12,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 import nlsw
 from nlsw import (ConfigurationError, ConsistencyError, SolverConfig, UsageError,
-                  build_grid, builtin_problem, parse_config, run_mi, run_wang)
+                  build_grid, builtin_problem, mi, parse_config, run_mi, run_wang)
 from nlsw.cli import (ORDERS_HEADER, SNAPSHOT_HEADER, main, resolve,
                       run_convergence, run_experiment)
 from nlsw.cli import _write_series, _write_snapshots
 from nlsw.diagnostics import SERIES_COLUMNS
 
 from oracles import write_series_rowwise, write_snapshots_rowwise
+
+FLOAT_MAX = sys.float_info.max
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -181,6 +183,25 @@ class TestRunExperiment:
         assert rows[1][SERIES_COLUMNS.index("energy_wang")] != ""
         assert rows[1][SERIES_COLUMNS.index("energy_gap")] == ""
 
+    def test_summary_sweep_statistics_from_fp_iters_column(self, tmp_path):
+        payload = {"problem": "plane_beta2", "K": 200, "J": 40, "T": 2.0,
+                   "scheme": "both", "snapshot_stride": 20,
+                   "output_dir": str(tmp_path / "sw")}
+        report = run_experiment(parse_config(json.dumps(payload)))
+        with open(report["paths"]["meta"]) as fh:
+            summaries = json.load(fh)["summaries"]
+        for label in ("mi", "wang"):
+            with open(report["paths"][f"series_{label}"]) as fh:
+                sweeps = np.array([int(row["fp_iters"]) for row in csv.DictReader(fh)])
+            summary = summaries[label]
+            assert summary["total_fp_iters"] == sweeps.sum()
+            assert summary["min_fp_iters"] == sweeps.min()
+            assert summary["mean_fp_iters"] == sweeps.mean()
+            assert summary["max_fp_iters"] == sweeps.max()
+            # The first step starts from the linear extrapolation, the
+            # others from the quadratic one.
+            assert sweeps[0] == sweeps.max() > sweeps.min()
+
     def test_energy_drift_visible_in_series(self, tmp_path):
         report = self.run_small(tmp_path)
         summary = report["summaries"]["mi"]
@@ -222,10 +243,9 @@ class TestSnapshotWriter:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_block_writer_matches_rowwise_oracle_property(self, data):
-        # Bounds, times and components at the edges of the float range,
-        # signed zeros, infinities and NaN, on small grids.  Components stay
-        # within 1e300, since beyond float max |u| Python's abs raises where
-        # hypot gives inf.
+        # Bounds, times and components over the whole float range, signed
+        # zeros, infinities and NaN, on small grids.  Where |u| is beyond the
+        # float max, the writer and the oracle both write inf.
         bounds = st.sampled_from([-1e300, -3.0, -1e-300, 0.0, 1e-300, 1.0, 1e300])
         x_l, x_r = sorted(data.draw(st.lists(bounds | st.floats(-1e3, 1e3),
                                              min_size=2, max_size=2, unique=True)))
@@ -233,9 +253,9 @@ class TestSnapshotWriter:
         assume((x_r - x_l) / K > 1e-150)   # 1/h^2 finite, as build_grid needs
         grid = build_grid(x_l, x_r, K, 1.0, 2)
         times = st.sampled_from([0.0, 5e-324, 1.0 / 3.0, 1e300]) | st.floats()
-        component = (st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, np.inf,
-                                      -np.inf, np.nan])
-                     | st.floats(-1e300, 1e300))
+        component = (st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, FLOAT_MAX,
+                                      -FLOAT_MAX, np.inf, -np.inf, np.nan])
+                     | st.floats())
         snapshots = []
         for _ in range(data.draw(st.integers(1, 3))):
             u = np.empty(K, dtype=complex)   # no complex arithmetic on inf/nan
@@ -247,6 +267,17 @@ class TestSnapshotWriter:
             _write_snapshots(block, grid, snapshots)
             write_snapshots_rowwise(rows, grid, snapshots)
             assert block.read_bytes() == rows.read_bytes()
+
+    def test_modulus_beyond_float_max_written_as_inf(self, tmp_path):
+        # hypot overflows quietly (a warning would fail the suite) to inf,
+        # where Python's abs raises.
+        grid = build_grid(0.0, 1.0, 4, 1.0, 2)
+        u = np.full(4, complex(1.0, 2.0))
+        u.real[0] = u.imag[0] = FLOAT_MAX
+        _write_snapshots(tmp_path / "s.csv", grid, [(0.0, u)])
+        rows = (tmp_path / "s.csv").read_text().splitlines()
+        assert rows[1] == f"0,0,{FLOAT_MAX!r},{FLOAT_MAX!r},inf"
+        assert rows[2].endswith(f",{abs(complex(1.0, 2.0)):.17g}")
 
     def test_run_files_match_rowwise_oracle(self, tmp_path):
         # Every level of both schemes' gauss_split runs, against the oracle
@@ -497,6 +528,23 @@ class TestMainExitCodes:
         record = json.loads(err)
         assert record["error"] == "DivergenceError"
         assert record["step"] == 2
+
+    @pytest.mark.parametrize("K, J, stride", [(10 ** 9, 10, 100),
+                                              (64, 10 ** 9, 1),
+                                              (64, 10 ** 9, 10 ** 9)])
+    def test_run_beyond_memory_cap_exit_2(self, tmp_path, capsys, K, J, stride):
+        # Refused before anything of size K or J is allocated.
+        payload = {"problem": "plane_beta2", "K": K, "J": J, "T": 1.0,
+                   "scheme": "both", "snapshot_stride": stride,
+                   "output_dir": str(tmp_path / "big")}
+        assert main(["run", write_config(tmp_path, payload)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigurationError"
+        grid = resolve(parse_config(json.dumps(payload)))[1]
+        held = mi.held_bytes(grid, stride)
+        assert held > mi.MEMORY_CAP_BYTES
+        assert f"would hold {held} bytes" in record["message"]
+        assert not list((tmp_path / "big").iterdir())
 
     @pytest.mark.parametrize("key, value", [("T", 1e-320), ("T", 1e-160),
                                             ("K", 10 ** 20)])

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from nlsw import (ConfigurationError, ConsistencyError, PdeParams, SolverConfig,
                   StateWindow, StepFailureError, Trajectory, UsageError,
                   assemble_linear, bootstrap, builtin_problem, build_grid,
-                  diagnostics, mi, mi_energy, mi_mass, run_mi, step_mi)
+                  diagnostics, mi, mi_energy, mi_mass, run_mi, run_wang, step_mi)
 from nlsw.linsolve import PreparedCyclicSolver
 from nlsw.mi import BLOCK_VALUES, _known_terms, _cubic_pair
 
@@ -284,6 +284,28 @@ class TestRunMi:
             traj = run_mi(EX1, g, cfg, snapshot_stride=g.J)
             errs_t.append(traj.series["err_max"].max())
         assert 2.8 <= errs_t[0] / errs_t[1] <= 5.2
+
+    @pytest.mark.parametrize("runner", [run_mi, run_wang])
+    @pytest.mark.parametrize("K, J, stride", [(10 ** 9, 10, 100), (64, 10 ** 9, 1)])
+    def test_run_beyond_memory_cap_refused_before_allocating(self, runner, K, J,
+                                                             stride):
+        # Refused from K, J and the stride alone: nothing of size K or J is
+        # allocated first, not even the operator.
+        g = build_grid(EX3.x_l, EX3.x_r, K, 1.0, J)
+        with pytest.raises(ConfigurationError) as err:
+            runner(EX3, g, SolverConfig(), snapshot_stride=stride)
+        held = mi.held_bytes(g, stride)
+        assert held > mi.MEMORY_CAP_BYTES
+        assert f"would hold {held} bytes" in str(err.value)
+
+    @pytest.mark.parametrize("runner", [run_mi, run_wang])
+    def test_held_bytes_covers_what_a_run_holds(self, runner):
+        g = build_grid(EX3.x_l, EX3.x_r, 64, 0.3, 30)
+        traj = runner(EX3, g, SolverConfig(), snapshot_stride=1)
+        buffer = (max(1, BLOCK_VALUES // g.K) + 1) * g.K * 16
+        held = (buffer + sum(u.nbytes for _, u in traj.snapshots)
+                + sum(column.nbytes for column in traj.series.values()))
+        assert held <= mi.held_bytes(g, 1) <= 2 * held
 
     def test_step_failure_carries_step_index(self):
         g = build_grid(EX3.x_l, EX3.x_r, 64, 1.0, 100)

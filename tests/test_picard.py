@@ -1,0 +1,151 @@
+"""The Picard sweep both schemes share (mi.picard): its starting guess, its
+failure paths and its early verdict.
+
+The iteration starts from the quadratic extrapolation
+3 u^j - 3 u^{j-1} + u^{j-2} when the window carries u^{j-2}, and from the
+linear 2 u^j - u^{j-1} otherwise.  The start changes only where the
+iteration stops, so both starts must land on the same level to within the
+stopping tolerance, and a run's first step, which has no u^{j-2}, must be
+bit for bit the step of the linear-start loop.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nlsw import (DivergenceError, PdeParams, PreparedCyclicSolver,
+                  SingularSystemError, SolverConfig, StateWindow, StepFailureError,
+                  assemble_linear, assemble_wang, bootstrap, build_grid,
+                  builtin_problem, run_mi, run_wang, step_mi, step_wang)
+from nlsw import mi, wang
+
+from oracles import picard_linear_start
+from strategies import (coefficient, gamma_coefficient, levels, periodic_grid,
+                        seeds, sizes, time_steps)
+
+PLANE = builtin_problem("plane_beta2")
+
+SCHEMES = {"mi": (step_mi, assemble_linear, mi),
+           "wang": (step_wang, assemble_wang, wang)}
+
+
+def earlier_level(seed, u_prev):
+    """u^{j-2} for strategies.levels: u^{j-1} rotated and perturbed as
+    u^{j-1} is from u^j."""
+    rng = np.random.default_rng([seed, 2])
+    noise = rng.normal(size=u_prev.shape) + 1j * rng.normal(size=u_prev.shape)
+    return u_prev * np.exp(0.05j) + 0.05 * noise
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheme=st.sampled_from(sorted(SCHEMES)), alpha=coefficient,
+       gamma=gamma_coefficient, theta=coefficient, lam=coefficient,
+       beta=coefficient, K=sizes, tau=time_steps, seed=seeds)
+def test_quadratic_start_lands_on_linear_start_level(scheme, alpha, gamma, theta,
+                                                     lam, beta, K, tau, seed):
+    step, assemble, _ = SCHEMES[scheme]
+    if scheme == "wang":
+        gamma = theta = lam = 0.0
+    params = PdeParams(alpha=alpha, gamma=gamma, theta=theta, lam=lam, beta=beta)
+    grid = periodic_grid(K, tau)
+    u_prev, u_cur = levels(seed, K)
+    solver = PreparedCyclicSolver(assemble(params, grid))
+    config = SolverConfig()
+    linear, _ = step(StateWindow(u_prev, u_cur, 0.0), solver, params, grid, config)
+    quadratic, _ = step(StateWindow(u_prev, u_cur, 0.0, earlier_level(seed, u_prev)),
+                        solver, params, grid, config)
+    scale = max(1.0, float(np.abs(linear).max()))
+    assert np.abs(quadratic - linear).max() <= 10 * config.fp_tol * scale
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_quadratic_start_saves_sweeps_on_a_smooth_solution(scheme):
+    step, assemble, _ = SCHEMES[scheme]
+    grid = build_grid(PLANE.x_l, PLANE.x_r, 200, 20.0, 400)
+    u = [PLANE.exact(grid.nodes, j * grid.tau) for j in (3, 4, 5)]
+    solver = PreparedCyclicSolver(assemble(PLANE.params, grid))
+    _, linear = step(StateWindow(u[1], u[2], 0.0), solver, PLANE.params, grid,
+                     SolverConfig())
+    _, quadratic = step(StateWindow(u[1], u[2], 0.0, u[0]), solver, PLANE.params,
+                        grid, SolverConfig())
+    assert quadratic < linear
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_first_step_of_a_run_is_the_linear_start_step(scheme):
+    step, assemble, module = SCHEMES[scheme]
+    runner = run_mi if scheme == "mi" else run_wang
+    grid = build_grid(PLANE.x_l, PLANE.x_r, 64, 0.15, 3)
+    config = SolverConfig()
+    traj = runner(PLANE, grid, config, snapshot_stride=1)
+    (_, u0), (_, u1), (_, u2) = traj.snapshots[:3]
+    expected, sweeps = picard_linear_start(
+        StateWindow(u0, u1, grid.tau), PreparedCyclicSolver(assemble(PLANE.params, grid)),
+        PLANE.params, grid, config, module._stencils, module._cubic)
+    assert np.array_equal(u2, expected)
+    assert traj.series["fp_iters"][0] == sweeps
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("with_prev2", [False, True])
+def test_overflowing_cubic_is_divergence_in_sweep_one(scheme, with_prev2):
+    # |u|^2 u overflows at |u| = 1e110, so the first sweep's right-hand side
+    # is not finite; the solve reports that as a singular system, which the
+    # sweep turns back into the divergence it is.
+    step, assemble, _ = SCHEMES[scheme]
+    grid = build_grid(PLANE.x_l, PLANE.x_r, 32, 1.0, 100)
+    big = np.full(32, 1e110, dtype=complex)
+    window = StateWindow(big, big, 0.0, big if with_prev2 else None)
+    with pytest.raises(DivergenceError) as err:
+        step(window, assemble(PLANE.params, grid), PLANE.params, grid, SolverConfig())
+    assert "non-finite nonlinear term in sweep 1" in str(err.value)
+    assert err.value.__cause__ is None and err.value.__suppress_context__
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_overflowing_solve_of_a_finite_rhs_stays_singular(scheme):
+    # h = tau = 1e150 makes every operator entry 1e-150 or smaller, so a
+    # finite right-hand side of 1e300 solves to beyond the float range.  K is
+    # odd, since the midpoint operator is singular at the K/2 mode here.
+    step, assemble, _ = SCHEMES[scheme]
+    grid = build_grid(0.0, 9e150, 9, 1e152, 100)
+    u = np.full(9, 1e100, dtype=complex)
+    with pytest.raises(SingularSystemError) as err:
+        step(StateWindow(u, u, 0.0), assemble(PLANE.params, grid), PLANE.params,
+             grid, SolverConfig())
+    assert "cyclic solve overflowed" in str(err.value)
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_stalled_iteration_stops_early(scheme):
+    # fp_tol = 1e-18 lies below the round-off floor of the updates (about
+    # 4.4e-16 on this mesh), so no sweep can meet it; the budget of 100
+    # sweeps would be spent on round-off.
+    runner = run_mi if scheme == "mi" else run_wang
+    grid = build_grid(PLANE.x_l, PLANE.x_r, 200, 20.0, 400)
+    with pytest.raises(StepFailureError) as err:
+        runner(PLANE, grid, SolverConfig(fp_tol=1e-18))
+    assert type(err.value) is StepFailureError
+    assert err.value.step == 2
+    message = str(err.value)
+    assert "fixed point stalled in sweep" in message
+    sweep = int(message.split("stalled in sweep ")[1].split(":")[0])
+    assert sweep <= 15
+    assert f"{mi.STALL_SWEEPS} sweeps without a smaller update" in message
+    assert message.endswith(f", {err.value.residual:.3e})")
+    assert err.value.residual < 1e-14
+
+
+def test_stall_verdict_comes_before_the_budget():
+    # The first step of the run above: a budget one short of the sweep that
+    # gives the stall verdict ends with the budget message instead.
+    grid = build_grid(PLANE.x_l, PLANE.x_r, 200, 20.0, 400)
+    window = StateWindow(*bootstrap(PLANE.f0, PLANE.f1, PLANE.params, grid), 0.0)
+    solver = PreparedCyclicSolver(assemble_linear(PLANE.params, grid))
+    with pytest.raises(StepFailureError) as err:
+        step_mi(window, solver, PLANE.params, grid, SolverConfig(fp_tol=1e-18))
+    stalled_in = int(str(err.value).split("stalled in sweep ")[1].split(":")[0])
+    with pytest.raises(StepFailureError) as err:
+        step_mi(window, solver, PLANE.params, grid,
+                SolverConfig(fp_tol=1e-18, fp_max_iter=stalled_in - 1))
+    assert f"not converged after {stalled_in - 1} sweeps" in str(err.value)
