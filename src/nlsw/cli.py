@@ -6,11 +6,12 @@ Commands:
     nlsw compare <config.json>              forces scheme=both
     nlsw list-problems
 
-Exit codes: 0 success, 1 internal consistency failure (a realness guard of
-the discrete invariants fired), 2 configuration error (a bad config value or
-an unwritable output directory), 3 solver failure, 4 identity-oracle
-validation failure.  Codes 1-4 come with a one-line JSON record on stderr; a
-failure inside the step loop names its step there.
+Exit codes, the exit_code of each error type: 0 success, 1 internal
+consistency failure (a realness guard of the discrete invariants fired), 2
+configuration error (a bad config value or an unwritable output directory),
+3 solver failure, 4 identity-oracle validation failure.  Codes 1-4 come with
+a one-line JSON record on stderr; a failure inside the step loop names its
+step there.
 """
 
 from __future__ import annotations
@@ -21,17 +22,17 @@ import json
 import itertools
 import sys
 import time
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics, problems
-from .errors import (ConfigurationError, IdentityValidationError, NlswError,
-                     SingularSystemError, StepFailureError, UsageError)
+from .errors import ConfigurationError, IdentityValidationError, NlswError, UsageError
 from .grid import GridSpec, build_grid, is_number
-from .mi import SolverConfig, Trajectory, run_mi
+from .mi import SolverConfig, Trajectory, check_bootstrap, run_mi
 from .problems import ProblemSpec, builtin_problem, convergence_order, customized
-from .wang import run_wang
+from .wang import check_coefficients, run_wang
 
 SCHEMES = ("mi", "wang", "both")
 
@@ -101,7 +102,7 @@ def _resolve_problem(spec) -> ProblemSpec:
 
 def resolve(config: RunConfig) -> tuple[ProblemSpec, GridSpec, SolverConfig]:
     """Materialize the problem, grid, and solver settings, validating all
-    invariants before any compute."""
+    invariants, the schemes' own rules included, before any compute."""
     problem = _resolve_problem(config.problem)
     T = config.T if config.T is not None else problem.default_T
     grid = build_grid(problem.x_l, problem.x_r, config.K, T, config.J)
@@ -110,6 +111,9 @@ def resolve(config: RunConfig) -> tuple[ProblemSpec, GridSpec, SolverConfig]:
                                  bootstrap_mode=config.bootstrap_mode)
     if config.scheme not in SCHEMES:
         raise ConfigurationError(f"scheme must be one of {SCHEMES}, got {config.scheme!r}")
+    if config.scheme != "mi":
+        check_coefficients(problem.params)
+    check_bootstrap(config.bootstrap_mode, problem.exact)
     if config.snapshot_stride < 1:
         raise ConfigurationError(
             f"snapshot_stride must be >= 1, got {config.snapshot_stride}")
@@ -251,8 +255,7 @@ def _series_summary(traj: Trajectory) -> dict:
     series, meta = traj.series, traj.meta
 
     def drift(name, ref):
-        return float(diagnostics.rel_drift(series[name], meta[ref]).max()) \
-            if name in series else None
+        return diagnostics.max_rel_drift(series[name], meta[ref]) if name in series else None
 
     def final(name):
         return float(series[name][-1]) if name in series else None
@@ -338,8 +341,8 @@ def run_convergence(config: RunConfig, axis: str, levels: int,
     """
     if axis not in ("space", "time"):
         raise UsageError(f"axis must be 'space' or 'time', got {axis!r}")
-    if levels < 2:
-        raise UsageError(f"a convergence sweep needs >= 2 levels, got {levels}")
+    if not is_number(levels, Integral) or levels < 2:
+        raise UsageError(f"convergence levels must be an integer >= 2, got {levels!r}")
     problem, base_grid, solver_config = resolve(config)
     if problem.exactness != "verified":
         raise ConfigurationError(
@@ -375,22 +378,11 @@ def run_convergence(config: RunConfig, axis: str, levels: int,
             "fitted_order": fitted, "entries": entries}
 
 
-def _error_record(exc: Exception) -> str:
+def _error_record(exc: NlswError) -> str:
     record = {"error": type(exc).__name__, "message": str(exc)}
-    step = getattr(exc, "step", None)
-    if step is not None:
-        record["step"] = step
+    if exc.step is not None:
+        record["step"] = exc.step
     return json.dumps(record)
-
-
-def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, IdentityValidationError):
-        return 4
-    if isinstance(exc, (StepFailureError, SingularSystemError)):
-        return 3
-    if isinstance(exc, (ConfigurationError, UsageError)):
-        return 2
-    return 1
 
 
 def _load_config(path: str) -> RunConfig:
@@ -448,7 +440,7 @@ def main(argv=None) -> int:
         return 0
     except NlswError as exc:
         print(_error_record(exc), file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

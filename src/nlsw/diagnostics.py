@@ -218,10 +218,10 @@ def theorem_identity_gaps(u_prev, u_cur, u_next, params: PdeParams,
     return identity_gaps(d_energy, d_mass, plus[1], minus[1], params, grid)
 
 
-def rel_drift(value, ref):
-    """|value - ref| / |ref|, the scale floored at 1e-30; elementwise for an
-    array of values."""
-    return abs(value - ref) / max(abs(ref), 1e-30)
+def max_rel_drift(values, ref) -> float:
+    """The largest |value - ref| / |ref| of an array of values, the scale
+    floored at 1e-30."""
+    return float((abs(values - ref) / max(abs(ref), 1e-30)).max())
 
 
 @dataclass(frozen=True)
@@ -291,11 +291,12 @@ def run_identity_oracle() -> IdentityOracleResult:
     levels = np.array([u for _, u in traj.snapshots])
     triples = levels[:-2], levels[1:-1], levels[2:]
 
-    rhs_e = energy_rhs(*triples, params, grid)
+    # The mass side per unit constant; the energy side does not depend on it.
+    rhs_e, base = _identity_rhs(*_half_node_means(*triples, grid), params, grid,
+                                factor=1.0)
     scale = np.maximum(np.maximum(np.abs(series["energy_mi"]), np.abs(rhs_e)), 1.0)
     energy_max = float(np.max(np.abs(series["energy_gap"]) / scale))
     dq = np.diff(series["mass_mi"], prepend=traj.meta["mass_ref"]) / grid.tau
-    base = mass_rhs(*triples, params, grid, factor=1.0)
     usable = np.abs(base) > 1e-10
     factors = dq[usable] / base[usable]
     if not factors.size:

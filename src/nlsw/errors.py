@@ -2,27 +2,38 @@
 
 
 class NlswError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  exit_code is what the CLI returns
+    for the type; step is the level a failed run's step loop was producing."""
+
+    exit_code = 1
+    step = None
 
 
 class ConfigurationError(NlswError):
     """Invalid problem, grid, or run configuration."""
 
+    exit_code = 2
+
 
 class UsageError(NlswError):
     """An operation was called with inconsistent or malformed arguments."""
+
+    exit_code = 2
 
 
 class SingularSystemError(NlswError):
     """The cyclic tridiagonal system is singular or numerically collapsed."""
 
+    exit_code = 3
+
 
 class StepFailureError(NlswError):
     """A time step did not converge within the iteration budget."""
 
-    def __init__(self, message, step=None, residual=None):
+    exit_code = 3
+
+    def __init__(self, message, residual=None):
         super().__init__(message)
-        self.step = step
         self.residual = residual
 
 
@@ -41,3 +52,5 @@ class ConsistencyError(NlswError):
 
 class IdentityValidationError(NlswError):
     """The discrete mass-identity oracle failed to validate any candidate."""
+
+    exit_code = 4

@@ -18,9 +18,6 @@ import numpy as np
 
 from .errors import ConfigurationError, UsageError
 
-DIFFERENCE_KINDS = ("forward", "backward", "central", "second",
-                    "half_average", "half_forward")
-
 
 def is_number(value, kind=Real) -> bool:
     """Whether value is a kind (Real or Integral) inside the float range; a
@@ -183,6 +180,8 @@ _DISPATCH = {
     "half_average": lambda u, g: half_average(u),
     "half_forward": lambda u, g: forward_diff(u, g.h),
 }
+
+DIFFERENCE_KINDS = tuple(_DISPATCH)
 
 
 def apply_difference(kind: str, u, grid: GridSpec) -> np.ndarray:

@@ -99,36 +99,10 @@ class ProblemSpec:
             raise failure
 
 
-def _linear_plane():
-    omega = 3.0
+def _plane_wave(name, params, default_T, amp, m, omega):
+    """The verified plane wave amp * e^{i(m x - omega t)} on [0, 2 pi)."""
     return ProblemSpec(
-        name="linear_plane",
-        params=PdeParams(alpha=-1.0, gamma=1.0, theta=-1.0, lam=3.0, beta=0.0),
-        x_l=0.0, x_r=2.0 * np.pi, default_T=50.0,
-        f0=lambda x: np.exp(1j * x),
-        f1=lambda x: -1j * omega * np.exp(1j * x),
-        exact=lambda x, t: np.exp(1j * (x - omega * t)),
-        exactness="verified")
-
-
-def _nonlinear_plane():
-    return ProblemSpec(
-        name="nonlinear_plane",
-        params=PdeParams(alpha=-1.0, gamma=1.0, theta=-1.0, lam=1.0, beta=2.0),
-        x_l=0.0, x_r=2.0 * np.pi, default_T=200.0,
-        f0=lambda x: np.exp(1j * x),
-        f1=lambda x: 1j * np.exp(1j * x),
-        exact=lambda x, t: np.exp(1j * (x + t)),
-        exactness="verified")
-
-
-def _plane_beta2():
-    # omega = 7 solves omega^2 - omega - 42 = 0 for the mode-6 wave.
-    amp, m, omega = np.sqrt(3.0), 6.0, 7.0
-    return ProblemSpec(
-        name="plane_beta2",
-        params=PdeParams(alpha=-1.0, gamma=0.0, theta=0.0, lam=0.0, beta=2.0),
-        x_l=0.0, x_r=2.0 * np.pi, default_T=100.0,
+        name=name, params=params, x_l=0.0, x_r=2.0 * np.pi, default_T=default_T,
         f0=lambda x: amp * np.exp(1j * m * x),
         f1=lambda x: -1j * omega * amp * np.exp(1j * m * x),
         exact=lambda x, t: amp * np.exp(1j * (m * x - omega * t)),
@@ -169,9 +143,16 @@ def _gauss_split():
 
 
 _BUILTINS = {
-    "linear_plane": _linear_plane,
-    "nonlinear_plane": _nonlinear_plane,
-    "plane_beta2": _plane_beta2,
+    "linear_plane": lambda: _plane_wave(
+        "linear_plane", PdeParams(alpha=-1.0, gamma=1.0, theta=-1.0, lam=3.0, beta=0.0),
+        50.0, amp=1.0, m=1.0, omega=3.0),
+    "nonlinear_plane": lambda: _plane_wave(
+        "nonlinear_plane", PdeParams(alpha=-1.0, gamma=1.0, theta=-1.0, lam=1.0, beta=2.0),
+        200.0, amp=1.0, m=1.0, omega=-1.0),
+    # omega = 7 solves omega^2 - omega - 42 = 0 for the mode-6 wave.
+    "plane_beta2": lambda: _plane_wave(
+        "plane_beta2", PdeParams(alpha=-1.0, gamma=0.0, theta=0.0, lam=0.0, beta=2.0),
+        100.0, amp=np.sqrt(3.0), m=6.0, omega=7.0),
     "soliton": _soliton,
     "gauss_split": _gauss_split,
 }
@@ -195,8 +176,6 @@ def customized(base: ProblemSpec, **param_overrides) -> ProblemSpec:
     Changing any coefficient invalidates the stored exact solution, so the
     result is downgraded to exactness="none" unless nothing changed.
     """
-    if not param_overrides:
-        return base
     params = dataclasses.replace(base.params, **param_overrides)
     if params == base.params:
         return base

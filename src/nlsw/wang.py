@@ -28,7 +28,7 @@ import functools
 
 import numpy as np
 
-from .diagnostics import rel_drift
+from .diagnostics import max_rel_drift
 from .errors import ConfigurationError
 from .grid import GridSpec, as_level, backward_diff, scalar_or_rows
 from .linsolve import CyclicTridiagonalSystem
@@ -36,15 +36,20 @@ from .mi import SolverConfig, StateWindow, Trajectory, integrate, picard
 from .model import PdeParams
 
 
+def check_coefficients(params: PdeParams):
+    """Refuse coefficients outside the scheme's gamma = theta = lam = 0."""
+    if params.gamma != 0.0 or params.theta != 0.0 or params.lam != 0.0:
+        raise ConfigurationError(
+            "the energy-preserving scheme covers gamma = theta = lam = 0 only; "
+            f"got gamma={params.gamma}, theta={params.theta}, lam={params.lam}")
+
+
 @functools.lru_cache(maxsize=8)
 def _stencils(params: PdeParams, grid: GridSpec):
     """(lower, diag, upper) of the stencils acting on u^{j+1}, u^j and
     u^{j-1}; the u^{j-1} one is built as the adjoint C = A^H of the u^{j+1}
     one, what reversing time makes of A.  Cached like mi._stencils."""
-    if params.gamma != 0.0 or params.theta != 0.0 or params.lam != 0.0:
-        raise ConfigurationError(
-            "the energy-preserving scheme covers gamma = theta = lam = 0 only; "
-            f"got gamma={params.gamma}, theta={params.theta}, lam={params.lam}")
+    check_coefficients(params)
     h, tau = grid.h, grid.tau
     off = -0.5 / h ** 2
     diag = 1.0 / tau ** 2 + 1.0 / h ** 2 - 0.5j * params.alpha / tau
@@ -132,6 +137,6 @@ def run_wang(problem, grid: GridSpec, config: SolverConfig,
                      assemble_wang, _step_wang, wang_energies)
     printed = traj.series.pop("energy_wang_printed")
     traj.meta["scheme"] = "wang"
-    traj.meta["energy_wang_printed_max_rel_drift"] = float(
-        rel_drift(printed, traj.meta["energy_wang_printed_ref"]).max())
+    traj.meta["energy_wang_printed_max_rel_drift"] = max_rel_drift(
+        printed, traj.meta["energy_wang_printed_ref"])
     return traj

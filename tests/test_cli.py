@@ -71,6 +71,30 @@ class TestParseConfig:
         cfg = parse_config(text)
         assert cfg.problem["params"]["beta"] == 1.0
 
+    # Rules of a scheme, refused before any output directory or run exists:
+    # the energy-preserving scheme's coefficients, the exact bootstrap's
+    # solution; then inline problems, the stride and the document itself.
+    @pytest.mark.parametrize("payload, message", [
+        ({"problem": "linear_plane", "scheme": "wang"},
+         "covers gamma = theta = lam = 0 only"),
+        ({"problem": "linear_plane", "scheme": "both"},
+         "covers gamma = theta = lam = 0 only"),
+        ({"problem": "gauss_split", "bootstrap_mode": "exact"},
+         "bootstrap mode 'exact' needs the exact solution"),
+        ({"problem": {"base": "plane_beta2", "bogus": 1}},
+         r"unknown keys in inline problem: \['bogus'\]"),
+        ({"problem": {"base": "plane_beta2", "params": {"kappa": 1.0}}},
+         "unknown coefficient 'kappa'"),
+        ({"problem": "plane_beta2", "snapshot_stride": 0},
+         "snapshot_stride must be >= 1, got 0"),
+        (["problem", "K", "J"], "config document must be a JSON object"),
+    ])
+    def test_refused_at_parse(self, payload, message):
+        if isinstance(payload, dict):
+            payload = {"K": 16, "J": 4, **payload}
+        with pytest.raises(ConfigurationError, match=message):
+            parse_config(json.dumps(payload))
+
     def test_bad_scheme_rejected(self):
         with pytest.raises(ConfigurationError):
             parse_config('{"problem": "linear_plane", "K": 64, "J": 10, '
@@ -381,9 +405,17 @@ class TestRunConvergence:
             run_convergence(cfg, axis="space", levels=2)
 
     def test_single_level_usage_error(self, tmp_path):
+        # One level, then counts that are not integers.
         cfg = self.base_config(tmp_path)
-        with pytest.raises(UsageError):
-            run_convergence(cfg, axis="space", levels=1)
+        for levels in (1, 2.5, 3.0, True, "3"):
+            with pytest.raises(UsageError, match="an integer >= 2"):
+                run_convergence(cfg, axis="space", levels=levels)
+
+    def test_both_schemes_refused(self, tmp_path):
+        cfg = self.base_config(tmp_path, problem="plane_beta2", scheme="both")
+        with pytest.raises(ConfigurationError, match="one scheme at a time"):
+            run_convergence(cfg, axis="space", levels=2)
+        assert not (tmp_path / "conv").exists()
 
     def test_bad_axis(self, tmp_path):
         cfg = self.base_config(tmp_path)
@@ -482,13 +514,29 @@ class TestMainExitCodes:
     def test_unwritable_output_dir_exit_2(self, tmp_path, capsys, command):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        path = write_config(tmp_path, {"problem": "linear_plane", "K": 16,
+        path = write_config(tmp_path, {"problem": "plane_beta2", "K": 16,
                                        "J": 20, "T": 0.2,
                                        "output_dir": str(blocker / "out")})
         assert main([command[0], path, *command[1:]]) == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigurationError"
         assert str(blocker / "out") in record["message"]
+
+    def test_compare_outside_energy_scheme_exit_2_before_output(self, tmp_path,
+                                                                capsys):
+        # compare forces scheme both, whose energy-preserving half covers
+        # gamma = theta = lam = 0 only: refused before the output directory
+        # or the midpoint run exist.
+        path = write_config(tmp_path, {"problem": "linear_plane", "K": 16,
+                                       "J": 20, "T": 0.2,
+                                       "output_dir": str(tmp_path / "cmp")})
+        assert main(["compare", path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ConfigurationError"
+        assert "gamma = theta = lam = 0" in record["message"]
+        assert not (tmp_path / "cmp").exists()
 
     def test_overflowing_integer_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"problem": "linear_plane", "K": 64,

@@ -142,8 +142,9 @@ class TestInnerProductAndNorms:
             assert abs(fast - slow) <= 1e-14 * abs(slow)
 
     def test_length_mismatch(self, small_grid):
-        with pytest.raises(UsageError):
-            inner_product(np.zeros(3), np.zeros(small_grid.K), small_grid)
+        for shape, message in (((3,), "length 3"), ((2, small_grid.K), "must be 1-D")):
+            with pytest.raises(UsageError, match=message):
+                inner_product(np.zeros(shape), np.zeros(small_grid.K), small_grid)
 
     def test_norms_constants(self):
         g = build_grid(0.0, 2.0, 4, 1.0, 2)

@@ -49,7 +49,8 @@ class TestSolverConfig:
         # is never a number, and the error names the field.
         for field, value in (("fp_max_iter", 2.5), ("fp_max_iter", True),
                              ("fp_tol", True), ("fp_tol", None),
-                             ("fp_tol", "1e-13"), ("fp_tol", 10 ** 400)):
+                             ("fp_tol", "1e-13"), ("fp_tol", 10 ** 400),
+                             ("bootstrap_mode", "taylor3")):
             with pytest.raises(ConfigurationError) as err:
                 SolverConfig(**{field: value})
             assert field in str(err.value)
@@ -142,10 +143,13 @@ class TestBootstrap:
         assert np.array_equal(u1, prob.exact(g.nodes, g.tau))
 
     def test_exact_mode_requires_solution(self):
+        # And, like every mode, a known one.
         prob = builtin_problem("gauss_split")
         g = build_grid(prob.x_l, prob.x_r, 64, 1.0, 100)
-        with pytest.raises(ConfigurationError):
-            bootstrap(prob.f0, prob.f1, prob.params, g, mode="exact", exact=None)
+        for mode, message in (("exact", "'exact' needs the exact solution"),
+                              ("taylor3", "unknown bootstrap mode 'taylor3'")):
+            with pytest.raises(ConfigurationError, match=message):
+                bootstrap(prob.f0, prob.f1, prob.params, g, mode=mode, exact=None)
 
 
 class TestStepMi:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlsw import (ConfigurationError, PdeParams, ZField, builtin_problem,
+from nlsw import (ConfigurationError, PdeParams, UsageError, ZField, builtin_problem,
                   build_grid, continuous_residual, grad_S, hamiltonian_S,
                   local_densities, local_law_residual, reconstruct_z,
                   structure_matrices)
@@ -275,6 +275,10 @@ class TestLocalLawResidual:
         r = local_law_residual(z, z, z, p, small_grid)
         assert np.all(r.energy_res == 0.0)
         assert np.all(r.momentum_res == 0.0)
+
+    def test_unequal_component_shapes_rejected(self):
+        with pytest.raises(UsageError, match="equal shapes"):
+            ZField(*(np.zeros(8) for _ in range(5)), np.zeros(9))
 
     def test_plane_wave_injection_within_truncation(self):
         # A single plane wave has spatially constant densities, so both

@@ -88,6 +88,19 @@ class TestBuiltins:
                         f1=lambda x: -3j * np.exp(1j * x),
                         exact=exact, exactness="verified")
 
+    @pytest.mark.parametrize("exactness, message", [
+        ("approximate", "unknown exactness level 'approximate'"),
+        ("verified", "verified problems must carry an exact solution"),
+    ])
+    def test_exactness_level_checked(self, exactness, message):
+        params = PdeParams(alpha=-1.0, gamma=0.0, theta=0.0, lam=0.0, beta=0.0)
+        with pytest.raises(ConfigurationError, match=message):
+            ProblemSpec(name="plain", params=params, x_l=0.0, x_r=2.0 * np.pi,
+                        default_T=1.0,
+                        f0=lambda x: np.exp(1j * x),
+                        f1=lambda x: np.zeros_like(x, dtype=complex),
+                        exactness=exactness)
+
     def test_periodic_compatibility_rejected(self):
         params = PdeParams(alpha=-1.0, gamma=0.0, theta=0.0, lam=0.0, beta=0.0)
         with pytest.raises(ConfigurationError):
@@ -104,6 +117,7 @@ class TestBuiltins:
         assert custom.exact is None
         assert custom.params.beta == 1.0
         assert customized(base) is base
+        assert customized(base, beta=base.params.beta) is base
 
     def test_customized_validates_params(self):
         base = builtin_problem("plane_beta2")
