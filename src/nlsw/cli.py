@@ -26,6 +26,7 @@ from numbers import Integral
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import diagnostics, problems
 from .errors import ConfigurationError, IdentityValidationError, NlswError, UsageError
@@ -236,12 +237,23 @@ def _runners() -> dict:
     return {"mi": run_mi, "wang": run_wang}
 
 
+def _versions() -> dict:
+    """The Python, numpy, scipy and nlsw versions, read from the modules a
+    run has already imported: importing importlib.metadata alone takes
+    about 17 ms."""
+    from . import __version__
+    return {"python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "nlsw": __version__}
+
+
 def _write_meta(out: Path, config: RunConfig, problem: ProblemSpec,
                 started: float, **fields) -> str:
-    """Write meta.json: the config and problem echo, the run's own fields
-    and the wall time since `started`."""
+    """Write meta.json: the config and problem echo, the run's own fields,
+    the versions and the wall time since `started`."""
     meta = {"config": dataclasses.asdict(config),
             "problem": _problem_echo(problem), **fields,
+            "versions": _versions(),
             "wall_time_seconds": time.perf_counter() - started}
     path = out / "meta.json"
     with path.open("w") as fh:

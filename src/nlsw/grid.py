@@ -137,9 +137,11 @@ def shift_prev(u):
 def stencil(coefficients, u):
     """Three-point periodic stencil (lower, diag, upper), scalars or length-K
     arrays, on the last axis of u: slot k holds
-    lower*u_{k-1} + diag*u_k + upper*u_{k+1}."""
+    lower*u_{k-1} + diag*u_k + upper*u_{k+1}, both neighbours read from one
+    copy of u padded by a wrapped node at each end."""
     lower, diag, upper = coefficients
-    return lower * shift_prev(u) + diag * u + upper * shift_next(u)
+    padded = np.concatenate((u[..., -1:], u, u[..., :1]), axis=-1)
+    return lower * padded[..., :-2] + diag * u + upper * padded[..., 2:]
 
 
 # Bare periodic stencils on the last axis.  These skip validation and are
@@ -165,11 +167,6 @@ def second_diff(u, h):
 def half_average(u):
     """Node field -> half-node field of cell means (slot k is k+1/2)."""
     return 0.5 * (u + shift_next(u))
-
-
-def pair_sum(y):
-    """Half-node field -> node field y_{k+1/2} + y_{k-1/2}."""
-    return y + shift_prev(y)
 
 
 _DISPATCH = {

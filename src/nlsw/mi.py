@@ -24,8 +24,8 @@ import numpy as np
 from . import diagnostics, problems
 from .errors import (ConfigurationError, DivergenceError, NlswError,
                      SingularSystemError, StepFailureError, UsageError)
-from .grid import (GridSpec, as_field, as_level, central_diff, half_average,
-                   is_number, pair_sum, second_diff, stencil)
+from .grid import (GridSpec, as_field, as_level, central_diff, is_number,
+                   second_diff, stencil)
 from .linsolve import CyclicTridiagonalSystem, PreparedCyclicSolver
 from .model import PdeParams
 
@@ -157,17 +157,42 @@ def _known_terms(u_prev, u_cur, params: PdeParams, grid: GridSpec, table=_stenci
     return stencil(on_cur, u_cur) + stencil(on_prev, u_prev)
 
 
-def _cubic_pair(level_mean):
-    """Pair-sum of |.|^2 (.) over the half-node means of a temporal mean."""
-    y = half_average(level_mean)
-    return pair_sum(np.abs(y) ** 2 * y)
-
-
 def _cubic(quarter_beta, u_prev, u_cur):
-    """The nonlinear term as a function of the new level: the pair of cubic
-    half-node sums, the lagged one built once, the new one per iterate."""
-    lagged = _cubic_pair(0.5 * (u_prev + u_cur))
-    return lambda u: quarter_beta * (lagged + _cubic_pair(0.5 * (u_cur + u)))
+    """The nonlinear term as nonlinear(u, out), which writes N(u) into out
+    and returns it: beta/4 times the pair of cubic half-node sums, the lagged
+    one built here, the new one per iterate.
+
+    Each sum is y_{k+1/2} + y_{k-1/2} over the cubes |y|^2 y of the
+    half-node means y_{k+1/2} = (m_k + m_{k+1})/2 of a temporal mean m, so
+    the K+1 means from k-1/2 to K-1/2 come from one copy of m padded by a
+    wrapped node at each end, and the pair sum from two slices of their
+    cubes.  m is halved and the means halved again, never quartered at
+    once: a quarter of a sum of subnormals rounds to zeros of another sign.
+    The scratch arrays are allocated once, here."""
+    K = u_cur.shape[-1]
+    padded = np.empty(K + 2, dtype=np.complex128)
+    cubes = np.empty(K + 1, dtype=np.complex128)
+    abs2 = np.empty(K + 1)
+
+    def pair(level, out):
+        mean = padded[1:-1]
+        np.add(u_cur, level, out=mean)
+        mean *= 0.5
+        padded[0], padded[-1] = mean[-1], mean[0]
+        means = np.add(padded[:-1], padded[1:], out=cubes)
+        means *= 0.5
+        np.square(np.abs(means, out=abs2), out=abs2)
+        means *= abs2
+        return np.add(means[1:], means[:-1], out=out)
+
+    lagged = pair(u_prev, np.empty(K, dtype=np.complex128))
+
+    def nonlinear(u, out):
+        pair(u, out)
+        out += lagged
+        out *= quarter_beta
+        return out
+    return nonlinear
 
 
 def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
@@ -176,15 +201,21 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     for the new level u, with (A, B, C) = table(params, grid) and system A or
     its PreparedCyclicSolver (A is factored here).  Returns (u, sweeps).
 
-    beta = 0 makes one solve exact.  Otherwise N = cubic(beta/4, u^{j-1},
-    u^j) is built once and the iteration starts from the quadratic
-    extrapolation 3 u^j - 3 u^{j-1} + u^{j-2}, or from the linear
+    beta = 0 makes one solve exact.  Otherwise
+    nonlinear = cubic(beta/4, u^{j-1}, u^j) is built once, and
+    nonlinear(u, out) writes N(u) into out.  The iteration starts from the
+    quadratic extrapolation 3 u^j - 3 u^{j-1} + u^{j-2}, or from the linear
     2 u^j - u^{j-1} when the window carries no u^{j-2}.  Every sweep
     re-evaluates N at the current iterate and solves the frozen linear
     system, stopping once the sup-norm change drops below
     fp_tol * max(1, |iterate|).  STALL_SWEEPS sweeps in a row that bring no
     smaller change than the smallest so far end the step early, and so does
     a budget of fp_max_iter sweeps, both with StepFailureError.
+
+    A sweep writes the right-hand side and the change into buffers of the
+    step.  |iterate| is taken only when the change could pass: it is at
+    most |start| plus the changes so far, so a change above twice fp_tol
+    times max(1, that bound) fails the test whatever |iterate| is.
     """
     solver = system if isinstance(system, PreparedCyclicSolver) \
         else PreparedCyclicSolver(system)
@@ -202,10 +233,14 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
             u = 2.0 * u_cur - u_prev
         else:
             u = 3.0 * (u_cur - u_prev) + as_level(window.u_prev2, grid)
+        rhs = np.empty_like(u)
+        change = np.empty(u.shape)
+        bound = float(np.maximum.reduce(np.abs(u, out=change)))
         diff = smallest = np.inf
         stalled = 0
         for it in range(1, config.fp_max_iter + 1):
-            rhs = -(known + nonlinear(u))
+            np.add(known, nonlinear(u, rhs), out=rhs)
+            np.negative(rhs, out=rhs)
             try:
                 u_new = solver.solve(rhs)
             except SingularSystemError:
@@ -215,11 +250,15 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
                     f"fixed-point iterate diverged: non-finite nonlinear term "
                     f"in sweep {it}") from None
             previous = diff
-            diff = float(np.maximum.reduce(np.abs(u_new - u)))
-            peak = float(np.maximum.reduce(np.abs(u_new)))
+            # The right-hand side is spent, so its buffer holds u_new - u.
+            np.abs(np.subtract(u_new, u, out=rhs), out=change)
+            diff = float(np.maximum.reduce(change))
+            bound += diff
             u = u_new
-            if diff <= config.fp_tol * max(1.0, peak):
-                return u, it
+            if diff <= 2.0 * config.fp_tol * max(1.0, bound):
+                peak = float(np.maximum.reduce(np.abs(u, out=change)))
+                if diff <= config.fp_tol * max(1.0, peak):
+                    return u, it
             if diff < smallest:
                 smallest, stalled = diff, 0
                 continue

@@ -12,6 +12,7 @@ defect, so it is kept as a conservation benchmark only and flagged
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -160,8 +161,12 @@ _BUILTINS = {
 PROBLEM_NAMES = tuple(_BUILTINS)
 
 
+@functools.lru_cache(maxsize=None)
 def builtin_problem(name: str) -> ProblemSpec:
-    """Return one of the built-in benchmark problems by name."""
+    """Return one of the built-in benchmark problems by name.
+
+    Each is built, and its exact solution gate-checked, once per process:
+    the spec is frozen, and a run resolves its configuration twice."""
     try:
         factory = _BUILTINS[name]
     except KeyError:

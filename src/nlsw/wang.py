@@ -62,9 +62,20 @@ def assemble_wang(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSystem:
 
 
 def _cubic(quarter_beta, u_prev, u_cur):
-    """(beta/4)(|u|^2 + |u^{j-1}|^2)(u + u^{j-1}) as a function of the new level u."""
+    """(beta/4)(|u|^2 + |u^{j-1}|^2)(u + u^{j-1}) as nonlinear(u, out), which
+    writes it into out and returns it; |u^{j-1}|^2 and the real scratch
+    array are built once, here."""
     abs2_prev = np.abs(u_prev) ** 2
-    return lambda u: quarter_beta * (np.abs(u) ** 2 + abs2_prev) * (u + u_prev)
+    weight = np.empty(abs2_prev.shape)
+
+    def nonlinear(u, out):
+        abs2 = np.square(np.abs(u, out=weight), out=weight)
+        abs2 += abs2_prev
+        abs2 *= quarter_beta
+        np.add(u, u_prev, out=out)
+        out *= abs2
+        return out
+    return nonlinear
 
 
 def step_wang(window: StateWindow, system, params: PdeParams, grid: GridSpec,
@@ -80,42 +91,54 @@ def step_wang(window: StateWindow, system, params: PdeParams, grid: GridSpec,
 _step_wang = step_wang
 
 
-def kinetic_gradient(levels, grid: GridSpec):
+def gradient_sums(levels, grid: GridSpec):
+    """sum |dx u|^2 of the backward difference of each level of a
+    [..., n, K] stack: shape [..., n]."""
+    return np.sum(np.abs(backward_diff(levels, grid.h)) ** 2, axis=-1)
+
+
+def kinetic_gradient(levels, grid: GridSpec, gradient=None):
     """h ||dt u||^2 + (h/2)(||dx u^{j+1}||^2 + ||dx u^j||^2), the part both
     energy variants share, for each pair of consecutive levels of a
     [..., n+1, K] stack: shape [..., n], from one backward difference of
-    the n+1 levels."""
+    the n+1 levels, or from their gradient_sums if given."""
     h = grid.h
     dt = (levels[..., 1:, :] - levels[..., :-1, :]) / grid.tau
-    gradient = np.sum(np.abs(backward_diff(levels, h)) ** 2, axis=-1)
+    if gradient is None:
+        gradient = gradient_sums(levels, grid)
     return (h * np.sum(np.abs(dt) ** 2, axis=-1)
             + 0.5 * h * (gradient[..., 1:] + gradient[..., :-1]))
 
 
 def energy_wang(u_cur, u_next, params: PdeParams, grid: GridSpec,
-                kinetic=None) -> float:
+                kinetic=None, quartic=None) -> float:
     """The exactly conserved two-level energy of the scheme: a float for one
     pair, a float array for [..., K] stacks of pairs, row by row.  kinetic,
-    if given, is the pairs' kinetic_gradient, already built."""
+    if given, is the pairs' kinetic_gradient, and quartic their
+    (|u^j|^4, |u^{j+1}|^4), already built."""
     u_cur = as_level(u_cur, grid)
     u_next = as_level(u_next, grid)
     if kinetic is None:
         kinetic = kinetic_gradient(np.stack((u_cur, u_next), axis=-2), grid)[..., 0]
+    quartic_cur, quartic_next = ((np.abs(u_cur) ** 4, np.abs(u_next) ** 4)
+                                 if quartic is None else quartic)
     return scalar_or_rows(
-        kinetic + 0.25 * params.beta * grid.h * np.sum(np.abs(u_next) ** 4
-                                                       + np.abs(u_cur) ** 4, axis=-1))
+        kinetic + 0.25 * params.beta * grid.h * np.sum(quartic_next + quartic_cur,
+                                                       axis=-1))
 
 
 def energy_wang_printed(u_cur, u_next, params: PdeParams, grid: GridSpec,
-                        kinetic=None) -> float:
+                        kinetic=None, quartic=None) -> float:
     """Single-level quartic variant as commonly printed; drifts, recorded
-    side by side for comparison.  Stacks and kinetic as in energy_wang."""
+    side by side for comparison.  Stacks, kinetic and quartic as in
+    energy_wang."""
     u_cur = as_level(u_cur, grid)
     u_next = as_level(u_next, grid)
     if kinetic is None:
         kinetic = kinetic_gradient(np.stack((u_cur, u_next), axis=-2), grid)[..., 0]
+    quartic_cur = np.abs(u_cur) ** 4 if quartic is None else quartic[0]
     return scalar_or_rows(
-        kinetic + 0.5 * params.beta * grid.h * np.sum(np.abs(u_cur) ** 4, axis=-1))
+        kinetic + 0.5 * params.beta * grid.h * np.sum(quartic_cur, axis=-1))
 
 
 def run_wang(problem, grid: GridSpec, config: SolverConfig,
@@ -125,13 +148,24 @@ def run_wang(problem, grid: GridSpec, config: SolverConfig,
     side-by-side conservation comparisons, and the largest relative drift
     of the printed single-level variant from its bootstrap-pair value."""
     params = problem.params
+    carried = None
 
     def wang_energies(levels, energy, mass, half):
-        kinetic = kinetic_gradient(levels, grid)
+        # The gradient sum and |u|^4 of a block's first level, the last of
+        # the block before (first the bootstrap pair), are carried over.
+        nonlocal carried
+        fresh = levels if carried is None else levels[1:]
+        gradient, quartic = gradient_sums(fresh, grid), np.abs(fresh) ** 4
+        if carried is not None:
+            gradient = np.concatenate((carried[0], gradient))
+            quartic = np.concatenate((carried[1], quartic))
+        carried = gradient[-1:], quartic[-1:]
+        kinetic = kinetic_gradient(levels, grid, gradient)
+        quartic = quartic[:-1], quartic[1:]
         u_cur, u_next = levels[:-1], levels[1:]
-        return {"energy_wang": energy_wang(u_cur, u_next, params, grid, kinetic=kinetic),
+        return {"energy_wang": energy_wang(u_cur, u_next, params, grid, kinetic, quartic),
                 "energy_wang_printed": energy_wang_printed(u_cur, u_next, params,
-                                                           grid, kinetic=kinetic)}
+                                                           grid, kinetic, quartic)}
 
     traj = integrate(problem, grid, config, snapshot_stride,
                      assemble_wang, _step_wang, wang_energies)

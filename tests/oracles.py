@@ -113,26 +113,71 @@ def mi_residual_scale(u_next, params, grid):
     return row_sum * max(1.0, float(np.max(np.abs(u_next))))
 
 
-def picard_linear_start(window, solver, params, grid, config, table, cubic):
-    """The Picard step as it was before the quadratic start: from
-    2 u^j - u^{j-1}, one finiteness scan of the right-hand side per sweep,
-    and the budget of fp_max_iter sweeps as the only way to give up.
-    Returns (u, sweeps)."""
-    from nlsw.mi import _known_terms
+def mi_cubic_pair(level_mean):
+    """Pair-sum y_{k+1/2} + y_{k-1/2} of |y|^2 y over the half-node means y
+    of a temporal mean, from rolled copies."""
+    y = 0.5 * (level_mean + np.roll(level_mean, -1))
+    cubes = np.abs(y) ** 2 * y
+    return cubes + np.roll(cubes, 1)
 
-    known = _known_terms(window.u_prev, window.u_cur, params, grid, table)
-    nonlinear = cubic(0.25 * params.beta, window.u_prev, window.u_cur)
-    u = 2.0 * window.u_cur - window.u_prev
+
+def picard_reference(window, solver, params, grid, config, scheme, trace=None):
+    """The Picard step of scheme "mi" or "wang" as a plain allocating loop:
+    the known terms from rolled copies and the scheme's stencil table, the
+    cubic term written out (mi_cubic_pair for "mi"), the start, the stall
+    rule, the budget
+    and their messages as the step kernel states them, and max|u| taken on
+    every sweep.  Appends (update, max|u|) of each sweep to trace if given.
+    Returns (u, sweeps)."""
+    from nlsw import StepFailureError, mi, wang
+
+    _, on_cur, on_prev = (mi if scheme == "mi" else wang)._stencils(params, grid)
+
+    def stencil(coefficients, v):
+        lower, diag, upper = coefficients
+        return lower * np.roll(v, 1) + diag * v + upper * np.roll(v, -1)
+
+    u_prev = np.asarray(window.u_prev, dtype=complex)
+    u_cur = np.asarray(window.u_cur, dtype=complex)
+    known = stencil(on_cur, u_cur) + stencil(on_prev, u_prev)
+    if params.beta == 0.0:
+        return solver.solve(-known), 1
+    quarter_beta = 0.25 * params.beta
+    if scheme == "mi":
+        lagged = mi_cubic_pair(0.5 * (u_prev + u_cur))
+
+        def nonlinear(u):
+            return quarter_beta * (lagged + mi_cubic_pair(0.5 * (u_cur + u)))
+    else:
+        def nonlinear(u):
+            return quarter_beta * (np.abs(u) ** 2 + np.abs(u_prev) ** 2) * (u + u_prev)
+    if window.u_prev2 is None:
+        u = 2.0 * u_cur - u_prev
+    else:
+        u = 3.0 * (u_cur - u_prev) + np.asarray(window.u_prev2, dtype=complex)
+    diff = smallest = np.inf
+    stalled = 0
     for it in range(1, config.fp_max_iter + 1):
-        rhs = -(known + nonlinear(u))
-        assert np.isfinite(rhs).all()
-        u_new = solver.solve(rhs)
-        diff = float(np.abs(u_new - u).max())
+        u_new = solver.solve(-(known + nonlinear(u)))
+        previous, diff = diff, float(np.abs(u_new - u).max())
         peak = float(np.abs(u_new).max())
         u = u_new
+        if trace is not None:
+            trace.append((diff, peak))
         if diff <= config.fp_tol * max(1.0, peak):
             return u, it
-    raise AssertionError(f"not converged after {config.fp_max_iter} sweeps")
+        if diff < smallest:
+            smallest, stalled = diff, 0
+            continue
+        stalled += 1
+        if stalled == mi.STALL_SWEEPS:
+            raise StepFailureError(
+                f"fixed point stalled in sweep {it}: {mi.STALL_SWEEPS} sweeps "
+                f"without a smaller update (last two {previous:.3e}, "
+                f"{diff:.3e})", residual=diff)
+    raise StepFailureError(
+        f"fixed point not converged after {config.fp_max_iter} sweeps "
+        f"(last update {diff:.3e})", residual=diff)
 
 
 def write_snapshots_rowwise(path, grid, snapshots):

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from nlsw import SolverConfig, build_grid, builtin_problem, run_mi, run_wang
+from nlsw import (PreparedCyclicSolver, SolverConfig, build_grid, builtin_problem,
+                  run_mi, run_wang)
 from nlsw.mi import BLOCK_VALUES
 
 SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
@@ -78,3 +79,22 @@ def test_run_loop_calls_patched_module_attributes(monkeypatch, runner, kernel):
         grid = build_grid(prob.x_l, prob.x_r, K, J * 0.01, J)
         runner(prob, grid, SolverConfig())
         assert calls == {kernel[1]: J - 1, **dict.fromkeys(diagnostics, per_block)}
+
+
+@pytest.mark.parametrize("runner", [run_mi, run_wang])
+def test_every_sweep_solves_through_the_class_attribute(monkeypatch, runner):
+    # spans.py traces linsolve.solve by patching PreparedCyclicSolver.solve,
+    # and linsolve.solve.us_per_call divides by the calls it records: every
+    # sweep of a beta != 0 run must go through that attribute.
+    original = PreparedCyclicSolver.solve
+    calls = []
+
+    def counted(self, rhs):
+        calls.append(rhs.shape)
+        return original(self, rhs)
+    monkeypatch.setattr(PreparedCyclicSolver, "solve", counted)
+    prob = builtin_problem("plane_beta2")
+    grid = build_grid(prob.x_l, prob.x_r, 64, 0.5, 10)
+    traj = runner(prob, grid, SolverConfig())
+    assert prob.params.beta != 0.0
+    assert len(calls) == traj.meta["total_fp_iters"] > grid.J - 1

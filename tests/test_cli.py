@@ -13,10 +13,11 @@ from hypothesis import assume, given, settings, strategies as st
 import nlsw
 from nlsw import (ConfigurationError, ConsistencyError, SolverConfig, UsageError,
                   build_grid, builtin_problem, mi, parse_config, run_mi, run_wang)
-from nlsw.cli import (ORDERS_HEADER, SNAPSHOT_HEADER, main, resolve,
+from nlsw.cli import (ORDERS_HEADER, SNAPSHOT_HEADER, RunConfig, main, resolve,
                       run_convergence, run_experiment)
 from nlsw.cli import _write_series, _write_snapshots
 from nlsw.diagnostics import SERIES_COLUMNS
+from nlsw.problems import ProblemSpec
 
 from oracles import write_series_rowwise, write_snapshots_rowwise
 
@@ -194,6 +195,28 @@ class TestRunExperiment:
             assert set(phases) == {"run_s", "write_series_s", "write_snapshots_s"}
             assert all(type(value) is float and value >= 0.0
                        for value in phases.values())
+
+    def test_meta_records_versions(self, tmp_path):
+        import scipy
+        report = self.run_small(tmp_path)
+        meta = json.loads(Path(report["paths"]["meta"]).read_text())
+        assert meta["versions"] == {
+            "python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+            "scipy": scipy.__version__, "nlsw": nlsw.__version__}
+
+    def test_builtin_problem_gates_run_once_per_process(self, monkeypatch):
+        # parse_config resolves the configuration and run_experiment resolves
+        # it again; the verified problem's gates run on the first build only.
+        calls = []
+        for gate in ("_check_exactness", "_check_time_column"):
+            def counted(spec, gate=gate, original=getattr(ProblemSpec, gate)):
+                calls.append(gate)
+                return original(spec)
+            monkeypatch.setattr(ProblemSpec, gate, counted)
+        builtin_problem.cache_clear()
+        config = RunConfig(problem="plane_beta2", K=16, J=4)
+        assert resolve(config)[0] is resolve(config)[0]
+        assert calls == ["_check_exactness", "_check_time_column"]
 
     def test_both_schemes_two_series_files(self, tmp_path):
         payload = {"problem": "plane_beta2", "K": 50, "J": 40, "T": 0.4,

@@ -104,8 +104,16 @@ class TestIdentityGapsOnTrajectories:
     def test_carried_forward_rows_equal_fresh_evaluation_wang(self):
         # the comparison scheme runs through the same driver: its rows carry
         # the midpoint invariants forward and add its own energies
+        self.check_wang_rows(32)
+
+    def test_wang_level_terms_carried_across_blocks(self):
+        # K = 1024 runs blocks of four pairs, each taking its first level's
+        # terms from the block before
+        self.check_wang_rows(1024)
+
+    def check_wang_rows(self, K):
         prob = builtin_problem("plane_beta2")
-        g = build_grid(prob.x_l, prob.x_r, 32, 1.0, 20)
+        g = build_grid(prob.x_l, prob.x_r, K, 1.0, 20)
         traj = run_wang(prob, g, SolverConfig(), snapshot_stride=1)
         levels = [u for _, u in traj.snapshots]
         p = prob.params

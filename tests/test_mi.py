@@ -7,7 +7,7 @@ from nlsw import (ConfigurationError, ConsistencyError, PdeParams, SolverConfig,
                   assemble_linear, bootstrap, builtin_problem, build_grid,
                   diagnostics, mi, mi_energy, mi_mass, run_mi, run_wang, step_mi)
 from nlsw.linsolve import PreparedCyclicSolver
-from nlsw.mi import BLOCK_VALUES, _known_terms, _cubic_pair
+from nlsw.mi import BLOCK_VALUES, _known_terms
 
 from oracles import mi_residual_direct, mi_residual_scale
 from strategies import (coefficient, gamma_coefficient, periodic_grid, seeds,
@@ -98,8 +98,7 @@ class TestAssembleLinear:
         p, g, (up, uc, un) = case
         sys_ = assemble_linear(p, g)
         lhs = (sys_.matvec(un) + _known_terms(up, uc, p, g)
-               + 0.25 * p.beta * (_cubic_pair(0.5 * (uc + un))
-                                  + _cubic_pair(0.5 * (up + uc))))
+               + mi._cubic(0.25 * p.beta, up, uc)(un, np.empty(g.K, dtype=complex)))
         direct = mi_residual_direct(up, uc, un, p, g)
         scale = mi_residual_scale(un, p, g)
         assert np.max(np.abs(lhs - direct)) <= 1e-13 * scale

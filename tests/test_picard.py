@@ -1,5 +1,6 @@
 """The Picard sweep both schemes share (mi.picard): its starting guess, its
-failure paths and its early verdict.
+failure paths, its early verdict, and its bits against the allocating
+reference loop of tests/oracles.py.
 
 The iteration starts from the quadratic extrapolation
 3 u^j - 3 u^{j-1} + u^{j-2} when the window carries u^{j-2}, and from the
@@ -17,16 +18,15 @@ from nlsw import (DivergenceError, PdeParams, PreparedCyclicSolver,
                   SingularSystemError, SolverConfig, StateWindow, StepFailureError,
                   assemble_linear, assemble_wang, bootstrap, build_grid,
                   builtin_problem, run_mi, run_wang, step_mi, step_wang)
-from nlsw import mi, wang
+from nlsw import mi
 
-from oracles import picard_linear_start
+from oracles import picard_reference
 from strategies import (coefficient, gamma_coefficient, levels, periodic_grid,
                         seeds, sizes, time_steps)
 
 PLANE = builtin_problem("plane_beta2")
 
-SCHEMES = {"mi": (step_mi, assemble_linear, mi),
-           "wang": (step_wang, assemble_wang, wang)}
+SCHEMES = {"mi": (step_mi, assemble_linear), "wang": (step_wang, assemble_wang)}
 
 
 def earlier_level(seed, u_prev):
@@ -43,7 +43,7 @@ def earlier_level(seed, u_prev):
        beta=coefficient, K=sizes, tau=time_steps, seed=seeds)
 def test_quadratic_start_lands_on_linear_start_level(scheme, alpha, gamma, theta,
                                                      lam, beta, K, tau, seed):
-    step, assemble, _ = SCHEMES[scheme]
+    step, assemble = SCHEMES[scheme]
     if scheme == "wang":
         gamma = theta = lam = 0.0
     params = PdeParams(alpha=alpha, gamma=gamma, theta=theta, lam=lam, beta=beta)
@@ -60,7 +60,7 @@ def test_quadratic_start_lands_on_linear_start_level(scheme, alpha, gamma, theta
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_quadratic_start_saves_sweeps_on_a_smooth_solution(scheme):
-    step, assemble, _ = SCHEMES[scheme]
+    step, assemble = SCHEMES[scheme]
     grid = build_grid(PLANE.x_l, PLANE.x_r, 200, 20.0, 400)
     u = [PLANE.exact(grid.nodes, j * grid.tau) for j in (3, 4, 5)]
     solver = PreparedCyclicSolver(assemble(PLANE.params, grid))
@@ -73,17 +73,74 @@ def test_quadratic_start_saves_sweeps_on_a_smooth_solution(scheme):
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_first_step_of_a_run_is_the_linear_start_step(scheme):
-    step, assemble, module = SCHEMES[scheme]
+    step, assemble = SCHEMES[scheme]
     runner = run_mi if scheme == "mi" else run_wang
     grid = build_grid(PLANE.x_l, PLANE.x_r, 64, 0.15, 3)
     config = SolverConfig()
     traj = runner(PLANE, grid, config, snapshot_stride=1)
     (_, u0), (_, u1), (_, u2) = traj.snapshots[:3]
-    expected, sweeps = picard_linear_start(
+    expected, sweeps = picard_reference(
         StateWindow(u0, u1, grid.tau), PreparedCyclicSolver(assemble(PLANE.params, grid)),
-        PLANE.params, grid, config, module._stencils, module._cubic)
-    assert np.array_equal(u2, expected)
+        PLANE.params, grid, config, scheme)
+    assert u2.tobytes() == expected.tobytes()
     assert traj.series["fp_iters"][0] == sweeps
+
+
+def outcome(step):
+    """(bytes of the level, sweeps) of a step, or the message of its
+    StepFailureError."""
+    try:
+        u, sweeps = step()
+    except StepFailureError as exc:
+        return str(exc)
+    return u.tobytes(), sweeps
+
+
+@settings(max_examples=80, deadline=None)
+@given(scheme=st.sampled_from(sorted(SCHEMES)), alpha=coefficient,
+       gamma=gamma_coefficient, theta=coefficient, lam=coefficient,
+       beta=coefficient, K=sizes, tau=time_steps, seed=seeds, quadratic=st.booleans())
+def test_step_is_the_reference_loop_bit_for_bit(scheme, alpha, gamma, theta, lam, beta,
+                                                K, tau, seed, quadratic):
+    # The step writes the cubic term, the right-hand side and the update
+    # into buffers and takes max|u| only when the update could pass; the
+    # reference allocates every temporary and takes max|u| on every sweep.
+    step, assemble = SCHEMES[scheme]
+    if scheme == "wang":
+        gamma = theta = lam = 0.0
+    params = PdeParams(alpha=alpha, gamma=gamma, theta=theta, lam=lam, beta=beta)
+    grid = periodic_grid(K, tau)
+    u_prev, u_cur = levels(seed, K)
+    window = StateWindow(u_prev, u_cur, 0.0,
+                         earlier_level(seed, u_prev) if quadratic else None)
+    solver = PreparedCyclicSolver(assemble(params, grid))
+    config = SolverConfig()
+    assert outcome(lambda: step(window, solver, params, grid, config)) == outcome(
+        lambda: picard_reference(window, solver, params, grid, config, scheme))
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_exact_peak_decides_an_update_between_tol_and_tol_times_peak(scheme):
+    # fp_tol is set so that sweep m's update d lies strictly inside
+    # (fp_tol, fp_tol * max|u|] with max|u| = sqrt(3): only the exact peak
+    # lets the step stop there, and every earlier sweep must go on.
+    step, assemble = SCHEMES[scheme]
+    grid = build_grid(PLANE.x_l, PLANE.x_r, 200, 20.0, 400)
+    u = [PLANE.exact(grid.nodes, j * grid.tau) for j in (3, 4, 5)]
+    window = StateWindow(u[1], u[2], 0.0, u[0])
+    solver = PreparedCyclicSolver(assemble(PLANE.params, grid))
+    trace = []
+    picard_reference(window, solver, PLANE.params, grid, SolverConfig(), scheme, trace)
+    m = len(trace) - 1
+    d, peak = trace[m - 1]
+    config = SolverConfig(fp_tol=d / np.sqrt(peak))
+    assert config.fp_tol < d <= config.fp_tol * peak
+    assert all(diff > config.fp_tol * max(1.0, p) for diff, p in trace[:m - 1])
+    level, sweeps = step(window, solver, PLANE.params, grid, config)
+    expected, expected_sweeps = picard_reference(window, solver, PLANE.params, grid,
+                                                 config, scheme)
+    assert sweeps == expected_sweeps == m
+    assert level.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
@@ -92,7 +149,7 @@ def test_overflowing_cubic_is_divergence_in_sweep_one(scheme, with_prev2):
     # |u|^2 u overflows at |u| = 1e110, so the first sweep's right-hand side
     # is not finite; the solve reports that as a singular system, which the
     # sweep turns back into the divergence it is.
-    step, assemble, _ = SCHEMES[scheme]
+    step, assemble = SCHEMES[scheme]
     grid = build_grid(PLANE.x_l, PLANE.x_r, 32, 1.0, 100)
     big = np.full(32, 1e110, dtype=complex)
     window = StateWindow(big, big, 0.0, big if with_prev2 else None)
@@ -107,7 +164,7 @@ def test_overflowing_solve_of_a_finite_rhs_stays_singular(scheme):
     # h = tau = 1e150 makes every operator entry 1e-150 or smaller, so a
     # finite right-hand side of 1e300 solves to beyond the float range.  K is
     # odd, since the midpoint operator is singular at the K/2 mode here.
-    step, assemble, _ = SCHEMES[scheme]
+    step, assemble = SCHEMES[scheme]
     grid = build_grid(0.0, 9e150, 9, 1e152, 100)
     u = np.full(9, 1e100, dtype=complex)
     with pytest.raises(SingularSystemError) as err:
