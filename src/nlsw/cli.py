@@ -31,7 +31,7 @@ import scipy
 from . import diagnostics, problems
 from .errors import ConfigurationError, IdentityValidationError, NlswError, UsageError
 from .grid import GridSpec, build_grid, is_number
-from .mi import SolverConfig, Trajectory, check_bootstrap, run_mi
+from .mi import SolverConfig, Trajectory, check_run, run_mi
 from .problems import ProblemSpec, builtin_problem, convergence_order, customized
 from .wang import check_coefficients, run_wang
 
@@ -41,10 +41,12 @@ SNAPSHOT_HEADER = ("t", "x", "re_u", "im_u", "abs_u")
 ORDERS_HEADER = ("level", "mesh_param", "err_max", "fitted_order")
 
 # Config key -> accepted JSON types; float stands for any JSON number and
-# stores an integer as a float.  RunConfig and SolverConfig hold the defaults.
+# stores an integer as a float.  None leaves the value to mi.check_run, the
+# rule the library's runs meet, so both refuse it with one message.
+# RunConfig and SolverConfig hold the defaults.
 _TYPES = {"problem": (str, dict), "K": (int,), "J": (int,),
           "T": (float, type(None)), "scheme": (str,), "bootstrap_mode": (str,),
-          "fp_tol": (float,), "fp_max_iter": (int,), "snapshot_stride": (int,),
+          "fp_tol": (float,), "fp_max_iter": (int,), "snapshot_stride": None,
           "output_dir": (str,)}
 _JSON_NAMES = {int: "integer", float: "number", str: "string", dict: "object",
                type(None): "null"}
@@ -70,7 +72,10 @@ class RunConfig:
 
 def _checked(key: str, value, types: tuple):
     """The JSON value of `key` if it has one of `types`, never converted
-    except an integer where a number is accepted; a bool is never a number."""
+    except an integer where a number is accepted; a bool is never a number.
+    types None passes the value on unchecked."""
+    if types is None:
+        return value
     if float in types and isinstance(value, int) and not isinstance(value, bool):
         if not is_number(value):
             raise ConfigurationError(f"config key {key!r} is beyond the float range")
@@ -103,7 +108,8 @@ def _resolve_problem(spec) -> ProblemSpec:
 
 def resolve(config: RunConfig) -> tuple[ProblemSpec, GridSpec, SolverConfig]:
     """Materialize the problem, grid, and solver settings, validating all
-    invariants, the schemes' own rules included, before any compute."""
+    invariants before any compute, in the order run_mi and run_wang check
+    them: mi.check_run, then the energy-preserving scheme's coefficients."""
     problem = _resolve_problem(config.problem)
     T = config.T if config.T is not None else problem.default_T
     grid = build_grid(problem.x_l, problem.x_r, config.K, T, config.J)
@@ -112,12 +118,9 @@ def resolve(config: RunConfig) -> tuple[ProblemSpec, GridSpec, SolverConfig]:
                                  bootstrap_mode=config.bootstrap_mode)
     if config.scheme not in SCHEMES:
         raise ConfigurationError(f"scheme must be one of {SCHEMES}, got {config.scheme!r}")
+    check_run(problem, grid, solver_config, config.snapshot_stride)
     if config.scheme != "mi":
         check_coefficients(problem.params)
-    check_bootstrap(config.bootstrap_mode, problem.exact)
-    if config.snapshot_stride < 1:
-        raise ConfigurationError(
-            f"snapshot_stride must be >= 1, got {config.snapshot_stride}")
     return problem, grid, solver_config
 
 
@@ -145,6 +148,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigurationError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # An integer beyond Python's int-digit limit, or nesting beyond the
+        # recursion limit.
+        raise ConfigurationError(f"config parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config document must be a JSON object")
     unknown = set(raw) - set(_TYPES)
@@ -363,15 +370,20 @@ def run_convergence(config: RunConfig, axis: str, levels: int,
     if config.scheme == "both":
         raise ConfigurationError("convergence sweeps run one scheme at a time")
     runner = _runners()[config.scheme]
+    # Each level doubles K or J, so the memory cap ends a long ladder here,
+    # within a few dozen levels and before any of them runs.
+    grids = []
+    for level in range(levels):
+        K = config.K * 2 ** level if axis == "space" else config.K
+        J = config.J * 2 ** level if axis == "time" else config.J
+        grids.append(build_grid(problem.x_l, problem.x_r, K, base_grid.T, J))
+        check_run(problem, grids[-1], solver_config, J)
 
     started = time.perf_counter()
     out = _output_dir(config, output_dir)
 
     entries = []
-    for level in range(levels):
-        K = config.K * 2 ** level if axis == "space" else config.K
-        J = config.J * 2 ** level if axis == "time" else config.J
-        grid = build_grid(problem.x_l, problem.x_r, K, base_grid.T, J)
+    for level, grid in enumerate(grids):
         traj = runner(problem, grid, solver_config, snapshot_stride=grid.J)
         err = float(traj.series["err_max"].max())
         mesh_param = grid.h if axis == "space" else grid.tau
@@ -399,8 +411,8 @@ def _error_record(exc: NlswError) -> str:
 
 def _load_config(path: str) -> RunConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path!r}: {exc}") from exc
     return parse_config(text)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import diagnostics, problems
 from .errors import (ConfigurationError, DivergenceError, NlswError,
-                     SingularSystemError, StepFailureError, UsageError)
+                     SingularSystemError, StepFailureError)
 from .grid import (GridSpec, as_field, as_level, central_diff, is_number,
                    second_diff, stencil)
 from .linsolve import CyclicTridiagonalSystem, PreparedCyclicSolver
@@ -41,8 +41,8 @@ BLOCK_VALUES = 4096
 # round-off floor above fp_tol, or does not contract at all.
 STALL_SWEEPS = 3
 
-# The most bytes of levels and series columns a run may hold; integrate
-# checks a run against it before allocating any of them.
+# The most bytes of levels and series columns a run may hold; check_run
+# holds a run to it before integrate allocates any of them.
 MEMORY_CAP_BYTES = 4 * 2 ** 30
 
 
@@ -60,10 +60,7 @@ class SolverConfig:
         if not is_number(self.fp_max_iter, numbers.Integral) or self.fp_max_iter < 1:
             raise ConfigurationError(
                 f"fp_max_iter must be an integer >= 1, got {self.fp_max_iter!r}")
-        if self.bootstrap_mode not in BOOTSTRAP_MODES:
-            raise ConfigurationError(
-                f"bootstrap_mode must be one of {BOOTSTRAP_MODES}, "
-                f"got {self.bootstrap_mode!r}")
+        check_bootstrap_mode(self.bootstrap_mode)
 
 
 @dataclass(frozen=True)
@@ -89,12 +86,20 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
 
-def check_bootstrap(mode: str, exact):
-    """Refuse an unknown mode, and mode 'exact' without an exact solution."""
+def check_bootstrap_mode(mode: str):
+    """Refuse a bootstrap mode outside BOOTSTRAP_MODES."""
     if mode not in BOOTSTRAP_MODES:
-        raise ConfigurationError(f"unknown bootstrap mode {mode!r}")
+        raise ConfigurationError(f"unknown bootstrap mode {mode!r}: "
+                                 f"bootstrap_mode must be one of {BOOTSTRAP_MODES}")
+
+
+def check_bootstrap(mode: str, exact):
+    """Refuse an unknown mode, and mode 'exact' without an exact solution;
+    check_run passes a problem's exact solution only if it is verified."""
+    check_bootstrap_mode(mode)
     if mode == "exact" and exact is None:
-        raise ConfigurationError("bootstrap mode 'exact' needs the exact solution")
+        raise ConfigurationError("bootstrap mode 'exact' needs the exact solution, "
+                                 "and a problem's counts only if it is verified")
 
 
 def bootstrap(f0, f1, params: PdeParams, grid: GridSpec, mode: str = "taylor2",
@@ -290,16 +295,41 @@ def held_bytes(grid: GridSpec, snapshot_stride: int) -> int:
     J = 4 and snapshot_stride 1, this counts 112 bytes per node, while peak
     RSS grows by about 400 bytes per node for run_mi and 610 for
     cli.run_experiment (K = 2e5 and 4e5, x86-64, numpy 2.4)."""
-    levels = (grid.J - 1) // snapshot_stride + 2 + max(1, BLOCK_VALUES // grid.K) + 1
+    levels = (grid.J - 1) // snapshot_stride + 2 + _block_pairs(grid) + 1
     return 16 * grid.K * levels + 8 * (grid.J + 1) * (len(diagnostics.SERIES_COLUMNS) + 2)
+
+
+def _block_pairs(grid: GridSpec) -> int:
+    """B, the pairs of levels whose diagnostics integrate evaluates at once."""
+    return max(1, BLOCK_VALUES // grid.K)
+
+
+def check_run(problem, grid: GridSpec, config: SolverConfig, snapshot_stride):
+    """Refuse a run, before anything is allocated, unless snapshot_stride is
+    an integer >= 1, the run holds at most MEMORY_CAP_BYTES (see held_bytes)
+    and the bootstrap passes check_bootstrap given the problem's exact
+    solution only if it is verified.  Returns that verified solution or
+    None, the one integrate bootstraps from and measures errors against.
+    The CLI runs the same check at parse time."""
+    if not is_number(snapshot_stride, numbers.Integral) or snapshot_stride < 1:
+        raise ConfigurationError(
+            f"snapshot_stride must be an integer >= 1, got {snapshot_stride!r}")
+    held = held_bytes(grid, snapshot_stride)
+    if held > MEMORY_CAP_BYTES:
+        raise ConfigurationError(
+            f"a run with K={grid.K}, J={grid.J} and snapshot_stride="
+            f"{snapshot_stride} would hold {held} bytes of levels and series, "
+            f"above the cap of {MEMORY_CAP_BYTES} bytes")
+    exact = problem.exact if problem.exactness == "verified" else None
+    check_bootstrap(config.bootstrap_mode, exact)
+    return exact
 
 
 def integrate(problem, grid: GridSpec, config: SolverConfig,
               snapshot_stride: int, assemble, step, observe) -> Trajectory:
-    """The run loop of both schemes: check that the run fits in
-    MEMORY_CAP_BYTES (see held_bytes) before allocating anything, factor the
-    operator assemble(params, grid) once, bootstrap, then advance J-1 steps
-    with the scheme's step
+    """The run loop of both schemes: check_run the run before allocating
+    anything, factor the operator assemble(params, grid) once, bootstrap,
+    then advance J-1 steps with the scheme's step
     step(window, solver, params, grid, config) -> (u_next, fp_iters),
     whose window carries u^{j-2} from the second step on.
 
@@ -326,27 +356,16 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     order is the one reported.  Snapshots, copies of the levels, hold the two
     bootstrap levels and then every snapshot_stride-th step.
     """
-    if not is_number(snapshot_stride, numbers.Integral) or snapshot_stride < 1:
-        raise UsageError(
-            f"snapshot_stride must be an integer >= 1, got {snapshot_stride!r}")
-    held = held_bytes(grid, snapshot_stride)
-    if held > MEMORY_CAP_BYTES:
-        raise ConfigurationError(
-            f"a run with K={grid.K}, J={grid.J} and snapshot_stride="
-            f"{snapshot_stride} would hold {held} bytes of levels and series, "
-            f"above the cap of {MEMORY_CAP_BYTES} bytes")
+    exact_fn = check_run(problem, grid, config, snapshot_stride)
     params = problem.params
     solver = PreparedCyclicSolver(assemble(params, grid))
     u0, u1 = bootstrap(problem.f0, problem.f1, params, grid,
-                       mode=config.bootstrap_mode, exact=problem.exact)
-    exact_fn = problem.exact if getattr(problem, "exactness", "none") == "verified" \
-        else None
+                       mode=config.bootstrap_mode, exact=exact_fn)
     x = grid.nodes
     t = grid.times[2:]
     fp_iters = np.empty(grid.J - 1, dtype=np.int64)
     series = {"step": np.arange(2, grid.J + 1), "t": t, "fp_iters": fp_iters}
-    levels = np.empty((max(1, BLOCK_VALUES // grid.K) + 1, grid.K),
-                      dtype=np.complex128)
+    levels = np.empty((_block_pairs(grid) + 1, grid.K), dtype=np.complex128)
 
     def evaluate(levels):
         """The invariants and the observed columns of the pairs of

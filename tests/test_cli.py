@@ -4,15 +4,18 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import nlsw
-from nlsw import (ConfigurationError, ConsistencyError, SolverConfig, UsageError,
-                  build_grid, builtin_problem, mi, parse_config, run_mi, run_wang)
+from nlsw import (ConfigurationError, ConsistencyError, NlswError, SolverConfig,
+                  UsageError, build_grid, builtin_problem, customized, mi,
+                  parse_config, run_mi, run_wang)
 from nlsw.cli import (ORDERS_HEADER, SNAPSHOT_HEADER, RunConfig, main, resolve,
                       run_convergence, run_experiment)
 from nlsw.cli import _write_series, _write_snapshots
@@ -28,6 +31,21 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+# Config files that json.loads or reading as UTF-8 cannot turn into a
+# document, with a part of the message naming the problem: an integer beyond
+# Python's int-digit limit, nesting beyond the recursion limit, and a byte
+# that is not UTF-8.
+UNREADABLE_CONFIGS = {
+    "int_digits": (b'{"problem": "linear_plane", "K": ' + b"1" * 5000 + b', "J": 10}',
+                   "config parse error: Exceeds the limit"),
+    "deep_nesting": (b'{"problem": "linear_plane", "K": 16, "J": 10, "T": '
+                     + b"[" * 200_000 + b"]" * 200_000 + b"}",
+                     "config parse error: maximum recursion depth"),
+    "not_utf8": (b'{"problem": "linear_plane", "K": 16, "J": 10, "output_dir": "\xff"}',
+                 "cannot read config file"),
+}
 
 
 class TestParseConfig:
@@ -74,7 +92,8 @@ class TestParseConfig:
 
     # Rules of a scheme, refused before any output directory or run exists:
     # the energy-preserving scheme's coefficients, the exact bootstrap's
-    # solution; then inline problems, the stride and the document itself.
+    # solution; then inline problems, the stride and the document itself;
+    # last the exact bootstrap on a claimed but unverified solution.
     @pytest.mark.parametrize("payload, message", [
         ({"problem": "linear_plane", "scheme": "wang"},
          "covers gamma = theta = lam = 0 only"),
@@ -87,8 +106,11 @@ class TestParseConfig:
         ({"problem": {"base": "plane_beta2", "params": {"kappa": 1.0}}},
          "unknown coefficient 'kappa'"),
         ({"problem": "plane_beta2", "snapshot_stride": 0},
-         "snapshot_stride must be >= 1, got 0"),
+         "snapshot_stride must be an integer >= 1, got 0"),
         (["problem", "K", "J"], "config document must be a JSON object"),
+        ({"problem": "soliton", "bootstrap_mode": "exact"},
+         "bootstrap mode 'exact' needs the exact solution, and a problem's "
+         "counts only if it is verified"),
     ])
     def test_refused_at_parse(self, payload, message):
         if isinstance(payload, dict):
@@ -141,6 +163,57 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError) as err:
             parse_config(json.dumps(payload))
         assert key in str(err.value)
+
+
+def traced_peak(call):
+    """(the error call raises, or None; the peak bytes traced meanwhile)."""
+    tracemalloc.start()
+    try:
+        call()
+        error = None
+    except NlswError as exc:
+        error = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return error, peak
+
+
+class WouldRun(Exception):
+    """Raised in place of assembling the operator, the first allocation of
+    size K after the run's checks."""
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=st.sampled_from(["plane_beta2", "soliton", "gauss_split",
+                                {"base": "plane_beta2", "params": {"beta": 1.0}}]),
+       K=st.sampled_from([16, 2 ** 25, 2 ** 27]),
+       J=st.sampled_from([4, 10, 10 ** 6, 10 ** 8]),
+       mode=st.sampled_from(["taylor2", "exact", "taylor3"]),
+       stride=st.sampled_from([0, 2.5, True, 1, 7, 10 ** 9]))
+def test_cli_and_library_refuse_alike(problem, K, J, mode, stride):
+    # parse_config and run_mi, given the same problem, grid, SolverConfig and
+    # stride, refuse the same runs with the same error type and message, the
+    # memory cap on both sides of it, and before anything of size K or J is
+    # allocated.  A run both accept stops where run_mi would assemble.
+    payload = {"problem": problem, "K": K, "J": J, "bootstrap_mode": mode,
+               "snapshot_stride": stride}
+    cli_error, cli_peak = traced_peak(lambda: parse_config(json.dumps(payload)))
+
+    def library():
+        spec = builtin_problem(problem) if isinstance(problem, str) else \
+            customized(builtin_problem(problem["base"]), **problem["params"])
+        grid = build_grid(spec.x_l, spec.x_r, K, spec.default_T, J)
+        config = SolverConfig(bootstrap_mode=mode)
+        with mock.patch.object(mi, "assemble_linear", side_effect=WouldRun):
+            try:
+                run_mi(spec, grid, config, snapshot_stride=stride)
+            except WouldRun:
+                mi.check_run(spec, grid, config, stride)
+
+    lib_error, lib_peak = traced_peak(library)
+    assert (type(cli_error), str(cli_error)) == (type(lib_error), str(lib_error))
+    assert max(cli_peak, lib_peak) < 2 ** 20
 
 
 class TestRunExperiment:
@@ -445,6 +518,19 @@ class TestRunConvergence:
         with pytest.raises(UsageError):
             run_convergence(cfg, axis="spacetime", levels=2)
 
+    @pytest.mark.parametrize("levels", [25, 10 ** 6])
+    def test_ladder_over_memory_cap_refused_before_any_run(self, tmp_path,
+                                                           monkeypatch, levels):
+        # Level 20 of the space ladder, K = 64 * 2**20, is the first over
+        # the cap.  The levels are built and checked one at a time, so a
+        # million of them never forms 2**999999.
+        monkeypatch.setattr("nlsw.cli.run_mi",
+                            lambda *args, **kwargs: pytest.fail("a level ran"))
+        cfg = self.base_config(tmp_path, K=64, J=10)
+        with pytest.raises(ConfigurationError, match="K=67108864, J=10 .* would hold"):
+            run_convergence(cfg, axis="space", levels=levels)
+        assert not (tmp_path / "conv").exists()
+
 
 class TestMainExitCodes:
     def test_list_problems(self, capsys):
@@ -483,6 +569,18 @@ class TestMainExitCodes:
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["run", "/nonexistent/config.json"]) == 2
+
+    @pytest.mark.parametrize("name", UNREADABLE_CONFIGS)
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, name):
+        text, message = UNREADABLE_CONFIGS[name]
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        assert main(["run", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ConfigurationError"
+        assert message in record["message"]
 
     def test_solver_failure_exit_3(self, tmp_path, capsys):
         path = write_config(tmp_path, {"problem": "plane_beta2", "K": 50,
@@ -603,19 +701,23 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("K, J, stride", [(10 ** 9, 10, 100),
                                               (64, 10 ** 9, 1),
                                               (64, 10 ** 9, 10 ** 9)])
-    def test_run_beyond_memory_cap_exit_2(self, tmp_path, capsys, K, J, stride):
-        # Refused before anything of size K or J is allocated.
+    def test_run_beyond_memory_cap_exit_2(self, tmp_path, capsys, monkeypatch,
+                                          K, J, stride):
+        # Refused at parse time: before anything of size K or J is
+        # allocated, the output directory is made or the oracle runs.
+        monkeypatch.setattr("nlsw.cli.diagnostics.run_identity_oracle",
+                            lambda: pytest.fail("the identity oracle ran"))
         payload = {"problem": "plane_beta2", "K": K, "J": J, "T": 1.0,
                    "scheme": "both", "snapshot_stride": stride,
                    "output_dir": str(tmp_path / "big")}
         assert main(["run", write_config(tmp_path, payload)]) == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigurationError"
-        grid = resolve(parse_config(json.dumps(payload)))[1]
-        held = mi.held_bytes(grid, stride)
+        prob = builtin_problem("plane_beta2")
+        held = mi.held_bytes(build_grid(prob.x_l, prob.x_r, K, 1.0, J), stride)
         assert held > mi.MEMORY_CAP_BYTES
         assert f"would hold {held} bytes" in record["message"]
-        assert not list((tmp_path / "big").iterdir())
+        assert not (tmp_path / "big").exists()
 
     @pytest.mark.parametrize("key, value", [("T", 1e-320), ("T", 1e-160),
                                             ("K", 10 ** 20)])
@@ -627,3 +729,35 @@ class TestMainExitCodes:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigurationError"
         assert f"{key}=" in record["message"]
+
+
+# One config for each parse-time refusal that the README's CLI section lists.
+REFUSED_CONFIGS = {
+    "stride": {"problem": "linear_plane", "K": 16, "J": 10, "snapshot_stride": 0},
+    "memory_cap": {"problem": "plane_beta2", "K": 10 ** 9, "J": 10},
+    "bootstrap_mode": {"problem": "plane_beta2", "K": 16, "J": 10,
+                       "bootstrap_mode": "taylor3"},
+    "exact_unverified": {"problem": "soliton", "K": 16, "J": 10,
+                         "bootstrap_mode": "exact"},
+    "coefficients": {"problem": "linear_plane", "K": 16, "J": 10, "scheme": "wang"},
+}
+
+
+@pytest.mark.parametrize("name", [*REFUSED_CONFIGS, *UNREADABLE_CONFIGS])
+def test_cli_refusal_end_to_end(tmp_path, name):
+    # `python -m nlsw.cli run` in a fresh process: exit 2, one JSON record
+    # and no traceback on stderr, and no output directory.
+    text = UNREADABLE_CONFIGS[name][0] if name in UNREADABLE_CONFIGS \
+        else json.dumps(REFUSED_CONFIGS[name]).encode()
+    (tmp_path / "config.json").write_bytes(text)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(nlsw.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "nlsw.cli", "run", "config.json"],
+                          cwd=tmp_path, capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigurationError"
+    assert not (tmp_path / "out").exists()

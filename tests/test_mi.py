@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nlsw import (ConfigurationError, ConsistencyError, PdeParams, SolverConfig,
-                  StateWindow, StepFailureError, Trajectory, UsageError,
+                  StateWindow, StepFailureError, Trajectory,
                   assemble_linear, bootstrap, builtin_problem, build_grid,
                   diagnostics, mi, mi_energy, mi_mass, run_mi, run_wang, step_mi)
 from nlsw.linsolve import PreparedCyclicSolver
@@ -226,7 +226,7 @@ class TestRunMi:
     def test_non_integral_snapshot_stride_rejected(self, stride):
         # 2.5 would keep the steps with j % 2.5 == 0 and True would run as 1.
         g = build_grid(EX1.x_l, EX1.x_r, 64, 0.02, 2)
-        with pytest.raises(UsageError) as err:
+        with pytest.raises(ConfigurationError) as err:
             run_mi(EX1, g, SolverConfig(), snapshot_stride=stride)
         assert "snapshot_stride" in str(err.value)
 

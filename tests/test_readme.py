@@ -1,10 +1,11 @@
-"""The README's configuration and library quick start, run as documented, so
-that the documented API cannot drift from the code."""
+"""The README's configuration, library quick start and exit codes, checked
+against the code as documented, so that the documented API cannot drift from
+the code."""
 
 import re
 from pathlib import Path
 
-from nlsw import parse_config
+from nlsw import errors, parse_config
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
 
@@ -25,3 +26,15 @@ def test_config_block_parses():
 def test_library_quick_start_runs(capsys):
     exec(block("python", "## Library quick start"), {})
     assert capsys.readouterr().out.startswith("energy drift ")
+
+
+def test_exit_code_sentence_matches_error_classes():
+    # Each `code` of the sentence names its classes up to the next ';'.
+    start = README.index("Exit codes, each")
+    sentence = README[start:README.index("\n\n", start)]
+    documented = {name: int(code)
+                  for code, text in re.findall(r"`(\d)` ([^;]*)", sentence)
+                  for name in re.findall(r"`(\w+Error)`", text)}
+    assert documented == {name: cls.exit_code for name, cls in vars(errors).items()
+                          if isinstance(cls, type) and issubclass(cls, errors.NlswError)
+                          and cls is not errors.NlswError}
