@@ -48,8 +48,8 @@ _TYPES = {"problem": (str, dict), "K": (int,), "J": (int,),
           "T": (float, type(None)), "scheme": (str,), "bootstrap_mode": (str,),
           "fp_tol": (float,), "fp_max_iter": (int,), "snapshot_stride": None,
           "output_dir": (str,)}
-_JSON_NAMES = {int: "integer", float: "number", str: "string", dict: "object",
-               type(None): "null"}
+_JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string",
+               dict: "object", list: "array", type(None): "null"}
 _PARAM_KEYS = {"alpha": "alpha", "gamma": "gamma", "theta": "theta",
                "lam": "lam", "lambda": "lam", "beta": "beta"}
 
@@ -83,8 +83,17 @@ def _checked(key: str, value, types: tuple):
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigurationError(
             f"config key {key!r} must be a JSON "
-            f"{' or '.join(_JSON_NAMES[t] for t in types)}, got {json.dumps(value)}")
+            f"{' or '.join(_JSON_NAMES[t] for t in types)}, got {_json_type(value)}")
     return value
+
+
+def _json_type(value) -> str:
+    """The JSON type of a parsed value with its article, as in 'an array'.
+    Messages name it rather than echo the value, which may be kilobytes
+    long or nested too deep to format."""
+    name = next((name for t, name in _JSON_NAMES.items() if isinstance(value, t)),
+                type(value).__name__)
+    return name if name == "null" else ("an " if name[0] in "aeiou" else "a ") + name
 
 
 def _resolve_problem(spec) -> ProblemSpec:

@@ -10,17 +10,49 @@ update of a plain tridiagonal core (Sherman-Morrison).  The core is
 factored once with LAPACK's gttrf (LU with partial pivoting, which keeps
 the fill-in within one extra super-diagonal), and every solve after that
 is one gttrs call against the stored factors.
+
+zgttrf and zgttrs are scipy's own f2py wrappers from its `_flapack`
+extension, loaded without importing the scipy.linalg package: its
+__init__ pulls in numpy.f2py, numpy.testing, numpy.random and more, about
+0.25 s of start-up, while the extension alone loads in a few ms.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
+import scipy
 
 from .errors import SingularSystemError, UsageError
 from .grid import stencil
+
+
+def _load_flapack():
+    """scipy.linalg's `_flapack` extension module, executed under a private
+    name that is left out of sys.modules (its init function is found from
+    the name's last component, so that stays `_flapack`)."""
+    folder = Path(scipy.__file__).parent / "linalg"
+    name = f"{__name__}._flapack"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / ("_flapack" + suffix)
+        if path.is_file():
+            loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            # CPython files a single-phase extension in sys.modules itself.
+            sys.modules.pop(name, None)
+            return module
+    raise ImportError(f"scipy's LAPACK extension _flapack is not in {folder}")
+
+
+_flapack = _load_flapack()
+zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
 
 # The Sherman-Morrison denominator equals det(A)/det(core); relative to the
 # correction scale, anything below this means A itself is singular.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -313,7 +314,8 @@ def check_run(problem, grid: GridSpec, config: SolverConfig, snapshot_stride):
     The CLI runs the same check at parse time."""
     if not is_number(snapshot_stride, numbers.Integral) or snapshot_stride < 1:
         raise ConfigurationError(
-            f"snapshot_stride must be an integer >= 1, got {snapshot_stride!r}")
+            f"snapshot_stride must be an integer >= 1, "
+            f"got {reprlib.repr(snapshot_stride)}")
     held = held_bytes(grid, snapshot_stride)
     if held > MEMORY_CAP_BYTES:
         raise ConfigurationError(

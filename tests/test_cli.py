@@ -165,6 +165,17 @@ class TestParseConfig:
         assert key in str(err.value)
 
 
+    @pytest.mark.parametrize("value, named", [
+        (None, "null"), (True, "a boolean"), (64.5, "a number"),
+        ("6" * 10_000, "a string"), ([64], "an array"), ({"K": 64}, "an object"),
+    ], ids=["null", "boolean", "number", "string", "array", "object"])
+    def test_wrong_json_type_named_not_echoed(self, value, named):
+        payload = {"problem": "linear_plane", "K": value, "J": 10}
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(json.dumps(payload))
+        assert str(err.value) == f"config key 'K' must be a JSON integer, got {named}"
+
+
 def traced_peak(call):
     """(the error call raises, or None; the peak bytes traced meanwhile)."""
     tracemalloc.start()
@@ -581,6 +592,29 @@ class TestMainExitCodes:
         record = json.loads(lines[0])
         assert record["error"] == "ConfigurationError"
         assert message in record["message"]
+
+    # A value of the wrong type is named by its JSON type, never echoed, so
+    # an array nested just below the depth json.loads accepts is refused like
+    # any other.  The depths run on to past sys.getrecursionlimit(), so they
+    # cross json.loads's limit wherever the stack stands when main parses.
+    @pytest.mark.parametrize("key", ["T", "output_dir", "snapshot_stride"])
+    def test_deeply_nested_value_exit_2(self, tmp_path, capsys, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        limit = sys.getrecursionlimit()
+        messages = set()
+        for depth in range(limit - 250, limit + 10):
+            path.write_text('{"problem": "linear_plane", "K": 16, "J": 10, '
+                            f'"{key}": ' + "[" * depth + "]" * depth + "}")
+            assert main(["run", str(path)]) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            record = json.loads(lines[0])
+            assert record["error"] == "ConfigurationError"
+            assert len(record["message"]) < 200
+            messages.add(record["message"].split(": ")[0])
+        assert "config parse error" in messages and len(messages) == 2
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_solver_failure_exit_3(self, tmp_path, capsys):
         path = write_config(tmp_path, {"problem": "plane_beta2", "K": 50,

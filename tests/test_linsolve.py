@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nlsw
 from nlsw import (CyclicTridiagonalSystem, PreparedCyclicSolver,
-                  SingularSystemError, UsageError, solve_cyclic_tridiagonal)
+                  SingularSystemError, UsageError, linsolve, solve_cyclic_tridiagonal)
 
 from conftest import random_field
 from oracles import dense_cyclic_matrix, dense_solve
@@ -131,3 +137,58 @@ class TestSolve:
         assert A[0, K - 1] == 2.0
         assert A[K - 1, 0] == 3.0
         assert A[2, 1] == 2.0 and A[2, 3] == 3.0
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# The solver's gttrf/gttrs are scipy's `_flapack` wrappers, loaded without the
+# scipy.linalg package; they must be the very same LAPACK calls.
+class TestLoadedLapack:
+    @pytest.mark.parametrize("K", [4, 200, 4096])
+    def test_same_bits_as_scipy_linalg_lapack(self, rng, K):
+        from scipy.linalg import lapack
+        sys_ = random_dd_system(rng, K)
+        core = (sys_.lower[1:], sys_.diag, sys_.upper[:-1])
+        ours, theirs = linsolve.zgttrf(*core), lapack.zgttrf(*core)
+        assert len(ours) == len(theirs) == 6
+        assert all(same_bits(a, b) for a, b in zip(ours, theirs))
+        rhs = random_field(rng, K)
+        x, info = linsolve.zgttrs(*ours[:-1], rhs)
+        x_ref, info_ref = lapack.zgttrs(*theirs[:-1], rhs)
+        assert info == info_ref == 0 and same_bits(x, x_ref)
+
+    def test_extension_kept_out_of_sys_modules(self):
+        import scipy.linalg
+        assert linsolve._flapack is not scipy.linalg._flapack
+        assert linsolve._flapack.__name__ not in sys.modules
+
+    def test_same_bits_before_and_after_importing_scipy_linalg(self):
+        # In a fresh process, as benchmarks/probe.py does after parsing: the
+        # extension is then initialised a second time, for scipy.linalg.
+        script = """
+import sys
+import numpy as np
+from nlsw import CyclicTridiagonalSystem, PreparedCyclicSolver
+assert "scipy.linalg" not in sys.modules
+rng = np.random.default_rng(7)
+K = 200
+off = rng.normal(size=(2, K)) + 1j * rng.normal(size=(2, K))
+system = CyclicTridiagonalSystem(lower=off[0], diag=4.0 + 1j * rng.normal(size=K),
+                                 upper=off[1])
+rhs = rng.normal(size=K) + 1j * rng.normal(size=K)
+solver = PreparedCyclicSolver(system)
+before = solver.solve(rhs)
+import scipy.linalg
+again = solver.solve(rhs)
+fresh = PreparedCyclicSolver(system).solve(rhs)
+print(before.tobytes() == again.tobytes() == fresh.tobytes())
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(nlsw.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "True"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,14 @@ class TestBuiltins:
                         f1=lambda x: -2.9j * np.exp(1j * x),
                         exact=lambda x, t: np.exp(1j * (x - 2.9 * t)),
                         exactness="verified")
+
+    def test_soliton_claim_fails_the_residual_gate(self):
+        # The sech profile's claimed solution leaves an O(1) cubic defect, so
+        # marking it verified must be refused at construction.
+        spec = builtin_problem("soliton")
+        with pytest.raises(ConfigurationError,
+                           match="soliton: claimed exact solution fails the residual gate"):
+            dataclasses.replace(spec, exactness="verified")
 
     @pytest.mark.parametrize("exact", [
         # Only scalar times: fails on a column, ...
