@@ -30,7 +30,7 @@ import scipy
 
 from . import diagnostics, problems
 from .errors import ConfigurationError, IdentityValidationError, NlswError, UsageError
-from .grid import GridSpec, build_grid, is_number
+from .grid import GridSpec, build_grid, is_number, shown
 from .mi import SolverConfig, Trajectory, check_run, run_mi
 from .problems import ProblemSpec, builtin_problem, convergence_order, customized
 from .wang import check_coefficients, run_wang
@@ -370,7 +370,7 @@ def run_convergence(config: RunConfig, axis: str, levels: int,
     if axis not in ("space", "time"):
         raise UsageError(f"axis must be 'space' or 'time', got {axis!r}")
     if not is_number(levels, Integral) or levels < 2:
-        raise UsageError(f"convergence levels must be an integer >= 2, got {levels!r}")
+        raise UsageError(f"convergence levels must be an integer >= 2, got {shown(levels)}")
     problem, base_grid, solver_config = resolve(config)
     if problem.exactness != "verified":
         raise ConfigurationError(

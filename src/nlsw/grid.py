@@ -10,6 +10,7 @@ position k + 1/2; the periodic wrap pairs (K-1, 0).
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -24,6 +25,17 @@ def is_number(value, kind=Real) -> bool:
     bool is never a number, and NaN and the infinities are out of range."""
     return (isinstance(value, kind) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
+
+
+def shown(value) -> str:
+    """A refused value for a message: an integer in full, or by its sign and
+    bit length when it has too many digits for str; else its reprlib.repr."""
+    if not isinstance(value, Integral):
+        return reprlib.repr(value)
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<{abs(int(value)).bit_length()}-bit integer>"
 
 
 @dataclass(frozen=True)
@@ -59,7 +71,7 @@ def build_grid(x_l, x_r, K, T, J) -> GridSpec:
                               ("T", T, Real), ("J", J, Integral)):
         if not is_number(value, kind):
             noun = "an integer" if kind is Integral else "a real number"
-            raise ConfigurationError(f"{name}={value!r} is not {noun} in the float range")
+            raise ConfigurationError(f"{name}={shown(value)} is not {noun} in the float range")
     K, J = int(K), int(J)
     if K > np.iinfo(np.intp).max:
         raise ConfigurationError(f"K={K} is beyond numpy's index range")
@@ -120,7 +132,7 @@ def scalar_or_rows(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-# Periodic shifts along the last (mesh) axis, so that they and the stencils
+# Periodic shifts along the last (mesh) axis, so that they and the quotients
 # below act on one level or on a [..., K] stack of levels alike: slot k of
 # shift_next(u) holds u_{k+1}, slot k of shift_prev(u) holds u_{k-1}.  They
 # give the same arrays as numpy's roll by -1 and +1 at a fraction of its call
@@ -132,16 +144,6 @@ def shift_next(u):
 
 def shift_prev(u):
     return np.concatenate((u[..., -1:], u[..., :-1]), axis=-1)
-
-
-def stencil(coefficients, u):
-    """Three-point periodic stencil (lower, diag, upper), scalars or length-K
-    arrays, on the last axis of u: slot k holds
-    lower*u_{k-1} + diag*u_k + upper*u_{k+1}, both neighbours read from one
-    copy of u padded by a wrapped node at each end."""
-    lower, diag, upper = coefficients
-    padded = np.concatenate((u[..., -1:], u, u[..., :1]), axis=-1)
-    return lower * padded[..., :-2] + diag * u + upper * padded[..., 2:]
 
 
 # Bare periodic stencils on the last axis.  These skip validation and are

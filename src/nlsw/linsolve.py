@@ -29,7 +29,7 @@ import numpy as np
 import scipy
 
 from .errors import SingularSystemError, UsageError
-from .grid import stencil
+from .grid import shift_next, shift_prev
 
 
 def _load_flapack():
@@ -79,8 +79,8 @@ class CyclicTridiagonalSystem:
         return self.diag.shape[0]
 
     def matvec(self, x) -> np.ndarray:
-        return stencil((self.lower, self.diag, self.upper),
-                       np.asarray(x, dtype=np.complex128))
+        x = np.asarray(x, dtype=np.complex128)
+        return self.lower * shift_prev(x) + self.diag * x + self.upper * shift_next(x)
 
 
 class PreparedCyclicSolver:
@@ -119,6 +119,8 @@ class PreparedCyclicSolver:
                 "cyclic correction denominator collapsed (matrix is singular)")
         self._q = q
         self._den = den
+        self._correction = np.empty(K, dtype=np.complex128)
+        self._finite = np.empty(K, dtype=bool)
 
     def _core_solve(self, b):
         x, info = zgttrs(*self._factors, b)
@@ -132,8 +134,9 @@ class PreparedCyclicSolver:
             raise UsageError(f"rhs has shape {rhs.shape}, expected ({self._size},)")
         # gttrs returns a fresh array, so the correction is subtracted in place.
         y = self._core_solve(rhs)
-        y -= (y[0] + self._v_last * y[-1]) / self._den * self._q
-        if not np.logical_and.reduce(np.isfinite(y)):
+        y -= np.multiply((y[0] + self._v_last * y[-1]) / self._den, self._q,
+                         out=self._correction)
+        if not np.logical_and.reduce(np.isfinite(y, out=self._finite)):
             raise SingularSystemError(
                 "cyclic solve overflowed (near-singular matrix or huge right-hand side)")
         return y

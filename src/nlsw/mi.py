@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import functools
 import numbers
-import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diagnostics, problems
 from .errors import (ConfigurationError, DivergenceError, NlswError,
-                     SingularSystemError, StepFailureError)
+                     SingularSystemError, StepFailureError, UsageError)
 from .grid import (GridSpec, as_field, as_level, central_diff, is_number,
-                   second_diff, stencil)
+                   second_diff, shown)
 from .linsolve import CyclicTridiagonalSystem, PreparedCyclicSolver
 from .model import PdeParams
 
@@ -57,10 +57,10 @@ class SolverConfig:
 
     def __post_init__(self):
         if not (is_number(self.fp_tol) and self.fp_tol > 0):
-            raise ConfigurationError(f"fp_tol must be positive, got {self.fp_tol!r}")
+            raise ConfigurationError(f"fp_tol must be positive, got {shown(self.fp_tol)}")
         if not is_number(self.fp_max_iter, numbers.Integral) or self.fp_max_iter < 1:
             raise ConfigurationError(
-                f"fp_max_iter must be an integer >= 1, got {self.fp_max_iter!r}")
+                f"fp_max_iter must be an integer >= 1, got {shown(self.fp_max_iter)}")
         check_bootstrap_mode(self.bootstrap_mode)
 
 
@@ -131,14 +131,10 @@ def bootstrap(f0, f1, params: PdeParams, grid: GridSpec, mode: str = "taylor2",
     return u0, u1
 
 
-@functools.lru_cache(maxsize=8)
 def _stencils(params: PdeParams, grid: GridSpec):
     """(lower, diag, upper) of the stencils acting on u^{j+1}, u^j and
     u^{j-1}.  The u^{j-1} stencil is built as the adjoint C = A^H of the
-    u^{j+1} one, what reversing time (negating alpha and gamma) makes of A.
-
-    Cached: params and grid are frozen, and a run asks for the same table on
-    every step."""
+    u^{j+1} one, what reversing time (negating alpha and gamma) makes of A."""
     h, tau = grid.h, grid.tau
     a, th, lam = params.alpha, params.theta, params.lam
     diag = 0.5 / tau ** 2 + 0.5 / h ** 2 - 0.25j * a / tau + 0.125 * lam
@@ -157,16 +153,45 @@ def assemble_linear(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSyste
     return CyclicTridiagonalSystem(*(np.full(grid.K, c) for c in _stencils(params, grid)[0]))
 
 
-def _known_terms(u_prev, u_cur, params: PdeParams, grid: GridSpec, table=_stencils):
-    """All linear scheme terms living on levels j and j-1, from table."""
-    _, on_cur, on_prev = table(params, grid)
-    return stencil(on_cur, u_cur) + stencil(on_prev, u_prev)
+class StepPlan:
+    """What every step reuses, built once per run (once per call for a step
+    called on its own): the solver of A, table's B and C columns, the padded
+    pair (u^j, u^{j-1}), cubic(beta/4, u^{j-1}, u^j) over its rows as
+    (lag, nonlinear), and the known, rhs and change buffers.  The mesh axis
+    is last throughout, so a batch axis can go in front of it."""
+
+    def __init__(self, system, params: PdeParams, grid: GridSpec, table, cubic):
+        self.solver = system if isinstance(system, PreparedCyclicSolver) \
+            else PreparedCyclicSolver(system)
+        _, on_cur, on_prev = table(params, grid)
+        self.columns = np.array((on_cur, on_prev), dtype=np.complex128).T[..., None]
+        self.pair = pair = np.empty((2, grid.K + 2), dtype=np.complex128)
+        # neighbours[s] is the pair read s - 1 nodes on, for columns[s].  The
+        # contiguous products[s] are summed into products[0], whose rows then
+        # hold the known terms and the step's right-hand sides.
+        self.neighbours = np.moveaxis(sliding_window_view(pair, grid.K, axis=-1), -2, 0)
+        self.products = np.empty((3, 2, grid.K), dtype=np.complex128)
+        self.known, self.rhs = self.products[0]
+        self.change = np.empty(grid.K)
+        self.lag, self.nonlinear = cubic(0.25 * params.beta, pair[1, 1:-1], pair[0, 1:-1])
+
+    def known_terms(self, u_prev, u_cur):
+        """B u^j + C u^{j-1} into the known buffer, each element summed as
+        (lower*left + diag*u) + upper*right per level, from one multiply."""
+        pair, products = self.pair, self.products
+        pair[0, 1:-1], pair[1, 1:-1] = u_cur, u_prev
+        pair[:, 0], pair[:, -1] = pair[:, -2], pair[:, 1]
+        np.multiply(self.columns, self.neighbours, out=products)
+        total = products[0]
+        total += products[1]
+        total += products[2]
+        return np.add(total[0], total[1], out=self.known)
 
 
 def _cubic(quarter_beta, u_prev, u_cur):
-    """The nonlinear term as nonlinear(u, out), which writes N(u) into out
-    and returns it: beta/4 times the pair of cubic half-node sums, the lagged
-    one built here, the new one per iterate.
+    """The nonlinear term over the level buffers u_prev and u_cur as
+    (lag, nonlinear): lag() builds the lagged sum from their contents, and
+    nonlinear(u, out) writes N(u), beta/4 times both sums, into out.
 
     Each sum is y_{k+1/2} + y_{k-1/2} over the cubes |y|^2 y of the
     half-node means y_{k+1/2} = (m_k + m_{k+1})/2 of a temporal mean m, so
@@ -179,6 +204,7 @@ def _cubic(quarter_beta, u_prev, u_cur):
     padded = np.empty(K + 2, dtype=np.complex128)
     cubes = np.empty(K + 1, dtype=np.complex128)
     abs2 = np.empty(K + 1)
+    lagged = np.empty(K, dtype=np.complex128)
 
     def pair(level, out):
         mean = padded[1:-1]
@@ -191,26 +217,25 @@ def _cubic(quarter_beta, u_prev, u_cur):
         means *= abs2
         return np.add(means[1:], means[:-1], out=out)
 
-    lagged = pair(u_prev, np.empty(K, dtype=np.complex128))
-
     def nonlinear(u, out):
         pair(u, out)
         out += lagged
         out *= quarter_beta
         return out
-    return nonlinear
+    return functools.partial(pair, u_prev, lagged), nonlinear
 
 
 def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
            config: SolverConfig, table, cubic):
     """The step of both schemes: solve A u + B u^j + C u^{j-1} + N(u) = 0
-    for the new level u, with (A, B, C) = table(params, grid) and system A or
-    its PreparedCyclicSolver (A is factored here).  Returns (u, sweeps).
+    for the new level u, with (A, B, C) = table(params, grid), system the
+    run's StepPlan, or A or its PreparedCyclicSolver to build one from.
+    Returns (u, sweeps), u a fresh array.
 
-    beta = 0 makes one solve exact.  Otherwise
-    nonlinear = cubic(beta/4, u^{j-1}, u^j) is built once, and
-    nonlinear(u, out) writes N(u) into out.  The iteration starts from the
-    quadratic extrapolation 3 u^j - 3 u^{j-1} + u^{j-2}, or from the linear
+    beta = 0 makes one solve exact.  Otherwise the plan's lag() builds the
+    lagged half of N, and nonlinear(u, out) writes N(u) into out.  The
+    iteration starts from the quadratic extrapolation
+    3 u^j - 3 u^{j-1} + u^{j-2}, or from the linear
     2 u^j - u^{j-1} when the window carries no u^{j-2}.  Every sweep
     re-evaluates N at the current iterate and solves the frozen linear
     system, stopping once the sup-norm change drops below
@@ -218,29 +243,30 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     smaller change than the smallest so far end the step early, and so does
     a budget of fp_max_iter sweeps, both with StepFailureError.
 
-    A sweep writes the right-hand side and the change into buffers of the
-    step.  |iterate| is taken only when the change could pass: it is at
+    A sweep writes the right-hand side and the change into the plan's
+    buffers.  |iterate| is taken only when the change could pass: it is at
     most |start| plus the changes so far, so a change above twice fp_tol
     times max(1, that bound) fails the test whatever |iterate| is.
     """
-    solver = system if isinstance(system, PreparedCyclicSolver) \
-        else PreparedCyclicSolver(system)
+    plan = system if isinstance(system, StepPlan) \
+        else StepPlan(system, params, grid, table, cubic)
+    solver, rhs, change, nonlinear = plan.solver, plan.rhs, plan.change, plan.nonlinear
     u_prev = as_level(window.u_prev, grid)
     u_cur = as_level(window.u_cur, grid)
-    known = _known_terms(u_prev, u_cur, params, grid, table)
+    if u_prev.ndim != 1 or u_cur.ndim != 1:
+        raise UsageError(f"a step takes 1-D levels, got {u_prev.shape} and {u_cur.shape}")
+    known = plan.known_terms(u_prev, u_cur)
     # An overflow inside the cubic term or a solve makes the solve's result
     # non-finite, which the solver reports (SingularSystemError, told apart
     # below from a non-finite right-hand side), so the overflow stays quiet.
     with np.errstate(over="ignore", invalid="ignore"):
         if params.beta == 0.0:
-            return solver.solve(-known), 1
-        nonlinear = cubic(0.25 * params.beta, u_prev, u_cur)
+            return solver.solve(np.negative(known, out=rhs)), 1
+        plan.lag()
         if window.u_prev2 is None:
             u = 2.0 * u_cur - u_prev
         else:
             u = 3.0 * (u_cur - u_prev) + as_level(window.u_prev2, grid)
-        rhs = np.empty_like(u)
-        change = np.empty(u.shape)
         bound = float(np.maximum.reduce(np.abs(u, out=change)))
         diff = smallest = np.inf
         stalled = 0
@@ -281,8 +307,8 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
 
 def step_mi(window: StateWindow, system, params: PdeParams, grid: GridSpec,
             config: SolverConfig):
-    """Advance one level: picard with this scheme's table and cubic term,
-    system the assemble_linear operator or its PreparedCyclicSolver.
+    """Advance one level: picard with this scheme's table and cubic term on
+    the assemble_linear operator, its solver or a run's StepPlan.
     Returns (u_next, fp_iters)."""
     return picard(window, system, params, grid, config, _stencils, _cubic)
 
@@ -314,8 +340,7 @@ def check_run(problem, grid: GridSpec, config: SolverConfig, snapshot_stride):
     The CLI runs the same check at parse time."""
     if not is_number(snapshot_stride, numbers.Integral) or snapshot_stride < 1:
         raise ConfigurationError(
-            f"snapshot_stride must be an integer >= 1, "
-            f"got {reprlib.repr(snapshot_stride)}")
+            f"snapshot_stride must be an integer >= 1, got {shown(snapshot_stride)}")
     held = held_bytes(grid, snapshot_stride)
     if held > MEMORY_CAP_BYTES:
         raise ConfigurationError(
@@ -328,11 +353,11 @@ def check_run(problem, grid: GridSpec, config: SolverConfig, snapshot_stride):
 
 
 def integrate(problem, grid: GridSpec, config: SolverConfig,
-              snapshot_stride: int, assemble, step, observe) -> Trajectory:
+              snapshot_stride: int, assemble, table, cubic, step, observe) -> Trajectory:
     """The run loop of both schemes: check_run the run before allocating
-    anything, factor the operator assemble(params, grid) once, bootstrap,
-    then advance J-1 steps with the scheme's step
-    step(window, solver, params, grid, config) -> (u_next, fp_iters),
+    anything, build one StepPlan of assemble(params, grid), table and cubic,
+    bootstrap, then advance J-1 steps with the scheme's step
+    step(window, plan, params, grid, config) -> (u_next, fp_iters),
     whose window carries u^{j-2} from the second step on.
 
     The series holds step (the produced level index, 2..J), t, fp_iters, the
@@ -360,7 +385,7 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     """
     exact_fn = check_run(problem, grid, config, snapshot_stride)
     params = problem.params
-    solver = PreparedCyclicSolver(assemble(params, grid))
+    plan = StepPlan(assemble(params, grid), params, grid, table, cubic)
     u0, u1 = bootstrap(problem.f0, problem.f1, params, grid,
                        mode=config.bootstrap_mode, exact=exact_fn)
     x = grid.nodes
@@ -411,7 +436,7 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
         try:
             u_next, fp_iters[j - 1] = step(
                 StateWindow(u_prev, u_cur, j * grid.tau, u_prev2),
-                solver, params, grid, config)
+                plan, params, grid, config)
         except NlswError as exc:
             flush(start, j - 1)
             exc.step = j + 1
@@ -460,6 +485,6 @@ def run_mi(problem, grid: GridSpec, config: SolverConfig,
         return {"energy_gap": gaps.energy_gap, "mass_gap": gaps.mass_gap}
 
     traj = integrate(problem, grid, config, snapshot_stride,
-                     assemble_linear, step_mi, identity_gaps)
+                     assemble_linear, _stencils, _cubic, step_mi, identity_gaps)
     traj.meta["scheme"] = "mi"
     return traj

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .grid import GridSpec, as_field, central_diff, is_number
+from .grid import GridSpec, as_field, central_diff, is_number, shown
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class PdeParams:
             value = getattr(self, name)
             if not is_number(value):
                 raise ConfigurationError(
-                    f"coefficient {name} must be a finite number, got {value!r}")
+                    f"coefficient {name} must be a finite number, got {shown(value)}")
         # The first-order reduction divides by 1 - gamma^2/4.
         if abs(1.0 - 0.25 * self.gamma * self.gamma) < 1e-12:
             raise ConfigurationError(

@@ -24,8 +24,6 @@ energies.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .diagnostics import max_rel_drift
@@ -44,11 +42,10 @@ def check_coefficients(params: PdeParams):
             f"got gamma={params.gamma}, theta={params.theta}, lam={params.lam}")
 
 
-@functools.lru_cache(maxsize=8)
 def _stencils(params: PdeParams, grid: GridSpec):
     """(lower, diag, upper) of the stencils acting on u^{j+1}, u^j and
     u^{j-1}; the u^{j-1} one is built as the adjoint C = A^H of the u^{j+1}
-    one, what reversing time makes of A.  Cached like mi._stencils."""
+    one, what reversing time makes of A."""
     check_coefficients(params)
     h, tau = grid.h, grid.tau
     off = -0.5 / h ** 2
@@ -62,11 +59,13 @@ def assemble_wang(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSystem:
 
 
 def _cubic(quarter_beta, u_prev, u_cur):
-    """(beta/4)(|u|^2 + |u^{j-1}|^2)(u + u^{j-1}) as nonlinear(u, out), which
-    writes it into out and returns it; |u^{j-1}|^2 and the real scratch
-    array are built once, here."""
-    abs2_prev = np.abs(u_prev) ** 2
-    weight = np.empty(abs2_prev.shape)
+    """(beta/4)(|u|^2 + |u^{j-1}|^2)(u + u^{j-1}) over the level buffer
+    u_prev as (lag, nonlinear), like mi._cubic: lag() takes |u^{j-1}|^2, and
+    nonlinear(u, out) writes the term into out and returns it."""
+    abs2_prev, weight = np.empty((2,) + u_prev.shape)
+
+    def lag():
+        np.square(np.abs(u_prev, out=abs2_prev), out=abs2_prev)
 
     def nonlinear(u, out):
         abs2 = np.square(np.abs(u, out=weight), out=weight)
@@ -75,13 +74,13 @@ def _cubic(quarter_beta, u_prev, u_cur):
         np.add(u, u_prev, out=out)
         out *= abs2
         return out
-    return nonlinear
+    return lag, nonlinear
 
 
 def step_wang(window: StateWindow, system, params: PdeParams, grid: GridSpec,
               config: SolverConfig):
-    """Advance one level: picard with this scheme's table and cubic term,
-    system the assemble_wang operator or its PreparedCyclicSolver.
+    """Advance one level: picard with this scheme's table and cubic term on
+    the assemble_wang operator, its solver or a run's StepPlan.
     Returns (u_next, fp_iters)."""
     return picard(window, system, params, grid, config, _stencils, _cubic)
 
@@ -168,7 +167,7 @@ def run_wang(problem, grid: GridSpec, config: SolverConfig,
                                                            grid, kinetic, quartic)}
 
     traj = integrate(problem, grid, config, snapshot_stride,
-                     assemble_wang, _step_wang, wang_energies)
+                     assemble_wang, _stencils, _cubic, _step_wang, wang_energies)
     printed = traj.series.pop("energy_wang_printed")
     traj.meta["scheme"] = "wang"
     traj.meta["energy_wang_printed_max_rel_drift"] = max_rel_drift(

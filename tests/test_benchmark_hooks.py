@@ -8,6 +8,7 @@ read 0; these checks catch that without running the benchmark.
 """
 
 import ast
+import collections
 import functools
 import importlib
 import math
@@ -17,6 +18,7 @@ import pytest
 
 from nlsw import (PreparedCyclicSolver, SolverConfig, build_grid, builtin_problem,
                   run_mi, run_wang)
+from nlsw import mi, wang
 from nlsw.mi import BLOCK_VALUES
 
 SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
@@ -98,3 +100,33 @@ def test_every_sweep_solves_through_the_class_attribute(monkeypatch, runner):
     traj = runner(prob, grid, SolverConfig())
     assert prob.params.beta != 0.0
     assert len(calls) == traj.meta["total_fp_iters"] > grid.J - 1
+
+
+@pytest.mark.parametrize("runner, module", [(run_mi, mi), (run_wang, wang)])
+def test_a_run_builds_its_plan_and_stencils_a_fixed_number_of_times(monkeypatch,
+                                                                     runner, module):
+    # integrate builds one StepPlan, and with it the one factorisation and
+    # the stencil columns, per run; no step evaluates the stencil table
+    # again, so the counts do not grow with J.
+    counts = collections.Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        @functools.wraps(original)
+        def counted(*args, **kwargs):
+            counts[owner.__name__, name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(module, "_stencils")
+    count(mi.StepPlan, "__init__")
+    count(PreparedCyclicSolver, "__init__")
+    prob = builtin_problem("plane_beta2")
+    seen = []
+    for J in (6, 60):
+        counts.clear()
+        runner(prob, build_grid(prob.x_l, prob.x_r, 32, J * 0.01, J), SolverConfig())
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0][("StepPlan", "__init__")] == seen[0][("PreparedCyclicSolver", "__init__")] == 1

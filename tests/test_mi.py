@@ -3,11 +3,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nlsw import (ConfigurationError, ConsistencyError, PdeParams, SolverConfig,
-                  StateWindow, StepFailureError, Trajectory,
+                  StateWindow, StepFailureError, Trajectory, UsageError,
                   assemble_linear, bootstrap, builtin_problem, build_grid,
                   diagnostics, mi, mi_energy, mi_mass, run_mi, run_wang, step_mi)
+from nlsw.cli import run_convergence
 from nlsw.linsolve import PreparedCyclicSolver
-from nlsw.mi import BLOCK_VALUES, _known_terms
+from nlsw.mi import BLOCK_VALUES, StepPlan
 
 from oracles import mi_residual_direct, mi_residual_scale
 from strategies import (coefficient, gamma_coefficient, periodic_grid, seeds,
@@ -57,6 +58,24 @@ class TestSolverConfig:
         assert SolverConfig(fp_max_iter=np.int64(3)).fp_max_iter == 3
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("refuse", [
+    lambda v: run_mi(EX1, build_grid(EX1.x_l, EX1.x_r, 16, 0.1, 10), SolverConfig(),
+                     snapshot_stride=v),
+    lambda v: build_grid(0.0, 1.0, v, 1.0, 10),
+    lambda v: SolverConfig(fp_tol=v),
+    lambda v: SolverConfig(fp_max_iter=v),
+    lambda v: PdeParams(alpha=v, gamma=0.0, theta=0.0, lam=0.0, beta=0.0),
+    lambda v: run_convergence(None, "time", v),
+], ids=["snapshot_stride", "K", "fp_tol", "fp_max_iter", "alpha", "levels"])
+def test_refused_integer_too_long_for_str_is_named_by_its_bit_length(refuse, sign):
+    # str refuses an int of more than sys.get_int_max_str_digits() digits,
+    # so a message that echoed 10**5000 raised that ValueError instead.
+    with pytest.raises((ConfigurationError, UsageError)) as err:
+        refuse(sign * 10 ** 5000)
+    assert f"{'-' if sign < 0 else ''}<16610-bit integer>" in str(err.value)
+
+
 class TestAssembleLinear:
     def test_diagonal_entry(self):
         g = build_grid(0.0, 2.0 * np.pi, 16, 1.0, 100)
@@ -97,8 +116,11 @@ class TestAssembleLinear:
         # problems and on random levels with drawn coefficients.
         p, g, (up, uc, un) = case
         sys_ = assemble_linear(p, g)
-        lhs = (sys_.matvec(un) + _known_terms(up, uc, p, g)
-               + mi._cubic(0.25 * p.beta, up, uc)(un, np.empty(g.K, dtype=complex)))
+        plan = StepPlan(sys_, p, g, mi._stencils, mi._cubic)
+        known = plan.known_terms(up, uc)
+        plan.lag()
+        lhs = (sys_.matvec(un) + known
+               + plan.nonlinear(un, np.empty(g.K, dtype=complex)))
         direct = mi_residual_direct(up, uc, un, p, g)
         scale = mi_residual_scale(un, p, g)
         assert np.max(np.abs(lhs - direct)) <= 1e-13 * scale

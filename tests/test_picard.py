@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from nlsw import (DivergenceError, PdeParams, PreparedCyclicSolver,
                   SingularSystemError, SolverConfig, StateWindow, StepFailureError,
-                  assemble_linear, assemble_wang, bootstrap, build_grid,
-                  builtin_problem, run_mi, run_wang, step_mi, step_wang)
-from nlsw import mi
+                  UsageError, assemble_linear, assemble_wang, bootstrap, build_grid,
+                  builtin_problem, customized, run_mi, run_wang, step_mi, step_wang)
+from nlsw import mi, wang
 
 from oracles import picard_reference
 from strategies import (coefficient, gamma_coefficient, levels, periodic_grid,
@@ -206,3 +206,62 @@ def test_stall_verdict_comes_before_the_budget():
         step_mi(window, solver, PLANE.params, grid,
                 SolverConfig(fp_tol=1e-18, fp_max_iter=stalled_in - 1))
     assert f"not converged after {stalled_in - 1} sweeps" in str(err.value)
+
+
+def _arrays(*owners):
+    """The arrays among the attributes of owners, and in their lists."""
+    for owner in owners:
+        for value in vars(owner).values():
+            for item in value if isinstance(value, (list, tuple)) else (value,):
+                if isinstance(item, np.ndarray):
+                    yield item
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("beta", [0.0, PLANE.params.beta])
+def test_run_levels_are_standalone_steps_in_fresh_arrays(monkeypatch, scheme, beta):
+    # A run steps through one StepPlan and a step called on its own builds
+    # one for the call: level j+1 of a run must be, to the bit and the sweep,
+    # the standalone step on the same window, and no level a run returns may
+    # share memory with a later one or with the plan's and solver's buffers.
+    step, assemble = SCHEMES[scheme]
+    module, name = (mi, "step_mi") if scheme == "mi" else (wang, "_step_wang")
+    runner = run_mi if scheme == "mi" else run_wang
+    problem = customized(PLANE, beta=beta)
+    grid = build_grid(problem.x_l, problem.x_r, 32, 0.6, 12)
+    config = SolverConfig()
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(window, plan, *args):
+        u_next, sweeps = original(window, plan, *args)
+        calls.append((window, plan, u_next, sweeps))
+        return u_next, sweeps
+    monkeypatch.setattr(module, name, recorded)
+    runner(problem, grid, config)
+    assert len(calls) == grid.J - 1
+    assert len({id(plan) for _, plan, _, _ in calls}) == 1
+    plan = calls[0][1]
+    scratch = list(_arrays(plan, plan.solver))
+    levels = [u_next for _, _, u_next, _ in calls]
+    for i, (window, _, u_next, sweeps) in enumerate(calls):
+        alone, alone_sweeps = step(window, assemble(problem.params, grid),
+                                   problem.params, grid, config)
+        assert (alone.tobytes(), alone_sweeps) == (u_next.tobytes(), sweeps)
+        assert (sweeps == 1) == (beta == 0.0)
+        for other in levels[i + 1:] + scratch:
+            assert not np.shares_memory(u_next, other)
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("beta", [0.0, PLANE.params.beta])
+def test_step_refuses_a_stack_of_levels(scheme, beta):
+    # The step is 1-D: a [B, K] window is refused as a usage error at either
+    # beta, before the plan's level buffers would reject it.
+    step, assemble = SCHEMES[scheme]
+    problem = customized(PLANE, beta=beta)
+    grid = build_grid(problem.x_l, problem.x_r, 16, 1.0, 100)
+    stack = np.ones((2, 16), dtype=complex)
+    with pytest.raises(UsageError, match="1-D levels"):
+        step(StateWindow(stack, stack, 0.0), assemble(problem.params, grid),
+             problem.params, grid, SolverConfig())
