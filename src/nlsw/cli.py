@@ -326,8 +326,9 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
     oracle = diagnostics.run_identity_oracle()
     if not oracle.ok:
         raise IdentityValidationError(
-            "mass-identity oracle failed: measured factor "
-            f"{oracle.measured_mass_factor!r} matches neither candidate")
+            "identity oracle failed: relative energy gap "
+            f"{oracle.energy_max_rel_gap:.3e}, mass factor "
+            f"{oracle.measured_mass_factor!r} against the validated beta/4")
 
     labels = ("mi", "wang") if config.scheme == "both" else (config.scheme,)
     runners = _runners()

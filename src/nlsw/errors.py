@@ -51,6 +51,6 @@ class ConsistencyError(NlswError):
 
 
 class IdentityValidationError(NlswError):
-    """The discrete mass-identity oracle failed to validate any candidate."""
+    """The identity oracle did not validate the beta/4 mass constant."""
 
     exit_code = 4

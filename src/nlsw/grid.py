@@ -85,28 +85,29 @@ def build_grid(x_l, x_r, K, T, J) -> GridSpec:
         raise ConfigurationError(f"final time must be positive, got T={T}")
     h = (float(x_r) - float(x_l)) / K
     tau = float(T) / J
-    # The stencils divide by tau^2, h^2 and tau*h.
-    if not _finite_inverse_square(tau):
+    # The stencils square tau and h, and divide by tau^2, h^2 and tau*h.
+    if not _finite_square(tau):
         raise ConfigurationError(
-            f"T={T} is too small for J={J}: 1/tau^2 is not finite")
-    if not _finite_inverse_square(h):
+            f"T={T} is out of range for J={J}: tau^2 or 1/tau^2 is not finite")
+    if not _finite_square(h):
         raise ConfigurationError(
-            f"[{x_l}, {x_r}] is too short for K={K}: 1/h^2 is not finite")
+            f"[{x_l}, {x_r}] is out of range for K={K}: h^2 or 1/h^2 is not finite")
     return GridSpec(x_l=float(x_l), x_r=float(x_r), K=K, J=J, T=float(T),
                     h=h, tau=tau)
 
 
-def _finite_inverse_square(step: float) -> bool:
+def _finite_square(step: float) -> bool:
+    """Whether step^2 and 1/step^2 are both finite and nonzero."""
     square = step * step
-    return square > 0.0 and math.isfinite(1.0 / square)
+    return 0.0 < square < math.inf and math.isfinite(1.0 / square)
 
 
-def as_field(values, grid: GridSpec | None = None) -> np.ndarray:
+def as_field(values, grid: GridSpec) -> np.ndarray:
     """Coerce to a 1-D complex mesh function and enforce its invariants."""
     u = np.asarray(values, dtype=np.complex128)
     if u.ndim != 1:
         raise UsageError(f"mesh function must be 1-D, got shape {u.shape}")
-    if grid is not None and u.shape[0] != grid.K:
+    if u.shape[0] != grid.K:
         raise UsageError(f"mesh function has length {u.shape[0]}, grid has K={grid.K}")
     if not np.all(np.isfinite(u)):
         raise UsageError("mesh function contains NaN/Inf entries")

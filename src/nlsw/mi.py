@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,6 +47,22 @@ STALL_SWEEPS = 3
 # holds a run to it before integrate allocates any of them.
 MEMORY_CAP_BYTES = 4 * 2 ** 30
 
+# Bytes per node that a run's StepPlan and its PreparedCyclicSolver hold for
+# the whole run, from their shapes: the plan's (2, K+2) pair and (3, 2, K)
+# products, the midpoint cubic's padded, cubes and lagged buffers (the
+# energy-preserving cubic holds less), and the solver's four gttrf factor
+# bands, q and correction are 17 complex values; the cubic's abs2 and the
+# change are two floats; the solver's int32 pivots and bool finiteness mask.
+PLAN_BYTES_PER_NODE = 16 * 17 + 8 * 2 + 4 + 1
+
+# The floating-point policy of a run, entered once by integrate around its
+# factorisation, bootstrap, steps and diagnostics, and by a step called on
+# its own.  An overflow or invalid operation leaves an inf or NaN that a
+# check reports: the factorisation and every solve refuse a non-finite
+# result (SingularSystemError, which picard tells apart from a non-finite
+# right-hand side), so the warning itself stays quiet.
+quiet_overflow = functools.partial(np.errstate, over="ignore", invalid="ignore")
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -64,8 +81,7 @@ class SolverConfig:
         check_bootstrap_mode(self.bootstrap_mode)
 
 
-@dataclass(frozen=True)
-class StateWindow:
+class StateWindow(NamedTuple):
     """Two consecutive levels (u^{j-1}, u^j) driving the two-step update,
     and optionally u^{j-2}, which only sharpens the Picard starting guess."""
 
@@ -84,7 +100,7 @@ class Trajectory:
     grid: GridSpec
     snapshots: list
     series: dict
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
 def check_bootstrap_mode(mode: str):
@@ -116,11 +132,11 @@ def bootstrap(f0, f1, params: PdeParams, grid: GridSpec, mode: str = "taylor2",
     """
     check_bootstrap(mode, exact)
     x = grid.nodes
-    u0 = as_field(np.asarray(f0(x), dtype=np.complex128), grid)
+    u0 = as_field(f0(x), grid)
     if mode == "exact":
-        u1 = as_field(np.asarray(exact(x, grid.tau), dtype=np.complex128), grid)
+        u1 = as_field(exact(x, grid.tau), grid)
         return u0, u1
-    v0 = as_field(np.asarray(f1(x), dtype=np.complex128), grid)
+    v0 = as_field(f1(x), grid)
     utt = (second_diff(u0, grid.h)
            - params.gamma * central_diff(v0, grid.h)
            + 1j * params.alpha * v0
@@ -243,63 +259,64 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     smaller change than the smallest so far end the step early, and so does
     a budget of fp_max_iter sweeps, both with StepFailureError.
 
-    A sweep writes the right-hand side and the change into the plan's
-    buffers.  |iterate| is taken only when the change could pass: it is at
-    most |start| plus the changes so far, so a change above twice fp_tol
-    times max(1, that bound) fails the test whatever |iterate| is.
+    A step on A or its solver builds its plan and runs under quiet_overflow
+    for the call; a run's plan steps under the run's.  A sweep writes the
+    right-hand side and the change into the plan's buffers.  |iterate| is
+    taken only when the change could pass: it is at most |start| plus the
+    changes so far, so a change above twice fp_tol times max(1, that bound)
+    fails the test whatever |iterate| is.
     """
-    plan = system if isinstance(system, StepPlan) \
-        else StepPlan(system, params, grid, table, cubic)
+    if not isinstance(system, StepPlan):
+        with quiet_overflow():
+            return picard(window, StepPlan(system, params, grid, table, cubic),
+                          params, grid, config, table, cubic)
+    plan = system
     solver, rhs, change, nonlinear = plan.solver, plan.rhs, plan.change, plan.nonlinear
     u_prev = as_level(window.u_prev, grid)
     u_cur = as_level(window.u_cur, grid)
     if u_prev.ndim != 1 or u_cur.ndim != 1:
         raise UsageError(f"a step takes 1-D levels, got {u_prev.shape} and {u_cur.shape}")
     known = plan.known_terms(u_prev, u_cur)
-    # An overflow inside the cubic term or a solve makes the solve's result
-    # non-finite, which the solver reports (SingularSystemError, told apart
-    # below from a non-finite right-hand side), so the overflow stays quiet.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if params.beta == 0.0:
-            return solver.solve(np.negative(known, out=rhs)), 1
-        plan.lag()
-        if window.u_prev2 is None:
-            u = 2.0 * u_cur - u_prev
-        else:
-            u = 3.0 * (u_cur - u_prev) + as_level(window.u_prev2, grid)
-        bound = float(np.maximum.reduce(np.abs(u, out=change)))
-        diff = smallest = np.inf
-        stalled = 0
-        for it in range(1, config.fp_max_iter + 1):
-            np.add(known, nonlinear(u, rhs), out=rhs)
-            np.negative(rhs, out=rhs)
-            try:
-                u_new = solver.solve(rhs)
-            except SingularSystemError:
-                if np.logical_and.reduce(np.isfinite(rhs)):
-                    raise
-                raise DivergenceError(
-                    f"fixed-point iterate diverged: non-finite nonlinear term "
-                    f"in sweep {it}") from None
-            previous = diff
-            # The right-hand side is spent, so its buffer holds u_new - u.
-            np.abs(np.subtract(u_new, u, out=rhs), out=change)
-            diff = float(np.maximum.reduce(change))
-            bound += diff
-            u = u_new
-            if diff <= 2.0 * config.fp_tol * max(1.0, bound):
-                peak = float(np.maximum.reduce(np.abs(u, out=change)))
-                if diff <= config.fp_tol * max(1.0, peak):
-                    return u, it
-            if diff < smallest:
-                smallest, stalled = diff, 0
-                continue
-            stalled += 1
-            if stalled == STALL_SWEEPS:
-                raise StepFailureError(
-                    f"fixed point stalled in sweep {it}: {STALL_SWEEPS} sweeps "
-                    f"without a smaller update (last two {previous:.3e}, "
-                    f"{diff:.3e})", residual=diff)
+    if params.beta == 0.0:
+        return solver.solve(np.negative(known, out=rhs)), 1
+    plan.lag()
+    if window.u_prev2 is None:
+        u = 2.0 * u_cur - u_prev
+    else:
+        u = 3.0 * (u_cur - u_prev) + as_level(window.u_prev2, grid)
+    bound = float(np.maximum.reduce(np.abs(u, out=change)))
+    diff = smallest = np.inf
+    stalled = 0
+    for it in range(1, config.fp_max_iter + 1):
+        np.add(known, nonlinear(u, rhs), out=rhs)
+        np.negative(rhs, out=rhs)
+        try:
+            u_new = solver.solve(rhs)
+        except SingularSystemError:
+            if np.logical_and.reduce(np.isfinite(rhs)):
+                raise
+            raise DivergenceError(
+                f"fixed-point iterate diverged: non-finite nonlinear term "
+                f"in sweep {it}") from None
+        previous = diff
+        # The right-hand side is spent, so its buffer holds u_new - u.
+        np.abs(np.subtract(u_new, u, out=rhs), out=change)
+        diff = float(np.maximum.reduce(change))
+        bound += diff
+        u = u_new
+        if diff <= 2.0 * config.fp_tol * max(1.0, bound):
+            peak = float(np.maximum.reduce(np.abs(u, out=change)))
+            if diff <= config.fp_tol * max(1.0, peak):
+                return u, it
+        if diff < smallest:
+            smallest, stalled = diff, 0
+            continue
+        stalled += 1
+        if stalled == STALL_SWEEPS:
+            raise StepFailureError(
+                f"fixed point stalled in sweep {it}: {STALL_SWEEPS} sweeps "
+                f"without a smaller update (last two {previous:.3e}, "
+                f"{diff:.3e})", residual=diff)
     raise StepFailureError(
         f"fixed point not converged after {config.fp_max_iter} sweeps "
         f"(last update {diff:.3e})", residual=diff)
@@ -315,15 +332,18 @@ def step_mi(window: StateWindow, system, params: PdeParams, grid: GridSpec,
 
 def held_bytes(grid: GridSpec, snapshot_stride: int) -> int:
     """The bytes integrate holds for a run: the snapshot levels, the block
-    buffer of levels, and J+1 rows of each series column (at most every name
-    of diagnostics.SERIES_COLUMNS, the printed wang energy and grid.times).
+    buffer of levels, the StepPlan and its solver (PLAN_BYTES_PER_NODE), and
+    J+1 rows of each series column (at most every name of
+    diagnostics.SERIES_COLUMNS, the printed wang energy and grid.times).
 
-    A step's and a writer's temporaries are not counted: on gauss_split with
-    J = 4 and snapshot_stride 1, this counts 112 bytes per node, while peak
-    RSS grows by about 400 bytes per node for run_mi and 610 for
-    cli.run_experiment (K = 2e5 and 4e5, x86-64, numpy 2.4)."""
+    The levels a step reads and returns, and a step's, the bootstrap's and a
+    writer's temporaries are not counted: on gauss_split with J = 4 and
+    snapshot_stride 1, this counts 405 bytes per node, while peak RSS grows
+    by about 615 bytes per node for run_mi and 670 for cli.run_experiment
+    (K = 2e5 and 4e5, one fresh process each, x86-64, numpy 2.4.6)."""
     levels = (grid.J - 1) // snapshot_stride + 2 + _block_pairs(grid) + 1
-    return 16 * grid.K * levels + 8 * (grid.J + 1) * (len(diagnostics.SERIES_COLUMNS) + 2)
+    return (grid.K * (16 * levels + PLAN_BYTES_PER_NODE)
+            + 8 * (grid.J + 1) * (len(diagnostics.SERIES_COLUMNS) + 2))
 
 
 def _block_pairs(grid: GridSpec) -> int:
@@ -355,8 +375,9 @@ def check_run(problem, grid: GridSpec, config: SolverConfig, snapshot_stride):
 def integrate(problem, grid: GridSpec, config: SolverConfig,
               snapshot_stride: int, assemble, table, cubic, step, observe) -> Trajectory:
     """The run loop of both schemes: check_run the run before allocating
-    anything, build one StepPlan of assemble(params, grid), table and cubic,
-    bootstrap, then advance J-1 steps with the scheme's step
+    anything, then, under one quiet_overflow, build one StepPlan of
+    assemble(params, grid), table and cubic, bootstrap, and advance J-1
+    steps and their diagnostics with the scheme's step
     step(window, plan, params, grid, config) -> (u_next, fp_iters),
     whose window carries u^{j-2} from the second step on.
 
@@ -385,71 +406,73 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     """
     exact_fn = check_run(problem, grid, config, snapshot_stride)
     params = problem.params
-    plan = StepPlan(assemble(params, grid), params, grid, table, cubic)
-    u0, u1 = bootstrap(problem.f0, problem.f1, params, grid,
-                       mode=config.bootstrap_mode, exact=exact_fn)
-    x = grid.nodes
-    t = grid.times[2:]
-    fp_iters = np.empty(grid.J - 1, dtype=np.int64)
-    series = {"step": np.arange(2, grid.J + 1), "t": t, "fp_iters": fp_iters}
-    levels = np.empty((_block_pairs(grid) + 1, grid.K), dtype=np.complex128)
+    with quiet_overflow():
+        plan = StepPlan(assemble(params, grid), params, grid, table, cubic)
+        u0, u1 = bootstrap(problem.f0, problem.f1, params, grid,
+                           mode=config.bootstrap_mode, exact=exact_fn)
+        x = grid.nodes
+        t = grid.times[2:]
+        fp_iters = np.empty(grid.J - 1, dtype=np.int64)
+        series = {"step": np.arange(2, grid.J + 1), "t": t, "fp_iters": fp_iters}
+        levels = np.empty((_block_pairs(grid) + 1, grid.K), dtype=np.complex128)
 
-    def evaluate(levels):
-        """The invariants and the observed columns of the pairs of
-        consecutive levels."""
-        u_cur, u_next = levels[:-1], levels[1:]
-        half = diagnostics.half_nodes(u_cur, u_next, grid)
-        energy = diagnostics.mi_energy(u_cur, u_next, params, grid, half=half)
-        mass = diagnostics.mi_mass(u_cur, u_next, params, grid, half=half)
-        return {"energy_mi": energy, "mass_mi": mass,
-                **observe(levels, energy, mass, half)}
+        def evaluate(levels):
+            """The invariants and the observed columns of the pairs of
+            consecutive levels."""
+            u_cur, u_next = levels[:-1], levels[1:]
+            half = diagnostics.half_nodes(u_cur, u_next, grid)
+            energy = diagnostics.mi_energy(u_cur, u_next, params, grid, half=half)
+            mass = diagnostics.mi_mass(u_cur, u_next, params, grid, half=half)
+            return {"energy_mi": energy, "mass_mi": mass,
+                    **observe(levels, energy, mass, half)}
 
-    def flush(start, stop):
-        """Fill rows start..stop-1 from levels[:stop - start + 1].  On a
-        failure in row start + i, the rows before it are evaluated alone
-        first, so that a failure there, which the row-by-row order meets
-        first, is the one raised."""
-        if start == stop:
-            return
-        try:
-            columns = evaluate(levels[:stop - start + 1])
-            if exact_fn is not None:
-                columns.update(vars(problems.error_metrics(
-                    levels[1:stop - start + 1], exact_fn(x, t[start:stop, None]), grid)))
-        except NlswError as exc:
-            row = getattr(exc, "row", None) or 0
-            flush(start, start + row)
-            exc.step = start + 2 + row
-            raise
-        for name, values in columns.items():
-            if name not in series:
-                series[name] = np.empty(grid.J - 1)
-            series[name][start:stop] = values
+        def flush(start, stop):
+            """Fill rows start..stop-1 from levels[:stop - start + 1].  On a
+            failure in row start + i, the rows before it are evaluated alone
+            first, so that a failure there, which the row-by-row order meets
+            first, is the one raised."""
+            if start == stop:
+                return
+            try:
+                columns = evaluate(levels[:stop - start + 1])
+                if exact_fn is not None:
+                    columns.update(vars(problems.error_metrics(
+                        levels[1:stop - start + 1], exact_fn(x, t[start:stop, None]),
+                        grid)))
+            except NlswError as exc:
+                row = getattr(exc, "row", None) or 0
+                flush(start, start + row)
+                exc.step = start + 2 + row
+                raise
+            for name, values in columns.items():
+                if name not in series:
+                    series[name] = np.empty(grid.J - 1)
+                series[name][start:stop] = values
 
-    refs = {f"{name}_ref": float(values[0])
-            for name, values in evaluate(np.stack((u0, u1))).items()}
-    snapshots = [(0.0, u0.copy()), (grid.tau, u1.copy())]
-    u_prev2, u_prev, u_cur = None, u0, u1
-    levels[0] = u1
-    start = 0
-    for j in range(1, grid.J):
-        try:
-            u_next, fp_iters[j - 1] = step(
-                StateWindow(u_prev, u_cur, j * grid.tau, u_prev2),
-                plan, params, grid, config)
-        except NlswError as exc:
-            flush(start, j - 1)
-            exc.step = j + 1
-            raise
-        levels[j - start] = u_next
-        if j - start == len(levels) - 1:
-            flush(start, j)
-            levels[0] = u_next
-            start = j
-        if j % snapshot_stride == 0:
-            snapshots.append(((j + 1) * grid.tau, u_next.copy()))
-        u_prev2, u_prev, u_cur = u_prev, u_cur, u_next
-    flush(start, grid.J - 1)
+        refs = {f"{name}_ref": float(values[0])
+                for name, values in evaluate(np.stack((u0, u1))).items()}
+        snapshots = [(0.0, u0.copy()), (grid.tau, u1.copy())]
+        u_prev2, u_prev, u_cur = None, u0, u1
+        levels[0] = u1
+        start = 0
+        for j in range(1, grid.J):
+            try:
+                u_next, fp_iters[j - 1] = step(
+                    StateWindow(u_prev, u_cur, j * grid.tau, u_prev2),
+                    plan, params, grid, config)
+            except NlswError as exc:
+                flush(start, j - 1)
+                exc.step = j + 1
+                raise
+            levels[j - start] = u_next
+            if j - start == len(levels) - 1:
+                flush(start, j)
+                levels[0] = u_next
+                start = j
+            if j % snapshot_stride == 0:
+                snapshots.append(((j + 1) * grid.tau, u_next.copy()))
+            u_prev2, u_prev, u_cur = u_prev, u_cur, u_next
+        flush(start, grid.J - 1)
 
     meta = {
         "bootstrap_mode": config.bootstrap_mode,

@@ -176,16 +176,16 @@ def local_law_residual(z_prev: ZField, z_cur: ZField, z_next: ZField,
     return LawResiduals(energy_res=energy.real, momentum_res=momentum.real)
 
 
-def continuous_residual(u_exact, params: PdeParams, point, step: float = 3e-4) -> complex:
+def continuous_residual(u_exact, params: PdeParams, point) -> complex:
     """Left-hand side of the PDE at one (x, t) point for a smooth candidate
     solution, with derivatives by 4th-order central differencing.
 
-    The default step balances stencil truncation against round-off for
+    The step 3e-4 balances stencil truncation against round-off for
     temporal/spatial frequencies up to ~10, keeping true solutions below
     ~1e-7 while O(1) defects stay unambiguous.
     """
     x, t = point
-    d = float(step)
+    d = 3e-4
 
     def u(xx, tt):
         return complex(u_exact(xx, tt))

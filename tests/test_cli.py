@@ -13,9 +13,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import nlsw
-from nlsw import (ConfigurationError, ConsistencyError, NlswError, SolverConfig,
-                  UsageError, build_grid, builtin_problem, customized, mi,
-                  parse_config, run_mi, run_wang)
+from nlsw import (ConfigurationError, ConsistencyError, GridSpec, NlswError,
+                  SolverConfig, UsageError, build_grid, builtin_problem,
+                  customized, mi, parse_config, run_mi, run_wang)
 from nlsw.cli import (ORDERS_HEADER, SNAPSHOT_HEADER, RunConfig, main, resolve,
                       run_convergence, run_experiment)
 from nlsw.cli import _write_series, _write_snapshots
@@ -74,6 +74,12 @@ class TestParseConfig:
     def test_stencil_minimum_enforced(self):
         with pytest.raises(ConfigurationError):
             parse_config('{"problem": "linear_plane", "K": 2, "J": 10}')
+
+    def test_time_step_whose_square_overflows_rejected(self):
+        # tau = 5e299: tau^2 is inf and 1/tau^2 is 0, which the stencils
+        # would meet as an OverflowError mid-run.
+        with pytest.raises(ConfigurationError, match="T=1e"):
+            parse_config('{"problem": "plane_beta2", "K": 8, "J": 2, "T": 1e300}')
 
     def test_inline_gamma_two_rejected(self):
         text = json.dumps({"problem": {"base": "plane_beta2",
@@ -381,8 +387,11 @@ class TestSnapshotWriter:
         x_l, x_r = sorted(data.draw(st.lists(bounds | st.floats(-1e3, 1e3),
                                              min_size=2, max_size=2, unique=True)))
         K = data.draw(st.integers(4, 9))
-        assume((x_r - x_l) / K > 1e-150)   # 1/h^2 finite, as build_grid needs
-        grid = build_grid(x_l, x_r, K, 1.0, 2)
+        assume((x_r - x_l) / K > 1e-150)   # 1/h^2 finite
+        # Built directly: build_grid also refuses an h^2 beyond the float
+        # range, and the writer must still format nodes out to +-1e300.
+        h = (x_r - x_l) / K
+        grid = GridSpec(x_l=x_l, x_r=x_r, K=K, J=2, T=1.0, h=h, tau=0.5)
         times = st.sampled_from([0.0, 5e-324, 1.0 / 3.0, 1e300]) | st.floats()
         component = (st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, FLOAT_MAX,
                                       -FLOAT_MAX, np.inf, -np.inf, np.nan])
@@ -532,13 +541,14 @@ class TestRunConvergence:
     @pytest.mark.parametrize("levels", [25, 10 ** 6])
     def test_ladder_over_memory_cap_refused_before_any_run(self, tmp_path,
                                                            monkeypatch, levels):
-        # Level 20 of the space ladder, K = 64 * 2**20, is the first over
-        # the cap.  The levels are built and checked one at a time, so a
-        # million of them never forms 2**999999.
+        # Level 18 of the space ladder, K = 64 * 2**18, is the first over
+        # the cap (357 bytes a node: four levels and the step plan).  The
+        # levels are built and checked one at a time, so a million of them
+        # never forms 2**999999.
         monkeypatch.setattr("nlsw.cli.run_mi",
                             lambda *args, **kwargs: pytest.fail("a level ran"))
         cfg = self.base_config(tmp_path, K=64, J=10)
-        with pytest.raises(ConfigurationError, match="K=67108864, J=10 .* would hold"):
+        with pytest.raises(ConfigurationError, match="K=16777216, J=10 .* would hold"):
             run_convergence(cfg, axis="space", levels=levels)
         assert not (tmp_path / "conv").exists()
 
@@ -637,6 +647,8 @@ class TestMainExitCodes:
                                        "J": 20, "T": 0.2,
                                        "output_dir": str(tmp_path / "g")})
         assert main(["run", path]) == 4
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "0.4" in message and "beta/4" in message
 
     def test_failure_inside_loop_names_step_exit_1(self, tmp_path, capsys,
                                                    monkeypatch):
@@ -754,7 +766,7 @@ class TestMainExitCodes:
         assert not (tmp_path / "big").exists()
 
     @pytest.mark.parametrize("key, value", [("T", 1e-320), ("T", 1e-160),
-                                            ("K", 10 ** 20)])
+                                            ("T", 1e300), ("K", 10 ** 20)])
     def test_degenerate_mesh_exit_2(self, tmp_path, capsys, key, value):
         payload = {"problem": "linear_plane", "K": 64, "J": 10, "T": 1.0,
                    "output_dir": str(tmp_path / "m")}
@@ -774,7 +786,19 @@ REFUSED_CONFIGS = {
     "exact_unverified": {"problem": "soliton", "K": 16, "J": 10,
                          "bootstrap_mode": "exact"},
     "coefficients": {"problem": "linear_plane", "K": 16, "J": 10, "scheme": "wang"},
+    "mesh_range": {"problem": "plane_beta2", "K": 8, "J": 2, "T": 1e300},
 }
+
+
+def run_module(tmp_path, text: bytes):
+    """`python -m nlsw.cli run config.json` on text in a fresh process in
+    tmp_path, with the package under test first on the path."""
+    (tmp_path / "config.json").write_bytes(text)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(nlsw.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "nlsw.cli", "run", "config.json"],
+                          cwd=tmp_path, capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
 @pytest.mark.parametrize("name", [*REFUSED_CONFIGS, *UNREADABLE_CONFIGS])
@@ -783,15 +807,36 @@ def test_cli_refusal_end_to_end(tmp_path, name):
     # and no traceback on stderr, and no output directory.
     text = UNREADABLE_CONFIGS[name][0] if name in UNREADABLE_CONFIGS \
         else json.dumps(REFUSED_CONFIGS[name]).encode()
-    (tmp_path / "config.json").write_bytes(text)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(nlsw.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-m", "nlsw.cli", "run", "config.json"],
-                          cwd=tmp_path, capture_output=True, text=True, env=env,
-                          timeout=120)
+    done = run_module(tmp_path, text)
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     lines = done.stderr.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ConfigurationError"
     assert not (tmp_path / "out").exists()
+
+
+# Runs that overflow in the factorisation, or in the bootstrap pair's
+# invariants and then the first step, with the error each one ends in.
+OVERFLOWING_CONFIGS = {
+    "alpha": ({"problem": {"base": "plane_beta2", "params": {"alpha": 1e300}},
+               "K": 16, "J": 4, "T": 0.04}, "SingularSystemError", None),
+    "tiny_tau": ({"problem": "linear_plane", "K": 8, "J": 3, "T": 1e-150},
+                 "SingularSystemError", None),
+    "beta": ({"problem": {"base": "plane_beta2", "params": {"beta": 1e300}},
+              "K": 16, "J": 4, "T": 0.04}, "DivergenceError", 2),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWING_CONFIGS)
+def test_overflowing_run_writes_only_its_record(tmp_path, name):
+    # The run's floating-point policy covers the factorisation, the
+    # bootstrap, the steps and the diagnostics: the inf or NaN is reported
+    # by the error it causes, and no RuntimeWarning precedes the record.
+    payload, error, step = OVERFLOWING_CONFIGS[name]
+    done = run_module(tmp_path, json.dumps(payload).encode())
+    assert done.returncode == 3
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert (record["error"], record.get("step")) == (error, step)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlsw import diagnostics
+from nlsw import diagnostics, mi, wang
 from nlsw import (PdeParams, SolverConfig, builtin_problem, build_grid,
                   continuous_invariants, energy_rhs, energy_wang,
                   energy_wang_printed, error_metrics, mass_rhs,
@@ -13,7 +13,7 @@ from nlsw import (PdeParams, SolverConfig, builtin_problem, build_grid,
                   run_mi, run_wang, theorem_identity_gaps)
 from nlsw.diagnostics import (PRINTED_MASS_FACTOR, VALIDATED_MASS_FACTOR,
                               half_nodes)
-from nlsw.mi import BLOCK_VALUES
+from nlsw.mi import BLOCK_VALUES, StepPlan
 from nlsw.wang import kinetic_gradient
 
 import oracles
@@ -164,6 +164,19 @@ class TestIdentityOracle:
         assert result.energy_max_rel_gap < 1e-10
         assert PRINTED_MASS_FACTOR == 0.5 and VALIDATED_MASS_FACTOR == 0.25
 
+    def test_oracle_refuses_a_factor_that_matches_only_the_printed_constant(
+            self, monkeypatch):
+        # Runs still write beta/4; with the printed constant relabelled to
+        # 0.25 and the validated one moved, the measured factor matches only
+        # the printed candidate, which the oracle records but does not accept.
+        monkeypatch.setattr(diagnostics, "PRINTED_MASS_FACTOR", 0.25)
+        monkeypatch.setattr(diagnostics, "VALIDATED_MASS_FACTOR", 0.5)
+        result = run_identity_oracle()
+        assert result.mass_matches_printed
+        assert not result.mass_matches_validated
+        assert result.energy_max_rel_gap < 1e-10
+        assert not result.ok
+
 
 class TestContinuousInvariants:
     def test_zero_field(self, small_grid):
@@ -235,6 +248,69 @@ def _frozen_copy(u):
     u = np.array(u)
     u.flags.writeable = False
     return u
+
+
+def _production_residual(scheme, params, grid, u_prev, u_cur, u_next):
+    """R = A u^{j+1} + B u^j + C u^{j-1} + N of a scheme (module mi or wang)
+    at any three levels, from the pieces its steps use: the assembled A's
+    matvec, and a StepPlan's known terms, lag() and nonlinear()."""
+    assemble = mi.assemble_linear if scheme is mi else wang.assemble_wang
+    system = assemble(params, grid)
+    plan = StepPlan(system, params, grid, scheme._stencils, scheme._cubic)
+    known = plan.known_terms(u_prev, u_cur).copy()
+    plan.lag()
+    return (system.matvec(u_next) + known
+            + plan.nonlinear(u_next, np.empty(grid.K, dtype=complex)))
+
+
+class TestResidualPairings:
+    """The discrete laws hold for any three levels, not only for a step's:
+    each gap, or the increment of the energy-preserving scheme's energy, is
+    the scheme's residual R paired with a combination w of the levels,
+
+        energy_gap            = h Re sum conj(u^{j+1} - u^{j-1}) R,
+        mass_gap              = (h/2) Im sum conj(u^{j+1} + 2u^j + u^{j-1}) R,
+        energy_wang increment = h Re sum conj(u^{j+1} - u^{j-1}) R_w,
+
+    to round-off relative to h sum |w| |R|.  So a run's gaps measure only
+    the residual of the iterate at which Picard stopped."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=coefficient, gamma=gamma_coefficient, theta=coefficient,
+           lam=coefficient, beta=coefficient, K=st.integers(5, 39),
+           length=st.floats(0.5, 20.0), tau=st.floats(1e-3, 1.0),
+           amplitude=st.floats(1e-2, 10.0), seed=seeds)
+    def test_gaps_are_residual_pairings(self, alpha, gamma, theta, lam, beta, K,
+                                        length, tau, amplitude, seed):
+        g = build_grid(0.0, length, K, 10 * tau, 10)
+        rng = np.random.default_rng(seed)
+        u_prev, u_cur, u_next = amplitude * (rng.normal(size=(3, K))
+                                             + 1j * rng.normal(size=(3, K)))
+        h = g.h
+
+        def pairing(w, R):
+            return h * np.vdot(w, R), h * np.sum(np.abs(w) * np.abs(R))
+
+        p = PdeParams(alpha=alpha, gamma=gamma, theta=theta, lam=lam, beta=beta)
+        R = _production_residual(mi, p, g, u_prev, u_cur, u_next)
+        direct = oracles.mi_residual_direct(u_prev, u_cur, u_next, p, g)
+        scale = oracles.mi_residual_scale(u_next, p, g)
+        assert np.max(np.abs(R - direct)) <= 1e-13 * scale
+        gaps = theorem_identity_gaps(u_prev, u_cur, u_next, p, g)
+        energy, energy_scale = pairing(u_next - u_prev, R)
+        assert abs(gaps.energy_gap - energy.real) <= 1e-14 * energy_scale
+        mass, mass_scale = pairing(u_next + 2.0 * u_cur + u_prev, R)
+        assert abs(gaps.mass_gap - 0.5 * mass.imag) <= 1e-14 * 0.5 * mass_scale
+
+        pw = PdeParams(alpha=alpha, gamma=0.0, theta=0.0, lam=0.0, beta=beta)
+        R_w = _production_residual(wang, pw, g, u_prev, u_cur, u_next)
+        direct = oracles.wang_residual_direct(u_prev, u_cur, u_next, pw, g)
+        scale = oracles.mi_residual_scale(u_next, pw, g)
+        assert np.max(np.abs(R_w - direct)) <= 1e-13 * scale
+        increment = (energy_wang(u_cur, u_next, pw, g)
+                     - energy_wang(u_prev, u_cur, pw, g))
+        energy, energy_scale = pairing(u_next - u_prev, R_w)
+        assert abs(increment - energy.real) <= 1e-14 * energy_scale
 
 
 class TestDotProductEvaluator:

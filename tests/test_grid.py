@@ -53,6 +53,9 @@ class TestBuildGrid:
         ((0.0, 1.0, 8, 1e-160, 10), "T="),        # 1/tau^2 overflows
         ((0.0, 1e-160, 8, 1.0, 10), "K="),        # 1/h^2 overflows
         ((0.0, 1.0, 2 ** 63, 1.0, 10), "K="),     # beyond numpy's index range
+        ((0.0, 1.0, 8, 1e300, 2), "T="),          # tau^2 overflows
+        ((0.0, 1e300, 4, 1.0, 10), "K="),         # h^2 overflows
+        ((-1e308, 1e308, 4, 1.0, 10), "K="),      # h itself overflows
     ])
     def test_rejects_degenerate_meshes_naming_them(self, args, name):
         with pytest.raises(ConfigurationError) as err:

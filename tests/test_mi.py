@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from nlsw import (ConfigurationError, ConsistencyError, PdeParams, SolverConfig,
                   StateWindow, StepFailureError, Trajectory, UsageError,
                   assemble_linear, bootstrap, builtin_problem, build_grid,
-                  diagnostics, mi, mi_energy, mi_mass, run_mi, run_wang, step_mi)
+                  diagnostics, mi, mi_energy, mi_mass, run_mi, run_wang, step_mi,
+                  wang)
 from nlsw.cli import run_convergence
 from nlsw.linsolve import PreparedCyclicSolver
 from nlsw.mi import BLOCK_VALUES, StepPlan
@@ -331,6 +334,46 @@ class TestRunMi:
         held = (buffer + sum(u.nbytes for _, u in traj.snapshots)
                 + sum(column.nbytes for column in traj.series.values()))
         assert held <= mi.held_bytes(g, 1) <= 2 * held
+
+    @pytest.mark.parametrize("scheme, assemble", [(mi, assemble_linear),
+                                                  (wang, wang.assemble_wang)],
+                             ids=["mi", "wang"])
+    def test_plan_bytes_per_node_are_what_a_plan_holds(self, scheme, assemble):
+        # What a StepPlan and its solver hold once built, traced at two sizes
+        # so that the parts of fixed size cancel: the midpoint scheme's plan
+        # holds PLAN_BYTES_PER_NODE a node, the energy-preserving one's less.
+        held = []
+        for K in (1000, 3000):
+            g = build_grid(EX3.x_l, EX3.x_r, K, 1.0, 10)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                plan = StepPlan(assemble(EX3.params, g), EX3.params, g,
+                                scheme._stencils, scheme._cubic)
+                held.append(tracemalloc.get_traced_memory()[0] - before)
+            finally:
+                tracemalloc.stop()
+            del plan
+        per_node = (held[1] - held[0]) / 2000
+        assert per_node <= mi.PLAN_BYTES_PER_NODE
+        if scheme is mi:
+            assert per_node > mi.PLAN_BYTES_PER_NODE - 1
+
+    @pytest.mark.parametrize("runner", [run_mi, run_wang])
+    def test_a_run_enters_its_floating_point_policy_once(self, monkeypatch, runner):
+        # integrate enters quiet_overflow around the whole run; its steps go
+        # through the run's StepPlan and do not enter it again.
+        entered = []
+        original = mi.quiet_overflow
+
+        def counted():
+            entered.append(None)
+            return original()
+        monkeypatch.setattr(mi, "quiet_overflow", counted)
+        g = build_grid(EX3.x_l, EX3.x_r, 32, 0.2, 20)
+        traj = runner(EX3, g, SolverConfig())
+        assert traj.meta["total_fp_iters"] > g.J - 1
+        assert len(entered) == 1
 
     def test_step_failure_carries_step_index(self):
         g = build_grid(EX3.x_l, EX3.x_r, 64, 1.0, 100)
