@@ -40,6 +40,11 @@ SCHEMES = ("mi", "wang", "both")
 SNAPSHOT_HEADER = ("t", "x", "re_u", "im_u", "abs_u")
 ORDERS_HEADER = ("level", "mesh_param", "err_max", "fitted_order")
 
+# The most rows that a CSV writer formats at once: series or orders rows,
+# or nodes of one snapshot block.  A writer's temporaries stay bounded
+# whatever J or K, and every file of the benchmark's workloads is one piece.
+PIECE_ROWS = 4096
+
 # Config key -> accepted JSON types; float stands for any JSON number and
 # stores an integer as a float.  None leaves the value to mi.check_run, the
 # rule the library's runs meet, so both refuse it with one message.
@@ -179,16 +184,21 @@ def _write_csv(path: Path, header, columns):
     """Write columns, a dict from names of header to arrays of one length,
     with one %-template for every row: an empty field for a name without a
     column, '%d' for an integer column and '%.17g' for any other, byte for
-    byte what csv.writer writes for those fields."""
+    byte what csv.writer writes for those fields.  The rows are formatted
+    and written PIECE_ROWS at a time."""
     names = [name for name in header if name in columns]
     row = ",".join(
         "" if name not in columns
         else "%d" if np.issubdtype(columns[name].dtype, np.integer) else "%.17g"
         for name in header) + "\r\n"
-    rows = list(zip(*(columns[name].tolist() for name in names)))
-    path.write_text(",".join(header) + "\r\n"
-                    + row * len(rows) % tuple(itertools.chain.from_iterable(rows)),
-                    newline="")
+    rows = len(columns[names[0]])
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, rows, PIECE_ROWS):
+            piece = zip(*(columns[name][start:start + PIECE_ROWS].tolist()
+                          for name in names))
+            fh.write(row * min(PIECE_ROWS, rows - start)
+                     % tuple(itertools.chain.from_iterable(piece)))
 
 
 def _write_series(path: Path, series):
@@ -201,21 +211,25 @@ def _write_snapshots(path: Path, grid: GridSpec, snapshots):
     hypot gives the same |u| as Python's abs of a complex, except that a |u|
     beyond the float max is written as inf, where Python's abs raises.
 
-    x is formatted once per file into the block template and t once per
-    snapshot, in place of the NUL that stands for it; only re_u, im_u and
-    abs_u go through the template's '%.17g' fields."""
-    block = "".join("\0,%.17g,%%.17g,%%.17g,%%.17g\r\n" % x
-                    for x in grid.nodes.tolist())
-    values = np.empty((grid.K, 3))
-    with path.open("w", newline="") as fh:
+    x is formatted once per file into one template per piece of PIECE_ROWS
+    nodes and t once per snapshot, in place of the NUL that stands for it;
+    only re_u, im_u and abs_u go through the templates' '%.17g' fields, a
+    piece at a time."""
+    templates = ["".join("\0,%.17g,%%.17g,%%.17g,%%.17g\r\n" % x
+                         for x in grid.nodes[start:start + PIECE_ROWS].tolist())
+                 for start in range(0, grid.K, PIECE_ROWS)]
+    values = np.empty((min(grid.K, PIECE_ROWS), 3))
+    with path.open("w", newline="") as fh, np.errstate(over="ignore"):
         fh.write(",".join(SNAPSHOT_HEADER) + "\r\n")
         for t, u in snapshots:
-            values[:, 0] = u.real
-            values[:, 1] = u.imag
-            with np.errstate(over="ignore"):
-                np.hypot(u.real, u.imag, out=values[:, 2])
-            fh.write(block.replace("\0", "%.17g" % t)
-                     % tuple(values.ravel().tolist()))
+            stamp = "%.17g" % t
+            for start, template in zip(range(0, grid.K, PIECE_ROWS), templates):
+                part = u[start:start + PIECE_ROWS]
+                piece = values[:len(part)]
+                piece[:, 0] = part.real
+                piece[:, 1] = part.imag
+                np.hypot(part.real, part.imag, out=piece[:, 2])
+                fh.write(template.replace("\0", stamp) % tuple(piece.ravel().tolist()))
 
 
 def _problem_echo(problem: ProblemSpec) -> dict:
@@ -279,11 +293,17 @@ def _write_meta(out: Path, config: RunConfig, problem: ProblemSpec,
 
 
 def _series_summary(traj: Trajectory) -> dict:
-    """Max relative drifts of the recorded invariants, for quick auditing."""
+    """Max relative and absolute drifts of the recorded invariants, for
+    quick auditing: the relative drift floors |ref| at 1e-30, so only the
+    absolute one means anything where a reference is about 0."""
     series, meta = traj.series, traj.meta
 
-    def drift(name, ref):
-        return diagnostics.max_rel_drift(series[name], meta[ref]) if name in series else None
+    def drift(name, ref, relative=True):
+        if name not in series:
+            return None
+        if relative:
+            return diagnostics.max_rel_drift(series[name], meta[ref])
+        return float(np.max(np.abs(series[name] - meta[ref])))
 
     def final(name):
         return float(series[name][-1]) if name in series else None
@@ -297,6 +317,9 @@ def _series_summary(traj: Trajectory) -> dict:
         "energy_mi_max_rel_drift": drift("energy_mi", "energy_ref"),
         "mass_mi_max_rel_drift": drift("mass_mi", "mass_ref"),
         "energy_wang_max_rel_drift": drift("energy_wang", "energy_wang_ref"),
+        "energy_mi_max_abs_drift": drift("energy_mi", "energy_ref", False),
+        "mass_mi_max_abs_drift": drift("mass_mi", "mass_ref", False),
+        "energy_wang_max_abs_drift": drift("energy_wang", "energy_wang_ref", False),
         "final_err_max": final("err_max"),
         "final_e_infty_sq": final("e_infty_sq"),
     }
@@ -310,6 +333,22 @@ def _output_dir(config: RunConfig, output_dir) -> Path:
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory: {exc}") from exc
     return out
+
+
+def _run_scheme(runner, problem, grid, solver_config, snapshot_stride,
+                series_path: Path, snaps_path: Path):
+    """Run one scheme and write its series and snapshots.  Returns what the
+    command keeps of the run, its meta, summary and timings; the trajectory
+    itself is released on return, so a command holds one run at a time."""
+    started = time.perf_counter()
+    traj = runner(problem, grid, solver_config, snapshot_stride=snapshot_stride)
+    ran = time.perf_counter()
+    _write_series(series_path, traj.series)
+    wrote_series = time.perf_counter()
+    _write_snapshots(snaps_path, grid, traj.snapshots)
+    timings = {"run_s": ran - started, "write_series_s": wrote_series - ran,
+               "write_snapshots_s": time.perf_counter() - wrote_series}
+    return traj.meta, _series_summary(traj), timings
 
 
 def run_experiment(config: RunConfig, output_dir=None) -> dict:
@@ -334,23 +373,14 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
     runners = _runners()
     paths, schemes_meta, summaries, timings = {}, {}, {}, {}
     for label in labels:
-        started_run = time.perf_counter()
-        traj = runners[label](problem, grid, solver_config,
-                              snapshot_stride=config.snapshot_stride)
         suffix = f"_{label}" if config.scheme == "both" else ""
         series_path = out / f"series{suffix}.csv"
         snaps_path = out / f"snapshots{suffix}.csv"
-        ran = time.perf_counter()
-        _write_series(series_path, traj.series)
-        wrote_series = time.perf_counter()
-        _write_snapshots(snaps_path, grid, traj.snapshots)
-        timings[label] = {"run_s": ran - started_run,
-                          "write_series_s": wrote_series - ran,
-                          "write_snapshots_s": time.perf_counter() - wrote_series}
+        schemes_meta[label], summaries[label], timings[label] = _run_scheme(
+            runners[label], problem, grid, solver_config, config.snapshot_stride,
+            series_path, snaps_path)
         paths[f"series_{label}"] = str(series_path)
         paths[f"snapshots_{label}"] = str(snaps_path)
-        schemes_meta[label] = traj.meta
-        summaries[label] = _series_summary(traj)
 
     paths["meta"] = _write_meta(out, config, problem, started,
                                 grid=dataclasses.asdict(grid),
@@ -394,8 +424,9 @@ def run_convergence(config: RunConfig, axis: str, levels: int,
 
     entries = []
     for level, grid in enumerate(grids):
-        traj = runner(problem, grid, solver_config, snapshot_stride=grid.J)
-        err = float(traj.series["err_max"].max())
+        # Only err_max is kept of a level's trajectory, released at once.
+        err = float(runner(problem, grid, solver_config,
+                           snapshot_stride=grid.J).series["err_max"].max())
         mesh_param = grid.h if axis == "space" else grid.tau
         entries.append((level, mesh_param, err))
 

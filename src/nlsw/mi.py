@@ -336,11 +336,15 @@ def held_bytes(grid: GridSpec, snapshot_stride: int) -> int:
     J+1 rows of each series column (at most every name of
     diagnostics.SERIES_COLUMNS, the printed wang energy and grid.times).
 
-    The levels a step reads and returns, and a step's, the bootstrap's and a
-    writer's temporaries are not counted: on gauss_split with J = 4 and
+    The levels a step reads and returns, and a step's and the bootstrap's
+    temporaries are not counted: on gauss_split with J = 4 and
     snapshot_stride 1, this counts 405 bytes per node, while peak RSS grows
-    by about 615 bytes per node for run_mi and 670 for cli.run_experiment
-    (K = 2e5 and 4e5, one fresh process each, x86-64, numpy 2.4.6)."""
+    by about 613 bytes per node for run_mi, and for cli.run_experiment by
+    612 with scheme mi and 624 with both (K = 2e5 and 4e5, one fresh
+    process each, x86-64, numpy 2.4.6).  A command holds one run at a time,
+    and its CSV writers format at most cli.PIECE_ROWS rows at once, about
+    710 bytes a series row and 300 a snapshot node, plus 52 bytes a node
+    for the x column of the whole snapshot file."""
     levels = (grid.J - 1) // snapshot_stride + 2 + _block_pairs(grid) + 1
     return (grid.K * (16 * levels + PLAN_BYTES_PER_NODE)
             + 8 * (grid.J + 1) * (len(diagnostics.SERIES_COLUMNS) + 2))

@@ -3,9 +3,76 @@
 Everything here is deliberately written against the displayed formulas with
 explicit modular indexing and plain Python loops, sharing no code with the
 vectorized production paths it is checking.
+
+The residual and invariant oracles are generic over the number type of the
+levels: they use +, -, *, division by a real, conjugate() and an imaginary
+unit taken from the levels, and write |z|^2 as z conj(z).  So the same code
+runs on floats, on numpy arrays (one batch of evaluations per element), and
+exactly on GaussianRational levels with Fraction coefficients and mesh.
 """
 
+from fractions import Fraction
+
 import numpy as np
+
+
+class GaussianRational:
+    """An exact complex number real + i imag with Fraction parts.  Ints,
+    Fractions, floats and complex numbers mix in exactly (a float is the
+    dyadic rational it stores); division is by a real only."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag=0):
+        self.real, self.imag = Fraction(real), Fraction(imag)
+
+    @classmethod
+    def of(cls, z):
+        return z if isinstance(z, cls) else cls(z.real, z.imag)
+
+    def conjugate(self):
+        return GaussianRational(self.real, -self.imag)
+
+    def __add__(self, other):
+        other = GaussianRational.of(other)
+        return GaussianRational(self.real + other.real, self.imag + other.imag)
+
+    def __neg__(self):
+        return GaussianRational(-self.real, -self.imag)
+
+    def __sub__(self, other):
+        return self + -GaussianRational.of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = GaussianRational.of(other)
+        return GaussianRational(self.real * other.real - self.imag * other.imag,
+                                self.real * other.imag + self.imag * other.real)
+
+    def __truediv__(self, real):
+        real = Fraction(real)
+        return GaussianRational(self.real / real, self.imag / real)
+
+    def __eq__(self, other):
+        other = GaussianRational.of(other)
+        return self.real == other.real and self.imag == other.imag
+
+    __radd__, __rmul__, __hash__ = __add__, __mul__, None
+
+    def __repr__(self):
+        return f"GaussianRational({self.real}, {self.imag})"
+
+
+def _unit(level):
+    """The imaginary unit in the number type of a level's entries."""
+    return level[0] * 0 + 1j
+
+
+def _abs2(z):
+    """|z|^2 as z conj(z), in z's number type (its imaginary part is 0)."""
+    return z * z.conjugate()
 
 
 def slow_inner_product(u, v, h):
@@ -39,65 +106,67 @@ def dense_solve(system, rhs):
 
 
 def mi_residual_direct(u_prev, u_cur, u_next, params, grid):
-    """Literal per-node evaluation of the reduced midpoint scheme."""
+    """Literal per-node evaluation of the reduced midpoint scheme: a list of
+    K values in the number type of the levels."""
     K, h, tau = grid.K, grid.h, grid.tau
     a, g, th, lam, beta = (params.alpha, params.gamma, params.theta,
                            params.lam, params.beta)
+    i = _unit(u_next)
 
     def half(arr, k):
         # value of arr at position k + 1/2
-        return 0.5 * (arr[k % K] + arr[(k + 1) % K])
+        return (arr[k % K] + arr[(k + 1) % K]) / 2
 
     def mean_next(k):
-        return 0.5 * (u_cur[k % K] + u_next[k % K])
+        return (u_cur[k % K] + u_next[k % K]) / 2
 
     def mean_prev(k):
-        return 0.5 * (u_prev[k % K] + u_cur[k % K])
+        return (u_prev[k % K] + u_cur[k % K]) / 2
 
     def cubic(z):
-        return abs(z) ** 2 * z
+        return _abs2(z) * z
 
-    res = np.zeros(K, dtype=complex)
+    res = []
     for k in range(K):
-        d2t = lambda kk: (half(u_next, kk) - 2.0 * half(u_cur, kk)
+        d2t = lambda kk: (half(u_next, kk) - 2 * half(u_cur, kk)
                           + half(u_prev, kk)) / tau ** 2
-        term1 = 0.5 * (d2t(k) + d2t(k - 1))
+        term1 = (d2t(k) + d2t(k - 1)) / 2
 
-        d2x_next = (mean_next(k + 1) - 2.0 * mean_next(k) + mean_next(k - 1)) / h ** 2
-        d2x_prev = (mean_prev(k + 1) - 2.0 * mean_prev(k) + mean_prev(k - 1)) / h ** 2
-        term2 = -0.5 * (d2x_next + d2x_prev)
+        d2x_next = (mean_next(k + 1) - 2 * mean_next(k) + mean_next(k - 1)) / h ** 2
+        d2x_prev = (mean_prev(k + 1) - 2 * mean_prev(k) + mean_prev(k - 1)) / h ** 2
+        term2 = -(d2x_next + d2x_prev) / 2
 
-        dct = lambda kk: (half(u_next, kk) - half(u_prev, kk)) / (2.0 * tau)
-        term3 = -0.5j * a * (dct(k) + dct(k - 1))
+        dct = lambda kk: (half(u_next, kk) - half(u_prev, kk)) / (2 * tau)
+        term3 = -(i * a) * (dct(k) + dct(k - 1)) / 2
 
-        term4 = -0.5j * th * ((mean_next(k + 1) - mean_next(k - 1)) / (2.0 * h)
-                              + (mean_prev(k + 1) - mean_prev(k - 1)) / (2.0 * h))
+        term4 = -(i * th) * ((mean_next(k + 1) - mean_next(k - 1)) / (2 * h)
+                             + (mean_prev(k + 1) - mean_prev(k - 1)) / (2 * h)) / 2
 
-        term5 = g * ((u_next[(k + 1) % K] - u_next[(k - 1) % K])
-                     - (u_prev[(k + 1) % K] - u_prev[(k - 1) % K])) \
-            / (2.0 * h * 2.0 * tau)
+        term5 = ((u_next[(k + 1) % K] - u_next[(k - 1) % K])
+                 - (u_prev[(k + 1) % K] - u_prev[(k - 1) % K])) * g / (4 * h * tau)
 
-        hp = lambda kk: 0.5 * (mean_next(kk) + mean_next(kk + 1))
-        hm = lambda kk: 0.5 * (mean_prev(kk) + mean_prev(kk + 1))
-        term6 = 0.25 * lam * (hp(k) + hp(k - 1) + hm(k) + hm(k - 1))
-        term7 = 0.25 * beta * (cubic(hp(k)) + cubic(hp(k - 1))
-                               + cubic(hm(k)) + cubic(hm(k - 1)))
-        res[k] = term1 + term2 + term3 + term4 + term5 + term6 + term7
+        hp = lambda kk: (mean_next(kk) + mean_next(kk + 1)) / 2
+        hm = lambda kk: (mean_prev(kk) + mean_prev(kk + 1)) / 2
+        term6 = (hp(k) + hp(k - 1) + hm(k) + hm(k - 1)) * lam / 4
+        term7 = (cubic(hp(k)) + cubic(hp(k - 1))
+                 + cubic(hm(k)) + cubic(hm(k - 1))) * beta / 4
+        res.append(term1 + term2 + term3 + term4 + term5 + term6 + term7)
     return res
 
 
 def wang_residual_direct(u_prev, u_cur, u_next, params, grid):
-    """Literal per-node evaluation of the energy-preserving scheme."""
+    """Literal per-node evaluation of the energy-preserving scheme: a list of
+    K values in the number type of the levels."""
     K, h, tau = grid.K, grid.h, grid.tau
-    res = np.zeros(K, dtype=complex)
+    i = _unit(u_next)
+    res = []
     for k in range(K):
-        d2t = (u_next[k] - 2.0 * u_cur[k] + u_prev[k]) / tau ** 2
-        lap = lambda arr: (arr[(k + 1) % K] - 2.0 * arr[k] + arr[(k - 1) % K]) / h ** 2
-        damping = -1j * params.alpha * (u_next[k] - u_prev[k]) / (2.0 * tau)
-        cubic = (0.5 * params.beta
-                 * (abs(u_next[k]) ** 2 + abs(u_prev[k]) ** 2)
-                 * 0.5 * (u_next[k] + u_prev[k]))
-        res[k] = d2t - 0.5 * (lap(u_next) + lap(u_prev)) + damping + cubic
+        d2t = (u_next[k] - 2 * u_cur[k] + u_prev[k]) / tau ** 2
+        lap = lambda arr: (arr[(k + 1) % K] - 2 * arr[k] + arr[(k - 1) % K]) / h ** 2
+        damping = -(i * params.alpha) * (u_next[k] - u_prev[k]) / (2 * tau)
+        cubic = ((_abs2(u_next[k]) + _abs2(u_prev[k]))
+                 * (u_next[k] + u_prev[k]) * params.beta / 4)
+        res.append(d2t - (lap(u_next) + lap(u_prev)) / 2 + damping + cubic)
     return res
 
 
@@ -242,44 +311,61 @@ def kinetic_gradient_pairwise(u_cur, u_next, grid):
 
 def half_fields_elementwise(u_cur, u_next, grid):
     """Half-node time quotient, temporal mean and its space quotient of the
-    pair (u^j, u^{j+1}), each built from its own shifted copies."""
-    u_cur = np.asarray(u_cur, dtype=complex)
-    u_next = np.asarray(u_next, dtype=complex)
-    dt = (u_next - u_cur) / grid.tau
-    mid = 0.5 * (u_cur + u_next)
-    return (0.5 * (dt + np.roll(dt, -1)), 0.5 * (mid + np.roll(mid, -1)),
-            (np.roll(mid, -1) - mid) / grid.h)
+    pair (u^j, u^{j+1}), node by node: three lists of K values."""
+    K = grid.K
+    dt = [(n - c) / grid.tau for c, n in zip(u_cur, u_next)]
+    mid = [(c + n) / 2 for c, n in zip(u_cur, u_next)]
+    return ([(dt[k] + dt[(k + 1) % K]) / 2 for k in range(K)],
+            [(mid[k] + mid[(k + 1) % K]) / 2 for k in range(K)],
+            [(mid[(k + 1) % K] - mid[k]) / grid.h for k in range(K)])
 
 
 def mi_energy_elementwise(u_cur, u_next, params, grid):
-    """E^{j+1/2} with every sum formed elementwise and then summed."""
+    """E^{j+1/2}, its terms summed node by node; the real part."""
     dt_half, mid_half, dx_half = half_fields_elementwise(u_cur, u_next, grid)
-    h = grid.h
-    abs2_mid = np.abs(mid_half) ** 2
-    total = (h * (np.abs(dt_half) ** 2).sum()
-             + 1j * params.theta * h * (mid_half * np.conj(dx_half)).sum()
-             + h * (np.abs(dx_half) ** 2).sum()
-             + params.lam * h * abs2_mid.sum()
-             + 0.5 * params.beta * h * (abs2_mid ** 2).sum())
-    return float(total.real)
+    i = _unit(mid_half)
+    total = 0
+    for dt, mid, dx in zip(dt_half, mid_half, dx_half):
+        abs2_mid = _abs2(mid)
+        total += (_abs2(dt) + i * params.theta * mid * dx.conjugate() + _abs2(dx)
+                  + abs2_mid * params.lam + abs2_mid * abs2_mid * params.beta / 2)
+    return (total * grid.h).real
 
 
 def mi_mass_elementwise(u_cur, u_next, params, grid):
-    """Im Q^{j+1/2} with every sum formed elementwise and then summed."""
+    """Im Q^{j+1/2}, its terms summed node by node."""
     dt_half, mid_half, dx_half = half_fields_elementwise(u_cur, u_next, grid)
-    h = grid.h
-    q = (h * (dt_half * np.conj(mid_half) - mid_half * np.conj(dt_half)).sum()
-         - params.gamma * h * (mid_half * np.conj(dx_half)).sum()
-         - 1j * params.alpha * h * (np.abs(mid_half) ** 2).sum())
-    return float(q.imag)
+    i = _unit(mid_half)
+    q = 0
+    for dt, mid, dx in zip(dt_half, mid_half, dx_half):
+        q += (dt * mid.conjugate() - mid * dt.conjugate()
+              - mid * dx.conjugate() * params.gamma - i * params.alpha * _abs2(mid))
+    return (q * grid.h).imag
 
 
-def identity_rhs_elementwise(a, b, params, grid, factor=0.25):
+def energy_wang_elementwise(u_cur, u_next, params, grid):
+    """The energy-preserving scheme's two-level energy,
+    h ||dt u||^2 + (h/2)(||dx u^{j+1}||^2 + ||dx u^j||^2)
+    + (beta/4) h sum (|u^{j+1}|^4 + |u^j|^4), summed node by node."""
+    K, h = grid.K, grid.h
+    total = 0
+    for k in range(K):
+        quartic = _abs2(u_next[k]) * _abs2(u_next[k]) + _abs2(u_cur[k]) * _abs2(u_cur[k])
+        total += (_abs2((u_next[k] - u_cur[k]) / grid.tau)
+                  + (_abs2((u_next[k] - u_next[k - 1]) / h)
+                     + _abs2((u_cur[k] - u_cur[k - 1]) / h)) / 2
+                  + quartic * params.beta / 4)
+    return (total * h).real
+
+
+def identity_rhs_elementwise(a, b, params, grid, factor=Fraction(1, 4)):
     """(energy, Im mass) right-hand sides of the two identities from the
-    half-node means a, b, every sum formed elementwise."""
-    d = np.abs(a) ** 2 - np.abs(b) ** 2
-    energy = -0.5 * params.beta * grid.h * (d * np.abs(a - b) ** 2).sum()
-    c = factor * params.beta
-    mass = (-c * grid.h * (d * (a - b) * np.conj(a + b)).sum()
-            + c * grid.h * (d * d).sum())
-    return float(energy), float(mass.imag)
+    half-node means a, b, their terms summed node by node; factor is the
+    mass constant as a multiple of beta."""
+    energy = mass = 0
+    for x, y in zip(a, b):
+        d = _abs2(x) - _abs2(y)
+        energy += d * _abs2(x - y)
+        mass += d * d - d * (x - y) * (x + y).conjugate()
+    return ((energy * (-params.beta * grid.h / 2)).real,
+            (mass * (factor * params.beta * grid.h)).imag)

@@ -1,10 +1,12 @@
 import csv
+import gc
 import json
 import os
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -286,6 +288,55 @@ class TestRunExperiment:
             assert all(type(value) is float and value >= 0.0
                        for value in phases.values())
 
+    def test_summaries_record_absolute_drifts(self, tmp_path):
+        # max |series - ref| of each invariant, next to the relative drift,
+        # from the written series and the refs in meta.json; None where the
+        # run has no such column.
+        payload = {"problem": "plane_beta2", "K": 32, "J": 20, "T": 0.2,
+                   "scheme": "both", "output_dir": str(tmp_path / "ad")}
+        report = run_experiment(parse_config(json.dumps(payload)))
+        meta = json.loads(Path(report["paths"]["meta"]).read_text())
+        for label in ("mi", "wang"):
+            with open(report["paths"][f"series_{label}"], newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            summary, refs = meta["summaries"][label], meta["schemes"][label]
+            assert summary == report["summaries"][label]
+            for name, ref in (("energy_mi", "energy_ref"), ("mass_mi", "mass_ref"),
+                              ("energy_wang", "energy_wang_ref")):
+                drift = summary[f"{name}_max_abs_drift"]
+                if name == "energy_wang" and label == "mi":
+                    assert drift is None
+                    continue
+                assert drift == max(abs(float(row[name]) - refs[ref]) for row in rows)
+                assert drift > 0.0
+
+    def test_one_run_held_at_a_time(self, tmp_path, monkeypatch):
+        # Each runner call first checks that every trajectory returned
+        # before it has been released: compare's mi run when wang starts,
+        # and each converge level when the next one starts.
+        finished, released = [], []
+
+        def tracked(runner):
+            def run(*args, **kwargs):
+                gc.collect()
+                released.append([ref() is None for ref in finished])
+                traj = runner(*args, **kwargs)
+                finished.append(weakref.ref(traj))
+                return traj
+            return run
+
+        monkeypatch.setattr("nlsw.cli.run_mi", tracked(run_mi))
+        monkeypatch.setattr("nlsw.cli.run_wang", tracked(run_wang))
+        payload = {"problem": "plane_beta2", "K": 32, "J": 20, "T": 0.2,
+                   "scheme": "both", "output_dir": str(tmp_path / "cmp")}
+        run_experiment(parse_config(json.dumps(payload)))
+        assert released == [[], [True]]
+        finished.clear(), released.clear()
+        payload = {"problem": "linear_plane", "K": 16, "J": 40, "T": 0.4,
+                   "output_dir": str(tmp_path / "conv")}
+        run_convergence(parse_config(json.dumps(payload)), axis="space", levels=3)
+        assert released == [[], [True], [True, True]]
+
     def test_meta_records_versions(self, tmp_path):
         import scipy
         report = self.run_small(tmp_path)
@@ -467,6 +518,52 @@ class TestSeriesWriter:
                       b"1e+300",
                       b"-2147483648", b"9223372036854775807"):
             assert token in block
+
+
+class TestWritersInPieces:
+    """Both writers format PIECE_ROWS rows at a time: the bytes are those of
+    the row-wise oracles at every piece size, and a file far longer than a
+    piece needs a bounded peak of traced memory."""
+
+    @pytest.mark.parametrize("piece_rows", [1, 3, 7, 64])
+    def test_pieces_keep_every_byte(self, tmp_path, rng, monkeypatch, piece_rows):
+        monkeypatch.setattr("nlsw.cli.PIECE_ROWS", piece_rows)
+        K, n = 20, 45
+        grid = build_grid(-3.0, 7.0, K, 1.0, 10)
+        snapshots = [(j / 3.0, rng.normal(size=K) + 1j * rng.normal(size=K))
+                     for j in range(3)]
+        _write_snapshots(tmp_path / "block.csv", grid, snapshots)
+        write_snapshots_rowwise(tmp_path / "rows.csv", grid, snapshots)
+        assert ((tmp_path / "block.csv").read_bytes()
+                == (tmp_path / "rows.csv").read_bytes())
+        series = {name: rng.normal(size=n) for name in SERIES_COLUMNS
+                  if name != "energy_wang"}
+        series["step"] = np.arange(2, n + 2)
+        series["fp_iters"] = rng.integers(1, 10, n)
+        _write_series(tmp_path / "block.csv", series)
+        write_series_rowwise(tmp_path / "rows.csv", series)
+        assert ((tmp_path / "block.csv").read_bytes()
+                == (tmp_path / "rows.csv").read_bytes())
+
+    def test_long_series_written_in_bounded_memory(self, tmp_path, rng):
+        # 50,000 rows took a 38 MB peak as one piece.
+        n = 50_000
+        series = {name: rng.normal(size=n) for name in SERIES_COLUMNS}
+        series["step"] = np.arange(2, n + 2)
+        series["fp_iters"] = rng.integers(1, 10, n)
+        error, peak = traced_peak(lambda: _write_series(tmp_path / "s.csv", series))
+        assert error is None and peak < 10 * 2 ** 20
+        assert (tmp_path / "s.csv").read_bytes().count(b"\r\n") == n + 1
+
+    def test_large_snapshot_file_written_in_bounded_memory(self, tmp_path, rng):
+        # A K = 65,536 block took an 18.6 MB peak as one piece.
+        K = 65_536
+        grid = build_grid(-20.0, 20.0, K, 1.0, 10)
+        snapshots = [(0.1, rng.normal(size=K) + 1j * rng.normal(size=K))]
+        error, peak = traced_peak(
+            lambda: _write_snapshots(tmp_path / "n.csv", grid, snapshots))
+        assert error is None and peak < 10 * 2 ** 20
+        assert (tmp_path / "n.csv").read_bytes().count(b"\r\n") == K + 1
 
 
 @pytest.mark.parametrize("runner, columns", [

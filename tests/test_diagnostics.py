@@ -1,5 +1,8 @@
 import math
+import random
 from dataclasses import astuple
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -313,6 +316,57 @@ class TestResidualPairings:
         assert abs(increment - energy.real) <= 1e-14 * energy_scale
 
 
+class TestExactLaws:
+    """The three residual-pairing laws of TestResidualPairings hold exactly:
+    the oracles of tests/oracles.py evaluated in Gaussian rationals, on
+    random rational coefficients, mesh and levels, give both sides equal
+    with ==.  Each side is a polynomial in the drawn numbers, so a law that
+    failed as a polynomial identity would hold at a random point of this
+    large grid of values only by a rare accident (Schwartz-Zippel).  With
+    the printed beta/2 in place of beta/4 the mass law fails."""
+
+    @staticmethod
+    def rational(rng, positive=False):
+        low = 1 if positive else -10 ** 6
+        return Fraction(rng.randint(low, 10 ** 6), rng.randint(1, 10 ** 6))
+
+    @pytest.mark.parametrize("K", [5, 7, 16])
+    def test_laws_hold_exactly(self, K):
+        rng = random.Random(K)
+        alpha, gamma, theta, lam, beta = (self.rational(rng) for _ in range(5))
+        grid = SimpleNamespace(K=K, h=self.rational(rng, True),
+                               tau=self.rational(rng, True))
+        u_prev, u_cur, u_next = ([oracles.GaussianRational(self.rational(rng),
+                                                           self.rational(rng))
+                                  for _ in range(K)] for _ in range(3))
+
+        def pairing(w, R):
+            return sum((wk.conjugate() * Rk for wk, Rk in zip(w, R)), 0) * grid.h
+
+        p = SimpleNamespace(alpha=alpha, gamma=gamma, theta=theta, lam=lam, beta=beta)
+        R = oracles.mi_residual_direct(u_prev, u_cur, u_next, p, grid)
+        d_energy = (oracles.mi_energy_elementwise(u_cur, u_next, p, grid)
+                    - oracles.mi_energy_elementwise(u_prev, u_cur, p, grid))
+        d_mass = (oracles.mi_mass_elementwise(u_cur, u_next, p, grid)
+                  - oracles.mi_mass_elementwise(u_prev, u_cur, p, grid))
+        a = oracles.half_fields_elementwise(u_cur, u_next, grid)[1]
+        b = oracles.half_fields_elementwise(u_prev, u_cur, grid)[1]
+        rhs_e, rhs_q = oracles.identity_rhs_elementwise(a, b, p, grid)
+        energy_gap, mass_gap = d_energy - rhs_e, d_mass / grid.tau - rhs_q
+        assert type(energy_gap) is type(mass_gap) is Fraction
+        assert energy_gap == pairing([n - q for q, n in zip(u_prev, u_next)], R).real
+        mass = pairing([n + 2 * c + q for q, c, n in zip(u_prev, u_cur, u_next)], R)
+        assert mass_gap == mass.imag / 2
+        printed = oracles.identity_rhs_elementwise(a, b, p, grid, Fraction(1, 2))[1]
+        assert d_mass / grid.tau - printed != mass.imag / 2
+
+        pw = SimpleNamespace(alpha=alpha, gamma=0, theta=0, lam=0, beta=beta)
+        R_w = oracles.wang_residual_direct(u_prev, u_cur, u_next, pw, grid)
+        increment = (oracles.energy_wang_elementwise(u_cur, u_next, pw, grid)
+                     - oracles.energy_wang_elementwise(u_prev, u_cur, pw, grid))
+        assert increment == pairing([n - q for q, n in zip(u_prev, u_next)], R_w).real
+
+
 class TestDotProductEvaluator:
     """The invariants and identity right-hand sides against the elementwise
     sums of tests/oracles.py, within 1e-13 of the sum of the magnitudes of
@@ -346,7 +400,8 @@ class TestDotProductEvaluator:
             assert abs(mass - q_ref) <= 1e-13 * q_scale
             assert (energy, mass) == plain
 
-        a, b = mid, oracles.half_fields_elementwise(u_prev, u_cur, g)[1]
+        a = np.array(mid)
+        b = np.array(oracles.half_fields_elementwise(u_prev, u_cur, g)[1])
         d = np.abs(np.abs(a) ** 2 - np.abs(b) ** 2)
         rhs_e_scale = 0.5 * abs(beta) * h * np.sum(d * np.abs(a - b) ** 2)
         rhs_q_scale = 0.25 * abs(beta) * h * np.sum(d * np.abs(a - b)
