@@ -42,8 +42,12 @@ ORDERS_HEADER = ("level", "mesh_param", "err_max", "fitted_order")
 
 # The most rows that a CSV writer formats at once: series or orders rows,
 # or nodes of one snapshot block.  A writer's temporaries stay bounded
-# whatever J or K, and every file of the benchmark's workloads is one piece.
-PIECE_ROWS = 4096
+# whatever J or K, at about 0.7 MB a piece of series rows and 0.3 MB of
+# snapshot nodes, and a command writes only after its run has freed its
+# plan and working levels (see mi.held_bytes).  On gauss_k4096_io, peak RSS
+# is the same for pieces of 256 to 1024 rows, 0.1 MB higher at 2048 and
+# 0.3 MB higher at 4096, one piece a block.
+PIECE_ROWS = 1024
 
 # Config key -> accepted JSON types; float stands for any JSON number and
 # stores an integer as a float.  None leaves the value to mi.check_run, the

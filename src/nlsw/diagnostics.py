@@ -67,15 +67,28 @@ def half_nodes(u_cur, u_next, grid):
     The invariants run on every level of a run, whose levels are already
     checked (see as_level), so only the last axis is checked here: a NaN
     level gives a NaN invariant.
+
+    With u_mid = 0.5 * (u^j + u^{j+1}), du = u^{j+1} - u^j and
+    mid_next = shift_next(u_mid), the fields are
+        (du + shift_next(du)) * (0.5 / tau), 0.5 * (u_mid + mid_next)
+        and (mid_next - u_mid) / h,
+    each operation done in place, with the operands and in the order
+    written, so that no more than one array beyond the three fields is live.
     """
     v_cur = as_level(u_cur, grid)
     v_next = as_level(u_next, grid)
-    u_mid = 0.5 * (v_cur + v_next)
+    du = np.subtract(v_next, v_cur)
+    dt_half = shift_next(du)
+    np.add(du, dt_half, out=dt_half)
+    dt_half *= 0.5 / grid.tau
+    u_mid = np.add(v_cur, v_next, out=du)
+    np.multiply(0.5, u_mid, out=u_mid)
     mid_next = shift_next(u_mid)
-    du = v_next - v_cur
-    return ((du + shift_next(du)) * (0.5 / grid.tau),
-            0.5 * (u_mid + mid_next),
-            (mid_next - u_mid) / grid.h)
+    dx_half = np.subtract(mid_next, u_mid)
+    dx_half /= grid.h
+    mid_half = np.add(u_mid, mid_next, out=mid_next)
+    np.multiply(0.5, mid_half, out=mid_half)
+    return dt_half, mid_half, dx_half
 
 
 def mi_energy(u_cur, u_next, params: PdeParams, grid: GridSpec,
@@ -153,12 +166,19 @@ def _identity_rhs(a, b, params: PdeParams, grid: GridSpec,
                 (the real c*h*sum d^2 does not enter it).
     factor=0.25 is the validated mass constant that mass_rhs and every run
     use; 0.5 reproduces the printed form, and the oracle fits factor=1.0.
+
+    d, a - b, d (a - b) and a + b are formed in place, with the operands
+    and in the order written, a + b in the buffer of a - b once the energy
+    is summed.
     """
-    d = np.abs(a) ** 2 - np.abs(b) ** 2
-    jump = a - b
-    weighted = d * jump
+    d = np.abs(a)
+    abs2_b = np.abs(b)
+    np.subtract(np.square(d, out=d), np.square(abs2_b, out=abs2_b), out=d)
+    jump = np.subtract(a, b)
+    weighted = np.multiply(d, jump)
     energy = -0.5 * params.beta * grid.h * np.vecdot(jump, weighted).real
-    mass = -factor * params.beta * grid.h * np.vecdot(a + b, weighted).imag
+    mass = -factor * params.beta * grid.h * np.vecdot(np.add(a, b, out=jump),
+                                                       weighted).imag
     return scalar_or_rows(energy), scalar_or_rows(mass)
 
 

@@ -43,17 +43,26 @@ BLOCK_VALUES = 4096
 # round-off floor above fp_tol, or does not contract at all.
 STALL_SWEEPS = 3
 
-# The most bytes of levels and series columns a run may hold; check_run
-# holds a run to it before integrate allocates any of them.
+# The most bytes a run may hold (see held_bytes); check_run holds a run to
+# it before integrate allocates anything.
 MEMORY_CAP_BYTES = 4 * 2 ** 30
 
 # Bytes per node that a run's StepPlan and its PreparedCyclicSolver hold for
 # the whole run, from their shapes: the plan's (2, K+2) pair and (3, 2, K)
-# products, the midpoint cubic's padded, cubes and lagged buffers (the
+# products, the midpoint cubic's cubes and lagged buffers (the
 # energy-preserving cubic holds less), and the solver's four gttrf factor
-# bands, q and correction are 17 complex values; the cubic's abs2 and the
+# bands, q and correction are 16 complex values; the cubic's abs2 and the
 # change are two floats; the solver's int32 pivots and bool finiteness mask.
-PLAN_BYTES_PER_NODE = 16 * 17 + 8 * 2 + 4 + 1
+PLAN_BYTES_PER_NODE = 16 * 16 + 8 * 2 + 4 + 1
+
+# Bytes per node that a run holds at its peak beyond its stored levels and
+# its plan: while the diagnostics of a block of one pair run, the levels
+# u^{j-2}, u^{j-1} and u^j that the next step reads, the half-node mean
+# carried from the block before, the block's three half-node fields (see
+# diagnostics.half_nodes) and up to three float temporaries of an
+# invariant.  A step holds less (the three levels, the carried mean, its
+# iterate and the solve's result), and so does the bootstrap.
+WORK_BYTES_PER_NODE = 16 * (3 + 1 + 3) + 8 * 3
 
 # The floating-point policy of a run, entered once by integrate around its
 # factorisation, bootstrap, steps and diagnostics, and by a step called on
@@ -129,22 +138,29 @@ def bootstrap(f0, f1, params: PdeParams, grid: GridSpec, mode: str = "taylor2",
                - lam*u - beta*|u|^2 u,
     spatial derivatives by second-order periodic differences and
     u_tx = (f1)_x.  exact samples the supplied solution at t = tau.
+
+    taylor2 sums u_tt and u^1 term by term into two buffers, each term
+    formed in a third, with the operands and in the order of the two
+    expressions above, so the bits are those of evaluating them as written.
     """
     check_bootstrap(mode, exact)
     x = grid.nodes
     u0 = as_field(f0(x), grid)
     if mode == "exact":
-        u1 = as_field(exact(x, grid.tau), grid)
-        return u0, u1
+        return u0, as_field(exact(x, grid.tau), grid)
     v0 = as_field(f1(x), grid)
-    utt = (second_diff(u0, grid.h)
-           - params.gamma * central_diff(v0, grid.h)
-           + 1j * params.alpha * v0
-           + 1j * params.theta * central_diff(u0, grid.h)
-           - params.lam * u0
-           - params.beta * np.abs(u0) ** 2 * u0)
-    u1 = u0 + grid.tau * v0 + 0.5 * grid.tau ** 2 * utt
-    return u0, u1
+    utt = second_diff(u0, grid.h)
+    term = central_diff(v0, grid.h)
+    np.subtract(utt, np.multiply(params.gamma, term, out=term), out=utt)
+    np.add(utt, np.multiply(1j * params.alpha, v0, out=term), out=utt)
+    term = central_diff(u0, grid.h)
+    np.add(utt, np.multiply(1j * params.theta, term, out=term), out=utt)
+    np.subtract(utt, np.multiply(params.lam, u0, out=term), out=utt)
+    cubic = np.abs(u0)
+    np.multiply(params.beta, np.square(cubic, out=cubic), out=cubic)
+    np.subtract(utt, np.multiply(cubic, u0, out=term), out=utt)
+    u1 = np.add(u0, np.multiply(grid.tau, v0, out=term), out=term)
+    return u0, np.add(u1, np.multiply(0.5 * grid.tau ** 2, utt, out=utt), out=u1)
 
 
 def _stencils(params: PdeParams, grid: GridSpec):
@@ -211,23 +227,23 @@ def _cubic(quarter_beta, u_prev, u_cur):
 
     Each sum is y_{k+1/2} + y_{k-1/2} over the cubes |y|^2 y of the
     half-node means y_{k+1/2} = (m_k + m_{k+1})/2 of a temporal mean m, so
-    the K+1 means from k-1/2 to K-1/2 come from one copy of m padded by a
-    wrapped node at each end, and the pair sum from two slices of their
-    cubes.  m is halved and the means halved again, never quartered at
-    once: a quarter of a sum of subnormals rounds to zeros of another sign.
-    The scratch arrays are allocated once, here."""
+    the K+1 means from k-1/2 to K-1/2 are the K-1 inner sums of m with the
+    wrapped sum m_{K-1} + m_0 at both ends, and the pair sum comes from two
+    slices of their cubes.  m is built in out, which the pair sum then
+    overwrites.  m is halved and the means halved again, never quartered
+    at once: a quarter of a sum of subnormals rounds to zeros of another
+    sign.  The scratch arrays are allocated once, here."""
     K = u_cur.shape[-1]
-    padded = np.empty(K + 2, dtype=np.complex128)
     cubes = np.empty(K + 1, dtype=np.complex128)
     abs2 = np.empty(K + 1)
     lagged = np.empty(K, dtype=np.complex128)
 
     def pair(level, out):
-        mean = padded[1:-1]
-        np.add(u_cur, level, out=mean)
+        mean = np.add(u_cur, level, out=out)
         mean *= 0.5
-        padded[0], padded[-1] = mean[-1], mean[0]
-        means = np.add(padded[:-1], padded[1:], out=cubes)
+        means = cubes
+        np.add(mean[:-1], mean[1:], out=means[1:-1])
+        means[0] = means[-1] = mean[-1] + mean[0]
         means *= 0.5
         np.square(np.abs(means, out=abs2), out=abs2)
         means *= abs2
@@ -259,31 +275,32 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     smaller change than the smallest so far end the step early, and so does
     a budget of fp_max_iter sweeps, both with StepFailureError.
 
-    A step on A or its solver builds its plan and runs under quiet_overflow
-    for the call; a run's plan steps under the run's.  A sweep writes the
-    right-hand side and the change into the plan's buffers.  |iterate| is
-    taken only when the change could pass: it is at most |start| plus the
-    changes so far, so a change above twice fp_tol times max(1, that bound)
-    fails the test whatever |iterate| is.
+    A step on A or its solver checks its window's levels (as_level, 1-D),
+    builds its plan and runs under quiet_overflow for the call; a run's
+    plan steps on the run's own levels under the run's policy.  A sweep
+    writes the right-hand side and the change into the plan's buffers.
+    |iterate| is taken only when the change could pass: it is at most
+    |start| plus the changes so far, so a change above twice fp_tol times
+    max(1, that bound) fails the test whatever |iterate| is.
     """
     if not isinstance(system, StepPlan):
+        u_prev2 = window.u_prev2
+        window = StateWindow(as_level(window.u_prev, grid), as_level(window.u_cur, grid),
+                             window.t_cur,
+                             None if u_prev2 is None else as_level(u_prev2, grid))
+        if window.u_prev.ndim != 1 or window.u_cur.ndim != 1:
+            raise UsageError(f"a step takes 1-D levels, got {window.u_prev.shape} "
+                             f"and {window.u_cur.shape}")
         with quiet_overflow():
             return picard(window, StepPlan(system, params, grid, table, cubic),
                           params, grid, config, table, cubic)
     plan = system
     solver, rhs, change, nonlinear = plan.solver, plan.rhs, plan.change, plan.nonlinear
-    u_prev = as_level(window.u_prev, grid)
-    u_cur = as_level(window.u_cur, grid)
-    if u_prev.ndim != 1 or u_cur.ndim != 1:
-        raise UsageError(f"a step takes 1-D levels, got {u_prev.shape} and {u_cur.shape}")
-    known = plan.known_terms(u_prev, u_cur)
+    known = plan.known_terms(window.u_prev, window.u_cur)
     if params.beta == 0.0:
         return solver.solve(np.negative(known, out=rhs)), 1
     plan.lag()
-    if window.u_prev2 is None:
-        u = 2.0 * u_cur - u_prev
-    else:
-        u = 3.0 * (u_cur - u_prev) + as_level(window.u_prev2, grid)
+    u = start_guess(window)
     bound = float(np.maximum.reduce(np.abs(u, out=change)))
     diff = smallest = np.inf
     stalled = 0
@@ -322,6 +339,18 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
         f"(last update {diff:.3e})", residual=diff)
 
 
+def start_guess(window: StateWindow):
+    """Picard's start in one fresh array: 3 (u^j - u^{j-1}) + u^{j-2}, or
+    2 u^j - u^{j-1} when the window carries no u^{j-2}, each operation with
+    the operands and in the order written."""
+    if window.u_prev2 is None:
+        u = np.multiply(2.0, window.u_cur)
+        return np.subtract(u, window.u_prev, out=u)
+    u = np.subtract(window.u_cur, window.u_prev)
+    np.multiply(3.0, u, out=u)
+    return np.add(u, window.u_prev2, out=u)
+
+
 def step_mi(window: StateWindow, system, params: PdeParams, grid: GridSpec,
             config: SolverConfig):
     """Advance one level: picard with this scheme's table and cubic term on
@@ -331,22 +360,31 @@ def step_mi(window: StateWindow, system, params: PdeParams, grid: GridSpec,
 
 
 def held_bytes(grid: GridSpec, snapshot_stride: int) -> int:
-    """The bytes integrate holds for a run: the snapshot levels, the block
-    buffer of levels, the StepPlan and its solver (PLAN_BYTES_PER_NODE), and
-    J+1 rows of each series column (at most every name of
-    diagnostics.SERIES_COLUMNS, the printed wang energy and grid.times).
+    """The bytes integrate holds for a run at its peak: the snapshot
+    levels, the block buffer of levels, the StepPlan and its solver
+    (PLAN_BYTES_PER_NODE), the working levels and temporaries of the steps
+    and diagnostics (WORK_BYTES_PER_NODE), and J+1 rows of each series
+    column (at most every name of diagnostics.SERIES_COLUMNS, the printed
+    wang energy and grid.times).
 
-    The levels a step reads and returns, and a step's and the bootstrap's
-    temporaries are not counted: on gauss_split with J = 4 and
-    snapshot_stride 1, this counts 405 bytes per node, while peak RSS grows
-    by about 613 bytes per node for run_mi, and for cli.run_experiment by
-    612 with scheme mi and 624 with both (K = 2e5 and 4e5, one fresh
-    process each, x86-64, numpy 2.4.6).  A command holds one run at a time,
-    and its CSV writers format at most cli.PIECE_ROWS rows at once, about
-    710 bytes a series row and 300 a snapshot node, plus 52 bytes a node
-    for the x column of the whole snapshot file."""
+    On gauss_split with J = 4 and snapshot_stride 1 this counts 525 bytes
+    per node.  The traced peak (tracemalloc, K = 8192 and 16384) grows by
+    508 bytes per node for run_mi and 485 for run_wang, whose plan holds 40
+    less.  Peak RSS (ru_maxrss, K = 2e5 and 4e5, one fresh process each,
+    x86-64, numpy 2.4.6) grows by 516 for run_mi, and for cli.run_experiment
+    by 517 with scheme mi and 493 with wang; with both, the second run
+    starts on a heap the first has left fragmented and reaches 545.  Blocks
+    of B > 1 pairs (K < BLOCK_VALUES) add fields of at most BLOCK_VALUES + K
+    nodes, a fixed few hundred kilobytes.
+
+    Writing the files never sets the peak: a run's plan and working levels
+    (413 bytes a node) are freed when it returns, before a command's CSV
+    writers start, which then hold the run's snapshots and series, the x
+    templates of the snapshot file (about 52 bytes a node) and one piece of
+    at most cli.PIECE_ROWS rows (about 710 bytes a series row and 300 a
+    snapshot node)."""
     levels = (grid.J - 1) // snapshot_stride + 2 + _block_pairs(grid) + 1
-    return (grid.K * (16 * levels + PLAN_BYTES_PER_NODE)
+    return (grid.K * (16 * levels + PLAN_BYTES_PER_NODE + WORK_BYTES_PER_NODE)
             + 8 * (grid.J + 1) * (len(diagnostics.SERIES_COLUMNS) + 2))
 
 
@@ -369,7 +407,7 @@ def check_run(problem, grid: GridSpec, config: SolverConfig, snapshot_stride):
     if held > MEMORY_CAP_BYTES:
         raise ConfigurationError(
             f"a run with K={grid.K}, J={grid.J} and snapshot_stride="
-            f"{snapshot_stride} would hold {held} bytes of levels and series, "
+            f"{snapshot_stride} would hold {held} bytes, "
             f"above the cap of {MEMORY_CAP_BYTES} bytes")
     exact = problem.exact if problem.exactness == "verified" else None
     check_bootstrap(config.bootstrap_mode, exact)
@@ -396,9 +434,10 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     the columns.  Per block, diagnostics.half_nodes builds the half-node
     fields once for both invariants and the observer, and the exact solution
     is evaluated once on the block's slice of t.  The scheme's own columns
-    come from observe(levels, energy, mass, half) -> {name: array}: levels
+    come from observe(levels, energy, mass, mean) -> {name: array}: levels
     is the block's (n+1, K) stack of consecutive levels, energy and mass the
-    invariants of its n pairs and half their half-node fields.  The
+    invariants of its n pairs and mean their half-node temporal means; the
+    other two half-node fields are released before observe runs.  The
     bootstrap pair is evaluated first, on its own, and gives meta its
     references: energy_ref, mass_ref and <name>_ref for each observed name.
 
@@ -412,9 +451,8 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     params = problem.params
     with quiet_overflow():
         plan = StepPlan(assemble(params, grid), params, grid, table, cubic)
-        u0, u1 = bootstrap(problem.f0, problem.f1, params, grid,
-                           mode=config.bootstrap_mode, exact=exact_fn)
-        x = grid.nodes
+        u_prev, u_cur = bootstrap(problem.f0, problem.f1, params, grid,
+                                  mode=config.bootstrap_mode, exact=exact_fn)
         t = grid.times[2:]
         fp_iters = np.empty(grid.J - 1, dtype=np.int64)
         series = {"step": np.arange(2, grid.J + 1), "t": t, "fp_iters": fp_iters}
@@ -427,8 +465,10 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
             half = diagnostics.half_nodes(u_cur, u_next, grid)
             energy = diagnostics.mi_energy(u_cur, u_next, params, grid, half=half)
             mass = diagnostics.mi_mass(u_cur, u_next, params, grid, half=half)
+            mean = half[1]
+            del half
             return {"energy_mi": energy, "mass_mi": mass,
-                    **observe(levels, energy, mass, half)}
+                    **observe(levels, energy, mass, mean)}
 
         def flush(start, stop):
             """Fill rows start..stop-1 from levels[:stop - start + 1].  On a
@@ -441,8 +481,8 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
                 columns = evaluate(levels[:stop - start + 1])
                 if exact_fn is not None:
                     columns.update(vars(problems.error_metrics(
-                        levels[1:stop - start + 1], exact_fn(x, t[start:stop, None]),
-                        grid)))
+                        levels[1:stop - start + 1],
+                        exact_fn(grid.nodes, t[start:stop, None]), grid)))
             except NlswError as exc:
                 row = getattr(exc, "row", None) or 0
                 flush(start, start + row)
@@ -454,10 +494,10 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
                 series[name][start:stop] = values
 
         refs = {f"{name}_ref": float(values[0])
-                for name, values in evaluate(np.stack((u0, u1))).items()}
-        snapshots = [(0.0, u0.copy()), (grid.tau, u1.copy())]
-        u_prev2, u_prev, u_cur = None, u0, u1
-        levels[0] = u1
+                for name, values in evaluate(np.stack((u_prev, u_cur))).items()}
+        snapshots = [(0.0, u_prev.copy()), (grid.tau, u_cur.copy())]
+        u_prev2 = None
+        levels[0] = u_cur
         start = 0
         for j in range(1, grid.J):
             try:
@@ -468,14 +508,14 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
                 flush(start, j - 1)
                 exc.step = j + 1
                 raise
-            levels[j - start] = u_next
+            u_prev2, u_prev, u_cur = u_prev, u_cur, u_next
+            levels[j - start] = u_cur
             if j - start == len(levels) - 1:
                 flush(start, j)
-                levels[0] = u_next
+                levels[0] = u_cur
                 start = j
             if j % snapshot_stride == 0:
-                snapshots.append(((j + 1) * grid.tau, u_next.copy()))
-            u_prev2, u_prev, u_cur = u_prev, u_cur, u_next
+                snapshots.append(((j + 1) * grid.tau, u_cur.copy()))
         flush(start, grid.J - 1)
 
     meta = {
@@ -498,17 +538,19 @@ def run_mi(problem, grid: GridSpec, config: SolverConfig,
     params = problem.params
     carried = None
 
-    def identity_gaps(levels, energy, mass, half):
+    def identity_gaps(levels, energy, mass, mean):
         nonlocal carried
-        mean = half[1]
         previous, carried = carried, (energy[-1], mass[-1], mean[-1])
         if previous is None:
             return {}
         energy_prev, mass_prev, mean_prev = previous
+        # A one-row block's previous means are the carried row itself.
+        means_prev = (mean_prev[None] if len(mean) == 1
+                      else np.vstack((mean_prev, mean[:-1])))
         gaps = diagnostics.identity_gaps(
             energy - np.append(energy_prev, energy[:-1]),
             mass - np.append(mass_prev, mass[:-1]),
-            mean, np.vstack((mean_prev, mean[:-1])), params, grid)
+            mean, means_prev, params, grid)
         return {"energy_gap": gaps.energy_gap, "mass_gap": gaps.mass_gap}
 
     traj = integrate(problem, grid, config, snapshot_stride,

@@ -158,7 +158,7 @@ def run_wang(problem, grid: GridSpec, config: SolverConfig,
     params = problem.params
     carried = None
 
-    def wang_energies(levels, energy, mass, half):
+    def wang_energies(levels, energy, mass, mean):
         # The gradient sum and |u|^4 of a block's first level, the last of
         # the block before (first the bootstrap pair), are carried over.
         nonlocal carried

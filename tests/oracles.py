@@ -369,3 +369,49 @@ def identity_rhs_elementwise(a, b, params, grid, factor=Fraction(1, 4)):
         mass += d * d - d * (x - y) * (x + y).conjugate()
     return ((energy * (-params.beta * grid.h / 2)).real,
             (mass * (factor * params.beta * grid.h)).imag)
+
+
+# The allocating numpy expressions that the in-place production code of
+# diagnostics.half_nodes, diagnostics._identity_rhs, the taylor2 bootstrap
+# and picard's start guess replaced.  Each operation here has the operands
+# and order of the rewrite, so the two must agree bit for bit, signed zeros
+# and subnormals included; shifts are np.roll along the last axis.
+
+def half_nodes_allocating(u_cur, u_next, grid):
+    u_mid = 0.5 * (u_cur + u_next)
+    mid_next = np.roll(u_mid, -1, axis=-1)
+    du = u_next - u_cur
+    return ((du + np.roll(du, -1, axis=-1)) * (0.5 / grid.tau),
+            0.5 * (u_mid + mid_next),
+            (mid_next - u_mid) / grid.h)
+
+
+def identity_rhs_allocating(a, b, params, grid, factor=0.25):
+    d = np.abs(a) ** 2 - np.abs(b) ** 2
+    jump = a - b
+    weighted = d * jump
+    energy = -0.5 * params.beta * grid.h * np.vecdot(jump, weighted).real
+    mass = -factor * params.beta * grid.h * np.vecdot(a + b, weighted).imag
+    return energy, mass
+
+
+def taylor2_allocating(u0, v0, params, grid):
+    """u^1 of the taylor2 bootstrap from u^0 and the initial velocity v0."""
+    h = grid.h
+
+    def central(u):
+        return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * h)
+
+    utt = ((np.roll(u0, -1) - 2.0 * u0 + np.roll(u0, 1)) / (h * h)
+           - params.gamma * central(v0)
+           + 1j * params.alpha * v0
+           + 1j * params.theta * central(u0)
+           - params.lam * u0
+           - params.beta * np.abs(u0) ** 2 * u0)
+    return u0 + grid.tau * v0 + 0.5 * grid.tau ** 2 * utt
+
+
+def start_guess_allocating(u_prev, u_cur, u_prev2=None):
+    if u_prev2 is None:
+        return 2.0 * u_cur - u_prev
+    return 3.0 * (u_cur - u_prev) + u_prev2

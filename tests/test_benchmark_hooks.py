@@ -18,7 +18,7 @@ import pytest
 
 from nlsw import (PreparedCyclicSolver, SolverConfig, build_grid, builtin_problem,
                   run_mi, run_wang)
-from nlsw import mi, wang
+from nlsw import diagnostics, mi, problems, wang
 from nlsw.mi import BLOCK_VALUES
 
 SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
@@ -130,3 +130,26 @@ def test_a_run_builds_its_plan_and_stencils_a_fixed_number_of_times(monkeypatch,
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     assert seen[0][("StepPlan", "__init__")] == seen[0][("PreparedCyclicSolver", "__init__")] == 1
+
+
+@pytest.mark.parametrize("runner", [run_mi, run_wang])
+def test_a_run_checks_its_levels_a_fixed_number_of_times(monkeypatch, runner):
+    # A run's steps take integrate's own levels unchecked; only the
+    # diagnostics check theirs, once per block.  At K = 32 a block holds
+    # 128 pairs, so J = 6 and J = 60 are one block each and make equal
+    # counts, where a check in every step would add 54.
+    calls = collections.Counter()
+    for module in (mi, wang, diagnostics, problems):
+        original = module.as_level
+
+        def counted(*args, _original=original, **kwargs):
+            calls["as_level"] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, "as_level", counted)
+    prob = builtin_problem("plane_beta2")
+    seen = []
+    for J in (6, 60):
+        calls.clear()
+        runner(prob, build_grid(prob.x_l, prob.x_r, 32, J * 0.01, J), SolverConfig())
+        seen.append(calls["as_level"])
+    assert seen[0] == seen[1] > 0

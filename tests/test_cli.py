@@ -545,25 +545,43 @@ class TestWritersInPieces:
         assert ((tmp_path / "block.csv").read_bytes()
                 == (tmp_path / "rows.csv").read_bytes())
 
-    def test_long_series_written_in_bounded_memory(self, tmp_path, rng):
-        # 50,000 rows took a 38 MB peak as one piece.
-        n = 50_000
-        series = {name: rng.normal(size=n) for name in SERIES_COLUMNS}
-        series["step"] = np.arange(2, n + 2)
-        series["fp_iters"] = rng.integers(1, 10, n)
-        error, peak = traced_peak(lambda: _write_series(tmp_path / "s.csv", series))
-        assert error is None and peak < 10 * 2 ** 20
-        assert (tmp_path / "s.csv").read_bytes().count(b"\r\n") == n + 1
+    # The memory tests write files of 4 and of 16 pieces of PIECE rows.
+    PIECE = 64
 
-    def test_large_snapshot_file_written_in_bounded_memory(self, tmp_path, rng):
-        # A K = 65,536 block took an 18.6 MB peak as one piece.
-        K = 65_536
-        grid = build_grid(-20.0, 20.0, K, 1.0, 10)
-        snapshots = [(0.1, rng.normal(size=K) + 1j * rng.normal(size=K))]
-        error, peak = traced_peak(
-            lambda: _write_snapshots(tmp_path / "n.csv", grid, snapshots))
-        assert error is None and peak < 10 * 2 ** 20
-        assert (tmp_path / "n.csv").read_bytes().count(b"\r\n") == K + 1
+    def test_long_series_written_in_bounded_memory(self, tmp_path, rng, monkeypatch):
+        # The longer file's traced peak is no higher, give or take the step
+        # numbers above Python's small-int cache: under 10 B a row more,
+        # where one piece for the whole file costs about 710 B a row.
+        monkeypatch.setattr("nlsw.cli.PIECE_ROWS", self.PIECE)
+        peaks = []
+        for n in (4 * self.PIECE, 16 * self.PIECE):
+            series = {name: rng.normal(size=n) for name in SERIES_COLUMNS}
+            series["step"] = np.arange(2, n + 2)
+            series["fp_iters"] = rng.integers(1, 10, n)
+            error, peak = traced_peak(lambda: _write_series(tmp_path / "s.csv", series))
+            assert error is None
+            assert (tmp_path / "s.csv").read_bytes().count(b"\r\n") == n + 1
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 10 * 12 * self.PIECE
+
+    def test_large_snapshot_file_written_in_bounded_memory(self, tmp_path, rng,
+                                                           monkeypatch):
+        # A block of 16 pieces of nodes peaks above one of 4 only by its x
+        # templates, formatted once for the file (about 40 B a node): under
+        # 100 B a node more, where one piece for the whole block costs about
+        # 300 B a node.
+        monkeypatch.setattr("nlsw.cli.PIECE_ROWS", self.PIECE)
+        peaks = []
+        for K in (4 * self.PIECE, 16 * self.PIECE):
+            grid = build_grid(-20.0, 20.0, K, 1.0, 10)
+            snapshots = [(t, rng.normal(size=K) + 1j * rng.normal(size=K))
+                         for t in (0.1, 0.2)]
+            error, peak = traced_peak(
+                lambda: _write_snapshots(tmp_path / "n.csv", grid, snapshots))
+            assert error is None
+            assert (tmp_path / "n.csv").read_bytes().count(b"\r\n") == 2 * K + 1
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 100 * 12 * self.PIECE
 
 
 @pytest.mark.parametrize("runner, columns", [
@@ -639,9 +657,9 @@ class TestRunConvergence:
     def test_ladder_over_memory_cap_refused_before_any_run(self, tmp_path,
                                                            monkeypatch, levels):
         # Level 18 of the space ladder, K = 64 * 2**18, is the first over
-        # the cap (357 bytes a node: four levels and the step plan).  The
-        # levels are built and checked one at a time, so a million of them
-        # never forms 2**999999.
+        # the cap (477 bytes a node: four levels, the step plan and the
+        # working bytes).  The levels are built and checked one at a time,
+        # so a million of them never forms 2**999999.
         monkeypatch.setattr("nlsw.cli.run_mi",
                             lambda *args, **kwargs: pytest.fail("a level ran"))
         cfg = self.base_config(tmp_path, K=64, J=10)

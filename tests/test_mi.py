@@ -360,6 +360,27 @@ class TestRunMi:
             assert per_node > mi.PLAN_BYTES_PER_NODE - 1
 
     @pytest.mark.parametrize("runner", [run_mi, run_wang])
+    def test_a_run_peaks_at_what_held_bytes_counts(self, runner):
+        # The traced peak of a whole run, per node between two sizes so that
+        # the parts of fixed size cancel, is at most the count and within
+        # 10 % of it.  Both sizes are at least BLOCK_VALUES, so a block is
+        # one pair, and at least numpy's 8192-element casting buffer.
+        prob = builtin_problem("gauss_split")
+        peaks, counts = [], []
+        for K in (8192, 16384):
+            g = build_grid(prob.x_l, prob.x_r, K, 0.04, 4)
+            tracemalloc.start()
+            try:
+                runner(prob, g, SolverConfig(), snapshot_stride=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            counts.append(mi.held_bytes(g, 1))
+        per_node = (peaks[1] - peaks[0]) / 8192
+        count = (counts[1] - counts[0]) / 8192
+        assert 0.9 * count <= per_node <= count
+
+    @pytest.mark.parametrize("runner", [run_mi, run_wang])
     def test_a_run_enters_its_floating_point_policy_once(self, monkeypatch, runner):
         # integrate enters quiet_overflow around the whole run; its steps go
         # through the run's StepPlan and do not enter it again.
