@@ -50,13 +50,23 @@ SERIES_COLUMNS = ("step", "t", "energy_mi", "mass_mi", "energy_gap", "mass_gap",
                   "energy_wang", "err_max", "e_infty_sq", "mod_err", "fp_iters")
 
 
-def _check_negligible(part, scale, what):
-    """Raise ConsistencyError, naming the first offending row of a stack,
-    where |part| exceeds _REALNESS_TOL * scale."""
-    bad = np.flatnonzero(np.abs(part) > _REALNESS_TOL * np.maximum(scale, 1e-30))
+def _skew_imag(dx_half, mid_half, weight, what):
+    """Im s of the half-node sum s = sum conj(dx_half) * mid_half, row-wise
+    for stacks, the sum that both invariants carry.
+
+    Re s telescopes to zero (discrete skew-adjointness).  Raise
+    ConsistencyError where |Re s| exceeds
+    _REALNESS_TOL * sum |dx_half| |mid_half|, naming the first offending row
+    of a stack and reporting weight * Re s, the spurious part that the
+    invariant's term puts in.
+    """
+    s = np.vecdot(dx_half, mid_half)
+    bad = np.flatnonzero(np.abs(s.real) > _REALNESS_TOL * np.vecdot(np.abs(dx_half),
+                                                                     np.abs(mid_half)))
     if bad.size:
         row = int(bad[0])
-        raise ConsistencyError(f"{what} {np.ravel(part)[row]:.3e}", row=row)
+        raise ConsistencyError(f"{what} {weight * np.ravel(s.real)[row]:.3e}", row=row)
+    return s.imag
 
 
 def half_nodes(u_cur, u_next, grid):
@@ -99,24 +109,26 @@ def mi_energy(u_cur, u_next, params: PdeParams, grid: GridSpec,
         + ||dx u||_{1/2}^2 + lam*||u||_{1/2}^2 + (beta/2)*h*sum |u_{k+1/2}|^4,
 
     everything evaluated on the temporal mean u^{j+1/2}.  The theta term is
-    real by discrete skew-adjointness; the realness assertion guards that,
-    and on a stack its ConsistencyError carries the first offending row.
-    half, if given, is half_nodes(u_cur, u_next, grid), already built.
+    real by discrete skew-adjointness, -theta*h*Im s with s as in _skew_imag,
+    whose check guards that where theta != 0; on a stack its
+    ConsistencyError carries the first offending row.  half, if given, is
+    half_nodes(u_cur, u_next, grid), already built.
     """
     if half is None:
         half = half_nodes(u_cur, u_next, grid)
     dt_half, mid_half, dx_half = half
     h = grid.h
+    theta_h = params.theta * h
+    skew = (theta_h * _skew_imag(dx_half, mid_half, theta_h,
+                                 "discrete energy has spurious imaginary part")
+            if params.theta else 0.0)
     abs_mid = np.abs(mid_half)
     abs2_mid = abs_mid * abs_mid
-    total = (h * (np.vecdot(dt_half, dt_half).real + np.vecdot(dx_half, dx_half).real
-                  + params.lam * np.vecdot(abs_mid, abs_mid)
-                  + 0.5 * params.beta * np.vecdot(abs2_mid, abs2_mid))
-             + 1j * params.theta * h * np.vecdot(dx_half, mid_half))
-    scale = np.maximum(np.abs(total), h * np.vecdot(abs_mid, np.abs(dx_half)))
-    _check_negligible(total.imag, scale,
-                      "discrete energy has spurious imaginary part")
-    return scalar_or_rows(total.real)
+    energy = (h * (np.vecdot(dt_half, dt_half).real + np.vecdot(dx_half, dx_half).real
+                   + params.lam * np.vecdot(abs_mid, abs_mid)
+                   + 0.5 * params.beta * np.vecdot(abs2_mid, abs2_mid))
+              - skew)
+    return scalar_or_rows(energy)
 
 
 def mi_mass(u_cur, u_next, params: PdeParams, grid: GridSpec,
@@ -130,22 +142,23 @@ def mi_mass(u_cur, u_next, params: PdeParams, grid: GridSpec,
 
     with every factor taken at half nodes of the temporal mean (the
     half-node norm in the alpha term is what the derivation produces).  The
-    first sum is m - conj(m) with m = sum dt u * conj(u), exactly imaginary
-    like each of its terms, so only the gamma term can trip the realness
-    assertion.  half and stacks are as in mi_energy.
+    first sum is m - conj(m) with m = sum dt u * conj(u), 2i*Im m; the gamma
+    term is -gamma*h*s with s as in _skew_imag, imaginary by discrete
+    skew-adjointness, whose check guards that where gamma != 0.  half and
+    stacks are as in mi_energy.
     """
     if half is None:
         half = half_nodes(u_cur, u_next, grid)
     dt_half, mid_half, dx_half = half
     h = grid.h
+    gamma_h = params.gamma * h
+    skew = (gamma_h * _skew_imag(dx_half, mid_half, -gamma_h,
+                                 "discrete mass has spurious real part")
+            if params.gamma else 0.0)
     abs_mid = np.abs(mid_half)
-    m = np.vecdot(mid_half, dt_half)
-    q = (h * (m - m.conjugate())
-         - params.gamma * h * np.vecdot(dx_half, mid_half)
-         - 1j * params.alpha * h * np.vecdot(abs_mid, abs_mid))
-    scale = np.maximum(np.abs(q), h * np.vecdot(np.abs(dt_half), abs_mid))
-    _check_negligible(q.real, scale, "discrete mass has spurious real part")
-    return scalar_or_rows(q.imag)
+    mass = (h * (2.0 * np.vecdot(mid_half, dt_half).imag) - skew
+            - params.alpha * h * np.vecdot(abs_mid, abs_mid))
+    return scalar_or_rows(mass)
 
 
 def _half_node_means(u_prev, u_cur, u_next, grid):

@@ -138,10 +138,6 @@ def bootstrap(f0, f1, params: PdeParams, grid: GridSpec, mode: str = "taylor2",
                - lam*u - beta*|u|^2 u,
     spatial derivatives by second-order periodic differences and
     u_tx = (f1)_x.  exact samples the supplied solution at t = tau.
-
-    taylor2 sums u_tt and u^1 term by term into two buffers, each term
-    formed in a third, with the operands and in the order of the two
-    expressions above, so the bits are those of evaluating them as written.
     """
     check_bootstrap(mode, exact)
     x = grid.nodes
@@ -149,18 +145,10 @@ def bootstrap(f0, f1, params: PdeParams, grid: GridSpec, mode: str = "taylor2",
     if mode == "exact":
         return u0, as_field(exact(x, grid.tau), grid)
     v0 = as_field(f1(x), grid)
-    utt = second_diff(u0, grid.h)
-    term = central_diff(v0, grid.h)
-    np.subtract(utt, np.multiply(params.gamma, term, out=term), out=utt)
-    np.add(utt, np.multiply(1j * params.alpha, v0, out=term), out=utt)
-    term = central_diff(u0, grid.h)
-    np.add(utt, np.multiply(1j * params.theta, term, out=term), out=utt)
-    np.subtract(utt, np.multiply(params.lam, u0, out=term), out=utt)
-    cubic = np.abs(u0)
-    np.multiply(params.beta, np.square(cubic, out=cubic), out=cubic)
-    np.subtract(utt, np.multiply(cubic, u0, out=term), out=utt)
-    u1 = np.add(u0, np.multiply(grid.tau, v0, out=term), out=term)
-    return u0, np.add(u1, np.multiply(0.5 * grid.tau ** 2, utt, out=utt), out=u1)
+    utt = (second_diff(u0, grid.h) - params.gamma * central_diff(v0, grid.h)
+           + 1j * params.alpha * v0 + 1j * params.theta * central_diff(u0, grid.h)
+           - params.lam * u0 - params.beta * np.abs(u0) ** 2 * u0)
+    return u0, u0 + grid.tau * v0 + 0.5 * grid.tau ** 2 * utt
 
 
 def _stencils(params: PdeParams, grid: GridSpec):
@@ -300,7 +288,8 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     if params.beta == 0.0:
         return solver.solve(np.negative(known, out=rhs)), 1
     plan.lag()
-    u = start_guess(window)
+    u = (2.0 * window.u_cur - window.u_prev if window.u_prev2 is None
+         else 3.0 * (window.u_cur - window.u_prev) + window.u_prev2)
     bound = float(np.maximum.reduce(np.abs(u, out=change)))
     diff = smallest = np.inf
     stalled = 0
@@ -339,18 +328,6 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
         f"(last update {diff:.3e})", residual=diff)
 
 
-def start_guess(window: StateWindow):
-    """Picard's start in one fresh array: 3 (u^j - u^{j-1}) + u^{j-2}, or
-    2 u^j - u^{j-1} when the window carries no u^{j-2}, each operation with
-    the operands and in the order written."""
-    if window.u_prev2 is None:
-        u = np.multiply(2.0, window.u_cur)
-        return np.subtract(u, window.u_prev, out=u)
-    u = np.subtract(window.u_cur, window.u_prev)
-    np.multiply(3.0, u, out=u)
-    return np.add(u, window.u_prev2, out=u)
-
-
 def step_mi(window: StateWindow, system, params: PdeParams, grid: GridSpec,
             config: SolverConfig):
     """Advance one level: picard with this scheme's table and cubic term on
@@ -369,11 +346,11 @@ def held_bytes(grid: GridSpec, snapshot_stride: int) -> int:
 
     On gauss_split with J = 4 and snapshot_stride 1 this counts 525 bytes
     per node.  The traced peak (tracemalloc, K = 8192 and 16384) grows by
-    508 bytes per node for run_mi and 485 for run_wang, whose plan holds 40
+    501 bytes per node for run_mi and 477 for run_wang, whose plan holds 40
     less.  Peak RSS (ru_maxrss, K = 2e5 and 4e5, one fresh process each,
-    x86-64, numpy 2.4.6) grows by 516 for run_mi, and for cli.run_experiment
-    by 517 with scheme mi and 493 with wang; with both, the second run
-    starts on a heap the first has left fragmented and reaches 545.  Blocks
+    x86-64, numpy 2.4.6) grows by 517 for run_mi, and for cli.run_experiment
+    by 517 with scheme mi and 484 with wang; with both, the second run
+    starts on a heap the first has left fragmented and reaches 544.  Blocks
     of B > 1 pairs (K < BLOCK_VALUES) add fields of at most BLOCK_VALUES + K
     nodes, a fixed few hundred kilobytes.
 

@@ -372,10 +372,11 @@ def identity_rhs_elementwise(a, b, params, grid, factor=Fraction(1, 4)):
 
 
 # The allocating numpy expressions that the in-place production code of
-# diagnostics.half_nodes, diagnostics._identity_rhs, the taylor2 bootstrap
-# and picard's start guess replaced.  Each operation here has the operands
-# and order of the rewrite, so the two must agree bit for bit, signed zeros
-# and subnormals included; shifts are np.roll along the last axis.
+# diagnostics.half_nodes and diagnostics._identity_rhs replaced, and the
+# taylor2 bootstrap with rolled copies in place of grid's differences.  Each
+# operation here has the operands and order of the production code, so the
+# two must agree bit for bit, signed zeros and subnormals included; shifts
+# are np.roll along the last axis.
 
 def half_nodes_allocating(u_cur, u_next, grid):
     u_mid = 0.5 * (u_cur + u_next)
@@ -410,8 +411,3 @@ def taylor2_allocating(u0, v0, params, grid):
            - params.beta * np.abs(u0) ** 2 * u0)
     return u0 + grid.tau * v0 + 0.5 * grid.tau ** 2 * utt
 
-
-def start_guess_allocating(u_prev, u_cur, u_prev2=None):
-    if u_prev2 is None:
-        return 2.0 * u_cur - u_prev
-    return 3.0 * (u_cur - u_prev) + u_prev2

@@ -681,6 +681,18 @@ class TestMainExitCodes:
         assert (tmp_path / "o" / "series.csv").exists()
         assert (tmp_path / "o" / "snapshots.csv").exists()
 
+    def test_nyquist_wave_with_gamma_runs(self, tmp_path, capsys):
+        # At K = 12 the wave e^{6ix} is the Nyquist mode, whose time quotient
+        # and temporal mean vanish at the half nodes: every term of the mass
+        # is round-off, and its gamma term must be judged against its own
+        # scale, not against the vanishing rest.
+        path = write_config(tmp_path, {"problem": {"base": "plane_beta2",
+                                                   "params": {"gamma": 1.0}},
+                                       "K": 12, "J": 100, "T": 1.0,
+                                       "output_dir": str(tmp_path / "n")})
+        assert main(["run", path]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"problem": "linear_plane", "K": 2,
                                        "J": 20})

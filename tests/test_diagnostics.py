@@ -323,7 +323,10 @@ class TestExactLaws:
     with ==.  Each side is a polynomial in the drawn numbers, so a law that
     failed as a polynomial identity would hold at a random point of this
     large grid of values only by a rare accident (Schwartz-Zippel).  With
-    the printed beta/2 in place of beta/4 the mass law fails."""
+    the printed beta/2 in place of beta/4 the mass law fails.  The fourth
+    law is the discrete skew-adjointness Re sum conj(dx u) u = 0 over the
+    half nodes, which both invariants carry and their one run-time check
+    guards."""
 
     @staticmethod
     def rational(rng, positive=False):
@@ -349,8 +352,9 @@ class TestExactLaws:
                     - oracles.mi_energy_elementwise(u_prev, u_cur, p, grid))
         d_mass = (oracles.mi_mass_elementwise(u_cur, u_next, p, grid)
                   - oracles.mi_mass_elementwise(u_prev, u_cur, p, grid))
-        a = oracles.half_fields_elementwise(u_cur, u_next, grid)[1]
+        _, a, dx = oracles.half_fields_elementwise(u_cur, u_next, grid)
         b = oracles.half_fields_elementwise(u_prev, u_cur, grid)[1]
+        assert sum((d.conjugate() * m for d, m in zip(dx, a)), 0).real == 0
         rhs_e, rhs_q = oracles.identity_rhs_elementwise(a, b, p, grid)
         energy_gap, mass_gap = d_energy - rhs_e, d_mass / grid.tau - rhs_q
         assert type(energy_gap) is type(mass_gap) is Fraction

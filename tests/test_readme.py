@@ -1,11 +1,11 @@
-"""The README's configuration, library quick start and exit codes, checked
-against the code as documented, so that the documented API cannot drift from
-the code."""
+"""The README's configuration, library quick start, exit codes and sizes,
+checked against the code as documented, so that the documented API cannot
+drift from the code."""
 
 import re
 from pathlib import Path
 
-from nlsw import errors, parse_config
+from nlsw import cli, errors, mi, parse_config
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
 
@@ -38,3 +38,16 @@ def test_exit_code_sentence_matches_error_classes():
     assert documented == {name: cls.exit_code for name, cls in vars(errors).items()
                           if isinstance(cls, type) and issubclass(cls, errors.NlswError)
                           and cls is not errors.NlswError}
+
+
+def test_documented_sizes_match_constants():
+    # Each figure as the README writes it, against the constant it names.
+    def figure(pattern):
+        return int(re.search(pattern, README).group(1).replace(",", ""))
+
+    assert figure(r"`mi\.PLAN_BYTES_PER_NODE` = (\d+)") == mi.PLAN_BYTES_PER_NODE
+    assert figure(r"`mi\.WORK_BYTES_PER_NODE` =\s+(\d+)") == mi.WORK_BYTES_PER_NODE
+    assert figure(r"`cli\.PIECE_ROWS`\s+\(([\d,]+)\)") == cli.PIECE_ROWS
+    assert figure(r"`B = max\(1, (\d+) // K\)`") == mi.BLOCK_VALUES
+    assert figure(r"`mi\.MEMORY_CAP_BYTES`\s+\((\d+) GiB\)") * 2 ** 30 == \
+        mi.MEMORY_CAP_BYTES
