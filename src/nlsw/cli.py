@@ -31,7 +31,7 @@ import scipy
 from . import diagnostics, problems
 from .errors import ConfigurationError, IdentityValidationError, NlswError, UsageError
 from .grid import GridSpec, build_grid, is_number, shown
-from .mi import SolverConfig, Trajectory, check_run, run_mi
+from .mi import SolverConfig, Trajectory, check_run, quiet_overflow, run_mi
 from .problems import ProblemSpec, builtin_problem, convergence_order, customized
 from .wang import check_coefficients, run_wang
 
@@ -223,7 +223,7 @@ def _write_snapshots(path: Path, grid: GridSpec, snapshots):
                          for x in grid.nodes[start:start + PIECE_ROWS].tolist())
                  for start in range(0, grid.K, PIECE_ROWS)]
     values = np.empty((min(grid.K, PIECE_ROWS), 3))
-    with path.open("w", newline="") as fh, np.errstate(over="ignore"):
+    with path.open("w", newline="") as fh, quiet_overflow():
         fh.write(",".join(SNAPSHOT_HEADER) + "\r\n")
         for t, u in snapshots:
             stamp = "%.17g" % t

@@ -33,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, UsageError
-from .grid import (GridSpec, as_field, as_level, central_diff, scalar_or_rows,
-                   shift_next)
-from .model import PdeParams
+from .grid import GridSpec, as_level, scalar_or_rows, shift_next
+from .model import PdeParams, local_densities, reconstruct_z
 
 # Mass-identity constant as a multiple of beta: printed beta/2, validated beta/4.
 PRINTED_MASS_FACTOR = 0.5
@@ -266,22 +265,15 @@ class ContinuousInvariants:
 def continuous_invariants(u_prev, u_cur, u_next, params: PdeParams,
                           grid: GridSpec) -> ContinuousInvariants:
     """Rectangle-rule quadrature of the continuous energy and mass
-    integrands at level j, with u_t and u_x by centered quotients.  Only
-    O(tau^2 + h^2) accurate; used to cross-check the discrete invariants."""
-    u_prev = as_field(u_prev, grid)
-    u_cur = as_field(u_cur, grid)
-    u_next = as_field(u_next, grid)
-    ut = (u_next - u_prev) / (2.0 * grid.tau)
-    ux = central_diff(u_cur, grid.h)
-    abs2 = np.abs(u_cur) ** 2
-    energy = grid.h * np.sum(np.abs(ut) ** 2 + np.abs(ux) ** 2
-                             + 1j * params.theta * u_cur * np.conj(ux)
-                             + params.lam * abs2 + 0.5 * params.beta * abs2 ** 2)
-    mass = grid.h * np.sum(ut * np.conj(u_cur) - np.conj(ut) * u_cur
-                           - params.gamma * u_cur * np.conj(ux)
-                           - 1j * params.alpha * abs2)
-    return ContinuousInvariants(energy_cont=float(energy.real),
-                                mass_cont=float(mass.imag))
+    integrands at level j on model.reconstruct_z's z, the energy's from
+    model.local_densities.  Only O(tau^2 + h^2) accurate; used to
+    cross-check the discrete invariants."""
+    z = reconstruct_z(u_prev, u_cur, u_next, grid)
+    phi, psi, v, w, f, g = z.as_tuple()
+    energy = 2.0 * grid.h * np.sum(local_densities(z, params).E)
+    mass = grid.h * np.sum(2.0 * (w * phi - v * psi) - params.gamma * (psi * f - phi * g)
+                           - params.alpha * (phi * phi + psi * psi))
+    return ContinuousInvariants(energy_cont=float(energy), mass_cont=float(mass))
 
 
 @dataclass(frozen=True)

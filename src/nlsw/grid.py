@@ -118,8 +118,8 @@ def as_level(values, grid: GridSpec) -> np.ndarray:
     """Coerce to complex mesh functions, shape [..., K], without scanning them.
 
     For time levels inside a run: bootstrap checks the first two with
-    as_field, and every step rejects a non-finite new level, so the step
-    kernels and the diagnostics only need the last axis to be the mesh.
+    as_field, and every step rejects a non-finite new level, so the
+    diagnostics only need the last axis to be the mesh.
     """
     u = np.asarray(values, dtype=np.complex128)
     if u.ndim == 0 or u.shape[-1] != grid.K:

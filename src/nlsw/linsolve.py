@@ -68,6 +68,8 @@ class CyclicTridiagonalSystem:
     def __post_init__(self):
         for name in ("lower", "diag", "upper"):
             arr = np.asarray(getattr(self, name), dtype=np.complex128)
+            if not np.isfinite(arr).all():
+                raise UsageError(f"band {name} contains NaN/Inf entries")
             object.__setattr__(self, name, arr)
         if not (self.lower.shape == self.diag.shape == self.upper.shape):
             raise UsageError("lower/diag/upper must have equal lengths")

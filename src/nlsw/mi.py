@@ -25,11 +25,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diagnostics, problems
 from .errors import (ConfigurationError, DivergenceError, NlswError,
-                     SingularSystemError, StepFailureError, UsageError)
-from .grid import (GridSpec, as_field, as_level, central_diff, is_number,
-                   second_diff, shown)
+                     SingularSystemError, StepFailureError)
+from .grid import GridSpec, as_field, central_diff, is_number, second_diff, shown
 from .linsolve import CyclicTridiagonalSystem, PreparedCyclicSolver
-from .model import PdeParams
+from .model import PdeParams, pde_utt
 
 BOOTSTRAP_MODES = ("taylor2", "exact")
 
@@ -65,10 +64,11 @@ PLAN_BYTES_PER_NODE = 16 * 16 + 8 * 2 + 4 + 1
 WORK_BYTES_PER_NODE = 16 * (3 + 1 + 3) + 8 * 3
 
 # The floating-point policy of a run, entered once by integrate around its
-# factorisation, bootstrap, steps and diagnostics, and by a step called on
-# its own.  An overflow or invalid operation leaves an inf or NaN that a
-# check reports: the factorisation and every solve refuse a non-finite
-# result (SingularSystemError, which picard tells apart from a non-finite
+# factorisation, bootstrap, steps and diagnostics, by a step called on its
+# own, and by the CLI's snapshot writer, whose |u| of a huge u is inf.  An
+# overflow or invalid operation leaves an inf or NaN that a check reports:
+# the factorisation and every solve refuse a non-finite result
+# (SingularSystemError, which picard tells apart from a non-finite
 # right-hand side), so the warning itself stays quiet.
 quiet_overflow = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
@@ -133,9 +133,7 @@ def bootstrap(f0, f1, params: PdeParams, grid: GridSpec, mode: str = "taylor2",
     """Build the two starting levels (u^0, u^1) from the initial data.
 
     u^0 samples f0 at the nodes.  taylor2 expands
-    u^1 = u^0 + tau*f1 + (tau^2/2)*u_tt with u_tt taken from the PDE,
-        u_tt = u_xx - gamma*u_tx + i*alpha*u_t + i*theta*u_x
-               - lam*u - beta*|u|^2 u,
+    u^1 = u^0 + tau*f1 + (tau^2/2)*u_tt with u_tt from model.pde_utt,
     spatial derivatives by second-order periodic differences and
     u_tx = (f1)_x.  exact samples the supplied solution at t = tau.
     """
@@ -145,9 +143,8 @@ def bootstrap(f0, f1, params: PdeParams, grid: GridSpec, mode: str = "taylor2",
     if mode == "exact":
         return u0, as_field(exact(x, grid.tau), grid)
     v0 = as_field(f1(x), grid)
-    utt = (second_diff(u0, grid.h) - params.gamma * central_diff(v0, grid.h)
-           + 1j * params.alpha * v0 + 1j * params.theta * central_diff(u0, grid.h)
-           - params.lam * u0 - params.beta * np.abs(u0) ** 2 * u0)
+    utt = pde_utt(u0, v0, central_diff(u0, grid.h), second_diff(u0, grid.h),
+                  central_diff(v0, grid.h), params)
     return u0, u0 + grid.tau * v0 + 0.5 * grid.tau ** 2 * utt
 
 
@@ -166,6 +163,25 @@ def _stencils(params: PdeParams, grid: GridSpec):
     return ((lower, diag, upper),
             (off + skew, -1.0 / tau ** 2 + 1.0 / h ** 2 + 0.25 * lam, off - skew),
             (upper.conjugate(), diag.conjugate(), lower.conjugate()))
+
+
+def linear_stability_margin(table, params: PdeParams, grid: GridSpec) -> float:
+    """The minimum over the K grid modes theta = 2 pi m / K of
+    1 - lam_B^2 / (4 |lam_A|^2), with
+    lam_X(theta) = lower e^{-i theta} + diag + upper e^{i theta}
+    the symbol of stencil X of table(params, grid).
+
+    At beta = 0 mode m obeys lam_A z^2 + lam_B z + lam_C = 0, and with
+    C = A^H (so lam_C = conj(lam_A)) and lam_B real (up to round-off, whose
+    imaginary part is dropped) both roots lie on the unit circle exactly
+    where this is >= 0.  Below 0 by more than round-off, a mode grows
+    exponentially; 0 is a double root, whose mode grows linearly (the
+    midpoint scheme's checkerboard on even K)."""
+    turn = np.exp(2j * np.pi / grid.K * np.arange(grid.K))
+    lam_A, lam_B = (lower * turn.conjugate() + diag + upper * turn
+                    for lower, diag, upper in table(params, grid)[:2])
+    ratio = 0.5 * (lam_B.real / np.abs(lam_A))
+    return float(np.min(1.0 - ratio * ratio))
 
 
 def assemble_linear(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSystem:
@@ -263,22 +279,20 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     smaller change than the smallest so far end the step early, and so does
     a budget of fp_max_iter sweeps, both with StepFailureError.
 
-    A step on A or its solver checks its window's levels (as_level, 1-D),
-    builds its plan and runs under quiet_overflow for the call; a run's
-    plan steps on the run's own levels under the run's policy.  A sweep
-    writes the right-hand side and the change into the plan's buffers.
+    A step on A or its solver checks its window's levels with as_field
+    (1-D, K long, finite), builds its plan and runs under quiet_overflow for
+    the call; a run's plan steps on the run's own levels, unchecked, under
+    the run's policy.  A sweep writes the right-hand side and the change
+    into the plan's buffers.
     |iterate| is taken only when the change could pass: it is at most
     |start| plus the changes so far, so a change above twice fp_tol times
     max(1, that bound) fails the test whatever |iterate| is.
     """
     if not isinstance(system, StepPlan):
         u_prev2 = window.u_prev2
-        window = StateWindow(as_level(window.u_prev, grid), as_level(window.u_cur, grid),
+        window = StateWindow(as_field(window.u_prev, grid), as_field(window.u_cur, grid),
                              window.t_cur,
-                             None if u_prev2 is None else as_level(u_prev2, grid))
-        if window.u_prev.ndim != 1 or window.u_cur.ndim != 1:
-            raise UsageError(f"a step takes 1-D levels, got {window.u_prev.shape} "
-                             f"and {window.u_cur.shape}")
+                             None if u_prev2 is None else as_field(u_prev2, grid))
         with quiet_overflow():
             return picard(window, StepPlan(system, params, grid, table, cubic),
                           params, grid, config, table, cubic)
@@ -417,6 +431,8 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     other two half-node fields are released before observe runs.  The
     bootstrap pair is evaluated first, on its own, and gives meta its
     references: energy_ref, mass_ref and <name>_ref for each observed name.
+    meta also records the table's linear_stability_margin, taken once the
+    plan has refused a singular A.
 
     A failure names its step.  A realness guard that fires on row i of a
     block names the block's first step plus i, and a failing step first
@@ -428,6 +444,7 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     params = problem.params
     with quiet_overflow():
         plan = StepPlan(assemble(params, grid), params, grid, table, cubic)
+        margin = linear_stability_margin(table, params, grid)
         u_prev, u_cur = bootstrap(problem.f0, problem.f1, params, grid,
                                   mode=config.bootstrap_mode, exact=exact_fn)
         t = grid.times[2:]
@@ -499,6 +516,7 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
         "bootstrap_mode": config.bootstrap_mode,
         "nonlinear_solver": "picard",
         "total_fp_iters": int(fp_iters.sum()),
+        "linear_stability_margin": margin,
         "energy_ref": refs.pop("energy_mi_ref"),
         "mass_ref": refs.pop("mass_mi_ref"),
         **refs,

@@ -176,9 +176,19 @@ def local_law_residual(z_prev: ZField, z_cur: ZField, z_next: ZField,
     return LawResiduals(energy_res=energy.real, momentum_res=momentum.real)
 
 
+def pde_utt(u, u_t, u_x, u_xx, u_tx, params: PdeParams):
+    """The PDE solved for u_tt,
+        u_xx - gamma*u_tx + i*alpha*u_t + i*theta*u_x - lam*u - beta*|u|^2 u,
+    from numbers or from arrays of equal shape."""
+    return (u_xx - params.gamma * u_tx
+            + 1j * params.alpha * u_t + 1j * params.theta * u_x
+            - params.lam * u - params.beta * abs(u) ** 2 * u)
+
+
 def continuous_residual(u_exact, params: PdeParams, point) -> complex:
     """Left-hand side of the PDE at one (x, t) point for a smooth candidate
-    solution, with derivatives by 4th-order central differencing.
+    solution, u_tt - pde_utt, with derivatives by 4th-order central
+    differencing.
 
     The step 3e-4 balances stencil truncation against round-off for
     temporal/spatial frequencies up to ~10, keeping true solutions below
@@ -203,6 +213,4 @@ def continuous_residual(u_exact, params: PdeParams, point) -> complex:
     utt = d2(lambda e: u(x, t + e))
     uxx = d2(lambda e: u(x + e, t))
     utx = d1(lambda e: d1(lambda s: u(x + s, t + e)))
-    return (utt - uxx + params.gamma * utx
-            - 1j * params.alpha * ut - 1j * params.theta * ux
-            + params.lam * u0 + params.beta * abs(u0) ** 2 * u0)
+    return utt - pde_utt(u0, ut, ux, uxx, utx, params)

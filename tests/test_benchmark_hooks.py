@@ -135,21 +135,25 @@ def test_a_run_builds_its_plan_and_stencils_a_fixed_number_of_times(monkeypatch,
 @pytest.mark.parametrize("runner", [run_mi, run_wang])
 def test_a_run_checks_its_levels_a_fixed_number_of_times(monkeypatch, runner):
     # A run's steps take integrate's own levels unchecked; only the
-    # diagnostics check theirs, once per block.  At K = 32 a block holds
-    # 128 pairs, so J = 6 and J = 60 are one block each and make equal
-    # counts, where a check in every step would add 54.
+    # bootstrap and the diagnostics check theirs, once per run and once per
+    # block.  At K = 32 a block holds 128 pairs, so J = 6 and J = 60 are one
+    # block each and make equal counts, where a check in every step, through
+    # either name, would add 54.
     calls = collections.Counter()
     for module in (mi, wang, diagnostics, problems):
-        original = module.as_level
+        for name in ("as_field", "as_level"):
+            if not hasattr(module, name):
+                continue
+            original = getattr(module, name)
 
-        def counted(*args, _original=original, **kwargs):
-            calls["as_level"] += 1
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(module, "as_level", counted)
+            def counted(*args, _original=original, **kwargs):
+                calls["checks"] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
     prob = builtin_problem("plane_beta2")
     seen = []
     for J in (6, 60):
         calls.clear()
         runner(prob, build_grid(prob.x_l, prob.x_r, 32, J * 0.01, J), SolverConfig())
-        seen.append(calls["as_level"])
+        seen.append(calls["checks"])
     assert seen[0] == seen[1] > 0

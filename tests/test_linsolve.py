@@ -128,6 +128,17 @@ class TestSolve:
         with pytest.raises(UsageError):
             solve_cyclic_tridiagonal(sys_, np.ones(5))
 
+    @pytest.mark.parametrize("band", ["lower", "diag", "upper"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_nonfinite_band_rejected(self, band, value):
+        # Refused where the system is built, naming the band, before the
+        # factorisation would meet it as an overflowing core solve.
+        bands = {"lower": np.ones(8), "diag": np.full(8, 4.0), "upper": np.ones(8)}
+        bands[band] = bands[band].astype(complex)
+        bands[band][2] = value
+        with pytest.raises(UsageError, match=f"band {band} contains NaN/Inf"):
+            CyclicTridiagonalSystem(**bands)
+
     def test_dense_matrix_layout(self):
         # corner couplings must sit at (0, K-1) and (K-1, 0)
         K = 5

@@ -6,6 +6,7 @@ from nlsw import (ConfigurationError, PdeParams, UsageError, ZField, builtin_pro
                   build_grid, continuous_residual, grad_S, hamiltonian_S,
                   local_densities, local_law_residual, reconstruct_z,
                   structure_matrices)
+from nlsw.model import pde_utt
 
 from strategies import coefficient, gamma_coefficient, seeds
 
@@ -233,6 +234,25 @@ class TestContinuousResidual:
         u = lambda x, t: amp / np.cosh(kappa * x) * np.exp(1j * nu * t)
         r = continuous_residual(u, EX3, (0.0, 0.0))
         assert abs(r - 0.0625) < 1e-6
+
+    def test_pde_utt_on_numbers_and_arrays(self, rng):
+        # continuous_residual calls pde_utt on Python complex numbers, the
+        # taylor2 bootstrap on mesh functions; both get the same values.
+        params = random_params(rng)
+        fields = [rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(5)]
+        whole = pde_utt(*fields, params)
+        for k in range(8):
+            one = pde_utt(*(complex(field[k]) for field in fields), params)
+            assert isinstance(one, complex)
+            assert abs(one - whole[k]) <= 1e-14 * (1.0 + abs(whole[k]))
+
+    def test_pde_utt_of_a_plane_wave(self):
+        # u = e^{i(kx - wt)}: u_tt = -w^2 u, and pde_utt at the exact
+        # derivatives is (-k^2 - gamma k w + alpha w - theta k - lam) u.
+        k, w = 1.0, 3.0
+        u0 = np.exp(1j * (k * 0.4 - w * 0.9))
+        exact = pde_utt(u0, -1j * w * u0, 1j * k * u0, -k * k * u0, k * w * u0, EX1)
+        assert abs(exact + w * w * u0) < 1e-12
 
 
 class TestReconstructZ:

@@ -256,12 +256,29 @@ def test_run_levels_are_standalone_steps_in_fresh_arrays(monkeypatch, scheme, be
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 @pytest.mark.parametrize("beta", [0.0, PLANE.params.beta])
 def test_step_refuses_a_stack_of_levels(scheme, beta):
-    # The step is 1-D: a [B, K] window is refused as a usage error at either
-    # beta, before the plan's level buffers would reject it.
+    # The step is 1-D: as_field refuses a [B, K] window as a usage error at
+    # either beta, before the plan's level buffers would reject it.
     step, assemble = SCHEMES[scheme]
     problem = customized(PLANE, beta=beta)
     grid = build_grid(problem.x_l, problem.x_r, 16, 1.0, 100)
     stack = np.ones((2, 16), dtype=complex)
-    with pytest.raises(UsageError, match="1-D levels"):
+    with pytest.raises(UsageError, match="must be 1-D"):
         step(StateWindow(stack, stack, 0.0), assemble(problem.params, grid),
              problem.params, grid, SolverConfig())
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("beta", [0.0, PLANE.params.beta])
+@pytest.mark.parametrize("slot", ["u_prev", "u_cur", "u_prev2"])
+def test_step_refuses_a_nan_level(scheme, beta, slot):
+    # A step called on its own checks its window with as_field, so a NaN in
+    # any of its levels is a usage error, not a solver failure of the sweep
+    # or the solve it would run into.
+    step, assemble = SCHEMES[scheme]
+    problem = customized(PLANE, beta=beta)
+    grid = build_grid(problem.x_l, problem.x_r, 16, 1.0, 100)
+    window = {name: np.exp(1j * grid.nodes) for name in ("u_prev", "u_cur", "u_prev2")}
+    window[slot][3] = np.nan
+    with pytest.raises(UsageError, match="NaN/Inf"):
+        step(StateWindow(window["u_prev"], window["u_cur"], 0.0, window["u_prev2"]),
+             assemble(problem.params, grid), problem.params, grid, SolverConfig())

@@ -10,7 +10,8 @@ lam_B^2 <= 4 |lam_A|^2."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from nlsw import PdeParams, SolverConfig, build_grid, mi, run_mi, run_wang
+from nlsw import (PdeParams, SolverConfig, build_grid, builtin_problem, mi, run_mi,
+                  run_wang, wang)
 from nlsw.problems import ProblemSpec
 
 from strategies import coefficient, gamma_coefficient
@@ -95,3 +96,54 @@ def test_continuously_stable_case_with_an_unstable_mode():
                   SolverConfig(), snapshot_stride=1)
     peaks = [np.abs(u).max() for _, u in traj.snapshots]
     assert 7e7 < peaks[500] < 8e7 and 5e15 < peaks[1000] < 6e15
+
+
+def workload_grid(name, K, tau):
+    """The problem's mesh of K nodes at time step tau."""
+    prob = builtin_problem(name)
+    return prob.params, build_grid(prob.x_l, prob.x_r, K, 10 * tau, 10)
+
+
+class TestLinearStabilityMargin:
+    """mi.linear_stability_margin is the smallest margin over the K grid
+    modes, and every run records it in its meta."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=coefficient, gamma=gamma_coefficient, theta=coefficient,
+           lam=coefficient, K=st.integers(4, 64), tau=st.floats(1e-3, 10.0))
+    def test_minimum_over_the_grid_modes(self, alpha, gamma, theta, lam, K, tau):
+        params = PdeParams(alpha=alpha, gamma=gamma, theta=theta, lam=lam, beta=0.0)
+        grid = build_grid(0.0, 2.0 * np.pi, K, 10 * tau, 10)
+        modes = [margin(params, grid, 2.0 * np.pi * m / K) for m in range(K)]
+        found = mi.linear_stability_margin(mi._stencils, params, grid)
+        assert abs(found - min(modes)) <= 1e-12 * max(1.0, abs(found))
+
+    def test_unstable_mode_of_the_coarse_mesh(self):
+        params = PdeParams(alpha=3.67, gamma=1.75, theta=-1.4, lam=-0.52, beta=0.0)
+        grid = build_grid(0.0, 2.0 * np.pi, 4, 90.0, 1000)
+        found = mi.linear_stability_margin(mi._stencils, params, grid)
+        assert abs(found - (-1.3077e-3)) < 1e-7
+        assert abs(found - margin(params, grid, grid.h)) <= 1e-15
+
+    def test_checkerboard_double_root_on_even_K(self):
+        for name, K, tau in (("gauss_split", 4096, 0.01), ("plane_beta2", 200, 0.05)):
+            params, grid = workload_grid(name, K, tau)
+            found = mi.linear_stability_margin(mi._stencils, params, grid)
+            assert abs(found) <= 1e-15
+            assert abs(margin(params, grid, np.pi)) <= 1e-15
+
+    def test_stable_meshes(self):
+        for table, name, K, tau, value in (
+                (mi._stencils, "plane_beta2", 201, 0.05, 9.548e-5),
+                (wang._stencils, "plane_beta2", 200, 0.05, 6.246e-4),
+                (wang._stencils, "gauss_split", 4096, 0.01, 2.49994e-5)):
+            found = mi.linear_stability_margin(table, *workload_grid(name, K, tau))
+            assert abs(found - value) <= 1e-4 * value
+
+    def test_runs_record_it(self):
+        params, grid = workload_grid("plane_beta2", 16, 0.05)
+        prob = builtin_problem("plane_beta2")
+        for runner, table in ((run_mi, mi._stencils), (run_wang, wang._stencils)):
+            meta = runner(prob, grid, SolverConfig()).meta
+            assert meta["linear_stability_margin"] == \
+                mi.linear_stability_margin(table, params, grid)
