@@ -28,14 +28,18 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import diagnostics, problems
+from . import diagnostics, mi, problems, wang
 from .errors import ConfigurationError, IdentityValidationError, NlswError, UsageError
 from .grid import GridSpec, build_grid, is_number, shown
-from .mi import SolverConfig, Trajectory, check_run, quiet_overflow, run_mi
+from .mi import (SolverConfig, Trajectory, check_run, check_stencils, quiet_overflow,
+                 run_mi)
 from .problems import ProblemSpec, builtin_problem, convergence_order, customized
-from .wang import check_coefficients, run_wang
+from .wang import run_wang
 
 SCHEMES = ("mi", "wang", "both")
+
+# Scheme label -> the stencil table that its runs evaluate.
+_TABLES = {"mi": mi._stencils, "wang": wang._stencils}
 
 SNAPSHOT_HEADER = ("t", "x", "re_u", "im_u", "abs_u")
 ORDERS_HEADER = ("level", "mesh_param", "err_max", "fitted_order")
@@ -126,8 +130,7 @@ def _resolve_problem(spec) -> ProblemSpec:
 
 def resolve(config: RunConfig) -> tuple[ProblemSpec, GridSpec, SolverConfig]:
     """Materialize the problem, grid, and solver settings, validating all
-    invariants before any compute, in the order run_mi and run_wang check
-    them: mi.check_run, then the energy-preserving scheme's coefficients."""
+    invariants before any compute with the checks of _check_run."""
     problem = _resolve_problem(config.problem)
     T = config.T if config.T is not None else problem.default_T
     grid = build_grid(problem.x_l, problem.x_r, config.K, T, config.J)
@@ -136,10 +139,23 @@ def resolve(config: RunConfig) -> tuple[ProblemSpec, GridSpec, SolverConfig]:
                                  bootstrap_mode=config.bootstrap_mode)
     if config.scheme not in SCHEMES:
         raise ConfigurationError(f"scheme must be one of {SCHEMES}, got {config.scheme!r}")
-    check_run(problem, grid, solver_config, config.snapshot_stride)
-    if config.scheme != "mi":
-        check_coefficients(problem.params)
+    _check_run(problem, grid, solver_config, config.snapshot_stride, config.scheme)
     return problem, grid, solver_config
+
+
+def _labels(scheme: str) -> tuple:
+    """The labels of the schemes that a configured scheme runs, in order."""
+    return ("mi", "wang") if scheme == "both" else (scheme,)
+
+
+def _check_run(problem, grid, solver_config, snapshot_stride, scheme: str):
+    """The checks that integrate makes before a run, in the order run_mi
+    and run_wang make them: mi.check_run, then check_stencils of each
+    scheme's table, where the energy-preserving scheme's table first
+    refuses coefficients outside its family."""
+    check_run(problem, grid, solver_config, snapshot_stride)
+    for label in _labels(scheme):
+        check_stencils(_TABLES[label], problem.params, grid)
 
 
 def _unique_keys(pairs) -> dict:
@@ -373,10 +389,9 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
             f"{oracle.energy_max_rel_gap:.3e}, mass factor "
             f"{oracle.measured_mass_factor!r} against the validated beta/4")
 
-    labels = ("mi", "wang") if config.scheme == "both" else (config.scheme,)
     runners = _runners()
     paths, schemes_meta, summaries, timings = {}, {}, {}, {}
-    for label in labels:
+    for label in _labels(config.scheme):
         suffix = f"_{label}" if config.scheme == "both" else ""
         series_path = out / f"series{suffix}.csv"
         snaps_path = out / f"snapshots{suffix}.csv"
@@ -421,7 +436,7 @@ def run_convergence(config: RunConfig, axis: str, levels: int,
         K = config.K * 2 ** level if axis == "space" else config.K
         J = config.J * 2 ** level if axis == "time" else config.J
         grids.append(build_grid(problem.x_l, problem.x_r, K, base_grid.T, J))
-        check_run(problem, grids[-1], solver_config, J)
+        _check_run(problem, grids[-1], solver_config, J, config.scheme)
 
     started = time.perf_counter()
     out = _output_dir(config, output_dir)

@@ -19,6 +19,7 @@ __init__ pulls in numpy.f2py, numpy.testing, numpy.random and more, about
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import sys
@@ -105,13 +106,16 @@ class PreparedCyclicSolver:
         if info != 0:
             raise SingularSystemError(
                 f"tridiagonal core is singular: zero pivot at row {info}")
-        self._factors = factors
-        self._size = K
+        # zgttrs with the factors bound, so that a solve passes only b.
+        self._core_solve = functools.partial(zgttrs, *factors)
+        self._shape = (K,)
         self._v_last = lo[0] / gamma0
         u = np.zeros(K, dtype=np.complex128)
         u[0] = gamma0
         u[K - 1] = up[K - 1]
-        q = self._core_solve(u)
+        q, info = self._core_solve(u)
+        if info != 0:
+            raise SingularSystemError(f"tridiagonal core solve failed (info={info})")
         if not np.isfinite(q).all():
             raise SingularSystemError(
                 "tridiagonal core solve overflowed (near-zero pivot)")
@@ -121,24 +125,31 @@ class PreparedCyclicSolver:
                 "cyclic correction denominator collapsed (matrix is singular)")
         self._q = q
         self._den = den
+        # The correction's coefficient goes into a 0-d array, which the
+        # multiply takes faster than a numpy scalar.
+        self._coefficient = np.empty((), dtype=np.complex128)
         self._correction = np.empty(K, dtype=np.complex128)
-        self._finite = np.empty(K, dtype=bool)
-
-    def _core_solve(self, b):
-        x, info = zgttrs(*self._factors, b)
-        if info != 0:
-            raise SingularSystemError(f"tridiagonal core solve failed (info={info})")
-        return x
+        self._zeros = np.zeros(K, dtype=np.complex128)
 
     def solve(self, rhs) -> np.ndarray:
+        """x with A x = rhs, a fresh array: one gttrs call on the bound
+        factors, y = T^-1 rhs, then in place  y -= ((y_0 + v_{K-1} y_{K-1})
+        / (1 + v.q)) * q  from the scalar coefficient, one multiply into the
+        correction buffer and one subtraction, and the finiteness test.
+        That test is one vdot of a zero vector with the result: 0*y is 0
+        for every finite entry and NaN for an inf or NaN one, and vdot,
+        unlike the ufuncs and dot, raises no floating-point warning on the
+        way."""
         rhs = np.asarray(rhs, dtype=np.complex128)
-        if rhs.shape != (self._size,):
-            raise UsageError(f"rhs has shape {rhs.shape}, expected ({self._size},)")
-        # gttrs returns a fresh array, so the correction is subtracted in place.
-        y = self._core_solve(rhs)
-        y -= np.multiply((y[0] + self._v_last * y[-1]) / self._den, self._q,
-                         out=self._correction)
-        if not np.logical_and.reduce(np.isfinite(y, out=self._finite)):
+        if rhs.shape != self._shape:
+            raise UsageError(f"rhs has shape {rhs.shape}, expected {self._shape}")
+        y, info = self._core_solve(rhs)
+        if info != 0:
+            raise SingularSystemError(f"tridiagonal core solve failed (info={info})")
+        coefficient = self._coefficient
+        coefficient[()] = (y[0] + self._v_last * y[-1]) / self._den
+        np.subtract(y, np.multiply(coefficient, self._q, out=self._correction), out=y)
+        if np.vdot(self._zeros, y) != 0:
             raise SingularSystemError(
                 "cyclic solve overflowed (near-singular matrix or huge right-hand side)")
         return y

@@ -50,9 +50,9 @@ MEMORY_CAP_BYTES = 4 * 2 ** 30
 # the whole run, from their shapes: the plan's (2, K+2) pair and (3, 2, K)
 # products, the midpoint cubic's cubes and lagged buffers (the
 # energy-preserving cubic holds less), and the solver's four gttrf factor
-# bands, q and correction are 16 complex values; the cubic's abs2 and the
-# change are two floats; the solver's int32 pivots and bool finiteness mask.
-PLAN_BYTES_PER_NODE = 16 * 16 + 8 * 2 + 4 + 1
+# bands, q, correction and zeros are 17 complex values; the cubic's abs2 and
+# the change are two floats; and the solver's int32 pivots.
+PLAN_BYTES_PER_NODE = 16 * 17 + 8 * 2 + 4
 
 # Bytes per node that a run holds at its peak beyond its stored levels and
 # its plan: while the diagnostics of a block of one pair run, the levels
@@ -165,23 +165,39 @@ def _stencils(params: PdeParams, grid: GridSpec):
             (upper.conjugate(), diag.conjugate(), lower.conjugate()))
 
 
-def linear_stability_margin(table, params: PdeParams, grid: GridSpec) -> float:
-    """The minimum over the K grid modes theta = 2 pi m / K of
-    1 - lam_B^2 / (4 |lam_A|^2), with
+def linear_modes(table, params: PdeParams, grid: GridSpec) -> dict:
+    """What the symbols
     lam_X(theta) = lower e^{-i theta} + diag + upper e^{i theta}
-    the symbol of stencil X of table(params, grid).
+    of the stencils X of table(params, grid) give on the K grid modes
+    theta = 2 pi m / K, for meta:
 
-    At beta = 0 mode m obeys lam_A z^2 + lam_B z + lam_C = 0, and with
-    C = A^H (so lam_C = conj(lam_A)) and lam_B real (up to round-off, whose
-    imaginary part is dropped) both roots lie on the unit circle exactly
-    where this is >= 0.  Below 0 by more than round-off, a mode grows
-    exponentially; 0 is a double root, whose mode grows linearly (the
-    midpoint scheme's checkerboard on even K)."""
+    - linear_stability_margin: the minimum of 1 - lam_B^2 / (4 |lam_A|^2).
+      At beta = 0 mode m obeys lam_A z^2 + lam_B z + lam_C = 0, and with
+      C = A^H (so lam_C = conj(lam_A)) and lam_B real (up to round-off,
+      whose imaginary part is dropped) both roots lie on the unit circle
+      exactly where this is >= 0.  Below 0 by more than round-off, a mode
+      grows exponentially; 0 is a double root, whose mode grows linearly
+      (the midpoint scheme's checkerboard on even K).
+    - operator_min_abs_eigenvalue: min |lam_A|.  The circulant A has the
+      eigenvalues lam_A and is normal, so these moduli are its singular
+      values.
+    - operator_inverse_condition: min |lam_A| / max |lam_A|, the reciprocal
+      of A's condition number in the 2-norm."""
     turn = np.exp(2j * np.pi / grid.K * np.arange(grid.K))
     lam_A, lam_B = (lower * turn.conjugate() + diag + upper * turn
                     for lower, diag, upper in table(params, grid)[:2])
-    ratio = 0.5 * (lam_B.real / np.abs(lam_A))
-    return float(np.min(1.0 - ratio * ratio))
+    modulus = np.abs(lam_A)
+    ratio = 0.5 * (lam_B.real / modulus)
+    smallest = float(np.min(modulus))
+    return {"linear_stability_margin": float(np.min(1.0 - ratio * ratio)),
+            "operator_min_abs_eigenvalue": smallest,
+            "operator_inverse_condition": smallest / float(np.max(modulus))}
+
+
+def linear_stability_margin(table, params: PdeParams, grid: GridSpec) -> float:
+    """The linear_stability_margin of linear_modes: the minimum over the K
+    grid modes of 1 - lam_B^2 / (4 |lam_A|^2)."""
+    return linear_modes(table, params, grid)["linear_stability_margin"]
 
 
 def assemble_linear(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSystem:
@@ -192,39 +208,51 @@ def assemble_linear(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSyste
 class StepPlan:
     """What every step reuses, built once per run (once per call for a step
     called on its own): the solver of A, table's B and C columns, the padded
-    pair (u^j, u^{j-1}), cubic(beta/4, u^{j-1}, u^j) over its rows as
-    (lag, nonlinear), and the known, rhs and change buffers.  The mesh axis
-    is last throughout, so a batch axis can go in front of it."""
+    pair (u^j, u^{j-1}), cubic(beta/4, u^{j-1}, u^j, rhs) over its rows and
+    the rhs buffer as (lag, nonlinear), and the known, rhs, start and change
+    buffers, with every view a step reads or writes through taken here.
+    The mesh axis is last throughout, so a batch axis can go in front of
+    it."""
 
     def __init__(self, system, params: PdeParams, grid: GridSpec, table, cubic):
         self.solver = system if isinstance(system, PreparedCyclicSolver) \
             else PreparedCyclicSolver(system)
         _, on_cur, on_prev = table(params, grid)
+        K = grid.K
         self.columns = np.array((on_cur, on_prev), dtype=np.complex128).T[..., None]
-        self.pair = pair = np.empty((2, grid.K + 2), dtype=np.complex128)
+        self.pair = pair = np.empty((2, K + 2), dtype=np.complex128)
+        # The level rows, and the pads (columns 0 and K+1) with the inner
+        # columns K and 1 that wrap into them.
+        self.levels = pair[0, 1:-1], pair[1, 1:-1]
+        self.pads, self.edges = pair[:, ::K + 1], pair[:, K:0:1 - K]
         # neighbours[s] is the pair read s - 1 nodes on, for columns[s].  The
         # contiguous products[s] are summed into products[0], whose rows then
-        # hold the known terms and the step's right-hand sides.
-        self.neighbours = np.moveaxis(sliding_window_view(pair, grid.K, axis=-1), -2, 0)
-        self.products = np.empty((3, 2, grid.K), dtype=np.complex128)
-        self.known, self.rhs = self.products[0]
-        self.change = np.empty(grid.K)
-        self.lag, self.nonlinear = cubic(0.25 * params.beta, pair[1, 1:-1], pair[0, 1:-1])
+        # hold the known terms and the step's right-hand sides.  products[1]
+        # and [2] are spent once summed, and products[1, 0] holds the start.
+        self.neighbours = np.moveaxis(sliding_window_view(pair, K, axis=-1), -2, 0)
+        self.products = products = np.empty((3, 2, K), dtype=np.complex128)
+        self.terms = tuple(products)
+        self.known, self.rhs = products[0]
+        self.start = products[1, 0]
+        self.change = np.empty(K)
+        self.lag, self.nonlinear = cubic(0.25 * params.beta, self.levels[1],
+                                         self.levels[0], self.rhs)
 
     def known_terms(self, u_prev, u_cur):
         """B u^j + C u^{j-1} into the known buffer, each element summed as
         (lower*left + diag*u) + upper*right per level, from one multiply."""
-        pair, products = self.pair, self.products
-        pair[0, 1:-1], pair[1, 1:-1] = u_cur, u_prev
-        pair[:, 0], pair[:, -1] = pair[:, -2], pair[:, 1]
-        np.multiply(self.columns, self.neighbours, out=products)
-        total = products[0]
-        total += products[1]
-        total += products[2]
-        return np.add(total[0], total[1], out=self.known)
+        cur, prev = self.levels
+        cur[...] = u_cur
+        prev[...] = u_prev
+        self.pads[...] = self.edges
+        total, diag_terms, upper_terms = self.terms
+        np.multiply(self.columns, self.neighbours, out=self.products)
+        total += diag_terms
+        total += upper_terms
+        return np.add(self.known, self.rhs, out=self.known)
 
 
-def _cubic(quarter_beta, u_prev, u_cur):
+def _cubic(quarter_beta, u_prev, u_cur, rhs):
     """The nonlinear term over the level buffers u_prev and u_cur as
     (lag, nonlinear): lag() builds the lagged sum from their contents, and
     nonlinear(u, out) writes N(u), beta/4 times both sums, into out.
@@ -236,29 +264,39 @@ def _cubic(quarter_beta, u_prev, u_cur):
     slices of their cubes.  m is built in out, which the pair sum then
     overwrites.  m is halved and the means halved again, never quartered
     at once: a quarter of a sum of subnormals rounds to zeros of another
-    sign.  The scratch arrays are allocated once, here."""
+    sign.  The scratch arrays, and the slices of them and of the lagged and
+    rhs buffers, are taken once, here; another out is sliced per call."""
     K = u_cur.shape[-1]
     cubes = np.empty(K + 1, dtype=np.complex128)
     abs2 = np.empty(K + 1)
     lagged = np.empty(K, dtype=np.complex128)
+    inner, cubes_head, cubes_tail = cubes[1:-1], cubes[:-1], cubes[1:]
+    # The factors as 0-d complex arrays: the complex multiply that numpy
+    # makes of a float factor, without converting the float on every call.
+    half, scale = np.array(0.5 + 0j), np.array(complex(quarter_beta))
+    add, multiply = np.add, np.multiply
 
-    def pair(level, out):
-        mean = np.add(u_cur, level, out=out)
-        mean *= 0.5
-        means = cubes
-        np.add(mean[:-1], mean[1:], out=means[1:-1])
-        means[0] = means[-1] = mean[-1] + mean[0]
-        means *= 0.5
-        np.square(np.abs(means, out=abs2), out=abs2)
-        means *= abs2
-        return np.add(means[1:], means[:-1], out=out)
+    def views(out):
+        return out, out[:-1], out[1:]
+
+    def pair(level, out_views):
+        out, head, tail = out_views
+        mean = add(u_cur, level, out=out)
+        multiply(mean, half, out=mean)
+        add(head, tail, out=inner)
+        cubes[0] = cubes[-1] = mean[-1] + mean[0]
+        multiply(cubes, half, out=cubes)
+        np.square(np.abs(cubes, out=abs2), out=abs2)
+        multiply(cubes, abs2, out=cubes)
+        return add(cubes_tail, cubes_head, out=out)
+
+    rhs_views = views(rhs)
 
     def nonlinear(u, out):
-        pair(u, out)
-        out += lagged
-        out *= quarter_beta
-        return out
-    return functools.partial(pair, u_prev, lagged), nonlinear
+        pair(u, rhs_views if out is rhs else views(out))
+        add(out, lagged, out=out)
+        return multiply(out, scale, out=out)
+    return functools.partial(pair, u_prev, views(lagged)), nonlinear
 
 
 def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
@@ -282,8 +320,10 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     A step on A or its solver checks its window's levels with as_field
     (1-D, K long, finite), builds its plan and runs under quiet_overflow for
     the call; a run's plan steps on the run's own levels, unchecked, under
-    the run's policy.  A sweep writes the right-hand side and the change
-    into the plan's buffers.
+    the run's policy.  The start and its modulus go into the plan's start
+    and change buffers, and a sweep writes the right-hand side and the
+    change there too: a sweep is nonlinear(u, rhs), rhs = -(known + rhs),
+    one solve, |u_new - u| and its maximum.
     |iterate| is taken only when the change could pass: it is at most
     |start| plus the changes so far, so a change above twice fp_tol times
     max(1, that bound) fails the test whatever |iterate| is.
@@ -297,21 +337,29 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
             return picard(window, StepPlan(system, params, grid, table, cubic),
                           params, grid, config, table, cubic)
     plan = system
-    solver, rhs, change, nonlinear = plan.solver, plan.rhs, plan.change, plan.nonlinear
-    known = plan.known_terms(window.u_prev, window.u_cur)
+    solve, nonlinear = plan.solver.solve, plan.nonlinear
+    rhs, change, u = plan.rhs, plan.change, plan.start
+    u_prev, u_cur, u_prev2 = window.u_prev, window.u_cur, window.u_prev2
+    known = plan.known_terms(u_prev, u_cur)
     if params.beta == 0.0:
-        return solver.solve(np.negative(known, out=rhs)), 1
+        return solve(np.negative(known, out=rhs)), 1
     plan.lag()
-    u = (2.0 * window.u_cur - window.u_prev if window.u_prev2 is None
-         else 3.0 * (window.u_cur - window.u_prev) + window.u_prev2)
-    bound = float(np.maximum.reduce(np.abs(u, out=change)))
+    add, subtract, negative, absolute = np.add, np.subtract, np.negative, np.abs
+    peak_of = np.maximum.reduce
+    if u_prev2 is None:
+        subtract(np.multiply(2.0, u_cur, out=u), u_prev, out=u)
+    else:
+        add(np.multiply(3.0, subtract(u_cur, u_prev, out=u), out=u), u_prev2, out=u)
+    bound = float(peak_of(absolute(u, out=change)))
+    fp_tol = config.fp_tol
+    could_pass = 2.0 * fp_tol
     diff = smallest = np.inf
     stalled = 0
     for it in range(1, config.fp_max_iter + 1):
-        np.add(known, nonlinear(u, rhs), out=rhs)
-        np.negative(rhs, out=rhs)
+        add(known, nonlinear(u, rhs), out=rhs)
+        negative(rhs, out=rhs)
         try:
-            u_new = solver.solve(rhs)
+            u_new = solve(rhs)
         except SingularSystemError:
             if np.logical_and.reduce(np.isfinite(rhs)):
                 raise
@@ -320,13 +368,13 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
                 f"in sweep {it}") from None
         previous = diff
         # The right-hand side is spent, so its buffer holds u_new - u.
-        np.abs(np.subtract(u_new, u, out=rhs), out=change)
-        diff = float(np.maximum.reduce(change))
+        absolute(subtract(u_new, u, out=rhs), out=change)
+        diff = float(peak_of(change))
         bound += diff
         u = u_new
-        if diff <= 2.0 * config.fp_tol * max(1.0, bound):
-            peak = float(np.maximum.reduce(np.abs(u, out=change)))
-            if diff <= config.fp_tol * max(1.0, peak):
+        if diff <= could_pass * max(1.0, bound):
+            peak = float(peak_of(absolute(u, out=change)))
+            if diff <= fp_tol * max(1.0, peak):
                 return u, it
         if diff < smallest:
             smallest, stalled = diff, 0
@@ -358,18 +406,19 @@ def held_bytes(grid: GridSpec, snapshot_stride: int) -> int:
     column (at most every name of diagnostics.SERIES_COLUMNS, the printed
     wang energy and grid.times).
 
-    On gauss_split with J = 4 and snapshot_stride 1 this counts 525 bytes
+    On gauss_split with J = 4 and snapshot_stride 1 this counts 540 bytes
     per node.  The traced peak (tracemalloc, K = 8192 and 16384) grows by
-    501 bytes per node for run_mi and 477 for run_wang, whose plan holds 40
+    516 bytes per node for run_mi and 492 for run_wang, whose plan holds 24
     less.  Peak RSS (ru_maxrss, K = 2e5 and 4e5, one fresh process each,
-    x86-64, numpy 2.4.6) grows by 517 for run_mi, and for cli.run_experiment
-    by 517 with scheme mi and 484 with wang; with both, the second run
-    starts on a heap the first has left fragmented and reaches 544.  Blocks
-    of B > 1 pairs (K < BLOCK_VALUES) add fields of at most BLOCK_VALUES + K
-    nodes, a fixed few hundred kilobytes.
+    x86-64, numpy 2.4.6) grows by 516 for run_mi and 483 for run_wang, as
+    the solver's zero vector is read but never written, and for
+    cli.run_experiment by 517 with scheme mi and 484 with wang; with both,
+    the second run starts on a heap the first has left fragmented and
+    reaches 544.  Blocks of B > 1 pairs (K < BLOCK_VALUES) add fields of at
+    most BLOCK_VALUES + K nodes, a fixed few hundred kilobytes.
 
     Writing the files never sets the peak: a run's plan and working levels
-    (413 bytes a node) are freed when it returns, before a command's CSV
+    (428 bytes a node) are freed when it returns, before a command's CSV
     writers start, which then hold the run's snapshots and series, the x
     templates of the snapshot file (about 52 bytes a node) and one piece of
     at most cli.PIECE_ROWS rows (about 710 bytes a series row and 300 a
@@ -405,12 +454,25 @@ def check_run(problem, grid: GridSpec, config: SolverConfig, snapshot_stride):
     return exact
 
 
+def check_stencils(table, params: PdeParams, grid: GridSpec):
+    """Refuse a run whose stencil table(params, grid) has an entry beyond
+    the float range, where a coefficient over tau or h overflows, naming
+    the coefficients and the mesh.  integrate and the CLI run it after
+    check_run, for each scheme they run."""
+    if not np.isfinite(np.array(table(params, grid), dtype=np.complex128)).all():
+        raise ConfigurationError(
+            f"the scheme's stencils overflow for alpha={params.alpha}, "
+            f"gamma={params.gamma}, theta={params.theta}, lambda={params.lam} "
+            f"with tau={grid.tau} and h={grid.h}")
+
+
 def integrate(problem, grid: GridSpec, config: SolverConfig,
               snapshot_stride: int, assemble, table, cubic, step, observe) -> Trajectory:
-    """The run loop of both schemes: check_run the run before allocating
-    anything, then, under one quiet_overflow, build one StepPlan of
-    assemble(params, grid), table and cubic, bootstrap, and advance J-1
-    steps and their diagnostics with the scheme's step
+    """The run loop of both schemes: check_run the run and check_stencils
+    its table before allocating anything, then, under one quiet_overflow,
+    build one StepPlan of assemble(params, grid), table and cubic,
+    bootstrap, and advance J-1 steps and their diagnostics with the
+    scheme's step
     step(window, plan, params, grid, config) -> (u_next, fp_iters),
     whose window carries u^{j-2} from the second step on.
 
@@ -431,8 +493,8 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     other two half-node fields are released before observe runs.  The
     bootstrap pair is evaluated first, on its own, and gives meta its
     references: energy_ref, mass_ref and <name>_ref for each observed name.
-    meta also records the table's linear_stability_margin, taken once the
-    plan has refused a singular A.
+    meta also records the table's linear_modes, taken once the plan has
+    refused a singular A.
 
     A failure names its step.  A realness guard that fires on row i of a
     block names the block's first step plus i, and a failing step first
@@ -442,9 +504,10 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     """
     exact_fn = check_run(problem, grid, config, snapshot_stride)
     params = problem.params
+    check_stencils(table, params, grid)
     with quiet_overflow():
         plan = StepPlan(assemble(params, grid), params, grid, table, cubic)
-        margin = linear_stability_margin(table, params, grid)
+        modes = linear_modes(table, params, grid)
         u_prev, u_cur = bootstrap(problem.f0, problem.f1, params, grid,
                                   mode=config.bootstrap_mode, exact=exact_fn)
         t = grid.times[2:]
@@ -516,7 +579,7 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
         "bootstrap_mode": config.bootstrap_mode,
         "nonlinear_solver": "picard",
         "total_fp_iters": int(fp_iters.sum()),
-        "linear_stability_margin": margin,
+        **modes,
         "energy_ref": refs.pop("energy_mi_ref"),
         "mass_ref": refs.pop("mass_mi_ref"),
         **refs,

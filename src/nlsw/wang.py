@@ -58,22 +58,25 @@ def assemble_wang(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSystem:
     return CyclicTridiagonalSystem(*(np.full(grid.K, c) for c in _stencils(params, grid)[0]))
 
 
-def _cubic(quarter_beta, u_prev, u_cur):
+def _cubic(quarter_beta, u_prev, u_cur, rhs):
     """(beta/4)(|u|^2 + |u^{j-1}|^2)(u + u^{j-1}) over the level buffer
     u_prev as (lag, nonlinear), like mi._cubic: lag() takes |u^{j-1}|^2, and
-    nonlinear(u, out) writes the term into out and returns it."""
+    nonlinear(u, out) writes the term into out and returns it.  Nothing is
+    sliced, so u_cur and the plan's rhs buffer go unused."""
     abs2_prev, weight = np.empty((2,) + u_prev.shape)
+    # beta/4 as a 0-d array, which numpy need not convert on every call.
+    scale = np.array(quarter_beta)
+    add, multiply = np.add, np.multiply
 
     def lag():
         np.square(np.abs(u_prev, out=abs2_prev), out=abs2_prev)
 
     def nonlinear(u, out):
-        abs2 = np.square(np.abs(u, out=weight), out=weight)
-        abs2 += abs2_prev
-        abs2 *= quarter_beta
-        np.add(u, u_prev, out=out)
-        out *= abs2
-        return out
+        np.square(np.abs(u, out=weight), out=weight)
+        add(weight, abs2_prev, out=weight)
+        multiply(weight, scale, out=weight)
+        add(u, u_prev, out=out)
+        return multiply(out, weight, out=out)
     return lag, nonlinear
 
 

@@ -184,9 +184,12 @@ def mi_residual_scale(u_next, params, grid):
 
 def mi_cubic_pair(level_mean):
     """Pair-sum y_{k+1/2} + y_{k-1/2} of |y|^2 y over the half-node means y
-    of a temporal mean, from rolled copies."""
-    y = 0.5 * (level_mean + np.roll(level_mean, -1))
-    cubes = np.abs(y) ** 2 * y
+    of a temporal mean, from rolled copies.  Each product has the complex
+    operand first, as in mi._cubic: with the operands swapped, numpy's
+    complex multiply can return a zero of the other sign where a product
+    underflows."""
+    y = (level_mean + np.roll(level_mean, -1)) * 0.5
+    cubes = y * np.abs(y) ** 2
     return cubes + np.roll(cubes, 1)
 
 
@@ -372,8 +375,11 @@ def identity_rhs_elementwise(a, b, params, grid, factor=Fraction(1, 4)):
 
 
 # The allocating numpy expressions that the in-place production code of
-# diagnostics.half_nodes and diagnostics._identity_rhs replaced, and the
-# taylor2 bootstrap with rolled copies in place of grid's differences.  Each
+# diagnostics.half_nodes and diagnostics._identity_rhs replaced, the
+# taylor2 bootstrap with rolled copies in place of grid's differences, and
+# the pieces of a Picard sweep: a StepPlan's known terms from rolled
+# stencils, each scheme's cubic term, and the cyclic solve with its
+# Sherman-Morrison correction written out.  Each
 # operation here has the operands and order of the production code, so the
 # two must agree bit for bit, signed zeros and subnormals included; shifts
 # are np.roll along the last axis.
@@ -411,3 +417,42 @@ def taylor2_allocating(u0, v0, params, grid):
            - params.beta * np.abs(u0) ** 2 * u0)
     return u0 + grid.tau * v0 + 0.5 * grid.tau ** 2 * utt
 
+
+
+def rolled_stencil(coefficients, v):
+    """(lower*left + diag*v) + upper*right of one (lower, diag, upper)
+    stencil on the level v."""
+    lower, diag, upper = coefficients
+    return lower * np.roll(v, 1) + diag * v + upper * np.roll(v, -1)
+
+
+def known_terms_rolled(table, params, grid, u_prev, u_cur):
+    """B u^j + C u^{j-1} with (A, B, C) = table(params, grid)."""
+    _, on_cur, on_prev = table(params, grid)
+    return rolled_stencil(on_cur, u_cur) + rolled_stencil(on_prev, u_prev)
+
+
+def wang_cubic(quarter_beta, u, u_prev):
+    """The energy-preserving scheme's cubic term at the iterate u."""
+    return (u + u_prev) * ((np.abs(u) ** 2 + np.abs(u_prev) ** 2) * quarter_beta)
+
+
+def cyclic_solve_allocating(system, rhs):
+    """PreparedCyclicSolver(system).solve(rhs) as one function: gttrf of
+    the core, q = T^-1 u of the corner vector, y = T^-1 rhs and
+    y - ((y_0 + v_{K-1} y_{K-1}) / (1 + v.q)) * q."""
+    from nlsw.linsolve import zgttrf, zgttrs
+
+    lower, diag, upper = system.lower, system.diag, system.upper
+    gamma0 = -diag[0] if diag[0] != 0 else complex(1.0)
+    core_diag = diag.copy()
+    core_diag[0] -= gamma0
+    core_diag[-1] -= upper[-1] * lower[0] / gamma0
+    *factors, _ = zgttrf(lower[1:], core_diag, upper[:-1])
+    corner = np.zeros(system.size, dtype=complex)
+    corner[0], corner[-1] = gamma0, upper[-1]
+    q = zgttrs(*factors, corner)[0]
+    v_last = lower[0] / gamma0
+    den = 1.0 + q[0] + v_last * q[-1]
+    y = zgttrs(*factors, np.asarray(rhs, dtype=complex))[0]
+    return y - ((y[0] + v_last * y[-1]) / den) * q

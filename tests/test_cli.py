@@ -832,6 +832,25 @@ class TestMainExitCodes:
         assert "gamma = theta = lam = 0" in record["message"]
         assert not (tmp_path / "cmp").exists()
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_overflowing_stencils_exit_2_before_output(self, tmp_path, capsys,
+                                                       command):
+        # alpha / tau overflows the diagonal: refused at parse time as a
+        # configuration error naming the coefficients and the mesh, not as
+        # the operator's band with an inf entry once the run has begun.
+        path = write_config(tmp_path, {
+            "problem": {"base": "plane_beta2", "params": {"alpha": 1e307}},
+            "K": 16, "J": 100, "T": 1.0, "output_dir": str(tmp_path / "out")})
+        assert main([command, path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ConfigurationError"
+        assert record["message"] == (
+            "the scheme's stencils overflow for alpha=1e+307, gamma=0.0, "
+            f"theta=0.0, lambda=0.0 with tau=0.01 and h={2.0 * np.pi / 16}")
+        assert not (tmp_path / "out").exists()
+
     def test_overflowing_integer_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"problem": "linear_plane", "K": 64,
                                        "J": 20, "T": 10 ** 400})
@@ -914,6 +933,8 @@ REFUSED_CONFIGS = {
                          "bootstrap_mode": "exact"},
     "coefficients": {"problem": "linear_plane", "K": 16, "J": 10, "scheme": "wang"},
     "mesh_range": {"problem": "plane_beta2", "K": 8, "J": 2, "T": 1e300},
+    "stencils": {"problem": {"base": "plane_beta2", "params": {"alpha": 1e307}},
+                 "K": 16, "J": 100, "T": 1.0},
 }
 
 

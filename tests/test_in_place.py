@@ -2,13 +2,18 @@
 the bytes of the allocating expressions they replaced (tests/oracles.py),
 and so does the taylor2 bootstrap of its rolled reference, on levels drawn
 with exact zeros of both signs and subnormals, where a reordered operation
-shows."""
+shows.  So do the pieces of a Picard sweep, which work through the views
+and buffers of a StepPlan: its known terms, each scheme's lag() and
+nonlinear(), and the cyclic solve."""
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nlsw import PdeParams, bootstrap, diagnostics
+from nlsw import PdeParams, PreparedCyclicSolver, bootstrap, diagnostics, mi, wang
+from nlsw.mi import StepPlan
 
 import oracles
 from strategies import coefficient, gamma_coefficient, periodic_grid, time_steps
@@ -62,3 +67,51 @@ def test_bootstrap_keeps_its_bytes(data, problem):
     u0, v0 = (data.draw(stacks(shape[-1])) for _ in range(2))
     assert same_bits(bootstrap(lambda x: u0, lambda x: v0, params, grid),
                      (u0, oracles.taylor2_allocating(u0, v0, params, grid)))
+
+
+SCHEMES = {"mi": (mi, mi.assemble_linear), "wang": (wang, wang.assemble_wang)}
+
+
+def scheme_problem(scheme, problem):
+    """(module, params, grid, K, the scheme's operator) of a drawn
+    problem; the energy-preserving scheme takes gamma = theta = lam = 0."""
+    module, assemble = SCHEMES[scheme]
+    params, grid, shape = problem
+    if scheme == "wang":
+        params = dataclasses.replace(params, gamma=0.0, theta=0.0, lam=0.0)
+    return module, params, grid, shape[-1], assemble(params, grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), problem=problems(), scheme=st.sampled_from(sorted(SCHEMES)))
+def test_sweep_pieces_keep_their_bytes(data, problem, scheme):
+    # The plan's known terms, and lag() then nonlinear(u, out) into the
+    # plan's own rhs buffer and into a fresh one, against the rolled
+    # stencils and the cubic terms of tests/oracles.py.
+    module, params, grid, K, system = scheme_problem(scheme, problem)
+    u_prev, u_cur, u = (data.draw(stacks(K)) for _ in range(3))
+    plan = StepPlan(system, params, grid, module._stencils, module._cubic)
+    known = plan.known_terms(u_prev, u_cur)
+    assert same_bits((known,), (oracles.known_terms_rolled(module._stencils, params,
+                                                           grid, u_prev, u_cur),))
+    quarter_beta = 0.25 * params.beta
+    if scheme == "mi":
+        expected = (oracles.mi_cubic_pair((u_cur + u) * 0.5)
+                    + oracles.mi_cubic_pair((u_cur + u_prev) * 0.5)) * quarter_beta
+    else:
+        expected = oracles.wang_cubic(quarter_beta, u, u_prev)
+    plan.lag()
+    for out in (plan.rhs, np.empty(K, dtype=complex)):
+        assert same_bits((plan.nonlinear(u, out),), (expected,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), problem=problems(), scheme=st.sampled_from(sorted(SCHEMES)))
+def test_cyclic_solve_keeps_its_bytes(data, problem, scheme):
+    # Outside any floating-point policy: a finite solve warns of nothing.
+    _, _, _, K, system = scheme_problem(scheme, problem)
+    solver = PreparedCyclicSolver(system)
+    for _ in range(2):
+        rhs = data.draw(stacks(K))
+        assert same_bits((solver.solve(rhs),),
+                         (oracles.cyclic_solve_allocating(system, rhs),))

@@ -150,6 +150,65 @@ class TestSolve:
         assert A[2, 1] == 2.0 and A[2, 3] == 3.0
 
 
+class TestFinitenessRule:
+    """A solve refuses a result with an inf or NaN anywhere, and passes
+    every finite one, however large, without a floating-point warning.
+    Results are planted by standing in for the core solve T^-1 rhs."""
+
+    K = 8
+    NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.inf),
+                  complex(np.nan, 1.0), complex(-np.inf, np.nan)]
+
+    def planted(self, y):
+        """A solver of the shifted periodic Laplacian whose core solve
+        returns a copy of y."""
+        K = self.K
+        solver = PreparedCyclicSolver(CyclicTridiagonalSystem(
+            lower=-np.ones(K), diag=np.full(K, 2.5), upper=-np.ones(K)))
+        solver._core_solve = lambda rhs: (y.copy(), 0)
+        return solver
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("position", range(1, K - 1))
+    def test_inner_non_finite_entry_raises_without_a_warning(self, value, position):
+        # The correction reads y_0 and y_{K-1} only, so an inner entry
+        # reaches the finiteness test alone; outside any policy, where
+        # pytest makes a warning an error.
+        y = np.full(self.K, 1.0 - 0.5j)
+        y[position] = value
+        with pytest.raises(SingularSystemError, match="cyclic solve overflowed"):
+            self.planted(y).solve(np.ones(self.K))
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("position", [0, K - 1])
+    def test_corner_non_finite_entry_raises(self, value, position):
+        # A non-finite y_0 or y_{K-1} spreads through the correction, whose
+        # arithmetic warns of it unless the run's policy is entered.
+        y = np.full(self.K, 1.0 - 0.5j)
+        y[position] = value
+        with nlsw.mi.quiet_overflow(), \
+                pytest.raises(SingularSystemError, match="cyclic solve overflowed"):
+            self.planted(y).solve(np.ones(self.K))
+
+    def test_huge_finite_result_passes_without_a_warning(self):
+        # Every entry near the float max: a sum over them would overflow.
+        y = np.full(self.K, 1.7e308 - 1.7e308j)
+        y[0] = y[-1] = 0.0
+        x = self.planted(y).solve(np.ones(self.K))
+        assert x.tobytes() == y.tobytes()
+
+    def test_finite_solve_of_a_large_rhs_warns_of_nothing(self):
+        # The shifted Laplacian of test_overflow_in_cyclic_correction_rejected
+        # maps a constant 1e299 to 1e307, finite after the correction.
+        K = self.K
+        eps = 1e-8
+        solver = PreparedCyclicSolver(CyclicTridiagonalSystem(
+            lower=-np.ones(K), diag=np.full(K, 2.0 + eps), upper=-np.ones(K)))
+        x = solver.solve(np.full(K, 1e299))
+        assert np.isfinite(x).all()
+        assert np.allclose(x, 1e299 / eps)
+
+
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

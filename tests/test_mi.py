@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from nlsw import (ConfigurationError, ConsistencyError, PdeParams, SolverConfig,
                   StateWindow, StepFailureError, Trajectory, UsageError,
                   assemble_linear, bootstrap, builtin_problem, build_grid,
-                  diagnostics, mi, mi_energy, mi_mass, run_mi, run_wang, step_mi,
-                  wang)
+                  customized, diagnostics, mi, mi_energy, mi_mass, run_mi, run_wang,
+                  step_mi, wang)
 from nlsw.cli import run_convergence
 from nlsw.linsolve import PreparedCyclicSolver
 from nlsw.mi import BLOCK_VALUES, StepPlan
@@ -140,6 +140,40 @@ class TestAssembleLinear:
                 mi_residual_direct(up, uc, un, prob.params, g))))
         factor = maxima[0] / maxima[1]
         assert 2.8 <= factor <= 5.2
+
+
+class TestCheckStencils:
+    """A coefficient whose stencil entry overflows at the mesh is refused as
+    a ConfigurationError that names the coefficients and the mesh, before
+    the operator would be refused as a band with an inf entry."""
+
+    @pytest.mark.parametrize("runner", [run_mi, run_wang])
+    def test_runs_refuse_an_overflowing_alpha(self, monkeypatch, runner):
+        prob = customized(EX3, alpha=1e307)
+        g = build_grid(prob.x_l, prob.x_r, 16, 1.0, 100)
+        monkeypatch.setattr(mi, "StepPlan", None)
+        with pytest.raises(ConfigurationError) as err:
+            runner(prob, g, SolverConfig())
+        assert str(err.value) == (
+            "the scheme's stencils overflow for alpha=1e+307, gamma=0.0, "
+            f"theta=0.0, lambda=0.0 with tau=0.01 and h={g.h}")
+
+    @pytest.mark.parametrize("name, value, L", [("alpha", -1e307, 2.0 * np.pi),
+                                                ("theta", 1.7e308, 1.0)])
+    def test_the_midpoint_table(self, name, value, L):
+        # alpha / tau at tau = 0.01, and theta / h at h = 1/16.
+        params = PdeParams(**dict(dict.fromkeys(("alpha", "gamma", "theta", "lam",
+                                                 "beta"), 0.0), **{name: value}))
+        g = build_grid(0.0, L, 16, 1.0, 100)
+        assert not np.isfinite(np.array(mi._stencils(params, g))).all()
+        with pytest.raises(ConfigurationError, match="stencils overflow") as err:
+            mi.check_stencils(mi._stencils, params, g)
+        assert f"{name}={value}," in str(err.value)
+
+    def test_finite_tables_pass(self):
+        g = build_grid(EX3.x_l, EX3.x_r, 200, 20.0, 400)
+        for table in (mi._stencils, wang._stencils):
+            assert mi.check_stencils(table, EX3.params, g) is None
 
 
 class TestBootstrap:

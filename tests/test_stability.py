@@ -147,3 +147,36 @@ class TestLinearStabilityMargin:
             meta = runner(prob, grid, SolverConfig()).meta
             assert meta["linear_stability_margin"] == \
                 mi.linear_stability_margin(table, params, grid)
+
+
+class TestOperatorConditioning:
+    """Both operators A are circulant, hence normal, so the moduli of their
+    symbols on the grid modes are A's singular values: a run records the
+    smallest and its ratio to the largest.  On plane_beta2 (alpha = -1,
+    gamma = theta = lam = 0) at K = 200, tau = 0.05 the symbols are
+    (1 + cos t)/(2 tau^2) + (1 - cos t)/(2 h^2) - i alpha (1 + cos t)/(4 tau)
+    for the midpoint scheme and 1/tau^2 + (1 - cos t)/h^2 - i alpha/(2 tau)
+    for the energy-preserving one: both smallest at t = 0, largest at t = pi."""
+
+    def test_plane_beta2_at_K_200(self):
+        params, grid = workload_grid("plane_beta2", 200, 0.05)
+        a, h, tau = params.alpha, grid.h, grid.tau
+        smallest = abs(1.0 / tau ** 2 - 0.5j * a / tau)
+        for table, largest, pinned in (
+                (mi._stencils, 1.0 / h ** 2, 0.394908),
+                (wang._stencils, abs(1.0 / tau ** 2 + 2.0 / h ** 2 - 0.5j * a / tau),
+                 0.164902)):
+            modes = mi.linear_modes(table, params, grid)
+            assert abs(modes["operator_min_abs_eigenvalue"] - smallest) <= 1e-12 * smallest
+            assert abs(modes["operator_min_abs_eigenvalue"] - 400.12498) < 1e-5
+            ratio = modes["operator_inverse_condition"]
+            assert abs(ratio - smallest / largest) <= 1e-12
+            assert abs(ratio - pinned) < 1e-6
+
+    def test_runs_record_it(self):
+        params, grid = workload_grid("plane_beta2", 16, 0.05)
+        prob = builtin_problem("plane_beta2")
+        for runner, table in ((run_mi, mi._stencils), (run_wang, wang._stencils)):
+            meta = runner(prob, grid, SolverConfig()).meta
+            modes = mi.linear_modes(table, params, grid)
+            assert {name: meta[name] for name in modes} == modes
