@@ -38,9 +38,6 @@ from .wang import run_wang
 
 SCHEMES = ("mi", "wang", "both")
 
-# Scheme label -> the stencil table that its runs evaluate.
-_TABLES = {"mi": mi._stencils, "wang": wang._stencils}
-
 SNAPSHOT_HEADER = ("t", "x", "re_u", "im_u", "abs_u")
 ORDERS_HEADER = ("level", "mesh_param", "err_max", "fitted_order")
 
@@ -128,9 +125,21 @@ def _resolve_problem(spec) -> ProblemSpec:
     return customized(base, **overrides)
 
 
+def _schemes(scheme: str) -> dict:
+    """Scheme label -> (run function, stencil table) of each scheme that a
+    configured scheme runs, in run order.  The run functions are read from
+    this module's names at each call, so that rebinding them takes effect."""
+    schemes = {"mi": (run_mi, mi._stencils), "wang": (run_wang, wang._stencils)}
+    return schemes if scheme == "both" else {scheme: schemes[scheme]}
+
+
 def resolve(config: RunConfig) -> tuple[ProblemSpec, GridSpec, SolverConfig]:
-    """Materialize the problem, grid, and solver settings, validating all
-    invariants before any compute with the checks of _check_run."""
+    """Materialize the problem, grid, and solver settings, and make every
+    check that integrate makes before a run, in its order: mi.check_run,
+    then mi.check_stencils on the table of each scheme the config runs,
+    where the energy-preserving table first refuses coefficients outside
+    its family.  converge resolves each level of its ladder here too, so
+    every command refuses a run with the rules and messages of run."""
     problem = _resolve_problem(config.problem)
     T = config.T if config.T is not None else problem.default_T
     grid = build_grid(problem.x_l, problem.x_r, config.K, T, config.J)
@@ -139,23 +148,10 @@ def resolve(config: RunConfig) -> tuple[ProblemSpec, GridSpec, SolverConfig]:
                                  bootstrap_mode=config.bootstrap_mode)
     if config.scheme not in SCHEMES:
         raise ConfigurationError(f"scheme must be one of {SCHEMES}, got {config.scheme!r}")
-    _check_run(problem, grid, solver_config, config.snapshot_stride, config.scheme)
+    check_run(problem, grid, solver_config, config.snapshot_stride)
+    for _, table in _schemes(config.scheme).values():
+        check_stencils(table, problem.params, grid)
     return problem, grid, solver_config
-
-
-def _labels(scheme: str) -> tuple:
-    """The labels of the schemes that a configured scheme runs, in order."""
-    return ("mi", "wang") if scheme == "both" else (scheme,)
-
-
-def _check_run(problem, grid, solver_config, snapshot_stride, scheme: str):
-    """The checks that integrate makes before a run, in the order run_mi
-    and run_wang make them: mi.check_run, then check_stencils of each
-    scheme's table, where the energy-preserving scheme's table first
-    refuses coefficients outside its family."""
-    check_run(problem, grid, solver_config, snapshot_stride)
-    for label in _labels(scheme):
-        check_stencils(_TABLES[label], problem.params, grid)
 
 
 def _unique_keys(pairs) -> dict:
@@ -282,11 +278,6 @@ CONVENTIONS = {
 }
 
 
-def _runners() -> dict:
-    """Scheme label -> run function, read from the module at call time."""
-    return {"mi": run_mi, "wang": run_wang}
-
-
 def _versions() -> dict:
     """The Python, numpy, scipy and nlsw versions, read from the modules a
     run has already imported: importing importlib.metadata alone takes
@@ -389,14 +380,13 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
             f"{oracle.energy_max_rel_gap:.3e}, mass factor "
             f"{oracle.measured_mass_factor!r} against the validated beta/4")
 
-    runners = _runners()
     paths, schemes_meta, summaries, timings = {}, {}, {}, {}
-    for label in _labels(config.scheme):
+    for label, (runner, _) in _schemes(config.scheme).items():
         suffix = f"_{label}" if config.scheme == "both" else ""
         series_path = out / f"series{suffix}.csv"
         snaps_path = out / f"snapshots{suffix}.csv"
         schemes_meta[label], summaries[label], timings[label] = _run_scheme(
-            runners[label], problem, grid, solver_config, config.snapshot_stride,
+            runner, problem, grid, solver_config, config.snapshot_stride,
             series_path, snaps_path)
         paths[f"series_{label}"] = str(series_path)
         paths[f"snapshots_{label}"] = str(snaps_path)
@@ -428,15 +418,16 @@ def run_convergence(config: RunConfig, axis: str, levels: int,
             "refusing the convergence sweep")
     if config.scheme == "both":
         raise ConfigurationError("convergence sweeps run one scheme at a time")
-    runner = _runners()[config.scheme]
-    # Each level doubles K or J, so the memory cap ends a long ladder here,
-    # within a few dozen levels and before any of them runs.
+    runner = _schemes(config.scheme)[config.scheme][0]
+    # Each level doubles K or J and is resolved as a config of its own, so
+    # the memory cap ends a long ladder here, within a few dozen levels and
+    # before any of them runs.
     grids = []
     for level in range(levels):
         K = config.K * 2 ** level if axis == "space" else config.K
         J = config.J * 2 ** level if axis == "time" else config.J
-        grids.append(build_grid(problem.x_l, problem.x_r, K, base_grid.T, J))
-        _check_run(problem, grids[-1], solver_config, J, config.scheme)
+        grids.append(resolve(dataclasses.replace(
+            config, K=K, J=J, T=base_grid.T, snapshot_stride=J))[1])
 
     started = time.perf_counter()
     out = _output_dir(config, output_dir)

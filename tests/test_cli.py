@@ -668,6 +668,46 @@ class TestRunConvergence:
         assert not (tmp_path / "conv").exists()
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from([("linear_plane", "mi"), ("plane_beta2", "mi"),
+                             ("plane_beta2", "wang")]),
+       K=st.integers(4, 2048), J=st.integers(2, 2048),
+       T=st.sampled_from([None, 0.5, 3.0]), stride=st.integers(1, 50),
+       axis=st.sampled_from(["space", "time"]), levels=st.integers(30, 40))
+def test_converge_refuses_what_run_refuses(case, K, J, T, stride, axis, levels):
+    # A level of the ladder is the base config with K or J doubled, T fixed
+    # and snapshot_stride = J.  Thirty levels reach the memory cap from any
+    # base drawn here, and run_convergence refuses the first level over it
+    # with the error that parse_config, the check of `nlsw run`, gives for
+    # that level's config, before any level runs or its directory exists.
+    problem, scheme = case
+    payload = {"problem": problem, "K": K, "J": J, "T": T, "scheme": scheme,
+               "snapshot_stride": stride}
+    with tempfile.TemporaryDirectory() as tmp:
+        payload["output_dir"] = str(Path(tmp) / "conv")
+        config = parse_config(json.dumps(payload))
+        payload["T"] = T if T is not None else builtin_problem(problem).default_T
+        for level in range(levels):
+            scale = 2 ** level
+            K_level, J_level = (K * scale, J) if axis == "space" else (K, J * scale)
+            try:
+                parse_config(json.dumps(dict(payload, K=K_level, J=J_level,
+                                             snapshot_stride=J_level)))
+            except NlswError as exc:
+                expected = exc
+                break
+        else:
+            pytest.fail("the ladder stays below the memory cap")
+        ran = mock.Mock(side_effect=AssertionError("a level ran"))
+        with mock.patch("nlsw.cli.run_mi", ran), mock.patch("nlsw.cli.run_wang", ran):
+            with pytest.raises(NlswError) as refused:
+                run_convergence(config, axis=axis, levels=levels)
+        assert (type(refused.value), str(refused.value)) == \
+            (type(expected), str(expected))
+        assert "would hold" in str(expected)
+        assert not (Path(tmp) / "conv").exists()
+
+
 class TestMainExitCodes:
     def test_list_problems(self, capsys):
         assert main(["list-problems"]) == 0

@@ -371,6 +371,49 @@ class TestExactLaws:
         assert increment == pairing([n - q for q, n in zip(u_prev, u_next)], R_w).real
 
 
+class TestCheckerboardNull:
+    """MI's checkerboard mode (-1)^{j+k} (a + b j) of an even K (see
+    test_stability.TestCheckerboardMode) is a null direction of the scheme,
+    exactly.  Added to u^{j-1}, u^j and u^{j+1}, with complex rational a
+    and b, on random rational coefficients, mesh and levels, it leaves the
+    residual, Im Q of both pairs and the identity right-hand sides on the
+    half-node means unchanged under ==: every half-node mean of an
+    alternating field is zero, and the mode's temporal means have opposite
+    signs on the two pairs.  The energy sees a growing mode: where b != 0
+    the temporal mean of a pair holds (-1)^{j+k+1} b / 2, whose space
+    quotient enters |dx u|^2."""
+
+    @pytest.mark.parametrize("K", [4, 8, 16])
+    def test_mode_is_null_but_to_the_energy_where_it_grows(self, K):
+        rng = random.Random(100 + K)
+        rational = TestExactLaws.rational
+
+        def gaussian():
+            return oracles.GaussianRational(rational(rng), rational(rng))
+
+        p = SimpleNamespace(alpha=rational(rng), gamma=rational(rng),
+                            theta=rational(rng), lam=rational(rng), beta=rational(rng))
+        grid = SimpleNamespace(K=K, h=rational(rng, True), tau=rational(rng, True))
+        levels = [[gaussian() for _ in range(K)] for _ in range(3)]
+        j, a = rng.randint(1, 100), gaussian()
+
+        def laws(u_prev, u_cur, u_next):
+            pairs = ((u_prev, u_cur), (u_cur, u_next))
+            means = [oracles.half_fields_elementwise(x, y, grid)[1] for x, y in pairs]
+            return (oracles.mi_residual_direct(u_prev, u_cur, u_next, p, grid),
+                    [oracles.mi_mass_elementwise(x, y, p, grid) for x, y in pairs],
+                    oracles.identity_rhs_elementwise(means[1], means[0], p, grid),
+                    [oracles.mi_energy_elementwise(x, y, p, grid) for x, y in pairs])
+
+        *null, energies = laws(*levels)
+        for b in (0, gaussian()):
+            moved = [[u + (a + b * level) * (-1) ** (level + k) for k, u in enumerate(us)]
+                     for level, us in zip((j - 1, j, j + 1), levels)]
+            *moved_null, moved_energies = laws(*moved)
+            assert moved_null == null
+            assert (moved_energies == energies) is (b == 0)
+
+
 class TestDotProductEvaluator:
     """The invariants and identity right-hand sides against the elementwise
     sums of tests/oracles.py, within 1e-13 of the sum of the magnitudes of

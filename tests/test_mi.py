@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -376,9 +377,13 @@ class TestRunMi:
         # What a StepPlan and its solver hold once built, traced at two sizes
         # so that the parts of fixed size cancel: the midpoint scheme's plan
         # holds PLAN_BYTES_PER_NODE a node, the energy-preserving one's less.
+        # The garbage of earlier tests is collected before each build, and
+        # no collection runs during it, so the count holds the plan alone.
         held = []
         for K in (1000, 3000):
             g = build_grid(EX3.x_l, EX3.x_r, K, 1.0, 10)
+            gc.collect()
+            gc.disable()
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
@@ -387,6 +392,7 @@ class TestRunMi:
                 held.append(tracemalloc.get_traced_memory()[0] - before)
             finally:
                 tracemalloc.stop()
+                gc.enable()
             del plan
         per_node = (held[1] - held[0]) / 2000
         assert per_node <= mi.PLAN_BYTES_PER_NODE

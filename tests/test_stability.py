@@ -7,8 +7,9 @@ of stencil X of the scheme's table.  C = A^H makes lam_C = conj(lam_A), and
 lam_B is real, so both roots lie on the unit circle exactly when
 lam_B^2 <= 4 |lam_A|^2."""
 
+import mpmath
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nlsw import (PdeParams, SolverConfig, build_grid, builtin_problem, mi, run_mi,
                   run_wang, wang)
@@ -30,6 +31,23 @@ def margin(params, grid, theta):
     return (4.0 * abs(lam_A) ** 2 - lam_B.real ** 2) / (4.0 * abs(lam_A) ** 2)
 
 
+def exact_modes(params, grid):
+    """(margin, |lam_A|) of mi's stencils on each grid mode
+    theta = 2 pi m / K, evaluated at 50 digits on the float64 entries."""
+    def symbol(stencil, turn):
+        lower, diag, upper = (mpmath.mpc(complex(entry)) for entry in stencil)
+        return lower * mpmath.conj(turn) + diag + upper * turn
+
+    modes = []
+    with mpmath.workdps(50):
+        A, B, _ = mi._stencils(params, grid)
+        for m in range(grid.K):
+            turn = mpmath.expjpi(mpmath.mpf(2 * m) / grid.K)
+            lam_A, lam_B = abs(symbol(A, turn)), symbol(B, turn).real
+            modes.append((1 - lam_B ** 2 / (4 * lam_A ** 2), lam_A))
+    return modes
+
+
 def problem(params, f0, T):
     return ProblemSpec(name="mode", params=params, x_l=0.0, x_r=2.0 * np.pi,
                        default_T=T, f0=f0, f1=lambda x: 0.0 * x)
@@ -40,8 +58,9 @@ class TestCheckerboardMode:
     there the temporal and lambda parts of the stencils cancel:
     lam_A h^2 = lam_C h^2 = 1 and lam_B h^2 = 2, whatever the coefficients
     and tau.  So z = -1 is a double root, and the mode (-1)^{j+k} (a + b j)
-    grows linearly in j.  Its half-node means vanish, so neither the
-    invariants nor the cubic term see it."""
+    grows linearly in j.  Its half-node means vanish, so the cubic term,
+    the mass and the residual do not see it; the energy does only where it
+    grows, b != 0 (test_diagnostics.TestCheckerboardNull)."""
 
     @settings(max_examples=60, deadline=None)
     @given(alpha=coefficient, gamma=gamma_coefficient, theta=coefficient,
@@ -111,12 +130,33 @@ class TestLinearStabilityMargin:
     @settings(max_examples=40, deadline=None)
     @given(alpha=coefficient, gamma=gamma_coefficient, theta=coefficient,
            lam=coefficient, K=st.integers(4, 64), tau=st.floats(1e-3, 10.0))
+    @example(alpha=0.0, gamma=0.0, theta=0.3046875, lam=-1.4375, K=36, tau=6.0)
     def test_minimum_over_the_grid_modes(self, alpha, gamma, theta, lam, K, tau):
+        """Against the minimum of the mode-wise margins at 50 digits, within
+        the round-off of float64.  Let S_X = |lower| + |diag| + |upper| of
+        stencil X.  A computed symbol lam_X is off by at most 13 eps S_X:
+        the angle 2 pi m / K < 2 pi is rounded three times, so it is off by
+        at most 3 pi eps, times |d lam_X / d theta| <= S_X; e^{i theta}, the
+        two products and the two sums add about eps S_X each.  With
+        r = lam_B / (2 |lam_A|) the margin is m = 1 - r^2, and it moves by
+        at most 2 r^2 (|d lam_A| / |lam_A| + 2 eps) + |r| |d lam_B| / |lam_A|
+        + eps (1 + |m|), to first order in eps.  As r^2 = 1 - m <= 1 + |m|
+        and |lam_A| <= S_A, that is at most
+        31 eps (1 + |m|) (S_A + S_B) / |lam_A| for the mode, and the
+        minimum moves by at most the largest of these.  So the
+        bound scales with the entries over min |lam_A|: where some |lam_A|
+        is small, the symbol cancels that many digits.  The example has
+        S_A = 32.8 against min |lam_A| = 3.9e-3 and m = -225.2, and
+        differs from the reference by 2.3e-10."""
         params = PdeParams(alpha=alpha, gamma=gamma, theta=theta, lam=lam, beta=0.0)
         grid = build_grid(0.0, 2.0 * np.pi, K, 10 * tau, 10)
-        modes = [margin(params, grid, 2.0 * np.pi * m / K) for m in range(K)]
+        modes = exact_modes(params, grid)
+        entries = sum(abs(entry) for stencil in mi._stencils(params, grid)[:2]
+                      for entry in stencil)
+        bound = 31 * np.finfo(float).eps * entries * max(
+            float((1 + abs(m)) / lam_A) for m, lam_A in modes)
         found = mi.linear_stability_margin(mi._stencils, params, grid)
-        assert abs(found - min(modes)) <= 1e-12 * max(1.0, abs(found))
+        assert abs(found - min(m for m, _ in modes)) <= bound
 
     def test_unstable_mode_of_the_coarse_mesh(self):
         params = PdeParams(alpha=3.67, gamma=1.75, theta=-1.4, lam=-0.52, beta=0.0)

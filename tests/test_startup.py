@@ -64,3 +64,29 @@ def test_no_module_keeps_an_unused_import():
         stale += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in used]
     assert stale == []
+
+
+def test_no_module_keeps_an_unused_private_name():
+    # A private top-level name that nothing in the package reads, by name
+    # or as an attribute of its module, is dead code that a refactor left
+    # behind.  Dunder names are the interpreter's.
+    defined, used = [], set()
+    for path in sorted(Path(nlsw.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                assigned = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [name.id for target in assigned
+                           for name in ast.walk(target) if isinstance(name, ast.Name)]
+            else:
+                targets = []
+            defined += [(f"{path.name}:{node.lineno} {name}", name) for name in targets
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert [where for where, name in defined if name not in used] == []
