@@ -194,12 +194,6 @@ def linear_modes(table, params: PdeParams, grid: GridSpec) -> dict:
             "operator_inverse_condition": smallest / float(np.max(modulus))}
 
 
-def linear_stability_margin(table, params: PdeParams, grid: GridSpec) -> float:
-    """The linear_stability_margin of linear_modes: the minimum over the K
-    grid modes of 1 - lam_B^2 / (4 |lam_A|^2)."""
-    return linear_modes(table, params, grid)["linear_stability_margin"]
-
-
 def assemble_linear(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSystem:
     """The cyclic tridiagonal operator of the scheme: its u^{j+1} stencil."""
     return CyclicTridiagonalSystem(*(np.full(grid.K, c) for c in _stencils(params, grid)[0]))
@@ -255,32 +249,30 @@ class StepPlan:
 def _cubic(quarter_beta, u_prev, u_cur, rhs):
     """The nonlinear term over the level buffers u_prev and u_cur as
     (lag, nonlinear): lag() builds the lagged sum from their contents, and
-    nonlinear(u, out) writes N(u), beta/4 times both sums, into out.
+    nonlinear(u) writes N(u), beta/4 times both sums, into the plan's rhs
+    buffer and returns it.
 
     Each sum is y_{k+1/2} + y_{k-1/2} over the cubes |y|^2 y of the
     half-node means y_{k+1/2} = (m_k + m_{k+1})/2 of a temporal mean m, so
     the K+1 means from k-1/2 to K-1/2 are the K-1 inner sums of m with the
     wrapped sum m_{K-1} + m_0 at both ends, and the pair sum comes from two
-    slices of their cubes.  m is built in out, which the pair sum then
-    overwrites.  m is halved and the means halved again, never quartered
-    at once: a quarter of a sum of subnormals rounds to zeros of another
-    sign.  The scratch arrays, and the slices of them and of the lagged and
-    rhs buffers, are taken once, here; another out is sliced per call."""
+    slices of their cubes.  m is built in the sum's own buffer, lagged or
+    rhs, which the pair sum then overwrites.  m is halved and the means
+    halved again, never quartered at once: a quarter of a sum of subnormals
+    rounds to zeros of another sign.  The scratch arrays, and the slices of
+    them and of the lagged and rhs buffers, are taken once, here."""
     K = u_cur.shape[-1]
     cubes = np.empty(K + 1, dtype=np.complex128)
     abs2 = np.empty(K + 1)
     lagged = np.empty(K, dtype=np.complex128)
     inner, cubes_head, cubes_tail = cubes[1:-1], cubes[:-1], cubes[1:]
+    rhs_head, rhs_tail = rhs[:-1], rhs[1:]
     # The factors as 0-d complex arrays: the complex multiply that numpy
     # makes of a float factor, without converting the float on every call.
     half, scale = np.array(0.5 + 0j), np.array(complex(quarter_beta))
     add, multiply = np.add, np.multiply
 
-    def views(out):
-        return out, out[:-1], out[1:]
-
-    def pair(level, out_views):
-        out, head, tail = out_views
+    def pair(level, out, head, tail):
         mean = add(u_cur, level, out=out)
         multiply(mean, half, out=mean)
         add(head, tail, out=inner)
@@ -290,13 +282,12 @@ def _cubic(quarter_beta, u_prev, u_cur, rhs):
         multiply(cubes, abs2, out=cubes)
         return add(cubes_tail, cubes_head, out=out)
 
-    rhs_views = views(rhs)
-
-    def nonlinear(u, out):
-        pair(u, rhs_views if out is rhs else views(out))
-        add(out, lagged, out=out)
-        return multiply(out, scale, out=out)
-    return functools.partial(pair, u_prev, views(lagged)), nonlinear
+    def nonlinear(u):
+        pair(u, rhs, rhs_head, rhs_tail)
+        add(rhs, lagged, out=rhs)
+        return multiply(rhs, scale, out=rhs)
+    lag = functools.partial(pair, u_prev, lagged, lagged[:-1], lagged[1:])
+    return lag, nonlinear
 
 
 def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
@@ -307,7 +298,7 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     Returns (u, sweeps), u a fresh array.
 
     beta = 0 makes one solve exact.  Otherwise the plan's lag() builds the
-    lagged half of N, and nonlinear(u, out) writes N(u) into out.  The
+    lagged half of N, and nonlinear(u) writes N(u) into the plan's rhs.  The
     iteration starts from the quadratic extrapolation
     3 u^j - 3 u^{j-1} + u^{j-2}, or from the linear
     2 u^j - u^{j-1} when the window carries no u^{j-2}.  Every sweep
@@ -322,7 +313,7 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     the call; a run's plan steps on the run's own levels, unchecked, under
     the run's policy.  The start and its modulus go into the plan's start
     and change buffers, and a sweep writes the right-hand side and the
-    change there too: a sweep is nonlinear(u, rhs), rhs = -(known + rhs),
+    change there too: a sweep is nonlinear(u), rhs = -(known + rhs),
     one solve, |u_new - u| and its maximum.
     |iterate| is taken only when the change could pass: it is at most
     |start| plus the changes so far, so a change above twice fp_tol times
@@ -356,7 +347,7 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     diff = smallest = np.inf
     stalled = 0
     for it in range(1, config.fp_max_iter + 1):
-        add(known, nonlinear(u, rhs), out=rhs)
+        add(known, nonlinear(u), out=rhs)
         negative(rhs, out=rhs)
         try:
             u_new = solve(rhs)
@@ -499,8 +490,9 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     A failure names its step.  A realness guard that fires on row i of a
     block names the block's first step plus i, and a failing step first
     evaluates the block's completed steps, so the earliest failure in step
-    order is the one reported.  Snapshots, copies of the levels, hold the two
-    bootstrap levels and then every snapshot_stride-th step.
+    order is the one reported.  Snapshots, copies of the levels, hold level
+    n at t = n tau for each n = 0..J that snapshot_stride divides, and
+    level J: (J - 1) // snapshot_stride + 2 levels, as J >= 2.
     """
     exact_fn = check_run(problem, grid, config, snapshot_stride)
     params = problem.params
@@ -552,7 +544,9 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
 
         refs = {f"{name}_ref": float(values[0])
                 for name, values in evaluate(np.stack((u_prev, u_cur))).items()}
-        snapshots = [(0.0, u_prev.copy()), (grid.tau, u_cur.copy())]
+        snapshots = [(0.0, u_prev.copy())]
+        if snapshot_stride == 1:
+            snapshots.append((grid.tau, u_cur.copy()))
         u_prev2 = None
         levels[0] = u_cur
         start = 0
@@ -571,7 +565,7 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
                 flush(start, j)
                 levels[0] = u_cur
                 start = j
-            if j % snapshot_stride == 0:
+            if (j + 1) % snapshot_stride == 0 or j + 1 == grid.J:
                 snapshots.append(((j + 1) * grid.tau, u_cur.copy()))
         flush(start, grid.J - 1)
 

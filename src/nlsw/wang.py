@@ -61,8 +61,8 @@ def assemble_wang(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSystem:
 def _cubic(quarter_beta, u_prev, u_cur, rhs):
     """(beta/4)(|u|^2 + |u^{j-1}|^2)(u + u^{j-1}) over the level buffer
     u_prev as (lag, nonlinear), like mi._cubic: lag() takes |u^{j-1}|^2, and
-    nonlinear(u, out) writes the term into out and returns it.  Nothing is
-    sliced, so u_cur and the plan's rhs buffer go unused."""
+    nonlinear(u) writes the term into the plan's rhs buffer and returns it.
+    Nothing is sliced, so u_cur goes unused."""
     abs2_prev, weight = np.empty((2,) + u_prev.shape)
     # beta/4 as a 0-d array, which numpy need not convert on every call.
     scale = np.array(quarter_beta)
@@ -71,12 +71,12 @@ def _cubic(quarter_beta, u_prev, u_cur, rhs):
     def lag():
         np.square(np.abs(u_prev, out=abs2_prev), out=abs2_prev)
 
-    def nonlinear(u, out):
+    def nonlinear(u):
         np.square(np.abs(u, out=weight), out=weight)
         add(weight, abs2_prev, out=weight)
         multiply(weight, scale, out=weight)
-        add(u, u_prev, out=out)
-        return multiply(out, weight, out=out)
+        add(u, u_prev, out=rhs)
+        return multiply(rhs, weight, out=rhs)
     return lag, nonlinear
 
 

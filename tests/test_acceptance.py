@@ -254,7 +254,6 @@ def test_criterion_9_benchmark_robustness():
                           ("gauss_split", 1600, 20.0, 1000)):
         prob = builtin_problem(name)
         grid = build_grid(prob.x_l, prob.x_r, K, T, J)
-        # stride 333 divides J-1 = 999, so the final level t = T is snapshotted
         traj = run_mi(prob, grid, cfg, snapshot_stride=333)
         max_fp = traj.series["fp_iters"].max()
         e0, q0 = traj.meta["energy_ref"], traj.meta["mass_ref"]

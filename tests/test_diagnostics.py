@@ -262,8 +262,7 @@ def _production_residual(scheme, params, grid, u_prev, u_cur, u_next):
     plan = StepPlan(system, params, grid, scheme._stencils, scheme._cubic)
     known = plan.known_terms(u_prev, u_cur).copy()
     plan.lag()
-    return (system.matvec(u_next) + known
-            + plan.nonlinear(u_next, np.empty(grid.K, dtype=complex)))
+    return system.matvec(u_next) + known + plan.nonlinear(u_next)
 
 
 class TestResidualPairings:

@@ -1,5 +1,7 @@
+import functools
 import gc
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -27,6 +29,34 @@ def exact_levels(problem, grid, j):
     return (problem.exact(x, (j - 1) * grid.tau),
             problem.exact(x, j * grid.tau),
             problem.exact(x, (j + 1) * grid.tau))
+
+
+def owned_bytes(plan):
+    """The nbytes of every array that owns its data and is reachable from a
+    StepPlan: through its and its solver's attributes, tuples, the factors
+    bound in a functools.partial and the closure cells of the cubic's
+    functions.  A view counts as its owner, found through .base (past the
+    non-array base of sliding_window_view), and each owner counts once."""
+    owners, seen, todo = {}, set(), [plan]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while getattr(obj, "base", None) is not None:
+                obj = obj.base
+            assert obj.flags.owndata
+            owners[id(obj)] = obj
+        elif isinstance(obj, (StepPlan, PreparedCyclicSolver)):
+            todo.extend(vars(obj).values())
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif isinstance(obj, functools.partial):
+            todo.extend((obj.func, *obj.args, *obj.keywords.values()))
+        elif isinstance(obj, types.FunctionType):
+            todo.extend(cell.cell_contents for cell in obj.__closure__ or ())
+    return sum(owner.nbytes for owner in owners.values())
 
 
 def exact_case(problem):
@@ -123,8 +153,7 @@ class TestAssembleLinear:
         plan = StepPlan(sys_, p, g, mi._stencils, mi._cubic)
         known = plan.known_terms(up, uc)
         plan.lag()
-        lhs = (sys_.matvec(un) + known
-               + plan.nonlinear(un, np.empty(g.K, dtype=complex)))
+        lhs = sys_.matvec(un) + known + plan.nonlinear(un)
         direct = mi_residual_direct(up, uc, un, p, g)
         scale = mi_residual_scale(un, p, g)
         assert np.max(np.abs(lhs - direct)) <= 1e-13 * scale
@@ -361,6 +390,24 @@ class TestRunMi:
         assert held > mi.MEMORY_CAP_BYTES
         assert f"would hold {held} bytes" in str(err.value)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), J=st.integers(2, 60))
+    def test_snapshots_hold_the_stride_levels_and_the_last(self, data, J):
+        # Level n at t = n tau for each n that the stride divides, then
+        # level J, which is last; held_bytes counts the same levels.
+        stride = data.draw(st.integers(1, J + 3), label="stride")
+        g = build_grid(EX1.x_l, EX1.x_r, 8, 0.01 * J, J)
+        every = run_mi(EX1, g, SolverConfig(), snapshot_stride=1).snapshots
+        kept = [n for n in range(J + 1) if n % stride == 0 or n == J]
+        snapshots = run_mi(EX1, g, SolverConfig(), snapshot_stride=stride).snapshots
+        assert [t for t, _ in snapshots] == [n * g.tau for n in kept]
+        assert all(u.tobytes() == every[n][1].tobytes()
+                   for n, (_, u) in zip(kept, snapshots))
+        count = (J - 1) // stride + 2
+        assert len(snapshots) == count
+        assert mi.held_bytes(g, stride) - mi.held_bytes(g, J + 1) == \
+            16 * g.K * (count - 2)
+
     @pytest.mark.parametrize("runner", [run_mi, run_wang])
     def test_held_bytes_covers_what_a_run_holds(self, runner):
         g = build_grid(EX3.x_l, EX3.x_r, 64, 0.3, 30)
@@ -398,6 +445,23 @@ class TestRunMi:
         assert per_node <= mi.PLAN_BYTES_PER_NODE
         if scheme is mi:
             assert per_node > mi.PLAN_BYTES_PER_NODE - 1
+
+    # The energy-preserving cubic holds two float buffers where the midpoint
+    # one holds its cubes, their abs2 and the lagged sum: 16 bytes a node
+    # against 40.
+    @pytest.mark.parametrize("scheme, assemble, per_node",
+                             [(mi, assemble_linear, mi.PLAN_BYTES_PER_NODE),
+                              (wang, wang.assemble_wang, mi.PLAN_BYTES_PER_NODE - 24)],
+                             ids=["mi", "wang"])
+    def test_plan_bytes_per_node_are_exact(self, scheme, assemble, per_node):
+        # The arrays a built plan owns, summed exactly at two sizes so that
+        # the parts of fixed size cancel.
+        held = []
+        for K in (1000, 3000):
+            g = build_grid(EX3.x_l, EX3.x_r, K, 1.0, 10)
+            held.append(owned_bytes(StepPlan(assemble(EX3.params, g), EX3.params, g,
+                                             scheme._stencils, scheme._cubic)))
+        assert held[1] - held[0] == 2000 * per_node
 
     @pytest.mark.parametrize("runner", [run_mi, run_wang])
     def test_a_run_peaks_at_what_held_bytes_counts(self, runner):

@@ -1,10 +1,13 @@
 """The README's configuration, library quick start, exit codes and sizes,
-checked against the code as documented, so that the documented API cannot
-drift from the code."""
+checked against the code as documented, and every module attribute it
+cites, so that the documented API cannot drift from the code."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import nlsw
 from nlsw import cli, errors, mi, parse_config
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
@@ -51,3 +54,15 @@ def test_documented_sizes_match_constants():
     assert figure(r"`B = max\(1, (\d+) // K\)`") == mi.BLOCK_VALUES
     assert figure(r"`mi\.MEMORY_CAP_BYTES`\s+\((\d+) GiB\)") * 2 ** 30 == \
         mi.MEMORY_CAP_BYTES
+
+
+def test_cited_module_names_resolve():
+    # Outside the fenced blocks, each backticked `module.name` of an nlsw
+    # module is an attribute of that module.
+    prose = re.sub(r"```.*?```", "", README, flags=re.S)
+    modules = {info.name for info in pkgutil.iter_modules(nlsw.__path__)}
+    cited = {(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)`", prose)
+             if module in modules}
+    assert ("mi", "held_bytes") in cited
+    assert [f"{module}.{name}" for module, name in sorted(cited)
+            if not hasattr(importlib.import_module(f"nlsw.{module}"), name)] == []

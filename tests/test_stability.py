@@ -124,8 +124,8 @@ def workload_grid(name, K, tau):
 
 
 class TestLinearStabilityMargin:
-    """mi.linear_stability_margin is the smallest margin over the K grid
-    modes, and every run records it in its meta."""
+    """mi.linear_modes' linear_stability_margin is the smallest margin over
+    the K grid modes, and every run records it in its meta."""
 
     @settings(max_examples=40, deadline=None)
     @given(alpha=coefficient, gamma=gamma_coefficient, theta=coefficient,
@@ -155,21 +155,21 @@ class TestLinearStabilityMargin:
                       for entry in stencil)
         bound = 31 * np.finfo(float).eps * entries * max(
             float((1 + abs(m)) / lam_A) for m, lam_A in modes)
-        found = mi.linear_stability_margin(mi._stencils, params, grid)
+        found = mi.linear_modes(mi._stencils, params, grid)["linear_stability_margin"]
         assert abs(found - min(m for m, _ in modes)) <= bound
 
     def test_unstable_mode_of_the_coarse_mesh(self):
         params = PdeParams(alpha=3.67, gamma=1.75, theta=-1.4, lam=-0.52, beta=0.0)
         grid = build_grid(0.0, 2.0 * np.pi, 4, 90.0, 1000)
-        found = mi.linear_stability_margin(mi._stencils, params, grid)
+        found = mi.linear_modes(mi._stencils, params, grid)["linear_stability_margin"]
         assert abs(found - (-1.3077e-3)) < 1e-7
         assert abs(found - margin(params, grid, grid.h)) <= 1e-15
 
     def test_checkerboard_double_root_on_even_K(self):
         for name, K, tau in (("gauss_split", 4096, 0.01), ("plane_beta2", 200, 0.05)):
             params, grid = workload_grid(name, K, tau)
-            found = mi.linear_stability_margin(mi._stencils, params, grid)
-            assert abs(found) <= 1e-15
+            modes = mi.linear_modes(mi._stencils, params, grid)
+            assert abs(modes["linear_stability_margin"]) <= 1e-15
             assert abs(margin(params, grid, np.pi)) <= 1e-15
 
     def test_stable_meshes(self):
@@ -177,7 +177,8 @@ class TestLinearStabilityMargin:
                 (mi._stencils, "plane_beta2", 201, 0.05, 9.548e-5),
                 (wang._stencils, "plane_beta2", 200, 0.05, 6.246e-4),
                 (wang._stencils, "gauss_split", 4096, 0.01, 2.49994e-5)):
-            found = mi.linear_stability_margin(table, *workload_grid(name, K, tau))
+            modes = mi.linear_modes(table, *workload_grid(name, K, tau))
+            found = modes["linear_stability_margin"]
             assert abs(found - value) <= 1e-4 * value
 
     def test_runs_record_it(self):
@@ -186,7 +187,7 @@ class TestLinearStabilityMargin:
         for runner, table in ((run_mi, mi._stencils), (run_wang, wang._stencils)):
             meta = runner(prob, grid, SolverConfig()).meta
             assert meta["linear_stability_margin"] == \
-                mi.linear_stability_margin(table, params, grid)
+                mi.linear_modes(table, params, grid)["linear_stability_margin"]
 
 
 class TestOperatorConditioning:
