@@ -16,7 +16,6 @@ step there.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import itertools
@@ -26,11 +25,11 @@ from numbers import Integral
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import diagnostics, mi, problems, wang
 from .errors import ConfigurationError, IdentityValidationError, NlswError, UsageError
 from .grid import GridSpec, build_grid, is_number, shown
+from .linsolve import SCIPY_VERSION
 from .mi import (SolverConfig, Trajectory, check_run, check_stencils, quiet_overflow,
                  run_mi)
 from .problems import ProblemSpec, builtin_problem, convergence_order, customized
@@ -279,12 +278,13 @@ CONVENTIONS = {
 
 
 def _versions() -> dict:
-    """The Python, numpy, scipy and nlsw versions, read from the modules a
-    run has already imported: importing importlib.metadata alone takes
-    about 17 ms."""
+    """The Python, numpy, scipy and nlsw versions, read from what the
+    package has already loaded: importing importlib.metadata alone takes
+    about 17 ms.  scipy's is linsolve's SCIPY_VERSION, read from scipy's
+    version.py at import, since the scipy package is never imported."""
     from . import __version__
     return {"python": ".".join(map(str, sys.version_info[:3])),
-            "numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy": np.__version__, "scipy": SCIPY_VERSION,
             "nlsw": __version__}
 
 
@@ -469,6 +469,9 @@ def _load_config(path: str) -> RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser.  argparse is imported here, since only main
+    parses a command line: a run through the library API never loads it."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="nlsw",
         description="Structure-preserving integrators for the nonlinear "

@@ -14,7 +14,13 @@ is one gttrs call against the stored factors.
 zgttrf and zgttrs are scipy's own f2py wrappers from its `_flapack`
 extension, loaded without importing the scipy.linalg package: its
 __init__ pulls in numpy.f2py, numpy.testing, numpy.random and more, about
-0.25 s of start-up, while the extension alone loads in a few ms.
+0.25 s of start-up, while the extension alone loads in a few ms.  Nor is
+the scipy package itself imported: its folder is found from its import
+spec, which leaves scipy/__init__.py unexecuted (a numpy-range check,
+scipy.__config__ and scipy._lib, which pulls in subprocess and sysconfig:
+about 5 ms).  The extension needs nothing from that init, since it finds
+its OpenBLAS through its own RPATH, $ORIGIN/../../scipy.libs on the PyPI
+wheels.  SCIPY_VERSION is read from scipy's own version.py in that folder.
 """
 
 from __future__ import annotations
@@ -27,32 +33,46 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .errors import SingularSystemError, UsageError
 from .grid import shift_next, shift_prev
 
 
-def _load_flapack():
-    """scipy.linalg's `_flapack` extension module, executed under a private
-    name that is left out of sys.modules (its init function is found from
-    the name's last component, so that stays `_flapack`)."""
-    folder = Path(scipy.__file__).parent / "linalg"
-    name = f"{__name__}._flapack"
+def _scipy_folder() -> Path:
+    """The installed scipy package's folder, from its import spec: finding
+    the spec executes nothing of the package."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    return Path(spec.submodule_search_locations[0])
+
+
+def _load_private(path: Path):
+    """The module at `path`, executed under a private name in this package
+    that is left out of sys.modules (an extension's init function is found
+    from the name's last component, so that stays the file's stem)."""
+    name = f"{__name__}.{path.name.partition('.')[0]}"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # CPython files a single-phase extension in sys.modules itself.
+    sys.modules.pop(name, None)
+    return module
+
+
+def _load_flapack(scipy_folder: Path):
+    """scipy.linalg's `_flapack` extension module."""
+    folder = scipy_folder / "linalg"
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = folder / ("_flapack" + suffix)
         if path.is_file():
-            loader = importlib.machinery.ExtensionFileLoader(name, str(path))
-            module = importlib.util.module_from_spec(
-                importlib.util.spec_from_loader(name, loader))
-            loader.exec_module(module)
-            # CPython files a single-phase extension in sys.modules itself.
-            sys.modules.pop(name, None)
-            return module
+            return _load_private(path)
     raise ImportError(f"scipy's LAPACK extension _flapack is not in {folder}")
 
 
-_flapack = _load_flapack()
+_scipy = _scipy_folder()
+_flapack = _load_flapack(_scipy)
+SCIPY_VERSION = _load_private(_scipy / "version.py").version
 zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
 
 # The Sherman-Morrison denominator equals det(A)/det(core); relative to the

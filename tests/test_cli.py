@@ -709,6 +709,12 @@ def test_converge_refuses_what_run_refuses(case, K, J, T, stride, axis, levels):
 
 
 class TestMainExitCodes:
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        assert "{run,converge,compare,list-problems}" in capsys.readouterr().out
+
     def test_list_problems(self, capsys):
         assert main(["list-problems"]) == 0
         out = capsys.readouterr().out

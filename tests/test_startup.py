@@ -2,8 +2,11 @@
 of the heavy packages the solver does not need, and a run imports nothing
 further.  nlsw takes its LAPACK wrappers from scipy's `_flapack` extension
 without the scipy.linalg package, whose imports would otherwise be most of
-a short run's wall time.  A second guard reads the package's source: no
-module imports a name it never uses."""
+a short run's wall time, and without the scipy package itself, whose
+__init__ costs about 5 ms; meta.json still records scipy's version, read
+from scipy's version.py.  argparse loads only when main parses a command
+line.  A second guard reads the package's source: no module imports a name
+it never uses."""
 
 import ast
 import json
@@ -16,7 +19,8 @@ import nlsw
 
 from test_readme import block
 
-HEAVY = ("scipy.linalg", "numpy.random", "numpy.f2py", "numpy.testing")
+HEAVY = ("scipy", "scipy.linalg", "argparse", "numpy.random", "numpy.f2py",
+         "numpy.testing")
 
 SCRIPT = """
 import dataclasses, json, sys
@@ -30,17 +34,38 @@ print(json.dumps({"loaded": loaded, "new": sorted(set(sys.modules) - before)}))
 """
 
 
-def test_fresh_process_loads_no_heavy_module(tmp_path):
+def fresh_python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this nlsw, capturing its output."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(nlsw.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(HEAVY), str(tmp_path / "out")],
-        input=block("json", "## CLI"), capture_output=True, text=True, env=env,
-        timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120, **kwargs)
+
+
+def test_fresh_process_loads_no_heavy_module(tmp_path):
+    import scipy
+    done = fresh_python("-c", SCRIPT, json.dumps(HEAVY), str(tmp_path / "out"),
+                        input=block("json", "## CLI"))
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report == {"loaded": [], "new": []}
-    assert (tmp_path / "out" / "meta.json").is_file()
+    # The version comes from a process where scipy was never imported.
+    meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+    assert meta["versions"]["scipy"] == scipy.__version__
+
+
+def test_missing_scipy_is_an_import_error_naming_it():
+    done = fresh_python("-c", """
+import sys
+sys.modules["scipy"] = None
+try:
+    import nlsw
+except ImportError as exc:
+    print(type(exc).__name__, exc)
+""")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(("ImportError", "ModuleNotFoundError"))
+    assert "scipy" in done.stdout
 
 
 def test_no_module_keeps_an_unused_import():
