@@ -8,14 +8,15 @@ Commands:
 
 Exit codes, the exit_code of each error type: 0 success, 1 internal
 consistency failure (a realness guard of the discrete invariants fired), 2
-configuration error (a bad config value or an unwritable output directory),
-3 solver failure, 4 identity-oracle validation failure.  Codes 1-4 come with
-a one-line JSON record on stderr; a failure inside the step loop names its
-step there.
+configuration error (a bad config value, or an output directory or file that
+cannot be written), 3 solver failure, 4 identity-oracle validation failure.
+Codes 1-4 come with a one-line JSON record on stderr; a failure inside the
+step loop names its step there.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import itertools
@@ -30,8 +31,7 @@ from . import diagnostics, mi, problems, wang
 from .errors import ConfigurationError, IdentityValidationError, NlswError, UsageError
 from .grid import GridSpec, build_grid, is_number, shown
 from .linsolve import SCIPY_VERSION
-from .mi import (SolverConfig, Trajectory, check_run, check_stencils, quiet_overflow,
-                 run_mi)
+from .mi import SolverConfig, Trajectory, check_run, quiet_overflow, run_mi
 from .problems import ProblemSpec, builtin_problem, convergence_order, customized
 from .wang import run_wang
 
@@ -133,12 +133,11 @@ def _schemes(scheme: str) -> dict:
 
 
 def resolve(config: RunConfig) -> tuple[ProblemSpec, GridSpec, SolverConfig]:
-    """Materialize the problem, grid, and solver settings, and make every
-    check that integrate makes before a run, in its order: mi.check_run,
-    then mi.check_stencils on the table of each scheme the config runs,
-    where the energy-preserving table first refuses coefficients outside
-    its family.  converge resolves each level of its ladder here too, so
-    every command refuses a run with the rules and messages of run."""
+    """Materialize the problem, grid, and solver settings, and make the
+    check that integrate makes before a run: mi.check_run with the table of
+    each scheme the config runs, in run order.  converge resolves each level
+    of its ladder here too, so every command refuses a run with the rules
+    and messages of run."""
     problem = _resolve_problem(config.problem)
     T = config.T if config.T is not None else problem.default_T
     grid = build_grid(problem.x_l, problem.x_r, config.K, T, config.J)
@@ -147,9 +146,8 @@ def resolve(config: RunConfig) -> tuple[ProblemSpec, GridSpec, SolverConfig]:
                                  bootstrap_mode=config.bootstrap_mode)
     if config.scheme not in SCHEMES:
         raise ConfigurationError(f"scheme must be one of {SCHEMES}, got {config.scheme!r}")
-    check_run(problem, grid, solver_config, config.snapshot_stride)
     for _, table in _schemes(config.scheme).values():
-        check_stencils(table, problem.params, grid)
+        check_run(problem, grid, solver_config, config.snapshot_stride, table)
     return problem, grid, solver_config
 
 
@@ -195,6 +193,20 @@ def parse_config(text: str) -> RunConfig:
     return config
 
 
+@contextlib.contextmanager
+def _output_file(path: Path, **kwargs):
+    """path opened for writing text, as path.open("w", **kwargs) opens it.
+    An OSError in opening, writing or closing it, such as a directory where
+    the file goes or a full disk, is a ConfigurationError naming the path."""
+    try:
+        with path.open("w", **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        # A failed write names no file of its own.
+        where = "" if exc.filename else f": {str(path)!r}"
+        raise ConfigurationError(f"cannot write output file: {exc}{where}") from exc
+
+
 def _write_csv(path: Path, header, columns):
     """Write columns, a dict from names of header to arrays of one length,
     with one %-template for every row: an empty field for a name without a
@@ -207,7 +219,7 @@ def _write_csv(path: Path, header, columns):
         else "%d" if np.issubdtype(columns[name].dtype, np.integer) else "%.17g"
         for name in header) + "\r\n"
     rows = len(columns[names[0]])
-    with path.open("w", newline="") as fh:
+    with _output_file(path, newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, rows, PIECE_ROWS):
             piece = zip(*(columns[name][start:start + PIECE_ROWS].tolist()
@@ -234,7 +246,7 @@ def _write_snapshots(path: Path, grid: GridSpec, snapshots):
                          for x in grid.nodes[start:start + PIECE_ROWS].tolist())
                  for start in range(0, grid.K, PIECE_ROWS)]
     values = np.empty((min(grid.K, PIECE_ROWS), 3))
-    with path.open("w", newline="") as fh, quiet_overflow():
+    with _output_file(path, newline="") as fh, quiet_overflow():
         fh.write(",".join(SNAPSHOT_HEADER) + "\r\n")
         for t, u in snapshots:
             stamp = "%.17g" % t
@@ -297,7 +309,7 @@ def _write_meta(out: Path, config: RunConfig, problem: ProblemSpec,
             "versions": _versions(),
             "wall_time_seconds": time.perf_counter() - started}
     path = out / "meta.json"
-    with path.open("w") as fh:
+    with _output_file(path) as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return str(path)
@@ -468,7 +480,7 @@ def _load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The command-line parser.  argparse is imported here, since only main
     parses a command line: a run through the library API never loads it."""
     import argparse

@@ -424,13 +424,17 @@ def _block_pairs(grid: GridSpec) -> int:
     return max(1, BLOCK_VALUES // grid.K)
 
 
-def check_run(problem, grid: GridSpec, config: SolverConfig, snapshot_stride):
+def check_run(problem, grid: GridSpec, config: SolverConfig, snapshot_stride,
+              table):
     """Refuse a run, before anything is allocated, unless snapshot_stride is
-    an integer >= 1, the run holds at most MEMORY_CAP_BYTES (see held_bytes)
-    and the bootstrap passes check_bootstrap given the problem's exact
-    solution only if it is verified.  Returns that verified solution or
+    an integer >= 1, the run holds at most MEMORY_CAP_BYTES (see held_bytes),
+    the bootstrap passes check_bootstrap given the problem's exact solution
+    only if it is verified, and every entry of the scheme's stencil
+    table(params, grid) is within the float range, where a coefficient over
+    tau or h would overflow; the energy-preserving table first refuses
+    coefficients outside its family.  Returns that verified solution or
     None, the one integrate bootstraps from and measures errors against.
-    The CLI runs the same check at parse time."""
+    The CLI makes the same call at parse time, once per scheme it runs."""
     if not is_number(snapshot_stride, numbers.Integral) or snapshot_stride < 1:
         raise ConfigurationError(
             f"snapshot_stride must be an integer >= 1, got {shown(snapshot_stride)}")
@@ -442,28 +446,21 @@ def check_run(problem, grid: GridSpec, config: SolverConfig, snapshot_stride):
             f"above the cap of {MEMORY_CAP_BYTES} bytes")
     exact = problem.exact if problem.exactness == "verified" else None
     check_bootstrap(config.bootstrap_mode, exact)
-    return exact
-
-
-def check_stencils(table, params: PdeParams, grid: GridSpec):
-    """Refuse a run whose stencil table(params, grid) has an entry beyond
-    the float range, where a coefficient over tau or h overflows, naming
-    the coefficients and the mesh.  integrate and the CLI run it after
-    check_run, for each scheme they run."""
+    params = problem.params
     if not np.isfinite(np.array(table(params, grid), dtype=np.complex128)).all():
         raise ConfigurationError(
             f"the scheme's stencils overflow for alpha={params.alpha}, "
             f"gamma={params.gamma}, theta={params.theta}, lambda={params.lam} "
             f"with tau={grid.tau} and h={grid.h}")
+    return exact
 
 
 def integrate(problem, grid: GridSpec, config: SolverConfig,
               snapshot_stride: int, assemble, table, cubic, step, observe) -> Trajectory:
-    """The run loop of both schemes: check_run the run and check_stencils
-    its table before allocating anything, then, under one quiet_overflow,
-    build one StepPlan of assemble(params, grid), table and cubic,
-    bootstrap, and advance J-1 steps and their diagnostics with the
-    scheme's step
+    """The run loop of both schemes: check_run the run with its table before
+    allocating anything, then, under one quiet_overflow, build one StepPlan
+    of assemble(params, grid), table and cubic, bootstrap, and advance J-1
+    steps and their diagnostics with the scheme's step
     step(window, plan, params, grid, config) -> (u_next, fp_iters),
     whose window carries u^{j-2} from the second step on.
 
@@ -494,9 +491,8 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     n at t = n tau for each n = 0..J that snapshot_stride divides, and
     level J: (J - 1) // snapshot_stride + 2 levels, as J >= 2.
     """
-    exact_fn = check_run(problem, grid, config, snapshot_stride)
+    exact_fn = check_run(problem, grid, config, snapshot_stride, table)
     params = problem.params
-    check_stencils(table, params, grid)
     with quiet_overflow():
         plan = StepPlan(assemble(params, grid), params, grid, table, cubic)
         modes = linear_modes(table, params, grid)

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 import nlsw
 from nlsw import (ConfigurationError, ConsistencyError, GridSpec, NlswError,
                   SolverConfig, UsageError, build_grid, builtin_problem,
-                  customized, mi, parse_config, run_mi, run_wang)
+                  customized, mi, parse_config, run_mi, run_wang, wang)
 from nlsw.cli import (ORDERS_HEADER, SNAPSHOT_HEADER, RunConfig, main, resolve,
                       run_convergence, run_experiment)
 from nlsw.cli import _write_series, _write_snapshots
@@ -205,30 +205,41 @@ class WouldRun(Exception):
 
 @settings(max_examples=300, deadline=None)
 @given(problem=st.sampled_from(["plane_beta2", "soliton", "gauss_split",
+                                "linear_plane",
                                 {"base": "plane_beta2", "params": {"beta": 1.0}}]),
+       alpha=st.sampled_from([None, 1e307]),
+       scheme=st.sampled_from(["mi", "wang"]),
        K=st.sampled_from([16, 2 ** 25, 2 ** 27]),
        J=st.sampled_from([4, 10, 10 ** 6, 10 ** 8]),
        mode=st.sampled_from(["taylor2", "exact", "taylor3"]),
        stride=st.sampled_from([0, 2.5, True, 1, 7, 10 ** 9]))
-def test_cli_and_library_refuse_alike(problem, K, J, mode, stride):
-    # parse_config and run_mi, given the same problem, grid, SolverConfig and
-    # stride, refuse the same runs with the same error type and message, the
-    # memory cap on both sides of it, and before anything of size K or J is
-    # allocated.  A run both accept stops where run_mi would assemble.
-    payload = {"problem": problem, "K": K, "J": J, "bootstrap_mode": mode,
-               "snapshot_stride": stride}
+def test_cli_and_library_refuse_alike(problem, alpha, scheme, K, J, mode, stride):
+    # parse_config and the scheme's run function, given the same problem,
+    # grid, SolverConfig and stride, refuse the same runs with the same error
+    # type and message, the memory cap on both sides of it and an alpha whose
+    # stencils overflow, and before anything of size K or J is allocated.  A
+    # run both accept stops where the scheme would assemble its operator.
+    if alpha is not None:
+        base, params = (problem, {}) if isinstance(problem, str) else \
+            (problem["base"], problem["params"])
+        problem = {"base": base, "params": {**params, "alpha": alpha}}
+    payload = {"problem": problem, "K": K, "J": J, "scheme": scheme,
+               "bootstrap_mode": mode, "snapshot_stride": stride}
     cli_error, cli_peak = traced_peak(lambda: parse_config(json.dumps(payload)))
+    runner, module, assemble, table = {
+        "mi": (run_mi, mi, "assemble_linear", mi._stencils),
+        "wang": (run_wang, wang, "assemble_wang", wang._stencils)}[scheme]
 
     def library():
         spec = builtin_problem(problem) if isinstance(problem, str) else \
             customized(builtin_problem(problem["base"]), **problem["params"])
         grid = build_grid(spec.x_l, spec.x_r, K, spec.default_T, J)
         config = SolverConfig(bootstrap_mode=mode)
-        with mock.patch.object(mi, "assemble_linear", side_effect=WouldRun):
+        with mock.patch.object(module, assemble, side_effect=WouldRun):
             try:
-                run_mi(spec, grid, config, snapshot_stride=stride)
+                runner(spec, grid, config, snapshot_stride=stride)
             except WouldRun:
-                mi.check_run(spec, grid, config, stride)
+                mi.check_run(spec, grid, config, stride, table)
 
     lib_error, lib_peak = traced_peak(library)
     assert (type(cli_error), str(cli_error)) == (type(lib_error), str(lib_error))
@@ -861,6 +872,33 @@ class TestMainExitCodes:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigurationError"
         assert str(blocker / "out") in record["message"]
+
+    @pytest.mark.parametrize("blocker", ["directory", "full disk"])
+    @pytest.mark.parametrize("command, name", [
+        (["run"], "series.csv"), (["run"], "meta.json"),
+        (["converge", "--axis", "time", "--levels", "2"], "orders.csv"),
+        (["compare"], "snapshots_wang.csv")])
+    def test_unwritable_output_file_exit_2(self, tmp_path, capsys, command, name,
+                                           blocker):
+        # A directory where the file goes fails to open, a full disk fails
+        # the write: either is one ConfigurationError record naming the file.
+        out = tmp_path / "out"
+        out.mkdir()
+        if blocker == "directory":
+            (out / name).mkdir()
+        elif Path("/dev/full").exists():
+            (out / name).symlink_to("/dev/full")
+        else:
+            pytest.skip("no /dev/full")
+        path = write_config(tmp_path, {"problem": "plane_beta2", "K": 16,
+                                       "J": 20, "T": 0.2, "output_dir": str(out)})
+        assert main([command[0], path, *command[1:]]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ConfigurationError"
+        assert record["message"].startswith("cannot write output file: ")
+        assert repr(str(out / name)) in record["message"]
 
     def test_compare_outside_energy_scheme_exit_2_before_output(self, tmp_path,
                                                                 capsys):

@@ -196,14 +196,15 @@ class TestCheckStencils:
                                                  "beta"), 0.0), **{name: value}))
         g = build_grid(0.0, L, 16, 1.0, 100)
         assert not np.isfinite(np.array(mi._stencils(params, g))).all()
+        problem = customized(builtin_problem("gauss_split"), **vars(params))
         with pytest.raises(ConfigurationError, match="stencils overflow") as err:
-            mi.check_stencils(mi._stencils, params, g)
+            mi.check_run(problem, g, SolverConfig(), 1, mi._stencils)
         assert f"{name}={value}," in str(err.value)
 
     def test_finite_tables_pass(self):
         g = build_grid(EX3.x_l, EX3.x_r, 200, 20.0, 400)
         for table in (mi._stencils, wang._stencils):
-            assert mi.check_stencils(table, EX3.params, g) is None
+            assert mi.check_run(EX3, g, SolverConfig(), 1, table) is EX3.exact
 
 
 class TestBootstrap:

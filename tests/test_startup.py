@@ -5,14 +5,18 @@ without the scipy.linalg package, whose imports would otherwise be most of
 a short run's wall time, and without the scipy package itself, whose
 __init__ costs about 5 ms; meta.json still records scipy's version, read
 from scipy's version.py.  argparse loads only when main parses a command
-line.  A second guard reads the package's source: no module imports a name
-it never uses."""
+line.  Two more guards read the package itself: no module imports a name
+it never uses, and every annotation resolves."""
 
 import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import types
+import typing
 from pathlib import Path
 
 import nlsw
@@ -89,6 +93,38 @@ def test_no_module_keeps_an_unused_import():
         stale += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in used]
     assert stale == []
+
+
+def test_every_annotation_resolves():
+    # Under `from __future__ import annotations` an annotation is a string
+    # that nothing evaluates until typing.get_type_hints does, so one naming
+    # something the module imports only inside a function, or no longer
+    # imports, would go unnoticed.  This checks every function and class a
+    # module of the package defines, and each class's methods.
+    def defined(module):
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if isinstance(obj, types.FunctionType):
+                yield obj
+            elif isinstance(obj, type):
+                yield obj
+                for member in vars(obj).values():
+                    member = getattr(member, "__func__", member)
+                    member = getattr(member, "fget", member)
+                    if isinstance(member, types.FunctionType):
+                        yield member
+
+    modules = [nlsw] + [importlib.import_module(f"nlsw.{info.name}")
+                        for info in pkgutil.iter_modules(nlsw.__path__)]
+    unresolved = []
+    for module in modules:
+        for obj in defined(module):
+            try:
+                typing.get_type_hints(obj)
+            except Exception as exc:
+                unresolved.append(f"{module.__name__}.{obj.__qualname__}: {exc!r}")
+    assert unresolved == []
 
 
 def test_no_module_keeps_an_unused_private_name():
