@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import json
 import itertools
+import os
 import sys
 import time
 from numbers import Integral
@@ -348,13 +350,20 @@ def _series_summary(traj: Trajectory) -> dict:
     }
 
 
-def _output_dir(config: RunConfig, output_dir) -> Path:
-    """The override, else the configured output directory, created if missing."""
+def _output_dir(config: RunConfig, output_dir, names) -> Path:
+    """The override, else the configured output directory, created if
+    missing.  names are the files the command will write there; one that is
+    a directory is refused here, before anything runs, with the record that
+    opening it would give.  A full disk is met only by the write."""
     out = Path(output_dir if output_dir is not None else config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory: {exc}") from exc
+    for path in (out / name for name in names):
+        if path.is_dir():
+            raise ConfigurationError("cannot write output file: " + str(
+                IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))))
     return out
 
 
@@ -383,7 +392,11 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
     """
     started = time.perf_counter()
     problem, grid, solver_config = resolve(config)
-    out = _output_dir(config, output_dir)
+    suffixes = {label: f"_{label}" if config.scheme == "both" else ""
+                for label in _schemes(config.scheme)}
+    out = _output_dir(config, output_dir, [
+        *(f"{kind}{suffix}.csv" for suffix in suffixes.values()
+          for kind in ("series", "snapshots")), "meta.json"])
 
     oracle = diagnostics.run_identity_oracle()
     if not oracle.ok:
@@ -394,9 +407,8 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
 
     paths, schemes_meta, summaries, timings = {}, {}, {}, {}
     for label, (runner, _) in _schemes(config.scheme).items():
-        suffix = f"_{label}" if config.scheme == "both" else ""
-        series_path = out / f"series{suffix}.csv"
-        snaps_path = out / f"snapshots{suffix}.csv"
+        series_path = out / f"series{suffixes[label]}.csv"
+        snaps_path = out / f"snapshots{suffixes[label]}.csv"
         schemes_meta[label], summaries[label], timings[label] = _run_scheme(
             runner, problem, grid, solver_config, config.snapshot_stride,
             series_path, snaps_path)
@@ -442,7 +454,7 @@ def run_convergence(config: RunConfig, axis: str, levels: int,
             config, K=K, J=J, T=base_grid.T, snapshot_stride=J))[1])
 
     started = time.perf_counter()
-    out = _output_dir(config, output_dir)
+    out = _output_dir(config, output_dir, ["orders.csv", "meta.json"])
 
     entries = []
     for level, grid in enumerate(grids):

@@ -91,12 +91,12 @@ class SolverConfig:
 
 
 class StateWindow(NamedTuple):
-    """Two consecutive levels (u^{j-1}, u^j) driving the two-step update,
-    and optionally u^{j-2}, which only sharpens the Picard starting guess."""
+    """The levels a step reads, StateWindow(u_prev, u_cur, u_prev2=None):
+    the consecutive (u^{j-1}, u^j) driving the two-step update, and
+    optionally u^{j-2}, which only sharpens the Picard starting guess."""
 
     u_prev: np.ndarray
     u_cur: np.ndarray
-    t_cur: float
     u_prev2: np.ndarray | None = None
 
 
@@ -320,17 +320,14 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     max(1, that bound) fails the test whatever |iterate| is.
     """
     if not isinstance(system, StepPlan):
-        u_prev2 = window.u_prev2
-        window = StateWindow(as_field(window.u_prev, grid), as_field(window.u_cur, grid),
-                             window.t_cur,
-                             None if u_prev2 is None else as_field(u_prev2, grid))
+        window = StateWindow(*(None if u is None else as_field(u, grid) for u in window))
         with quiet_overflow():
             return picard(window, StepPlan(system, params, grid, table, cubic),
                           params, grid, config, table, cubic)
     plan = system
     solve, nonlinear = plan.solver.solve, plan.nonlinear
     rhs, change, u = plan.rhs, plan.change, plan.start
-    u_prev, u_cur, u_prev2 = window.u_prev, window.u_cur, window.u_prev2
+    u_prev, u_cur, u_prev2 = window
     known = plan.known_terms(u_prev, u_cur)
     if params.beta == 0.0:
         return solve(np.negative(known, out=rhs)), 1
@@ -461,8 +458,9 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     allocating anything, then, under one quiet_overflow, build one StepPlan
     of assemble(params, grid), table and cubic, bootstrap, and advance J-1
     steps and their diagnostics with the scheme's step
-    step(window, plan, params, grid, config) -> (u_next, fp_iters),
-    whose window carries u^{j-2} from the second step on.
+    step(window, plan, params, grid, config) -> (u_next, fp_iters).  That
+    window, StateWindow(u^{j-1}, u^j, u^{j-2}), is the loop's state; it
+    carries no u^{j-2} on the first step.
 
     The series holds step (the produced level index, 2..J), t, fp_iters, the
     midpoint invariants energy_mi and mass_mi of each step's pair, the error
@@ -496,8 +494,8 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     with quiet_overflow():
         plan = StepPlan(assemble(params, grid), params, grid, table, cubic)
         modes = linear_modes(table, params, grid)
-        u_prev, u_cur = bootstrap(problem.f0, problem.f1, params, grid,
-                                  mode=config.bootstrap_mode, exact=exact_fn)
+        window = StateWindow(*bootstrap(problem.f0, problem.f1, params, grid,
+                                        mode=config.bootstrap_mode, exact=exact_fn))
         t = grid.times[2:]
         fp_iters = np.empty(grid.J - 1, dtype=np.int64)
         series = {"step": np.arange(2, grid.J + 1), "t": t, "fp_iters": fp_iters}
@@ -539,30 +537,27 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
                 series[name][start:stop] = values
 
         refs = {f"{name}_ref": float(values[0])
-                for name, values in evaluate(np.stack((u_prev, u_cur))).items()}
-        snapshots = [(0.0, u_prev.copy())]
+                for name, values in evaluate(np.stack(window[:2])).items()}
+        snapshots = [(0.0, window.u_prev.copy())]
         if snapshot_stride == 1:
-            snapshots.append((grid.tau, u_cur.copy()))
-        u_prev2 = None
-        levels[0] = u_cur
+            snapshots.append((grid.tau, window.u_cur.copy()))
+        levels[0] = window.u_cur
         start = 0
         for j in range(1, grid.J):
             try:
-                u_next, fp_iters[j - 1] = step(
-                    StateWindow(u_prev, u_cur, j * grid.tau, u_prev2),
-                    plan, params, grid, config)
+                u_next, fp_iters[j - 1] = step(window, plan, params, grid, config)
             except NlswError as exc:
                 flush(start, j - 1)
                 exc.step = j + 1
                 raise
-            u_prev2, u_prev, u_cur = u_prev, u_cur, u_next
-            levels[j - start] = u_cur
+            window = StateWindow(window.u_cur, u_next, window.u_prev)
+            levels[j - start] = u_next
             if j - start == len(levels) - 1:
                 flush(start, j)
-                levels[0] = u_cur
+                levels[0] = u_next
                 start = j
             if (j + 1) % snapshot_stride == 0 or j + 1 == grid.J:
-                snapshots.append(((j + 1) * grid.tau, u_cur.copy()))
+                snapshots.append(((j + 1) * grid.tau, u_next.copy()))
         flush(start, grid.J - 1)
 
     meta = {

@@ -6,7 +6,6 @@ the lines as they appear).  The heavy benchmark trajectories are computed
 once in module-scoped fixtures and shared.
 """
 
-import dataclasses
 import time
 
 import numpy as np
@@ -216,8 +215,8 @@ def test_criterion_8_property_suites():
         up = random_field(rng, 48) * 0.5
         uc = up + 0.05 * random_field(rng, 48)
         c = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        u1, _ = step_mi(StateWindow(up, uc, 0.0), solver, prob.params, g, cfg)
-        u2, _ = step_mi(StateWindow(c * up, c * uc, 0.0), solver,
+        u1, _ = step_mi(StateWindow(up, uc), solver, prob.params, g, cfg)
+        u2, _ = step_mi(StateWindow(c * up, c * uc), solver,
                         prob.params, g, cfg)
         assert np.max(np.abs(u2 - c * u1)) <= 1e-12 * max(1.0, np.max(np.abs(u1)))
 

@@ -878,14 +878,20 @@ class TestMainExitCodes:
         (["run"], "series.csv"), (["run"], "meta.json"),
         (["converge", "--axis", "time", "--levels", "2"], "orders.csv"),
         (["compare"], "snapshots_wang.csv")])
-    def test_unwritable_output_file_exit_2(self, tmp_path, capsys, command, name,
-                                           blocker):
-        # A directory where the file goes fails to open, a full disk fails
-        # the write: either is one ConfigurationError record naming the file.
+    def test_unwritable_output_file_exit_2(self, tmp_path, capsys, monkeypatch,
+                                           command, name, blocker):
+        # A directory where the file goes is refused before any run, a full
+        # disk fails the write: either is one ConfigurationError record
+        # naming the file.
         out = tmp_path / "out"
         out.mkdir()
         if blocker == "directory":
             (out / name).mkdir()
+
+            def ran(*args, **kwargs):
+                raise AssertionError("a scheme ran before the blocked file was refused")
+            monkeypatch.setattr("nlsw.cli.run_mi", ran)
+            monkeypatch.setattr("nlsw.cli.run_wang", ran)
         elif Path("/dev/full").exists():
             (out / name).symlink_to("/dev/full")
         else:
@@ -899,6 +905,8 @@ class TestMainExitCodes:
         assert record["error"] == "ConfigurationError"
         assert record["message"].startswith("cannot write output file: ")
         assert repr(str(out / name)) in record["message"]
+        if blocker == "directory":
+            assert list(out.iterdir()) == [out / name]
 
     def test_compare_outside_energy_scheme_exit_2_before_output(self, tmp_path,
                                                                 capsys):

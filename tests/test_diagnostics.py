@@ -83,12 +83,16 @@ class TestIdentityGapsOnTrajectories:
         e0 = traj.meta["energy_ref"]
         assert np.abs(traj.series["energy_mi"] - e0).max() / e_scale > 1e-9
 
-    def test_carried_forward_rows_equal_fresh_evaluation(self):
+    @pytest.mark.parametrize("K", [32, 1024, 4096])
+    def test_carried_forward_rows_equal_fresh_evaluation(self, K):
         # run_mi evaluates each invariant once per step and carries it to
         # the next step's identity; every recorded value must be exactly
-        # what the stand-alone functions give on the snapshot levels.
+        # what the stand-alone functions give on the snapshot levels.  K =
+        # 32 is one block, 1024 blocks of four pairs and 4096 blocks of one
+        # pair, each taking its first identity's previous pair from the
+        # block before.
         prob = builtin_problem("plane_beta2")
-        g = build_grid(prob.x_l, prob.x_r, 32, 1.0, 20)
+        g = build_grid(prob.x_l, prob.x_r, K, 1.0, 20)
         traj = run_mi(prob, g, SolverConfig(), snapshot_stride=1)
         levels = [u for _, u in traj.snapshots]
         p = prob.params

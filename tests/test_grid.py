@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nlsw import (GridSpec, UsageError, apply_difference, build_grid,
-                  inner_product, norms)
+from nlsw import (UsageError, apply_difference, build_grid, inner_product,
+                  norms)
 from nlsw.errors import ConfigurationError
 from nlsw.grid import half_average
 

@@ -10,8 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from nlsw import (ConfigurationError, ConsistencyError, PdeParams, SolverConfig,
                   StateWindow, StepFailureError, Trajectory, UsageError,
                   assemble_linear, bootstrap, builtin_problem, build_grid,
-                  customized, diagnostics, mi, mi_energy, mi_mass, run_mi, run_wang,
-                  step_mi, wang)
+                  customized, diagnostics, mi, run_mi, run_wang, step_mi, wang)
 from nlsw.cli import run_convergence
 from nlsw.linsolve import PreparedCyclicSolver
 from nlsw.mi import BLOCK_VALUES, StepPlan
@@ -249,7 +248,7 @@ class TestStepMi:
         up, uc, un_exact = exact_levels(EX1, g, 5)
         cfg = SolverConfig()
         sys_ = assemble_linear(EX1.params, g)
-        u_next, iters = step_mi(StateWindow(up, uc, 5 * g.tau), sys_,
+        u_next, iters = step_mi(StateWindow(up, uc), sys_,
                                 EX1.params, g, cfg)
         assert iters == 1
         assert np.max(np.abs(u_next - un_exact)) <= 1e-6
@@ -258,7 +257,7 @@ class TestStepMi:
         p = PdeParams(alpha=-1.0, gamma=0.5, theta=1.0, lam=2.0, beta=2.0)
         g = build_grid(0.0, 2.0 * np.pi, 32, 1.0, 100)
         zero = np.zeros(32, dtype=complex)
-        u_next, _ = step_mi(StateWindow(zero, zero, 0.0), assemble_linear(p, g),
+        u_next, _ = step_mi(StateWindow(zero, zero), assemble_linear(p, g),
                             p, g, SolverConfig())
         assert np.all(u_next == 0.0)
 
@@ -269,7 +268,7 @@ class TestStepMi:
         up, uc, _ = exact_levels(EX3, g, 5)
         cfg = SolverConfig()
         sys_ = assemble_linear(EX3.params, g)
-        u_next, iters = step_mi(StateWindow(up, uc, 5 * g.tau), sys_,
+        u_next, iters = step_mi(StateWindow(up, uc), sys_,
                                 EX3.params, g, cfg)
         assert iters >= 2
         resid = np.max(np.abs(mi_residual_direct(up, uc, u_next, EX3.params, g)))
@@ -286,8 +285,8 @@ class TestStepMi:
             up = np.exp(1j * g.nodes) * (1.0 + 0.1 * rng.normal(size=64))
             uc = up * np.exp(1j * 0.05)
             c = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            u1, _ = step_mi(StateWindow(up, uc, 0.0), solver, EX3.params, g, cfg)
-            u2, _ = step_mi(StateWindow(c * up, c * uc, 0.0), solver,
+            u1, _ = step_mi(StateWindow(up, uc), solver, EX3.params, g, cfg)
+            u2, _ = step_mi(StateWindow(c * up, c * uc), solver,
                             EX3.params, g, cfg)
             assert np.max(np.abs(u2 - c * u1)) <= 1e-12 * max(1.0, np.max(np.abs(u1)))
 
@@ -296,7 +295,7 @@ class TestStepMi:
         up, uc, _ = exact_levels(EX3, g, 5)
         cfg = SolverConfig(fp_max_iter=1)
         with pytest.raises(StepFailureError) as err:
-            step_mi(StateWindow(up, uc, 0.0), assemble_linear(EX3.params, g),
+            step_mi(StateWindow(up, uc), assemble_linear(EX3.params, g),
                     EX3.params, g, cfg)
         assert err.value.residual is not None
 
@@ -559,9 +558,12 @@ class TestBlockedDiagnostics:
     def test_step_failure_reports_pending_guard_failure_first(self, monkeypatch):
         g = self.grid()
         original = mi.step_mi
+        calls = []
 
         def failing(window, *args):
-            if window.t_cur > 9.5 * g.tau:
+            # The tenth step produces level 11.
+            calls.append(None)
+            if len(calls) >= 10:
                 raise StepFailureError("injected")
             return original(window, *args)
         monkeypatch.setattr(mi, "step_mi", failing)
@@ -569,6 +571,7 @@ class TestBlockedDiagnostics:
             run_mi(EX1, g, SolverConfig())
         assert err.value.step == 11
         # The same failure with a guard failure at step 5 pending.
+        calls.clear()
         _noisy_mean(monkeypatch, call=1, row=3)
         with pytest.raises(ConsistencyError) as err:
             run_mi(EX1, g, SolverConfig())

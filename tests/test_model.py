@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from nlsw import (ConfigurationError, PdeParams, UsageError, ZField, builtin_problem,
                   build_grid, continuous_residual, grad_S, hamiltonian_S,

@@ -51,8 +51,8 @@ def test_quadratic_start_lands_on_linear_start_level(scheme, alpha, gamma, theta
     u_prev, u_cur = levels(seed, K)
     solver = PreparedCyclicSolver(assemble(params, grid))
     config = SolverConfig()
-    linear, _ = step(StateWindow(u_prev, u_cur, 0.0), solver, params, grid, config)
-    quadratic, _ = step(StateWindow(u_prev, u_cur, 0.0, earlier_level(seed, u_prev)),
+    linear, _ = step(StateWindow(u_prev, u_cur), solver, params, grid, config)
+    quadratic, _ = step(StateWindow(u_prev, u_cur, earlier_level(seed, u_prev)),
                         solver, params, grid, config)
     scale = max(1.0, float(np.abs(linear).max()))
     assert np.abs(quadratic - linear).max() <= 10 * config.fp_tol * scale
@@ -64,9 +64,9 @@ def test_quadratic_start_saves_sweeps_on_a_smooth_solution(scheme):
     grid = build_grid(PLANE.x_l, PLANE.x_r, 200, 20.0, 400)
     u = [PLANE.exact(grid.nodes, j * grid.tau) for j in (3, 4, 5)]
     solver = PreparedCyclicSolver(assemble(PLANE.params, grid))
-    _, linear = step(StateWindow(u[1], u[2], 0.0), solver, PLANE.params, grid,
+    _, linear = step(StateWindow(u[1], u[2]), solver, PLANE.params, grid,
                      SolverConfig())
-    _, quadratic = step(StateWindow(u[1], u[2], 0.0, u[0]), solver, PLANE.params,
+    _, quadratic = step(StateWindow(u[1], u[2], u[0]), solver, PLANE.params,
                         grid, SolverConfig())
     assert quadratic < linear
 
@@ -80,7 +80,7 @@ def test_first_step_of_a_run_is_the_linear_start_step(scheme):
     traj = runner(PLANE, grid, config, snapshot_stride=1)
     (_, u0), (_, u1), (_, u2) = traj.snapshots[:3]
     expected, sweeps = picard_reference(
-        StateWindow(u0, u1, grid.tau), PreparedCyclicSolver(assemble(PLANE.params, grid)),
+        StateWindow(u0, u1), PreparedCyclicSolver(assemble(PLANE.params, grid)),
         PLANE.params, grid, config, scheme)
     assert u2.tobytes() == expected.tobytes()
     assert traj.series["fp_iters"][0] == sweeps
@@ -111,7 +111,7 @@ def test_step_is_the_reference_loop_bit_for_bit(scheme, alpha, gamma, theta, lam
     params = PdeParams(alpha=alpha, gamma=gamma, theta=theta, lam=lam, beta=beta)
     grid = periodic_grid(K, tau)
     u_prev, u_cur = levels(seed, K)
-    window = StateWindow(u_prev, u_cur, 0.0,
+    window = StateWindow(u_prev, u_cur,
                          earlier_level(seed, u_prev) if quadratic else None)
     solver = PreparedCyclicSolver(assemble(params, grid))
     config = SolverConfig()
@@ -127,7 +127,7 @@ def test_exact_peak_decides_an_update_between_tol_and_tol_times_peak(scheme):
     step, assemble = SCHEMES[scheme]
     grid = build_grid(PLANE.x_l, PLANE.x_r, 200, 20.0, 400)
     u = [PLANE.exact(grid.nodes, j * grid.tau) for j in (3, 4, 5)]
-    window = StateWindow(u[1], u[2], 0.0, u[0])
+    window = StateWindow(u[1], u[2], u[0])
     solver = PreparedCyclicSolver(assemble(PLANE.params, grid))
     trace = []
     picard_reference(window, solver, PLANE.params, grid, SolverConfig(), scheme, trace)
@@ -152,7 +152,7 @@ def test_overflowing_cubic_is_divergence_in_sweep_one(scheme, with_prev2):
     step, assemble = SCHEMES[scheme]
     grid = build_grid(PLANE.x_l, PLANE.x_r, 32, 1.0, 100)
     big = np.full(32, 1e110, dtype=complex)
-    window = StateWindow(big, big, 0.0, big if with_prev2 else None)
+    window = StateWindow(big, big, big if with_prev2 else None)
     with pytest.raises(DivergenceError) as err:
         step(window, assemble(PLANE.params, grid), PLANE.params, grid, SolverConfig())
     assert "non-finite nonlinear term in sweep 1" in str(err.value)
@@ -168,7 +168,7 @@ def test_overflowing_solve_of_a_finite_rhs_stays_singular(scheme):
     grid = build_grid(0.0, 9e150, 9, 1e152, 100)
     u = np.full(9, 1e100, dtype=complex)
     with pytest.raises(SingularSystemError) as err:
-        step(StateWindow(u, u, 0.0), assemble(PLANE.params, grid), PLANE.params,
+        step(StateWindow(u, u), assemble(PLANE.params, grid), PLANE.params,
              grid, SolverConfig())
     assert "cyclic solve overflowed" in str(err.value)
 
@@ -197,7 +197,7 @@ def test_stall_verdict_comes_before_the_budget():
     # The first step of the run above: a budget one short of the sweep that
     # gives the stall verdict ends with the budget message instead.
     grid = build_grid(PLANE.x_l, PLANE.x_r, 200, 20.0, 400)
-    window = StateWindow(*bootstrap(PLANE.f0, PLANE.f1, PLANE.params, grid), 0.0)
+    window = StateWindow(*bootstrap(PLANE.f0, PLANE.f1, PLANE.params, grid))
     solver = PreparedCyclicSolver(assemble_linear(PLANE.params, grid))
     with pytest.raises(StepFailureError) as err:
         step_mi(window, solver, PLANE.params, grid, SolverConfig(fp_tol=1e-18))
@@ -263,7 +263,7 @@ def test_step_refuses_a_stack_of_levels(scheme, beta):
     grid = build_grid(problem.x_l, problem.x_r, 16, 1.0, 100)
     stack = np.ones((2, 16), dtype=complex)
     with pytest.raises(UsageError, match="must be 1-D"):
-        step(StateWindow(stack, stack, 0.0), assemble(problem.params, grid),
+        step(StateWindow(stack, stack), assemble(problem.params, grid),
              problem.params, grid, SolverConfig())
 
 
@@ -280,5 +280,5 @@ def test_step_refuses_a_nan_level(scheme, beta, slot):
     window = {name: np.exp(1j * grid.nodes) for name in ("u_prev", "u_cur", "u_prev2")}
     window[slot][3] = np.nan
     with pytest.raises(UsageError, match="NaN/Inf"):
-        step(StateWindow(window["u_prev"], window["u_cur"], 0.0, window["u_prev2"]),
+        step(StateWindow(window["u_prev"], window["u_cur"], window["u_prev2"]),
              assemble(problem.params, grid), problem.params, grid, SolverConfig())

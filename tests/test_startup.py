@@ -5,8 +5,9 @@ without the scipy.linalg package, whose imports would otherwise be most of
 a short run's wall time, and without the scipy package itself, whose
 __init__ costs about 5 ms; meta.json still records scipy's version, read
 from scipy's version.py.  argparse loads only when main parses a command
-line.  Two more guards read the package itself: no module imports a name
-it never uses, and every annotation resolves."""
+line.  Two more guards read the source: no module of the package or of
+its tests imports a name it never uses, and every annotation of the
+package resolves."""
 
 import ast
 import importlib
@@ -73,13 +74,13 @@ except ImportError as exc:
 
 
 def test_no_module_keeps_an_unused_import():
-    # No linter runs on the package, so a name left imported after its last
-    # use would go unnoticed.  __init__ imports to re-export, and __future__
-    # imports are directives, not names.
+    # No linter runs on the package or its tests, so a name left imported
+    # after its last use would go unnoticed.  The package's __init__ imports
+    # to re-export, and __future__ imports are directives, not names.
+    package = [path for path in sorted(Path(nlsw.__file__).parent.glob("*.py"))
+               if path.name != "__init__.py"]
     stale = []
-    for path in sorted(Path(nlsw.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in package + sorted(Path(__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = {}
         for node in ast.walk(tree):
@@ -90,7 +91,8 @@ def test_no_module_keeps_an_unused_import():
                 for alias in node.names:
                     imported[alias.asname or alias.name] = node.lineno
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        stale += [f"{path.name}:{line} {name}" for name, line in imported.items()
+        stale += [f"{path.parent.name}/{path.name}:{line} {name}"
+                  for name, line in imported.items()
                   if name not in used]
     assert stale == []
 

@@ -31,14 +31,14 @@ REL_TOL = 1e-11
 def _mi(params, grid):
     system = assemble_linear(params, grid)
     config = SolverConfig()
-    return lambda u_prev, u_cur: step_mi(StateWindow(u_prev, u_cur, 0.0), system,
+    return lambda u_prev, u_cur: step_mi(StateWindow(u_prev, u_cur), system,
                                          params, grid, config)[0]
 
 
 def _wang(params, grid):
     system = assemble_wang(params, grid)
     config = SolverConfig()
-    return lambda u_prev, u_cur: step_wang(StateWindow(u_prev, u_cur, 0.0), system,
+    return lambda u_prev, u_cur: step_wang(StateWindow(u_prev, u_cur), system,
                                            params, grid, config)[0]
 
 
@@ -142,7 +142,7 @@ def test_step_takes_system_or_prepared_solver(monkeypatch, assemble, step):
     prob = builtin_problem("plane_beta2")
     grid = build_grid(prob.x_l, prob.x_r, 64, 1.0, 100)
     window = StateWindow(prob.exact(grid.nodes, 4 * grid.tau),
-                         prob.exact(grid.nodes, 5 * grid.tau), 0.0)
+                         prob.exact(grid.nodes, 5 * grid.tau))
     config = SolverConfig()
     system = assemble(prob.params, grid)
     solver = PreparedCyclicSolver(system)

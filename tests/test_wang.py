@@ -47,7 +47,7 @@ class TestStepWang:
         p = PdeParams(alpha=-1.0, gamma=0.0, theta=0.0, lam=0.0, beta=2.0)
         g = build_grid(0.0, 2.0 * np.pi, 32, 1.0, 100)
         zero = np.zeros(32, dtype=complex)
-        u_next, _ = step_wang(StateWindow(zero, zero, 0.0), assemble_wang(p, g), p, g,
+        u_next, _ = step_wang(StateWindow(zero, zero), assemble_wang(p, g), p, g,
                               SolverConfig())
         assert np.all(u_next == 0.0)
 
@@ -60,7 +60,7 @@ class TestStepWang:
             run_wang(prob, g, SolverConfig())
         zero = np.zeros(32, dtype=complex)
         with pytest.raises(ConfigurationError):
-            step_wang(StateWindow(zero, zero, 0.0), assemble_linear(prob.params, g),
+            step_wang(StateWindow(zero, zero), assemble_linear(prob.params, g),
                       prob.params, g, SolverConfig())
 
     @settings(max_examples=40, deadline=None)
@@ -70,7 +70,7 @@ class TestStepWang:
         # On exact plane_beta2 levels and on random levels with drawn
         # coefficients, the step satisfies the directly evaluated scheme.
         params, g, (up, uc) = case
-        u_next, _ = step_wang(StateWindow(up, uc, 0.0), assemble_wang(params, g),
+        u_next, _ = step_wang(StateWindow(up, uc), assemble_wang(params, g),
                               params, g, SolverConfig())
         resid = np.max(np.abs(wang_residual_direct(up, uc, u_next, params, g)))
         assert resid <= 1e-10
