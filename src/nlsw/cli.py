@@ -378,7 +378,8 @@ def _run_scheme(runner, problem, grid, solver_config, snapshot_stride,
     _write_series(series_path, traj.series)
     wrote_series = time.perf_counter()
     _write_snapshots(snaps_path, grid, traj.snapshots)
-    timings = {"run_s": ran - started, "write_series_s": wrote_series - ran,
+    timings = {"run_s": ran - started, **traj.timings,
+               "write_series_s": wrote_series - ran,
                "write_snapshots_s": time.perf_counter() - wrote_series}
     return traj.meta, _series_summary(traj), timings
 
@@ -387,8 +388,9 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
     """Execute one configured run and emit series/snapshots/meta files.
 
     Returns a report dict with the written paths and per-scheme summaries.
-    meta.json records, per scheme, the wall time of the run and of each of
-    its two CSV writers under `timings`.
+    meta.json records, per scheme, the wall time of the run, of its four
+    phases (see mi.integrate) and of each of its two CSV writers under
+    `timings`.
     """
     started = time.perf_counter()
     problem, grid, solver_config = resolve(config)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,6 +73,11 @@ WORK_BYTES_PER_NODE = 16 * (3 + 1 + 3) + 8 * 3
 # right-hand side), so the warning itself stays quiet.
 quiet_overflow = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
+# The factors of picard's starts as 0-d complex arrays, like the cubics'
+# factors: the complex multiply numpy makes of 2.0 and 3.0, without
+# converting a float on every step.
+_TWO, _THREE = np.array(2.0 + 0j), np.array(3.0 + 0j)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -104,12 +110,15 @@ class StateWindow(NamedTuple):
 class Trajectory:
     """Snapshots at a configured stride plus the per-step diagnostics: a
     column of J-1 rows for each name of diagnostics.SERIES_COLUMNS that
-    applies to the run."""
+    applies to the run, its meta, and the wall seconds of its phases
+    (plan_s, bootstrap_s, steps_s, diagnostics_s), kept apart from meta as
+    the one part that differs between repeated runs."""
 
     grid: GridSpec
     snapshots: list
     series: dict
     meta: dict
+    timings: dict
 
 
 def check_bootstrap_mode(mode: str):
@@ -204,9 +213,11 @@ class StepPlan:
     called on its own): the solver of A, table's B and C columns, the padded
     pair (u^j, u^{j-1}), cubic(beta/4, u^{j-1}, u^j, rhs) over its rows and
     the rhs buffer as (lag, nonlinear), and the known, rhs, start and change
-    buffers, with every view a step reads or writes through taken here.
-    The mesh axis is last throughout, so a batch axis can go in front of
-    it."""
+    buffers, with every view a step reads or writes through taken here:
+    among them the float64 views of known and rhs, on which a step flips
+    their sign, as componentwise negation gives the complex negative's
+    bits and numpy's float loop is vectorised.  The mesh axis is last
+    throughout, so a batch axis can go in front of it."""
 
     def __init__(self, system, params: PdeParams, grid: GridSpec, table, cubic):
         self.solver = system if isinstance(system, PreparedCyclicSolver) \
@@ -227,6 +238,7 @@ class StepPlan:
         self.products = products = np.empty((3, 2, K), dtype=np.complex128)
         self.terms = tuple(products)
         self.known, self.rhs = products[0]
+        self.known_floats, self.rhs_floats = products[0].view(np.float64)
         self.start = products[1, 0]
         self.change = np.empty(K)
         self.lag, self.nonlinear = cubic(0.25 * params.beta, self.levels[1],
@@ -273,19 +285,19 @@ def _cubic(quarter_beta, u_prev, u_cur, rhs):
     add, multiply = np.add, np.multiply
 
     def pair(level, out, head, tail):
-        mean = add(u_cur, level, out=out)
-        multiply(mean, half, out=mean)
-        add(head, tail, out=inner)
+        mean = add(u_cur, level, out)
+        multiply(mean, half, mean)
+        add(head, tail, inner)
         cubes[0] = cubes[-1] = mean[-1] + mean[0]
-        multiply(cubes, half, out=cubes)
-        np.square(np.abs(cubes, out=abs2), out=abs2)
-        multiply(cubes, abs2, out=cubes)
-        return add(cubes_tail, cubes_head, out=out)
+        multiply(cubes, half, cubes)
+        np.square(np.abs(cubes, abs2), abs2)
+        multiply(cubes, abs2, cubes)
+        return add(cubes_tail, cubes_head, out)
 
     def nonlinear(u):
         pair(u, rhs, rhs_head, rhs_tail)
-        add(rhs, lagged, out=rhs)
-        return multiply(rhs, scale, out=rhs)
+        add(rhs, lagged, rhs)
+        return multiply(rhs, scale, rhs)
     lag = functools.partial(pair, u_prev, lagged, lagged[:-1], lagged[1:])
     return lag, nonlinear
 
@@ -314,7 +326,12 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     the run's policy.  The start and its modulus go into the plan's start
     and change buffers, and a sweep writes the right-hand side and the
     change there too: a sweep is nonlinear(u), rhs = -(known + rhs),
-    one solve, |u_new - u| and its maximum.
+    one solve, |u_new - u| and its maximum.  The starts' factors 2 and 3
+    are 0-d complex arrays (_TWO, _THREE), and the sign flips of rhs, and
+    of known at beta = 0, act on the plan's float64 views, which give the
+    complex negative's bits.  Every maximum is the entry at argmax, the
+    exact maximum; where a NaN is present argmax picks the first, and the
+    maximum is NaN, as np.maximum.reduce gives.
     |iterate| is taken only when the change could pass: it is at most
     |start| plus the changes so far, so a change above twice fp_tol times
     max(1, that bound) fails the test whatever |iterate| is.
@@ -327,25 +344,29 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     plan = system
     solve, nonlinear = plan.solver.solve, plan.nonlinear
     rhs, change, u = plan.rhs, plan.change, plan.start
+    rhs_floats = plan.rhs_floats
     u_prev, u_cur, u_prev2 = window
     known = plan.known_terms(u_prev, u_cur)
+    negative = np.negative
     if params.beta == 0.0:
-        return solve(np.negative(known, out=rhs)), 1
+        negative(plan.known_floats, rhs_floats)
+        return solve(rhs), 1
     plan.lag()
-    add, subtract, negative, absolute = np.add, np.subtract, np.negative, np.abs
-    peak_of = np.maximum.reduce
+    add, subtract, multiply, absolute = np.add, np.subtract, np.multiply, np.abs
+    argmax = change.argmax
     if u_prev2 is None:
-        subtract(np.multiply(2.0, u_cur, out=u), u_prev, out=u)
+        subtract(multiply(_TWO, u_cur, u), u_prev, u)
     else:
-        add(np.multiply(3.0, subtract(u_cur, u_prev, out=u), out=u), u_prev2, out=u)
-    bound = float(peak_of(absolute(u, out=change)))
+        add(multiply(_THREE, subtract(u_cur, u_prev, u), u), u_prev2, u)
+    absolute(u, change)
+    bound = change.item(argmax())
     fp_tol = config.fp_tol
     could_pass = 2.0 * fp_tol
     diff = smallest = np.inf
     stalled = 0
     for it in range(1, config.fp_max_iter + 1):
-        add(known, nonlinear(u), out=rhs)
-        negative(rhs, out=rhs)
+        add(known, nonlinear(u), rhs)
+        negative(rhs_floats, rhs_floats)
         try:
             u_new = solve(rhs)
         except SingularSystemError:
@@ -356,12 +377,13 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
                 f"in sweep {it}") from None
         previous = diff
         # The right-hand side is spent, so its buffer holds u_new - u.
-        absolute(subtract(u_new, u, out=rhs), out=change)
-        diff = float(peak_of(change))
+        absolute(subtract(u_new, u, rhs), change)
+        diff = change.item(argmax())
         bound += diff
         u = u_new
         if diff <= could_pass * max(1.0, bound):
-            peak = float(peak_of(absolute(u, out=change)))
+            absolute(u, change)
+            peak = change.item(argmax())
             if diff <= fp_tol * max(1.0, peak):
                 return u, it
         if diff < smallest:
@@ -482,6 +504,13 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     meta also records the table's linear_modes, taken once the plan has
     refused a singular A.
 
+    The trajectory's timings hold the wall seconds of four phases, from
+    time.perf_counter read once per phase and twice per block: plan_s
+    builds the plan (the factorisation) and takes linear_modes,
+    bootstrap_s the starting levels, diagnostics_s every evaluate and
+    flush, the bootstrap pair's included, and steps_s the rest of the
+    loop, the steps and the snapshot copies.
+
     A failure names its step.  A realness guard that fires on row i of a
     block names the block's first step plus i, and a failing step first
     evaluates the block's completed steps, so the earliest failure in step
@@ -491,11 +520,15 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     """
     exact_fn = check_run(problem, grid, config, snapshot_stride, table)
     params = problem.params
+    clock = time.perf_counter
     with quiet_overflow():
+        started = clock()
         plan = StepPlan(assemble(params, grid), params, grid, table, cubic)
         modes = linear_modes(table, params, grid)
+        planned = clock()
         window = StateWindow(*bootstrap(problem.f0, problem.f1, params, grid,
                                         mode=config.bootstrap_mode, exact=exact_fn))
+        booted = clock()
         t = grid.times[2:]
         fp_iters = np.empty(grid.J - 1, dtype=np.int64)
         series = {"step": np.arange(2, grid.J + 1), "t": t, "fp_iters": fp_iters}
@@ -517,9 +550,11 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
             """Fill rows start..stop-1 from levels[:stop - start + 1].  On a
             failure in row start + i, the rows before it are evaluated alone
             first, so that a failure there, which the row-by-row order meets
-            first, is the one raised."""
+            first, is the one raised.  Adds its wall time to diagnostics_s."""
+            nonlocal diagnostics_s
             if start == stop:
                 return
+            tick = clock()
             try:
                 columns = evaluate(levels[:stop - start + 1])
                 if exact_fn is not None:
@@ -535,9 +570,11 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
                 if name not in series:
                     series[name] = np.empty(grid.J - 1)
                 series[name][start:stop] = values
+            diagnostics_s += clock() - tick
 
         refs = {f"{name}_ref": float(values[0])
                 for name, values in evaluate(np.stack(window[:2])).items()}
+        diagnostics_s = clock() - booted
         snapshots = [(0.0, window.u_prev.copy())]
         if snapshot_stride == 1:
             snapshots.append((grid.tau, window.u_cur.copy()))
@@ -559,6 +596,7 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
             if (j + 1) % snapshot_stride == 0 or j + 1 == grid.J:
                 snapshots.append(((j + 1) * grid.tau, u_next.copy()))
         flush(start, grid.J - 1)
+        finished = clock()
 
     meta = {
         "bootstrap_mode": config.bootstrap_mode,
@@ -569,7 +607,11 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
         "mass_ref": refs.pop("mass_mi_ref"),
         **refs,
     }
-    return Trajectory(grid=grid, snapshots=snapshots, series=series, meta=meta)
+    timings = {"plan_s": planned - started, "bootstrap_s": booted - planned,
+               "steps_s": finished - booted - diagnostics_s,
+               "diagnostics_s": diagnostics_s}
+    return Trajectory(grid=grid, snapshots=snapshots, series=series, meta=meta,
+                      timings=timings)
 
 
 def run_mi(problem, grid: GridSpec, config: SolverConfig,

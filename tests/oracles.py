@@ -197,11 +197,11 @@ def picard_reference(window, solver, params, grid, config, scheme, trace=None):
     """The Picard step of scheme "mi" or "wang" as a plain allocating loop:
     the known terms from rolled copies and the scheme's stencil table, the
     cubic term written out (mi_cubic_pair for "mi"), the start, the stall
-    rule, the budget
+    rule, the budget, a non-finite right-hand side as DivergenceError,
     and their messages as the step kernel states them, and max|u| taken on
     every sweep.  Appends (update, max|u|) of each sweep to trace if given.
     Returns (u, sweeps)."""
-    from nlsw import StepFailureError, mi, wang
+    from nlsw import DivergenceError, SingularSystemError, StepFailureError, mi, wang
 
     _, on_cur, on_prev = (mi if scheme == "mi" else wang)._stencils(params, grid)
 
@@ -230,7 +230,15 @@ def picard_reference(window, solver, params, grid, config, scheme, trace=None):
     diff = smallest = np.inf
     stalled = 0
     for it in range(1, config.fp_max_iter + 1):
-        u_new = solver.solve(-(known + nonlinear(u)))
+        rhs = -(known + nonlinear(u))
+        try:
+            u_new = solver.solve(rhs)
+        except SingularSystemError:
+            if np.isfinite(rhs).all():
+                raise
+            raise DivergenceError(
+                f"fixed-point iterate diverged: non-finite nonlinear term "
+                f"in sweep {it}") from None
         previous, diff = diff, float(np.abs(u_new - u).max())
         peak = float(np.abs(u_new).max())
         u = u_new

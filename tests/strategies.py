@@ -14,6 +14,15 @@ sizes = st.integers(8, 64)
 time_steps = st.floats(min_value=0.01, max_value=0.1)
 seeds = st.integers(0, 2 ** 32 - 1)
 
+# Components where a reordered or rewritten operation shows: exact zeros of
+# both signs, subnormals and numbers near the underflow threshold, up to
+# +-1e3; and coefficients with zeros of both signs and units.
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.5e-308, 1.0, -0.5)
+special_component = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e3, 1e3),
+                              st.floats(-1e-305, 1e-305))
+special_entry = st.builds(complex, special_component, special_component)
+special_coefficient = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)), coefficient)
+
 
 def periodic_grid(K, tau):
     return build_grid(0.0, 2.0 * np.pi, K, 10 * tau, 10)

@@ -295,9 +295,23 @@ class TestRunExperiment:
         timings = json.loads(Path(report["paths"]["meta"]).read_text())["timings"]
         assert set(timings) == {"mi", "wang"}
         for phases in timings.values():
-            assert set(phases) == {"run_s", "write_series_s", "write_snapshots_s"}
+            assert set(phases) == {"run_s", "plan_s", "bootstrap_s", "steps_s",
+                                   "diagnostics_s", "write_series_s",
+                                   "write_snapshots_s"}
             assert all(type(value) is float and value >= 0.0
                        for value in phases.values())
+
+    def test_run_phases_fall_inside_run_s(self, tmp_path):
+        # integrate's four phases tile its time after check_run, inside the
+        # runner call that run_s brackets.
+        payload = {"problem": "plane_beta2", "K": 32, "J": 20, "T": 0.2,
+                   "scheme": "both", "output_dir": str(tmp_path / "ph")}
+        report = run_experiment(parse_config(json.dumps(payload)))
+        timings = json.loads(Path(report["paths"]["meta"]).read_text())["timings"]
+        for phases in timings.values():
+            inside = (phases["plan_s"] + phases["bootstrap_s"] + phases["steps_s"]
+                      + phases["diagnostics_s"])
+            assert 0.0 < inside <= phases["run_s"]
 
     def test_summaries_record_absolute_drifts(self, tmp_path):
         # max |series - ref| of each invariant, next to the relative drift,

@@ -16,17 +16,12 @@ from nlsw import PdeParams, PreparedCyclicSolver, bootstrap, diagnostics, mi, wa
 from nlsw.mi import StepPlan
 
 import oracles
-from strategies import coefficient, gamma_coefficient, periodic_grid, time_steps
-
-SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.5e-308, 1.0, -0.5)
-component = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e3, 1e3),
-                      st.floats(-1e-305, 1e-305))
-entry = st.builds(complex, component, component)
-special_coefficient = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)), coefficient)
+from strategies import (gamma_coefficient, periodic_grid, special_coefficient,
+                        special_entry, time_steps)
 
 
 def stacks(shape):
-    return hnp.arrays(np.complex128, shape, elements=entry)
+    return hnp.arrays(np.complex128, shape, elements=special_entry)
 
 
 def same_bits(left, right):

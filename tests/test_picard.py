@@ -13,6 +13,7 @@ bit for bit the step of the linear-start loop.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nlsw import (DivergenceError, PdeParams, PreparedCyclicSolver,
                   SingularSystemError, SolverConfig, StateWindow, StepFailureError,
@@ -22,7 +23,8 @@ from nlsw import mi, wang
 
 from oracles import picard_reference
 from strategies import (coefficient, gamma_coefficient, levels, periodic_grid,
-                        seeds, sizes, time_steps)
+                        seeds, sizes, special_coefficient, special_entry,
+                        time_steps)
 
 PLANE = builtin_problem("plane_beta2")
 
@@ -87,12 +89,12 @@ def test_first_step_of_a_run_is_the_linear_start_step(scheme):
 
 
 def outcome(step):
-    """(bytes of the level, sweeps) of a step, or the message of its
-    StepFailureError."""
+    """(bytes of the level, sweeps) of a step, or the type and message of
+    its StepFailureError (DivergenceError included) or SingularSystemError."""
     try:
         u, sweeps = step()
-    except StepFailureError as exc:
-        return str(exc)
+    except (StepFailureError, SingularSystemError) as exc:
+        return type(exc), str(exc)
     return u.tobytes(), sweeps
 
 
@@ -117,6 +119,51 @@ def test_step_is_the_reference_loop_bit_for_bit(scheme, alpha, gamma, theta, lam
     config = SolverConfig()
     assert outcome(lambda: step(window, solver, params, grid, config)) == outcome(
         lambda: picard_reference(window, solver, params, grid, config, scheme))
+
+
+# Components whose cubes overflow, a few of which a special level carries.
+HUGE = (1e200, -1e200, 1e200j, -1e200 - 1e200j)
+
+
+@st.composite
+def special_levels(draw, K):
+    """(u^{j-2}, u^{j-1}, u^j) of strategies.special_entry values on a
+    background of signed zeros, with up to two of their entries set to
+    HUGE values."""
+    zero = st.builds(complex, st.sampled_from((0.0, -0.0)), st.sampled_from((0.0, -0.0)))
+    levels = draw(hnp.arrays(np.complex128, (3, K), elements=special_entry, fill=zero))
+    for index in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, K - 1)),
+                               max_size=2)):
+        levels[index] = draw(st.sampled_from(HUGE))
+    return levels
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), scheme=st.sampled_from(sorted(SCHEMES)),
+       alpha=special_coefficient, gamma=gamma_coefficient,
+       theta=special_coefficient, lam=special_coefficient,
+       beta=st.one_of(st.sampled_from((0.0, -0.0)), coefficient),
+       K=st.integers(4, 12), tau=time_steps, quadratic=st.booleans())
+def test_step_is_the_reference_loop_on_special_values(data, scheme, alpha, gamma,
+                                                      theta, lam, beta, K, tau,
+                                                      quadratic):
+    # Whole steps on levels with zeros of both signs, subnormals and
+    # entries whose cubes overflow: every maximum, sign flip and sweep
+    # decision the step makes through its buffers gives the reference's
+    # level and sweep count, or its error and message.
+    step, assemble = SCHEMES[scheme]
+    if scheme == "wang":
+        gamma = theta = lam = 0.0
+    params = PdeParams(alpha=alpha, gamma=gamma, theta=theta, lam=lam, beta=beta)
+    grid = periodic_grid(K, tau)
+    u_prev2, u_prev, u_cur = data.draw(special_levels(K))
+    window = StateWindow(u_prev, u_cur, u_prev2 if quadratic else None)
+    solver = PreparedCyclicSolver(assemble(params, grid))
+    config = SolverConfig()
+    with mi.quiet_overflow():
+        expected = outcome(
+            lambda: picard_reference(window, solver, params, grid, config, scheme))
+    assert outcome(lambda: step(window, solver, params, grid, config)) == expected
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
