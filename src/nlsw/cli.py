@@ -11,7 +11,7 @@ consistency failure (a realness guard of the discrete invariants fired), 2
 configuration error (a bad config value, or an output directory or file that
 cannot be written), 3 solver failure, 4 identity-oracle validation failure.
 Codes 1-4 come with a one-line JSON record on stderr; a failure inside the
-step loop names its step there.
+step loop names its step there, and one of the bootstrap level step 1.
 """
 
 from __future__ import annotations
@@ -302,19 +302,17 @@ def _versions() -> dict:
             "nlsw": __version__}
 
 
-def _write_meta(out: Path, config: RunConfig, problem: ProblemSpec,
-                started: float, **fields) -> str:
-    """Write meta.json: the config and problem echo, the run's own fields,
-    the versions and the wall time since `started`."""
+def _write_meta(path: Path, config: RunConfig, problem: ProblemSpec,
+                started: float, **fields):
+    """Write the run's meta JSON to path: the config and problem echo, the
+    run's own fields, the versions and the wall time since `started`."""
     meta = {"config": dataclasses.asdict(config),
             "problem": _problem_echo(problem), **fields,
             "versions": _versions(),
             "wall_time_seconds": time.perf_counter() - started}
-    path = out / "meta.json"
     with _output_file(path) as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return str(path)
 
 
 def _series_summary(traj: Trajectory) -> dict:
@@ -350,21 +348,23 @@ def _series_summary(traj: Trajectory) -> dict:
     }
 
 
-def _output_dir(config: RunConfig, output_dir, names) -> Path:
-    """The override, else the configured output directory, created if
-    missing.  names are the files the command will write there; one that is
-    a directory is refused here, before anything runs, with the record that
-    opening it would give.  A full disk is met only by the write."""
+def _output_paths(config: RunConfig, output_dir, names: dict) -> dict:
+    """{key: path} of the files a command writes, names {key: file name},
+    in the override, else the configured output directory, created if
+    missing.  A path that is a directory is refused here, before anything
+    runs, with the record that opening it would give; a full disk is met
+    only by the write."""
     out = Path(output_dir if output_dir is not None else config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory: {exc}") from exc
-    for path in (out / name for name in names):
+    paths = {key: out / name for key, name in names.items()}
+    for path in paths.values():
         if path.is_dir():
             raise ConfigurationError("cannot write output file: " + str(
                 IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))))
-    return out
+    return paths
 
 
 def _run_scheme(runner, problem, grid, solver_config, snapshot_stride,
@@ -387,18 +387,19 @@ def _run_scheme(runner, problem, grid, solver_config, snapshot_stride,
 def run_experiment(config: RunConfig, output_dir=None) -> dict:
     """Execute one configured run and emit series/snapshots/meta files.
 
-    Returns a report dict with the written paths and per-scheme summaries.
-    meta.json records, per scheme, the wall time of the run, of its four
-    phases (see mi.integrate) and of each of its two CSV writers under
-    `timings`.
+    Returns a report dict with the identity oracle, the per-scheme summaries
+    and paths, the output table (see _output_paths): series_<label> and
+    snapshots_<label> of each scheme in run order, then meta; a file name
+    takes the suffix _<label> for scheme both only.  meta.json records, per
+    scheme, the wall time of the run, of its four phases (see mi.integrate)
+    and of each of its two CSV writers under `timings`.
     """
     started = time.perf_counter()
     problem, grid, solver_config = resolve(config)
-    suffixes = {label: f"_{label}" if config.scheme == "both" else ""
-                for label in _schemes(config.scheme)}
-    out = _output_dir(config, output_dir, [
-        *(f"{kind}{suffix}.csv" for suffix in suffixes.values()
-          for kind in ("series", "snapshots")), "meta.json"])
+    schemes = _schemes(config.scheme)
+    names = {f"{kind}_{label}": f"{kind}_{label}.csv" if config.scheme == "both"
+             else f"{kind}.csv" for label in schemes for kind in ("series", "snapshots")}
+    paths = _output_paths(config, output_dir, {**names, "meta": "meta.json"})
 
     oracle = diagnostics.run_identity_oracle()
     if not oracle.ok:
@@ -407,22 +408,18 @@ def run_experiment(config: RunConfig, output_dir=None) -> dict:
             f"{oracle.energy_max_rel_gap:.3e}, mass factor "
             f"{oracle.measured_mass_factor!r} against the validated beta/4")
 
-    paths, schemes_meta, summaries, timings = {}, {}, {}, {}
-    for label, (runner, _) in _schemes(config.scheme).items():
-        series_path = out / f"series{suffixes[label]}.csv"
-        snaps_path = out / f"snapshots{suffixes[label]}.csv"
+    schemes_meta, summaries, timings = {}, {}, {}
+    for label, (runner, _) in schemes.items():
         schemes_meta[label], summaries[label], timings[label] = _run_scheme(
             runner, problem, grid, solver_config, config.snapshot_stride,
-            series_path, snaps_path)
-        paths[f"series_{label}"] = str(series_path)
-        paths[f"snapshots_{label}"] = str(snaps_path)
+            paths[f"series_{label}"], paths[f"snapshots_{label}"])
 
-    paths["meta"] = _write_meta(out, config, problem, started,
-                                grid=dataclasses.asdict(grid),
-                                schemes=schemes_meta, summaries=summaries,
-                                identity_oracle=dataclasses.asdict(oracle),
-                                conventions=CONVENTIONS, timings=timings)
-    return {"paths": paths, "summaries": summaries, "identity_oracle": oracle}
+    _write_meta(paths["meta"], config, problem, started,
+                grid=dataclasses.asdict(grid), schemes=schemes_meta,
+                summaries=summaries, identity_oracle=dataclasses.asdict(oracle),
+                conventions=CONVENTIONS, timings=timings)
+    return {"paths": {key: str(path) for key, path in paths.items()},
+            "summaries": summaries, "identity_oracle": oracle}
 
 
 def run_convergence(config: RunConfig, axis: str, levels: int,
@@ -431,7 +428,9 @@ def run_convergence(config: RunConfig, axis: str, levels: int,
 
     axis="space" doubles K from the configured base; axis="time" doubles J.
     The per-level error is the maximum err_max over the whole run, so the
-    sweep needs a problem with a verified exact solution.
+    sweep needs a problem with a verified exact solution.  Returns a report
+    dict with the fitted order, the entries and paths, the output table
+    (see _output_paths) of orders and meta.
     """
     if axis not in ("space", "time"):
         raise UsageError(f"axis must be 'space' or 'time', got {axis!r}")
@@ -456,7 +455,8 @@ def run_convergence(config: RunConfig, axis: str, levels: int,
             config, K=K, J=J, T=base_grid.T, snapshot_stride=J))[1])
 
     started = time.perf_counter()
-    out = _output_dir(config, output_dir, ["orders.csv", "meta.json"])
+    paths = _output_paths(config, output_dir,
+                          {"orders": "orders.csv", "meta": "meta.json"})
 
     entries = []
     for level, grid in enumerate(grids):
@@ -467,15 +467,14 @@ def run_convergence(config: RunConfig, axis: str, levels: int,
         entries.append((level, mesh_param, err))
 
     fitted = convergence_order([(m, e) for _, m, e in entries])
-    orders_path = out / "orders.csv"
     columns = map(np.array, zip(*(entry + (fitted,) for entry in entries)))
-    _write_csv(orders_path, ORDERS_HEADER, dict(zip(ORDERS_HEADER, columns)))
+    _write_csv(paths["orders"], ORDERS_HEADER, dict(zip(ORDERS_HEADER, columns)))
 
-    meta_path = _write_meta(out, config, problem, started,
-                            axis=axis, levels=levels, fitted_order=fitted,
-                            entries=[{"level": l, "mesh_param": m, "err_max": e}
-                                     for l, m, e in entries])
-    return {"paths": {"orders": str(orders_path), "meta": meta_path},
+    _write_meta(paths["meta"], config, problem, started,
+                axis=axis, levels=levels, fitted_order=fitted,
+                entries=[{"level": l, "mesh_param": m, "err_max": e}
+                         for l, m, e in entries])
+    return {"paths": {key: str(path) for key, path in paths.items()},
             "fitted_order": fitted, "entries": entries}
 
 

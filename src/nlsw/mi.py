@@ -144,7 +144,9 @@ def bootstrap(f0, f1, params: PdeParams, grid: GridSpec, mode: str = "taylor2",
     u^0 samples f0 at the nodes.  taylor2 expands
     u^1 = u^0 + tau*f1 + (tau^2/2)*u_tt with u_tt from model.pde_utt,
     spatial derivatives by second-order periodic differences and
-    u_tx = (f1)_x.  exact samples the supplied solution at t = tau.
+    u_tx = (f1)_x; a u^1 with an inf or NaN, where the expansion overflows,
+    is a DivergenceError that names step 1, the level it produced.  exact
+    samples the supplied solution at t = tau.
     """
     check_bootstrap(mode, exact)
     x = grid.nodes
@@ -154,7 +156,12 @@ def bootstrap(f0, f1, params: PdeParams, grid: GridSpec, mode: str = "taylor2",
     v0 = as_field(f1(x), grid)
     utt = pde_utt(u0, v0, central_diff(u0, grid.h), second_diff(u0, grid.h),
                   central_diff(v0, grid.h), params)
-    return u0, u0 + grid.tau * v0 + 0.5 * grid.tau ** 2 * utt
+    u1 = u0 + grid.tau * v0 + 0.5 * grid.tau ** 2 * utt
+    if not np.isfinite(u1).all():
+        error = DivergenceError("taylor2 bootstrap diverged: non-finite level u^1")
+        error.step = 1
+        raise error
+    return u0, u1
 
 
 def _stencils(params: PdeParams, grid: GridSpec):
@@ -511,8 +518,10 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     flush, the bootstrap pair's included, and steps_s the rest of the
     loop, the steps and the snapshot copies.
 
-    A failure names its step.  A realness guard that fires on row i of a
-    block names the block's first step plus i, and a failing step first
+    A failure names its step.  A guard that fires on the bootstrap pair
+    names step 1, the level the bootstrap produced, as does a non-finite
+    taylor2 level (see bootstrap).  A realness guard that fires on row i of
+    a block names the block's first step plus i, and a failing step first
     evaluates the block's completed steps, so the earliest failure in step
     order is the one reported.  Snapshots, copies of the levels, hold level
     n at t = n tau for each n = 0..J that snapshot_stride divides, and
@@ -572,8 +581,12 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
                 series[name][start:stop] = values
             diagnostics_s += clock() - tick
 
-        refs = {f"{name}_ref": float(values[0])
-                for name, values in evaluate(np.stack(window[:2])).items()}
+        try:
+            refs = {f"{name}_ref": float(values[0])
+                    for name, values in evaluate(np.stack(window[:2])).items()}
+        except NlswError as exc:
+            exc.step = 1
+            raise
         diagnostics_s = clock() - booted
         snapshots = [(0.0, window.u_prev.copy())]
         if snapshot_stride == 1:

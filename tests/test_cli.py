@@ -733,6 +733,36 @@ def test_converge_refuses_what_run_refuses(case, K, J, T, stride, axis, levels):
         assert not (Path(tmp) / "conv").exists()
 
 
+CONVERGE = ["converge", "--axis", "time", "--levels", "2"]
+
+# Key -> file name of every file that each command writes, in report order.
+OUTPUT_TABLES = {
+    "run": {"series_mi": "series.csv", "snapshots_mi": "snapshots.csv",
+            "meta": "meta.json"},
+    "compare": {"series_mi": "series_mi.csv", "snapshots_mi": "snapshots_mi.csv",
+                "series_wang": "series_wang.csv",
+                "snapshots_wang": "snapshots_wang.csv", "meta": "meta.json"},
+    "converge": {"orders": "orders.csv", "meta": "meta.json"},
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_TABLES)
+def test_report_paths_are_the_files_written(tmp_path, command):
+    # A command's report names every file it writes, and only those, under
+    # the output directory, in the order of its table.
+    out = tmp_path / "out"
+    config = RunConfig(problem="plane_beta2", K=16, J=20, T=0.2,
+                       scheme="both" if command == "compare" else "mi",
+                       output_dir=str(out))
+    report = (run_convergence(config, axis="time", levels=2)
+              if command == "converge" else run_experiment(config))
+    table = {key: out / name for key, name in OUTPUT_TABLES[command].items()}
+    assert list(report["paths"].items()) == [(key, str(path))
+                                             for key, path in table.items()]
+    assert sorted(out.iterdir()) == sorted(table.values())
+    assert all(path.is_file() for path in table.values())
+
+
 class TestMainExitCodes:
     def test_help_names_every_command(self, capsys):
         with pytest.raises(SystemExit) as exit_:
@@ -873,6 +903,32 @@ class TestMainExitCodes:
         assert record["error"] == "ConsistencyError"
         assert record["step"] == 2
 
+    def test_failure_on_bootstrap_pair_names_step_1(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # The run's own grid has K=64 (the identity oracle uses K=8): noise
+        # in the temporal mean of its first pair, (u^0, u^1), evaluated
+        # before the loop, trips the energy's realness guard (theta != 0),
+        # which ends the run.
+        from nlsw import diagnostics as diag_module
+        original = diag_module.half_nodes
+
+        def noisy(u_cur, u_next, grid):
+            dt, mid, dx = original(u_cur, u_next, grid)
+            if grid.K == 64:
+                rng = np.random.default_rng(0)
+                mid[0] = rng.normal(size=grid.K) + 1j * rng.normal(size=grid.K)
+            return dt, mid, dx
+
+        monkeypatch.setattr(diag_module, "half_nodes", noisy)
+        path = write_config(tmp_path, {"problem": "linear_plane", "K": 64,
+                                       "J": 20, "T": 0.2,
+                                       "output_dir": str(tmp_path / "b")})
+        assert main(["run", path]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert (record["error"], record["step"]) == ("ConsistencyError", 1)
+
     @pytest.mark.parametrize("command", [["run"], ["compare"],
                                          ["converge", "--axis", "time",
                                           "--levels", "2"]])
@@ -890,8 +946,10 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("blocker", ["directory", "full disk"])
     @pytest.mark.parametrize("command, name", [
         (["run"], "series.csv"), (["run"], "meta.json"),
-        (["converge", "--axis", "time", "--levels", "2"], "orders.csv"),
-        (["compare"], "snapshots_wang.csv")])
+        (CONVERGE, "orders.csv"), (["compare"], "snapshots_wang.csv"),
+        (["run"], "snapshots.csv"), (["compare"], "series_mi.csv"),
+        (["compare"], "snapshots_mi.csv"), (["compare"], "series_wang.csv"),
+        (["compare"], "meta.json"), (CONVERGE, "meta.json")])
     def test_unwritable_output_file_exit_2(self, tmp_path, capsys, monkeypatch,
                                            command, name, blocker):
         # A directory where the file goes is refused before any run, a full
@@ -1079,6 +1137,8 @@ OVERFLOWING_CONFIGS = {
                  "SingularSystemError", None),
     "beta": ({"problem": {"base": "plane_beta2", "params": {"beta": 1e300}},
               "K": 16, "J": 4, "T": 0.04}, "DivergenceError", 2),
+    "beta_bootstrap": ({"problem": {"base": "plane_beta2", "params": {"beta": 1e308}},
+                        "K": 16, "J": 10}, "DivergenceError", 1),
 }
 
 

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nlsw import (ConfigurationError, ConsistencyError, PdeParams, SolverConfig,
-                  StateWindow, StepFailureError, Trajectory, UsageError,
-                  assemble_linear, bootstrap, builtin_problem, build_grid,
-                  customized, diagnostics, mi, run_mi, run_wang, step_mi, wang)
+from nlsw import (ConfigurationError, ConsistencyError, DivergenceError,
+                  PdeParams, SolverConfig, StateWindow, StepFailureError,
+                  Trajectory, UsageError, assemble_linear, bootstrap,
+                  builtin_problem, build_grid, customized, diagnostics, mi,
+                  run_mi, run_wang, step_mi, wang)
 from nlsw.cli import run_convergence
 from nlsw.linsolve import PreparedCyclicSolver
 from nlsw.mi import BLOCK_VALUES, StepPlan
@@ -555,6 +556,14 @@ class TestBlockedDiagnostics:
         assert err.value.row == 5
         assert err.value.step == 2 + block + 5
 
+    def test_guard_failure_on_bootstrap_pair_names_step_1(self, monkeypatch):
+        # The pair (u^0, u^1) is evaluated before the loop, for meta's
+        # references: its failure names level 1, the bootstrap's.
+        _noisy_mean(monkeypatch, call=0, row=0)
+        with pytest.raises(ConsistencyError, match="energy") as err:
+            run_mi(EX1, self.grid(), SolverConfig())
+        assert err.value.step == 1
+
     def test_step_failure_reports_pending_guard_failure_first(self, monkeypatch):
         g = self.grid()
         original = mi.step_mi
@@ -585,3 +594,14 @@ class TestBlockedDiagnostics:
         with pytest.raises(ConsistencyError, match="mi_mass") as err:
             run_mi(EX1, self.grid(), SolverConfig())
         assert err.value.step == 6
+
+
+@pytest.mark.parametrize("runner", [run_mi, run_wang])
+def test_non_finite_taylor2_level_fails_as_step_1(runner):
+    # beta |u|^2 u overflows in u_tt, so u^1 is not finite: the bootstrap
+    # refuses it, before any step's Picard sweep meets it.
+    problem = customized(builtin_problem("plane_beta2"), beta=1e308)
+    grid = build_grid(problem.x_l, problem.x_r, 16, problem.default_T, 10)
+    with pytest.raises(DivergenceError, match="bootstrap") as err:
+        runner(problem, grid, SolverConfig())
+    assert err.value.step == 1

@@ -1,5 +1,6 @@
-"""tools/same_outputs.py: a tree against itself writes the same bytes, and a
-copy whose change moves the output is reported with exit code 1."""
+"""tools/same_outputs.py: a tree against itself writes the same bytes and
+refusal records, and a copy whose change moves the output is reported with
+exit code 1."""
 
 import importlib.util
 import shutil
@@ -41,6 +42,19 @@ def test_a_tree_matches_itself_and_not_a_perturbed_copy(tmp_path, capsys):
                     for line in capsys.readouterr().out.splitlines())
     assert verdicts["small/series_mi.csv"] == "differs"
     assert verdicts["small/process.txt"] == "differs"
+
+
+def test_a_refusal_reads_the_same_on_its_own_tree(tmp_path, capsys):
+    # A directory where meta.json goes is refused before the run, with a
+    # record that names the path relative to the case's own directory.
+    tool = load_tool()
+    src = ROOT / "src"
+    refused = [("refused", SMALL[0][1], ["run"], "meta.json")]
+    assert tool.check(src, src, refused, tmp_path) == 0
+    assert capsys.readouterr().out.splitlines() == ["same         refused/process.txt"]
+    process = (tmp_path / "change" / "outputs" / "refused" / "process.txt").read_text()
+    assert process.startswith("exit 2\n")
+    assert "Is a directory: 'meta.json'" in process
 
 
 def test_meta_is_compared_without_its_varying_fields(tmp_path):

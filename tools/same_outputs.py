@@ -4,11 +4,14 @@
 
 Each SRC is a directory that holds the nlsw package, such as a checkout's
 src/.  For each tree, every case runs in a fresh interpreter with only that
-SRC on PYTHONPATH: `nlsw run` on the three benchmark workload configs
-(benchmarks/workloads.make_config) at seeds 3 and 7, `nlsw converge --axis
-space --levels 3` on linear_plane (the linear_k64 config), and
-repr(run_identity_oracle()).  Each case also keeps its exit code, stdout and
-stderr in process.txt.
+SRC on PYTHONPATH, in a working directory of its own that is also its
+output_dir ".", so that a record naming an output path reads the same on
+both trees: `nlsw run` on the three benchmark workload configs
+(benchmarks/workloads.make_config) at seeds 3 and 7, `nlsw converge --levels
+3` on linear_plane (the linear_k64 config) along each axis,
+repr(run_identity_oracle()), and two refusals, `nlsw run` with a directory
+where meta.json goes and `nlsw converge` with one where orders.csv goes.
+Each case also keeps its exit code, stdout and stderr in process.txt.
 
 Every file is compared byte for byte, except that meta.json is compared
 without wall_time_seconds, timings and config.output_dir, the fields that
@@ -33,30 +36,38 @@ ORACLE = ("from nlsw.diagnostics import run_identity_oracle; "
 
 
 def default_cases() -> list:
-    """(name, config or None, command) of every case: a config with the CLI
-    command and its arguments, or None for the identity oracle."""
+    """(name, config or None, command, *blocked) of every case: a config
+    with the CLI command and its arguments, or None for the identity
+    oracle, and the output files, if any, where a directory stands before
+    the run."""
     sys.path.insert(0, str(ROOT / "benchmarks"))
     from workloads import WORKLOADS, make_config
 
     cases = [(f"{name}_seed{seed}", make_config(workload, seed, Path()), ["run"])
              for name, workload in WORKLOADS.items() for seed in SEEDS]
-    cases.append(("converge_linear_plane",
-                  make_config(WORKLOADS["linear_k64"], SEEDS[0], Path()),
-                  ["converge", "--axis", "space", "--levels", "3"]))
+    linear = make_config(WORKLOADS["linear_k64"], SEEDS[0], Path())
+    for axis in ("space", "time"):
+        cases.append((f"converge_{axis}_linear_plane", linear,
+                      ["converge", "--axis", axis, "--levels", "3"]))
     cases.append(("identity_oracle", None, []))
+    cases.append(("refused_run_meta", linear, ["run"], "meta.json"))
+    cases.append(("refused_converge_orders", linear,
+                  ["converge", "--axis", "space", "--levels", "3"], "orders.csv"))
     return cases
 
 
 def run_case(src: Path, case, out: Path, config_path: Path):
-    """Run one case on the tree src in a fresh interpreter, writing into
-    out the command's files and process.txt, and its config, if any, to
-    config_path."""
-    _, config, command = case
+    """Run one case on the tree src in a fresh interpreter in out, its
+    output directory, writing there the command's files and process.txt,
+    and its config, if any, to config_path."""
+    _, config, command, *blocked = case
     out.mkdir(parents=True)
+    for name in blocked:
+        (out / name).mkdir()
     if config is None:
         arguments = ["-c", ORACLE]
     else:
-        config_path.write_text(json.dumps({**config, "output_dir": str(out)}))
+        config_path.write_text(json.dumps({**config, "output_dir": "."}))
         arguments = ["-c", CLI, command[0], str(config_path), *command[1:]]
     done = subprocess.run([sys.executable, *arguments], cwd=out, text=True,
                           capture_output=True,
