@@ -20,7 +20,6 @@ import contextlib
 import dataclasses
 import errno
 import json
-import itertools
 import os
 import sys
 import time
@@ -29,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, mi, problems, wang
+from . import diagnostics, g17, mi, problems, wang
 from .errors import ConfigurationError, IdentityValidationError, NlswError, UsageError
 from .grid import GridSpec, build_grid, is_number, shown
 from .linsolve import SCIPY_VERSION
@@ -43,12 +42,13 @@ SNAPSHOT_HEADER = ("t", "x", "re_u", "im_u", "abs_u")
 ORDERS_HEADER = ("level", "mesh_param", "err_max", "fitted_order")
 
 # The most rows that a CSV writer formats at once: series or orders rows,
-# or nodes of one snapshot block.  A writer's temporaries stay bounded
-# whatever J or K, at about 0.7 MB a piece of series rows and 0.3 MB of
-# snapshot nodes, and a command writes only after its run has freed its
+# or snapshot rows, which run on across blocks.  A writer's temporaries stay
+# bounded whatever J or K, at about 2.4 MB a piece of series rows and 0.9 MB
+# of snapshot rows, and a command writes only after its run has freed its
 # plan and working levels (see mi.held_bytes).  On gauss_k4096_io, peak RSS
-# is the same for pieces of 256 to 1024 rows, 0.1 MB higher at 2048 and
-# 0.3 MB higher at 4096, one piece a block.
+# is the same for pieces of 256 to 1024 rows, 0.7 MB higher at 2048 and
+# 1.6 MB higher at 4096; its snapshot writer takes 1.4 times as long with
+# pieces of 256 rows as with 1024.
 PIECE_ROWS = 1024
 
 # Config key -> accepted JSON types; float stands for any JSON number and
@@ -196,12 +196,12 @@ def parse_config(text: str) -> RunConfig:
 
 
 @contextlib.contextmanager
-def _output_file(path: Path, **kwargs):
-    """path opened for writing text, as path.open("w", **kwargs) opens it.
-    An OSError in opening, writing or closing it, such as a directory where
-    the file goes or a full disk, is a ConfigurationError naming the path."""
+def _output_file(path: Path, mode: str = "w"):
+    """path opened for writing, text or with mode "wb" bytes.  An OSError
+    in opening, writing or closing it, such as a directory where the file
+    goes or a full disk, is a ConfigurationError naming the path."""
     try:
-        with path.open("w", **kwargs) as fh:
+        with path.open(mode) as fh:
             yield fh
     except OSError as exc:
         # A failed write names no file of its own.
@@ -209,25 +209,31 @@ def _output_file(path: Path, **kwargs):
         raise ConfigurationError(f"cannot write output file: {exc}{where}") from exc
 
 
+def _header(names) -> bytes:
+    return (",".join(names) + "\r\n").encode()
+
+
 def _write_csv(path: Path, header, columns):
-    """Write columns, a dict from names of header to arrays of one length,
-    with one %-template for every row: an empty field for a name without a
-    column, '%d' for an integer column and '%.17g' for any other, byte for
-    byte what csv.writer writes for those fields.  The rows are formatted
-    and written PIECE_ROWS at a time."""
-    names = [name for name in header if name in columns]
-    row = ",".join(
-        "" if name not in columns
-        else "%d" if np.issubdtype(columns[name].dtype, np.integer) else "%.17g"
-        for name in header) + "\r\n"
-    rows = len(columns[names[0]])
-    with _output_file(path, newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    """Write columns, a dict from names of header to arrays of one length:
+    an empty field for a name without a column, '%d' for an integer column
+    and '%.17g' for any other, byte for byte what csv.writer writes for
+    those fields.  The rows are formatted (g17.cells, g17.rows) and written
+    PIECE_ROWS at a time."""
+    kinds = [[j for j, name in enumerate(header) if name in columns
+              and np.issubdtype(columns[name].dtype, np.integer) == integer]
+             for integer in (True, False)]
+    rows = len(columns[next(name for name in header if name in columns)])
+    piece = min(rows, PIECE_ROWS)
+    words = np.empty((piece, len(header), g17.WORDS), np.uint32)
+    pids = np.full((piece, len(header)), g17.EMPTY)
+    with _output_file(path, "wb") as fh:
+        fh.write(_header(header))
         for start in range(0, rows, PIECE_ROWS):
-            piece = zip(*(columns[name][start:start + PIECE_ROWS].tolist()
-                          for name in names))
-            fh.write(row * min(PIECE_ROWS, rows - start)
-                     % tuple(itertools.chain.from_iterable(piece)))
+            n = min(piece, rows - start)
+            for kind in filter(None, kinds):
+                words[:n, kind], pids[:n, kind] = g17.cells(np.stack(
+                    [columns[header[j]][start:start + n] for j in kind], axis=1))
+            fh.write(g17.rows(words[:n], pids[:n]))
 
 
 def _write_series(path: Path, series):
@@ -237,28 +243,51 @@ def _write_series(path: Path, series):
 def _write_snapshots(path: Path, grid: GridSpec, snapshots):
     """One CSV block per snapshot, byte for byte what csv.writer writes for
     rows of f"{v:.17g}" fields: '%.17g' formats a float the same way, and
-    hypot gives the same |u| as Python's abs of a complex, except that a |u|
-    beyond the float max is written as inf, where Python's abs raises.
+    hypot gives the same |u| as Python's abs of a complex, except that a
+    |u| beyond the float max is written as inf, where Python's abs raises.
 
-    x is formatted once per file into one template per piece of PIECE_ROWS
-    nodes and t once per snapshot, in place of the NUL that stands for it;
-    only re_u, im_u and abs_u go through the templates' '%.17g' fields, a
-    piece at a time."""
-    templates = ["".join("\0,%.17g,%%.17g,%%.17g,%%.17g\r\n" % x
-                         for x in grid.nodes[start:start + PIECE_ROWS].tolist())
-                 for start in range(0, grid.K, PIECE_ROWS)]
-    values = np.empty((min(grid.K, PIECE_ROWS), 3))
-    with _output_file(path, newline="") as fh, quiet_overflow():
-        fh.write(",".join(SNAPSHOT_HEADER) + "\r\n")
-        for t, u in snapshots:
-            stamp = "%.17g" % t
-            for start, template in zip(range(0, grid.K, PIECE_ROWS), templates):
-                part = u[start:start + PIECE_ROWS]
-                piece = values[:len(part)]
-                piece[:, 0] = part.real
-                piece[:, 1] = part.imag
-                np.hypot(part.real, part.imag, out=piece[:, 2])
-                fh.write(template.replace("\0", stamp) % tuple(piece.ravel().tolist()))
+    x is formatted once per file and t once per block, into cells
+    (g17.cells); re_u, im_u and abs_u are formatted, and the rows written,
+    a piece of PIECE_ROWS rows at a time, and a piece runs on across the
+    blocks."""
+    K = grid.K
+    nodes = grid.nodes
+    x_words = np.empty((K, g17.WORDS), np.uint32)
+    x_pids = np.empty(K, np.int16)
+    for start in range(0, K, PIECE_ROWS):
+        x_words[start:start + PIECE_ROWS], x_pids[start:start + PIECE_ROWS] = (
+            g17.cells(nodes[start:start + PIECE_ROWS]))
+    t_words, t_pids = g17.cells(np.array([t for t, _ in snapshots], float))
+    piece = min(PIECE_ROWS, K * len(snapshots))
+    words = np.empty((piece, len(SNAPSHOT_HEADER), g17.WORDS), np.uint32)
+    pids = np.empty((piece, len(SNAPSHOT_HEADER)), np.intp)
+    values = np.empty((piece, 3))
+
+    def flush(n):
+        words[:n, 2:], pids[:n, 2:] = g17.cells(values[:n])
+        fh.write(g17.rows(words[:n], pids[:n]))
+
+    with _output_file(path, "wb") as fh, quiet_overflow():
+        fh.write(_header(SNAPSHOT_HEADER))
+        filled = 0
+        for block, (_, u) in enumerate(snapshots):
+            k = 0
+            while k < K:
+                n = min(K - k, piece - filled)
+                rows = slice(filled, filled + n)
+                words[rows, 0], pids[rows, 0] = t_words[block], t_pids[block]
+                words[rows, 1], pids[rows, 1] = x_words[k:k + n], x_pids[k:k + n]
+                part = u[k:k + n]
+                values[rows, 0] = part.real
+                values[rows, 1] = part.imag
+                np.hypot(part.real, part.imag, out=values[rows, 2])
+                filled += n
+                k += n
+                if filled == piece:
+                    flush(filled)
+                    filled = 0
+        if filled:
+            flush(filled)
 
 
 def _problem_echo(problem: ProblemSpec) -> dict:

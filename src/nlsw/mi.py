@@ -437,9 +437,9 @@ def held_bytes(grid: GridSpec, snapshot_stride: int) -> int:
     Writing the files never sets the peak: a run's plan and working levels
     (428 bytes a node) are freed when it returns, before a command's CSV
     writers start, which then hold the run's snapshots and series, the x
-    templates of the snapshot file (about 52 bytes a node) and one piece of
-    at most cli.PIECE_ROWS rows (about 710 bytes a series row and 300 a
-    snapshot node)."""
+    cells of the snapshot file (about 64 bytes a node) and one piece of at
+    most cli.PIECE_ROWS rows (about 2,300 bytes a series row and 900 a
+    snapshot row)."""
     levels = (grid.J - 1) // snapshot_stride + 2 + _block_pairs(grid) + 1
     return (grid.K * (16 * levels + PLAN_BYTES_PER_NODE + WORK_BYTES_PER_NODE)
             + 8 * (grid.J + 1) * (len(diagnostics.SERIES_COLUMNS) + 2))

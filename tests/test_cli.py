@@ -609,6 +609,49 @@ class TestWritersInPieces:
         assert peaks[1] - peaks[0] < 100 * 12 * self.PIECE
 
 
+@pytest.mark.parametrize("piece_rows", [5, 13, 64, 1024])
+def test_snapshot_pieces_cross_blocks_and_keep_every_byte(tmp_path, rng, monkeypatch,
+                                                          piece_rows):
+    # A piece runs on across snapshot blocks: K = 11 nodes, which none of
+    # the piece sizes divides, in 7 blocks, so pieces start and end inside
+    # blocks and the last one is short.  The values mix extremes and
+    # non-finite entries, t includes -0 and a subnormal, and x spans both
+    # '%.17g' layouts.
+    monkeypatch.setattr("nlsw.cli.PIECE_ROWS", piece_rows)
+    K = 11
+    grid = build_grid(-1e-5, 3e17, K, 1.0, 10)
+    extremes = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, FLOAT_MAX,
+                         -FLOAT_MAX, np.inf, -np.inf, np.nan, 0.1, 1e16, 1e17,
+                         (2.0 ** 53 - 1) / 4])
+    snapshots = []
+    for t in (0.0, -0.0, 5e-324, 1e-5, 0.1, 1e16, 1e300):
+        u = np.empty(K, complex)
+        u.real, u.imag = rng.choice(extremes, K), rng.choice(extremes, K)
+        snapshots.append((t, u))
+    _write_snapshots(tmp_path / "block.csv", grid, snapshots)
+    write_snapshots_rowwise(tmp_path / "rows.csv", grid, snapshots)
+    written = (tmp_path / "block.csv").read_bytes()
+    assert written == (tmp_path / "rows.csv").read_bytes()
+    assert written.count(b"\r\n") == 7 * K + 1
+
+
+def test_series_integer_columns_hold_the_int64_extremes(tmp_path, rng):
+    # '%d' of int64 min, whose magnitude no int64 holds, and of int64 max,
+    # beside an all-NaN float column and an absent one.
+    n = 6
+    series = {name: rng.normal(size=n) for name in SERIES_COLUMNS
+              if name != "energy_wang"}
+    series["step"] = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                               0, -1, 10 ** 18, -10 ** 18], np.int64)
+    series["fp_iters"] = np.array([np.iinfo(np.int64).max] * n, np.int64)
+    series["err_max"] = np.full(n, np.nan)
+    _write_series(tmp_path / "block.csv", series)
+    write_series_rowwise(tmp_path / "rows.csv", series)
+    written = (tmp_path / "block.csv").read_bytes()
+    assert written == (tmp_path / "rows.csv").read_bytes()
+    assert b"\r\n-9223372036854775808," in written
+
+
 @pytest.mark.parametrize("runner, columns", [
     (run_mi, {"energy_gap", "mass_gap"}),
     (run_wang, {"energy_wang"}),

@@ -1,0 +1,129 @@
+"""The vectorised formatter against Python's own: every float's cell text is
+'%.17g' % v and every int64's is '%d' % v, byte for byte, over hypothesis
+floats of every kind and over the values where the digits are hardest to
+get right (powers of ten and their neighbours, the carry to 10**17, exact
+ties of the 17th digit, the ends of the float and int64 ranges)."""
+
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nlsw import g17
+
+INT64 = np.iinfo(np.int64)
+
+
+def texts(values) -> list:
+    """The text g17 writes for each value, as bytes, via one column of rows."""
+    values = np.asarray(values)
+    words, pids = g17.cells(values.reshape(-1, 1))
+    return bytes(g17.rows(words, pids)).split(b"\r\n")[:-1]
+
+
+def python_texts(values) -> list:
+    fmt = "%d" if np.issubdtype(np.asarray(values).dtype, np.integer) else "%.17g"
+    return [(fmt % v).encode() for v in np.asarray(values).tolist()]
+
+
+def assert_same(values):
+    got, want = texts(values), python_texts(values)
+    assert len(got) == len(want)
+    bad = [(v, g, w) for v, g, w in zip(np.asarray(values).tolist(), got, want)
+           if g != w]
+    assert bad == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_every_float_is_percent_17g(values):
+    # st.floats() draws subnormals, signed zeros, infinities and NaNs.
+    assert_same(np.array(values, np.float64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(INT64.min, INT64.max), min_size=1, max_size=40))
+def test_every_int64_is_percent_d(values):
+    assert_same(np.array(values, np.int64))
+
+
+def test_signs_and_constants():
+    negative_nan = np.copysign(np.nan, -1.0)
+    assert np.signbit(negative_nan)
+    assert texts([0.0, -0.0, np.inf, -np.inf, np.nan, negative_nan]) == [
+        b"0", b"-0", b"inf", b"-inf", b"nan", b"nan"]
+
+
+def test_powers_of_ten_and_their_neighbours():
+    # floor(log10 v) is one off on one side of a power of ten, and the
+    # product may round to either end of [10**16, 10**17).
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    assert_same(np.concatenate([powers, np.nextafter(powers, 0),
+                                np.nextafter(powers, np.inf)]))
+    assert_same(-powers)
+
+
+def test_carries_and_the_ends_of_the_range():
+    values = [1e16, 1e17, 2.0 ** 53, 2.0 ** 53 - 1, 2.0 ** 53 + 2,
+              9.9999999999999999e22, 99999999999999999.0, 0.99999999999999999,
+              1e-4, 9.9999999999999991e-5, 1e-5, 123456789012345678.0,
+              5e-324, 2 * 5e-324, sys.float_info.min, np.nextafter(sys.float_info.min, 0),
+              sys.float_info.max, np.nextafter(sys.float_info.max, 0)]
+    assert_same(np.array(values))
+    assert_same(-np.array(values))
+
+
+def test_fixed_and_exponent_layouts_at_every_exponent():
+    # Every exponent from -325 to 308 with 1, 2, 9 and 17 significant
+    # digits, in both layouts' ranges.
+    mantissas = [1.0, 1.5, 1.23456789, 1.2345678901234567, 9.999]
+    values = [float(f"{m!r}e{k}") for m in mantissas for k in range(-320, 308)]
+    assert_same(np.array(values))
+
+
+def test_exact_ties_take_the_fallback_and_still_match(monkeypatch):
+    # Dyadic values of exactly 18 significant digits, the last a 5, such as
+    # (2**53 - 1) / 4 = 2251799813685247.75: the 17th digit is an exact tie
+    # that the scaled product cannot round, so each is formatted alone.
+    ties = np.array([(2.0 ** 53 - 1) / 4, 1234567890123456.25, 123456789012345.125,
+                     12345678901234.0625, 262143 / 2.0 ** 18, 131073 / 2.0 ** 18])
+    alone, formatted_alone = [], g17._alone
+
+    def spy(a):
+        alone.append(a)
+        return formatted_alone(a)
+
+    monkeypatch.setattr(g17, "_alone", spy)
+    assert_same(ties)
+    assert_same(-ties)
+    assert sorted(alone) == sorted(ties.tolist() * 2)
+
+
+def test_random_bit_patterns():
+    rng = np.random.default_rng(17)
+    bits = rng.integers(INT64.min, INT64.max, 20_000, dtype=np.int64, endpoint=True)
+    assert_same(bits.view(np.float64))
+    assert_same(rng.integers(-2 ** 40, 2 ** 40, 5_000) / 2.0 ** rng.integers(0, 60, 5_000))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_integer_columns_are_percent_d(dtype):
+    info = np.iinfo(dtype)
+    assert_same(np.array([info.min, info.max, 0, 1, 9, 10, 99, 100], dtype))
+
+
+def test_int64_extremes_and_powers_of_ten():
+    # |int64 min| = 2**63 is beyond int64, and 19 digits is the most.
+    powers = np.array([10 ** k for k in range(19)], np.int64)
+    assert_same(np.concatenate([[INT64.min, INT64.max, -1], powers, powers - 1,
+                                -powers, 1 - powers]))
+
+
+def test_rows_join_fields_with_commas_and_end_in_crlf():
+    words, pids = g17.cells(np.array([[1.5, -0.0, 0.1], [np.nan, 7.0, 1e-300]]))
+    assert bytes(g17.rows(words, pids)) == b"1.5,-0,0.10000000000000001\r\nnan,7,1e-300\r\n"
+    ints, int_pids = g17.cells(np.array([[3, -4]]))
+    pids = np.concatenate([int_pids, np.full((1, 1), g17.EMPTY)], axis=1)
+    words = np.concatenate([ints, np.empty((1, 1, g17.WORDS), np.uint32)], axis=1)
+    assert bytes(g17.rows(words, pids)) == b"3,-4,\r\n"
