@@ -217,23 +217,37 @@ def _write_csv(path: Path, header, columns):
     """Write columns, a dict from names of header to arrays of one length:
     an empty field for a name without a column, '%d' for an integer column
     and '%.17g' for any other, byte for byte what csv.writer writes for
-    those fields.  The rows are formatted (g17.cells, g17.rows) and written
-    PIECE_ROWS at a time."""
-    kinds = [[j for j, name in enumerate(header) if name in columns
-              and np.issubdtype(columns[name].dtype, np.integer) == integer]
-             for integer in (True, False)]
-    rows = len(columns[next(name for name in header if name in columns)])
-    piece = min(rows, PIECE_ROWS)
-    words = np.empty((piece, len(header), g17.WORDS), np.uint32)
-    pids = np.full((piece, len(header)), g17.EMPTY)
+    those fields.  The rows are formatted and written PIECE_ROWS at a time
+    in one g17.Piece, each run of adjacent fields of one kind through one
+    cells call: a field without a column joins the run it stands in,
+    formatted from a stand-in 1 and then emptied."""
+    runs = []                   # [first field, end, integer or None]
+    for j, name in enumerate(header):
+        kind = np.issubdtype(columns[name].dtype, np.integer) if name in columns else None
+        if runs and kind in (None, runs[-1][2]):
+            runs[-1][1] = j + 1
+        elif runs and runs[-1][2] is None:
+            runs[-1][1:] = j + 1, kind
+        else:
+            runs.append([j, j + 1, kind])
+    empty = [j for j, name in enumerate(header) if name not in columns]
+    rows = len(next(columns[name] for name in header if name in columns))
+    piece = g17.Piece(min(rows, PIECE_ROWS), len(header))
+    values = np.empty(piece.pids.shape)
+    for lo, hi, integer in runs:
+        (values.view(np.int64) if integer else values)[:, lo:hi] = 1
     with _output_file(path, "wb") as fh:
         fh.write(_header(header))
         for start in range(0, rows, PIECE_ROWS):
-            n = min(piece, rows - start)
-            for kind in filter(None, kinds):
-                words[:n, kind], pids[:n, kind] = g17.cells(np.stack(
-                    [columns[header[j]][start:start + n] for j in kind], axis=1))
-            fh.write(g17.rows(words[:n], pids[:n]))
+            n = min(len(values), rows - start)
+            for lo, hi, integer in runs:
+                run = (values.view(np.int64) if integer else values)[:n, lo:hi]
+                for j in range(lo, hi):
+                    if header[j] in columns:
+                        run[:, j - lo] = columns[header[j]][start:start + n]
+                piece.cells(run, slice(lo, hi))
+            piece.pids[:n, empty] = g17.EMPTY
+            fh.write(piece.rows(n))
 
 
 def _write_series(path: Path, series):
@@ -246,44 +260,49 @@ def _write_snapshots(path: Path, grid: GridSpec, snapshots):
     hypot gives the same |u| as Python's abs of a complex, except that a
     |u| beyond the float max is written as inf, where Python's abs raises.
 
-    x is formatted once per file and t once per block, into cells
-    (g17.cells); re_u, im_u and abs_u are formatted, and the rows written,
-    a piece of PIECE_ROWS rows at a time, and a piece runs on across the
-    blocks."""
+    A row is its block's "t,x," text, laid in as a prefix, and three cells.
+    The x texts are formatted once per file, PIECE_ROWS at a time, and t
+    once per block; re_u, im_u and abs_u are formatted, and the rows
+    written, a piece of PIECE_ROWS rows at a time (g17.Piece), and a piece
+    runs on across the blocks."""
     K = grid.K
     nodes = grid.nodes
-    x_words = np.empty((K, g17.WORDS), np.uint32)
-    x_pids = np.empty(K, np.int16)
+    x = g17.Piece(min(K, PIECE_ROWS), 1)
+    x_text = np.empty((K, g17.TEXT), np.uint8)
+    x_len = np.empty(K, np.uint8)
     for start in range(0, K, PIECE_ROWS):
-        x_words[start:start + PIECE_ROWS], x_pids[start:start + PIECE_ROWS] = (
-            g17.cells(nodes[start:start + PIECE_ROWS]))
-    t_words, t_pids = g17.cells(np.array([t for t, _ in snapshots], float))
-    piece = min(PIECE_ROWS, K * len(snapshots))
-    words = np.empty((piece, len(SNAPSHOT_HEADER), g17.WORDS), np.uint32)
-    pids = np.empty((piece, len(SNAPSHOT_HEADER)), np.intp)
-    values = np.empty((piece, 3))
+        stop = min(start + PIECE_ROWS, K)
+        x.cells(nodes[start:stop, None])
+        x_len[start:stop] = x.texts(stop - start, x_text[start:stop])
+    del x
+    x_width = int(x_len.max())
+    t_texts = [np.frombuffer(b"%.17g," % t, np.uint8) for t, _ in snapshots]
+    piece = g17.Piece(min(PIECE_ROWS, K * len(snapshots)), 3,
+                      prefix=max(map(len, t_texts)) + x_width)
+    values = np.empty((len(piece.lead), 3))
 
     def flush(n):
-        words[:n, 2:], pids[:n, 2:] = g17.cells(values[:n])
-        fh.write(g17.rows(words[:n], pids[:n]))
+        piece.cells(values[:n])
+        fh.write(piece.rows(n))
 
     with _output_file(path, "wb") as fh, quiet_overflow():
         fh.write(_header(SNAPSHOT_HEADER))
         filled = 0
-        for block, (_, u) in enumerate(snapshots):
-            k = 0
+        for t_text, (_, u) in zip(t_texts, snapshots):
+            k, lead = 0, len(t_text)
             while k < K:
-                n = min(K - k, piece - filled)
+                n = min(K - k, len(values) - filled)
                 rows = slice(filled, filled + n)
-                words[rows, 0], pids[rows, 0] = t_words[block], t_pids[block]
-                words[rows, 1], pids[rows, 1] = x_words[k:k + n], x_pids[k:k + n]
+                piece.chars[rows, :lead] = t_text
+                piece.chars[rows, lead:lead + x_width] = x_text[k:k + n, :x_width]
+                np.add(x_len[k:k + n], lead, out=piece.lead[rows])
                 part = u[k:k + n]
                 values[rows, 0] = part.real
                 values[rows, 1] = part.imag
                 np.hypot(part.real, part.imag, out=values[rows, 2])
                 filled += n
                 k += n
-                if filled == piece:
+                if filled == len(values):
                     flush(filled)
                     filled = 0
         if filled:

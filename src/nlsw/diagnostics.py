@@ -8,9 +8,12 @@ increment minus that residual ("identity gap") must sit at round-off on
 any converged trajectory.
 
 The three half-node fields of a pair (time quotient, temporal mean and its
-space quotient) come from half_nodes.  A run builds them once per block of
-pairs and hands them to the energy, the mass and the identity mean through
-their `half` argument; no state persists between calls.
+space quotient) come from half_nodes, as a HalfNodes that also computes,
+once, the modulus of the mean and the skew sum that the invariants share.
+A run builds them once per block of pairs and hands them to the energy,
+the mass and the identity mean through their `half` argument, and the
+squared modulus of the mean on to the identities; the functions keep no
+state between calls.
 
 Every function here takes one pair of levels, shape (K,), or stacks of
 pairs, shape [..., K], evaluated row by row: each sum is one np.vecdot or
@@ -28,6 +31,7 @@ accepts on re-measuring it; mass_rhs_printed keeps the printed form for auditing
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +53,9 @@ SERIES_COLUMNS = ("step", "t", "energy_mi", "mass_mi", "energy_gap", "mass_gap",
                   "energy_wang", "err_max", "e_infty_sq", "mod_err", "fp_iters")
 
 
-def _skew_imag(dx_half, mid_half, weight, what):
-    """Im s of the half-node sum s = sum conj(dx_half) * mid_half, row-wise
-    for stacks, the sum that both invariants carry.
+def _skew_imag(half, weight, what):
+    """Im s of the half-node sum s = sum conj(dx_half) * mid_half of a
+    HalfNodes, row-wise for stacks, the sum that both invariants carry.
 
     Re s telescopes to zero (discrete skew-adjointness).  Raise
     ConsistencyError where |Re s| exceeds
@@ -59,13 +63,38 @@ def _skew_imag(dx_half, mid_half, weight, what):
     of a stack and reporting weight * Re s, the spurious part that the
     invariant's term puts in.
     """
-    s = np.vecdot(dx_half, mid_half)
-    bad = np.flatnonzero(np.abs(s.real) > _REALNESS_TOL * np.vecdot(np.abs(dx_half),
-                                                                     np.abs(mid_half)))
+    s, scale = half.skew
+    bad = np.flatnonzero(np.abs(s.real) > _REALNESS_TOL * scale)
     if bad.size:
         row = int(bad[0])
         raise ConsistencyError(f"{what} {weight * np.ravel(s.real)[row]:.3e}", row=row)
     return s.imag
+
+
+class HalfNodes(tuple):
+    """The three fields of half_nodes, (dt_half, mid_half, dx_half), and
+    what the invariants and the identities share of them, each computed on
+    its first use: abs_mid = |mid_half|, abs2_mid = abs_mid * abs_mid, and
+    skew, the sum s of _skew_imag with the scale of its realness check."""
+
+    @classmethod
+    def of(cls, half) -> HalfNodes:
+        """half itself if it is a HalfNodes, else its three fields in one."""
+        return half if isinstance(half, cls) else cls(half)
+
+    @functools.cached_property
+    def abs_mid(self):
+        return np.abs(self[1])
+
+    @functools.cached_property
+    def abs2_mid(self):
+        return self.abs_mid * self.abs_mid
+
+    @functools.cached_property
+    def skew(self):
+        _, mid_half, dx_half = self
+        return (np.vecdot(dx_half, mid_half),
+                np.vecdot(np.abs(dx_half), self.abs_mid))
 
 
 def half_nodes(u_cur, u_next, grid):
@@ -97,7 +126,7 @@ def half_nodes(u_cur, u_next, grid):
     dx_half /= grid.h
     mid_half = np.add(u_mid, mid_next, out=mid_next)
     np.multiply(0.5, mid_half, out=mid_half)
-    return dt_half, mid_half, dx_half
+    return HalfNodes((dt_half, mid_half, dx_half))
 
 
 def mi_energy(u_cur, u_next, params: PdeParams, grid: GridSpec,
@@ -111,18 +140,17 @@ def mi_energy(u_cur, u_next, params: PdeParams, grid: GridSpec,
     real by discrete skew-adjointness, -theta*h*Im s with s as in _skew_imag,
     whose check guards that where theta != 0; on a stack its
     ConsistencyError carries the first offending row.  half, if given, is
-    half_nodes(u_cur, u_next, grid), already built.
+    half_nodes(u_cur, u_next, grid), already built, whose shared fields
+    (HalfNodes) the mass and the identities then reuse.
     """
-    if half is None:
-        half = half_nodes(u_cur, u_next, grid)
-    dt_half, mid_half, dx_half = half
+    half = HalfNodes.of(half_nodes(u_cur, u_next, grid) if half is None else half)
+    dt_half, _, dx_half = half
     h = grid.h
     theta_h = params.theta * h
-    skew = (theta_h * _skew_imag(dx_half, mid_half, theta_h,
+    skew = (theta_h * _skew_imag(half, theta_h,
                                  "discrete energy has spurious imaginary part")
             if params.theta else 0.0)
-    abs_mid = np.abs(mid_half)
-    abs2_mid = abs_mid * abs_mid
+    abs_mid, abs2_mid = half.abs_mid, half.abs2_mid
     energy = (h * (np.vecdot(dt_half, dt_half).real + np.vecdot(dx_half, dx_half).real
                    + params.lam * np.vecdot(abs_mid, abs_mid)
                    + 0.5 * params.beta * np.vecdot(abs2_mid, abs2_mid))
@@ -146,15 +174,14 @@ def mi_mass(u_cur, u_next, params: PdeParams, grid: GridSpec,
     skew-adjointness, whose check guards that where gamma != 0.  half and
     stacks are as in mi_energy.
     """
-    if half is None:
-        half = half_nodes(u_cur, u_next, grid)
-    dt_half, mid_half, dx_half = half
+    half = HalfNodes.of(half_nodes(u_cur, u_next, grid) if half is None else half)
+    dt_half, mid_half, _ = half
     h = grid.h
     gamma_h = params.gamma * h
-    skew = (gamma_h * _skew_imag(dx_half, mid_half, -gamma_h,
+    skew = (gamma_h * _skew_imag(half, -gamma_h,
                                  "discrete mass has spurious real part")
             if params.gamma else 0.0)
-    abs_mid = np.abs(mid_half)
+    abs_mid = half.abs_mid
     mass = (h * (2.0 * np.vecdot(mid_half, dt_half).imag) - skew
             - params.alpha * h * np.vecdot(abs_mid, abs_mid))
     return scalar_or_rows(mass)
@@ -166,7 +193,7 @@ def _half_node_means(u_prev, u_cur, u_next, grid):
 
 
 def _identity_rhs(a, b, params: PdeParams, grid: GridSpec,
-                  factor: float = VALIDATED_MASS_FACTOR):
+                  factor: float = VALIDATED_MASS_FACTOR, abs2=None):
     """Right-hand sides (energy, mass) of the two identities, from the
     half-node means a of u^{j+1/2} and b of u^{j-1/2} (row-wise for stacks).
 
@@ -179,13 +206,17 @@ def _identity_rhs(a, b, params: PdeParams, grid: GridSpec,
     factor=0.25 is the validated mass constant that mass_rhs and every run
     use; 0.5 reproduces the printed form, and the oracle fits factor=1.0.
 
+    abs2, if given, is (|a|^2, |b|^2), each as x * x of |x|, already built.
     d, a - b, d (a - b) and a + b are formed in place, with the operands
     and in the order written, a + b in the buffer of a - b once the energy
     is summed.
     """
-    d = np.abs(a)
-    abs2_b = np.abs(b)
-    np.subtract(np.square(d, out=d), np.square(abs2_b, out=abs2_b), out=d)
+    if abs2 is None:
+        d = np.abs(a)
+        abs2_b = np.abs(b)
+        np.subtract(np.square(d, out=d), np.square(abs2_b, out=abs2_b), out=d)
+    else:
+        d = np.subtract(*abs2)
     jump = np.subtract(a, b)
     weighted = np.multiply(d, jump)
     energy = -0.5 * params.beta * grid.h * np.vecdot(jump, weighted).real
@@ -219,15 +250,16 @@ class IdentityGaps:
 
 
 def identity_gaps(d_energy, d_mass, a, b, params: PdeParams,
-                  grid: GridSpec) -> IdentityGaps:
+                  grid: GridSpec, abs2=None) -> IdentityGaps:
     """Identity gaps from the invariant increments E^{j+1/2} - E^{j-1/2} and
     Q^{j+1/2} - Q^{j-1/2} and the half-node means a, b of the two pairs;
     row-wise for stacks (arrays of increments, [..., K] means).
 
-    A run carries the invariants and the mean of the previous pair forward,
-    so each level's invariants are evaluated once.
+    A run carries the invariants, the mean of the previous pair and its
+    |mean|^2 forward, so each level's invariants and each mean's modulus
+    are evaluated once; abs2 is as in _identity_rhs.
     """
-    rhs_e, rhs_q = _identity_rhs(a, b, params, grid)
+    rhs_e, rhs_q = _identity_rhs(a, b, params, grid, abs2=abs2)
     return IdentityGaps(energy_gap=d_energy - rhs_e,
                         mass_gap=d_mass / grid.tau - rhs_q)
 

@@ -1,12 +1,15 @@
 """Exact vectorised '%.17g' and '%d': numbers formatted a whole array at a
 time, byte for byte what Python's % operator writes for each of them.
 
-cells(values) gives each value a cell of CELL bytes and a pattern id; the
-row KEEP[pid] of the keep table picks, in order, the cell's bytes that make
-up the value's text, so chars[KEEP[pids]] over an array of cells is the
-concatenation of their texts (rows).  The bytes at END and END + 1 belong
-to no pattern: a writer puts a field's separator there.  A float cell holds
-every character any of its layouts may need, in the order they appear:
+A Piece holds a CSV writer's buffers for up to `rows` rows of `fields`
+fields.  Piece.cells gives each value of an array a cell of CELL bytes in
+a run of the fields, and a pattern id; the row KEEP[pid] of the keep table
+picks, in order, the cell's bytes that make up the value's text, so
+chars[KEEP[pids]] over an array of cells is the concatenation of their
+texts, and Piece.rows compacts a piece's rows into CSV bytes that way.  The
+bytes at END and END + 1 belong to no pattern: rows puts a field's
+separator there.  A float cell holds every character any of its layouts
+may need, in the order they appear:
 
     byte  1      '-'
     2-6          '0' '.' '0' '0' '0'  (0.000ddd; '0', 'inf' or 'nan' at 2-4)
@@ -26,15 +29,24 @@ PLDI 2010), without formatting a value on its own:
    double-double mantissas, (hi + lo) * 2**k, built in integer arithmetic;
    |v| * 2**k is exact for every finite v, a subnormal scaled up by that
    power of two like any other, and its product with hi is exact as a
-   Dekker two-product.
+   Dekker two-product.  The table's rows are built on demand: each call
+   checks the rows its exponents read against a mask of the filled ones and
+   builds only those missing, so a run's values, which span a few
+   exponents, build a few of its 635 rows.
 2. Correct the exponent: E starts as floor(log10|v|), and a product
    outside [10**16, 10**17) moves it by one; a rounding up to 10**17
    carries into E.
 3. Make the digits: 4-digit groups from a lookup table of uint32 words,
    with the trailing zeros counted in the same groups.
-4. Lay out the cell: words from tables, the pattern from (sign, E, number
-   of digits), and the constants 0, -0, inf, -inf and nan; a NaN with its
-   sign bit set is written nan, as Python writes it.
+4. Lay out the cell: words from tables and the pattern from (sign, E,
+   number of digits).  Zeros, infinities and NaNs take constant words and
+   patterns, and a NaN with its sign bit set is written nan, as Python
+   writes it.  When a call holds such values, steps 1-3 run on its finite
+   nonzero values alone, gathered as floats, and their digits and
+   exponents are scattered back as integers; the special values are laid
+   out from stand-in digits and then take their patterns, so no cell is
+   moved.  A call of zeros alone, or of special values alone, makes no
+   digits at all.
 5. Fall back rarely: the computed fraction of the scaled value is within
    about 1e-14 of the true one (lo's rounding and the sum of the product's
    error terms), so a value whose fraction lies within _TIE = 1e-9 of a
@@ -43,6 +55,10 @@ PLDI 2010), without formatting a value on its own:
 
 An integer array (int64 range) is written as '%d' writes it, in cells of
 its own layout: '-' at byte 1 and up to 20 digits ending at byte 43.
+
+A call works in its piece's scratch, SLOTS 8-byte values for each number;
+those bytes later hold the piece's keep mask, so a piece allocates its
+buffers once, whatever the number of calls and rows.
 """
 
 from __future__ import annotations
@@ -54,6 +70,8 @@ import numpy as np
 CELL = 52               # bytes of a cell
 WORDS = CELL // 4       # its uint32 words
 END = 49                # the separator's bytes: END and END + 1
+SLOTS = 7               # 8-byte scratch values a number takes
+TEXT = 25               # the longest '%.17g' text and a separator
 
 _DIGITS = 17
 _TIE = 1e-9             # distance from a half that takes the fallback
@@ -79,37 +97,28 @@ def _word(text: bytes) -> int:
     return int.from_bytes(text, "little")
 
 
-# A float cell's constant words: 0 and 1 with d0 = 0 at byte 7 (which are
+# A float cell's constant words: 0 and 1 with d0 = 0 at byte 7 (word 0 is
 # also the cell of a zero), 6 the point at byte 24; and words 0 and 1 of
 # inf and of nan.
 _W0, _W1 = _word(b"\0-0."), _word(b"0000")
 _W6 = _word(b".\0\0\0")
-_INF_NAN_WORDS = np.array([[_word(b"\0-in"), _word(b"f000")],
-                           [_word(b"\0-na"), _word(b"n000")]], np.uint32)
+_CONSTANTS = ((_INF, _word(b"\0-in"), _word(b"f000")),
+              (_NAN, _word(b"\0-na"), _word(b"n000")))
 
 
 @functools.cache
 def _tables() -> dict:
-    """The lookup tables, built once, on the first call."""
-    his, los, ks = [], [], []
-    for p in range(16 - _E_MAX, 16 - _E_MIN + 1):
-        hi, lo, k = _power(p)
-        his.append(hi)
-        los.append(lo)
-        ks.append(k)
-    hi = np.array(his)
-    split = hi * _SPLIT
-    hi_h = split - (split - hi)
-
-    # The 4-digit groups 0000..9999 as 4 bytes, and their trailing zeros.
-    chars = np.empty((10, 10, 10, 10, 4), np.uint8)
-    digit = np.arange(48, 58, dtype=np.uint8)
-    zeros, run = 0, True
-    for place in range(4):
-        chars[..., place] = digit.reshape((10,) + (1,) * (3 - place))
-        run = run & (np.arange(10) == 0).reshape((10,) + (1,) * place)
-        zeros = zeros + run
-    chars = chars.reshape(-1, 4)
+    """The lookup tables, built once, on the first call, and the table of
+    10**p (hi, hi_h, hi_l, lo, k), whose rows _fill builds as calls need
+    them: row i holds p = 16 - (_E_MAX - i)."""
+    # The 4-digit groups 0000..9999 as words of 4 bytes, and their trailing
+    # zeros: the digits of thousands, hundreds, tens and units on the axes
+    # of a 10x10x10x10 grid.
+    digit = np.arange(10, dtype=np.uint32)
+    th, hu, te, un = (digit.reshape((10,) + (1,) * (3 - place)) for place in range(4))
+    quad = (_word(b"0000") + th + (hu << 8) + (te << 16) + (un << 24)).ravel()
+    zeros = ((un == 0) * (1 + (te == 0) * (1 + (hu == 0) * (1 + (th == 0))))).ravel()
+    chars = quad.view(np.uint8).reshape(-1, 4)
 
     # The exponent's 8 bytes: 'e', its sign, three digits and the separator's
     # two, and the body of each exponent's pattern.
@@ -123,17 +132,36 @@ def _tables() -> dict:
     body = np.where(fixed, (exponent + 4) * _DIGITS,
                     np.where(magnitude >= 100, _EXP3, _EXP2))
 
-    tables = {"hi": hi, "hi_h": hi_h, "hi_l": hi - hi_h, "lo": np.array(los),
-              "k": np.array(ks, np.int32), "quad": chars.view(np.uint32).ravel(),
+    tables = {"quad": quad,
               "lead": _W1 + (np.arange(10, dtype=np.uint32) << 24),
-              "zeros": zeros.ravel().astype(np.int8),
-              "digits": (_DIGITS - 1 - zeros.ravel()).astype(np.int8),
-              "exp": exp_chars.view(np.uint32), "body": body,
+              "zeros": zeros.astype(np.int16),
+              "digits": (_DIGITS - 1 - zeros).astype(np.int16),
+              "exp": exp_chars.view(np.uint32), "body": body.astype(np.int16),
               "keep": _keep_table(),
               "powers": np.array([10 ** k for k in range(1, 20)], np.uint64)}
     for table in tables.values():       # shared by every call
         table.flags.writeable = False
-    return tables
+    rows = len(exponent)
+    return {**tables, "hi": np.empty(rows), "hi_h": np.empty(rows),
+            "hi_l": np.empty(rows), "lo": np.empty(rows),
+            "k": np.empty(rows, np.int32), "filled": np.zeros(rows, bool)}
+
+
+def _fill(t: dict, i: np.ndarray):
+    """Build the rows of the table of 10**p that the row indices i read and
+    that no call has built yet."""
+    filled = t["filled"]
+    if filled.take(i).all():
+        return
+    wanted = np.zeros(len(filled), bool)
+    wanted[i] = True
+    for row in np.flatnonzero(wanted & ~filled).tolist():
+        hi, lo, k = _power(16 - _E_MAX + row)
+        split = hi * _SPLIT
+        hi_h = split - (split - hi)
+        t["hi"][row], t["hi_h"][row], t["hi_l"][row] = hi, hi_h, hi - hi_h
+        t["lo"][row], t["k"][row] = lo, k
+        filled[row] = True
 
 
 def _power(p: int) -> tuple[float, float, int]:
@@ -186,122 +214,226 @@ def _keep_table() -> np.ndarray:
                            np.zeros((1, CELL), bool)])
 
 
-def cells(values) -> tuple[np.ndarray, np.ndarray]:
-    """(words, pids): the cells of an array of numbers, uint32 words of
-    shape values.shape + (WORDS,), and their pattern ids.  An integer array
-    is formatted as '%d' formats each entry, any other as '%.17g' formats
-    it as a float."""
-    values = np.asarray(values)
-    if np.issubdtype(values.dtype, np.integer):
-        words, pids = _int_cells(np.asarray(values, np.int64).ravel())
-    else:
-        words, pids = _float_cells(np.asarray(values, np.float64).ravel())
-    return words.reshape(values.shape + (WORDS,)), pids.reshape(values.shape)
+class Piece:
+    """A CSV writer's buffers for up to `rows` rows of `fields` cells, each
+    row led by up to `prefix` bytes of text that the writer lays into
+    chars[:, :prefix], with its length in lead, or by none.  One byte
+    buffer is the scratch of every cells call and then, in rows, the keep
+    mask of the rows it compacts."""
+
+    def __init__(self, rows: int, fields: int, prefix: int = 0):
+        prefix = -(-prefix // 4) * 4            # the cells stay word-aligned
+        width = prefix + fields * CELL
+        self.prefix = prefix
+        self.chars = np.empty((rows, width), np.uint8)
+        self.words = self.chars[:, prefix:].view(np.uint32).reshape(rows, fields, WORDS)
+        self.pids = np.full((rows, fields), EMPTY, np.int16)
+        self.lead = np.zeros(rows, np.intp)
+        self._leads = np.tri(prefix + 1, prefix, -1, bool)     # row L keeps L bytes
+        buffer = np.empty(rows * max(width, 8 * SLOTS * fields), np.uint8)
+        self._keep = buffer[:rows * width].view(bool).reshape(rows, width)
+        self._scratch = buffer[:8 * SLOTS * rows * fields].view(np.float64)
+
+    def cells(self, values, fields=slice(None)):
+        """Format values, an (n, m) array, into the cells of the first n rows
+        and the m fields of the slice fields: '%d' for an integer array and
+        '%.17g' for any other."""
+        values = np.asarray(values)
+        words, pids = self.words[:len(values), fields], self.pids[:len(values), fields]
+        slots = self._scratch[:SLOTS * values.size].reshape(SLOTS, values.size)
+        if np.issubdtype(values.dtype, np.integer):
+            _int_cells(_tables(), np.asarray(values, np.int64), words, pids, slots)
+        else:
+            _float_cells(_tables(), np.asarray(values, np.float64), words, pids, slots)
+
+    def rows(self, n: int, end: bytes = b"\r\n") -> np.ndarray:
+        """The bytes, as a uint8 array, of the first n rows: the lead of
+        each row's prefix, then its fields, each followed by ',' and the
+        last one by end, CRLF or ','."""
+        chars, keep = self.chars[:n], self._keep[:n]
+        shape = (n, self.words.shape[1], CELL)
+        cells = chars[:, self.prefix:].reshape(shape)
+        kept = keep[:, self.prefix:].reshape(shape)
+        cells[:, :, END] = ord(",")
+        cells[:, -1, END:END + len(end)] = np.frombuffer(end, np.uint8)
+        np.take(_tables()["keep"], self.pids[:n], axis=0, out=kept, mode="clip")
+        kept[:, :, END] = True
+        kept[:, -1, END + 1] = len(end) == 2
+        if self.prefix:
+            np.take(self._leads, self.lead[:n], axis=0, out=keep[:, :self.prefix],
+                    mode="clip")
+        return chars[keep]
+
+    def texts(self, n: int, out: np.ndarray) -> np.ndarray:
+        """Lay the first n rows, each ending in ',', left-aligned into the
+        rows of out, as wide as the longest, and return their lengths."""
+        text = self.rows(n, b",")
+        lengths = self._keep[:n].sum(axis=1)
+        out[np.arange(out.shape[1]) < lengths[:, None]] = text
+        return lengths
 
 
-def rows(words: np.ndarray, pids: np.ndarray) -> np.ndarray:
-    """The bytes, as a uint8 array, of CSV rows of cells: words and pids of
-    shape (rows, fields, WORDS) and (rows, fields), each field followed by
-    ',' and the last one of a row by CRLF.  Writes the separators into
-    words."""
-    chars = words.view(np.uint8)
-    chars[:, :, END] = ord(",")
-    chars[:, -1, END:END + 2] = (ord("\r"), ord("\n"))
-    keep = np.take(_tables()["keep"], pids, axis=0)
-    keep[:, :, END] = True
-    keep[:, -1, END + 1] = True
-    return chars[keep]
-
-
-def _scaled(t: dict, a: np.ndarray, E: np.ndarray):
+def _scaled(t: dict, b: np.ndarray, i: np.ndarray, s: np.ndarray):
     """(N, frac): a * 10**(16 - E) = N + frac, N an integer and frac in
-    [0, 1), within about 1e-14, for positive finite a and E = floor(log10 a)
-    give or take one, so that the product is below 2**57."""
-    i = _E_MAX - E                              # the row of 10**(16 - E)
-    b = np.ldexp(a, t["k"].take(i))            # an integer below 2**57
-    hi = t["hi"].take(i)
-    p = b * hi
-    split = b * _SPLIT
-    b_h = split - (split - b)
-    b_l = b - b_h
-    hi_h, hi_l = t["hi_h"].take(i), t["hi_l"].take(i)
-    e = b_h * hi_h - p
-    e += b_h * hi_l
-    e += b_l * hi_h
-    e += b_l * hi_l
-    e += b * t["lo"].take(i)
-    whole = np.floor(e)
-    e -= whole
-    return p.astype(np.int64) + whole.astype(np.int64), e
+    [0, 1), within about 1e-14, for positive finite a, given in b, and the
+    row i = _E_MAX - E of the table, E = floor(log10 a) give or take one,
+    so that the product is below 2**57.  Leaves a * 2**k, k = t["k"][i], in
+    b; N is an int64 view and frac a row of s, five float64 rows of b's
+    length, the scratch."""
+    _fill(t, i)
+    p, b_h, b_l, x, e = s
+    k = p.view(np.int32)[:len(b)]
+    np.take(t["k"], i, out=k, mode="clip")
+    np.ldexp(b, k, out=b)                      # an integer below 2**57
+    np.take(t["hi"], i, out=p, mode="clip")
+    p *= b
+    np.multiply(b, _SPLIT, out=b_h)
+    np.subtract(b_h, b, out=b_l)
+    b_h -= b_l
+    np.subtract(b, b_h, out=b_l)
+    # e = b * hi - p, summed exactly: every product of halves is exact.
+    np.take(t["hi_h"], i, out=x, mode="clip")
+    np.multiply(b_h, x, out=e)
+    e -= p
+    x *= b_l
+    e += x
+    np.take(t["hi_l"], i, out=x, mode="clip")
+    b_h *= x
+    e += b_h
+    b_l *= x
+    e += b_l
+    np.take(t["lo"], i, out=x, mode="clip")
+    x *= b
+    e += x
+    np.floor(e, out=x)
+    e -= x
+    N = b_h.view(np.int64)
+    np.copyto(N, p, casting="unsafe")
+    whole = b_l.view(np.int64)
+    np.copyto(whole, x, casting="unsafe")
+    N += whole
+    return N, e
 
 
-def _float_cells(v: np.ndarray):
-    """The cells of a float64 array: its zeros, infinities and NaNs from
-    constants, the rest through _finite_cells."""
-    t = _tables()
-    a = np.abs(v)
-    words = np.empty((len(v), WORDS), np.uint32)
-    pids = _BODIES * np.signbit(v)
-    finite = (a < np.inf) & (a > 0)
-    if finite.all():
-        pids += _finite_cells(t, a, words)
-        return words, pids
-    words[:, 0] = _W0
-    words[:, 1] = _W1
-    pids += _ZERO
-    odd = np.flatnonzero(~finite & (a != 0))        # inf and nan
-    if len(odd):
-        nan = a[odd] != np.inf
-        words[odd, 0], words[odd, 1] = _INF_NAN_WORDS[nan.astype(np.intp)].T
-        pids[odd] = np.where(nan, _NAN, pids[odd] + 1)
-    finite = np.flatnonzero(finite)
-    if len(finite):
-        part = np.empty((len(finite), WORDS), np.uint32)
-        pids[finite] += _finite_cells(t, a[finite], part) - _ZERO
-        words[finite] = part
-    return words, pids
+def _float_cells(t: dict, v: np.ndarray, words: np.ndarray, pids: np.ndarray,
+                 s: np.ndarray):
+    """Fill words and pids with the cells of a float64 array v of their
+    shape, in s, SLOTS float64 rows of v's size.  The digits of the finite
+    nonzero values are found on those values alone (_digits) and laid out
+    for every value (_layout); zeros, infinities and NaNs then take their
+    pattern ids, and inf and nan their words."""
+    a = s[0]
+    np.abs(v, out=a.reshape(v.shape))
+    high = a.max()                      # NaN if any is NaN
+    if high == 0:
+        words[..., 0] = _W0
+        pids[...] = _ZERO
+    elif high < np.inf and a.min() > 0:
+        _layout(t, *_digits(t, a, s), words, pids, s)
+    else:
+        finite = np.flatnonzero((a > 0) & (a < np.inf))
+        m = len(finite)
+        if m:
+            np.take(a, finite, out=s[1, :m])
+            a[:m] = s[1, :m]
+            D, at = _digits(t, a[:m], s[:, :m])
+            found = s[2:4, :m].view(np.int64)
+            found[0], found[1] = D, at
+            D, at = s[1].view(np.int64), s[0].view(np.intp)
+            D[...] = _P16 + 1       # stand-in digits, no trailing zero to count
+            at[...] = -_E_MIN       # the row of E = 0
+            D[finite], at[finite] = found
+            _layout(t, D, at, words, pids, s)
+        else:
+            words[..., 0] = _W0
+        np.copyto(pids, _ZERO, where=v == 0)
+        if not high < np.inf:       # an inf or a NaN
+            for pid, w0, w1 in _CONSTANTS:
+                where = np.isinf(v) if pid == _INF else np.isnan(v)
+                np.copyto(words[..., 0], w0, where=where)
+                np.copyto(words[..., 1], w1, where=where)
+                np.copyto(pids, pid, where=where)
+            if high != high:        # a NaN's sign is not written
+                np.add(pids, _BODIES, out=pids, where=np.signbit(v) & ~np.isnan(v))
+                return
+    np.add(pids, _BODIES, out=pids, where=np.signbit(v))
 
 
-def _finite_cells(t: dict, a: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Fill words with the cells of positive finite a, and return their
-    pattern ids without the sign."""
-    E = np.floor(np.log10(a)).astype(np.int64)
-    N, frac = _scaled(t, a, E)
-    wrong = np.flatnonzero((N - _P16).view(np.uint64) >= _P17 - _P16)
+def _digits(t: dict, a: np.ndarray, s: np.ndarray):
+    """(D, at): the 17 digits of each positive finite a, row 0 of s, as an
+    int64 view of row 1, and the row of its exponent E in the tables exp and
+    body, an intp view of row 0."""
+    i = s[6].view(np.intp)
+    np.log10(a, out=s[1])
+    np.floor(s[1], out=s[1])
+    np.subtract(_E_MAX, s[1], out=i, casting="unsafe")
+    N, frac = _scaled(t, a, i, (s[2], s[1], s[3], s[4], s[5]))
+    b = a                               # a * 2**k from here on
+    offset = np.subtract(N, _P16, out=s[2].view(np.int64)).view(np.uint64)
+    wrong = np.flatnonzero(offset >= _P17 - _P16)
     if len(wrong):
-        E[wrong] += np.where(N[wrong] < _P16, -1, 1)
-        N[wrong], frac[wrong] = _scaled(t, a[wrong], E[wrong])
-    D = N + (frac > 0.5)
-    for i in np.flatnonzero(np.abs(frac - 0.5) < _TIE):
-        D[i], E[i] = _alone(a.item(i))
+        part = b[wrong]
+        np.ldexp(part, -t["k"][i[wrong]], out=part)
+        i[wrong] -= np.where(N[wrong] < _P16, -1, 1)
+        N[wrong], frac[wrong] = _scaled(t, part, i[wrong], np.empty((5, len(wrong))))
+        b[wrong] = part
+    D = N
+    D += frac > 0.5
+    distance = np.abs(np.subtract(frac, 0.5, out=s[4]), out=s[4])
+    ties = np.flatnonzero(distance < _TIE)
+    if len(ties):
+        for tie, alone in zip(ties, np.ldexp(b[ties], -t["k"][i[ties]]).tolist()):
+            D[tie], E = _alone(alone)
+            i[tie] = _E_MAX - E
     carry = np.flatnonzero(D == _P17)
-    D[carry] = _P16
-    E[carry] += 1
+    if len(carry):
+        D[carry] = _P16
+        i[carry] -= 1
+    return D, np.subtract(_E_MAX - _E_MIN, i, out=s[0].view(np.intp))
 
-    d0 = D // _P16
-    rest = D - d0 * _P16
-    high = rest // 10 ** 8
-    low = (rest - high * 10 ** 8).astype(np.int32)
-    high = high.astype(np.int32)
-    groups = [high // 10 ** 4, None, low // 10 ** 4, None]
-    groups[1] = high - groups[0] * 10 ** 4
-    groups[3] = low - groups[2] * 10 ** 4
 
-    words[:, 0] = _W0
-    words[:, 1] = t["lead"].take(d0)
+def _layout(t: dict, D: np.ndarray, at: np.ndarray, words: np.ndarray,
+            pids: np.ndarray, s: np.ndarray):
+    """Fill words and pids, of shape S + (WORDS,) and S, with the cells of
+    the digits D and exponent rows at from _digits, rows 1 and 0 of s, and
+    the pattern ids without the sign; the other rows of s are scratch."""
+    shape = pids.shape
+    d0, rest, high, low, scaled = (s[row].view(np.int64) for row in range(2, 7))
+    np.floor_divide(D, _P16, out=d0)
+    np.multiply(d0, _P16, out=rest)
+    np.subtract(D, rest, out=rest)
+    np.floor_divide(rest, 10 ** 8, out=high)
+    np.multiply(high, 10 ** 8, out=low)
+    np.subtract(rest, low, out=low)
+    groups = [rest, high, D, low]
+    np.floor_divide(high, 10 ** 4, out=groups[0])
+    np.floor_divide(low, 10 ** 4, out=groups[2])
+    for whole, top in ((high, groups[0]), (low, groups[2])):
+        np.multiply(top, 10 ** 4, out=scaled)
+        whole -= scaled
+
+    n = len(D)
+    word = s[6].view(np.uint32)[:n].reshape(shape)
+    words[..., 0] = _W0
+    words[..., 1] = np.take(t["lead"], d0.reshape(shape), out=word, mode="clip")
     for column, group in enumerate(groups, 2):
-        words[:, column] = words[:, column + 5] = t["quad"].take(group)
-    words[:, 6] = _W6
-    at = E - _E_MIN
-    words[:, 11:13] = t["exp"].take(at, axis=0)
+        np.take(t["quad"], group.reshape(shape), out=word, mode="clip")
+        words[..., column] = word
+        words[..., column + 5] = word
+    words[..., 6] = _W6
+    pair = s[6].view(np.uint32).reshape(shape + (2,))
+    words[..., 11:13] = np.take(t["exp"], at.reshape(shape), axis=0, out=pair,
+                                mode="clip")
 
-    digits = t["digits"].take(groups[3])
+    digits = s[2].view(np.int16)[:n]
+    np.take(t["digits"], groups[3], out=digits, mode="clip")
     rare = np.flatnonzero(groups[3] == 0)
     if len(rare):
         zeros = t["zeros"]
         g0, g1, g2 = (group[rare] for group in groups[:3])
         digits[rare] -= zeros[g2] + (g2 == 0) * (zeros[g1] + (g1 == 0) * zeros[g0])
-    return t["body"].take(at) + digits
+    body = np.take(t["body"], at, out=s[6].view(np.int16)[:n], mode="clip")
+    np.add(body.reshape(shape), digits.reshape(shape), out=pids)
 
 
 def _alone(a: float) -> tuple[int, int]:
@@ -311,16 +443,21 @@ def _alone(a: float) -> tuple[int, int]:
     return int(mantissa.replace(".", "")), int(exponent)
 
 
-def _int_cells(v: np.ndarray):
-    """The cells of an int64 array and their pattern ids."""
-    t = _tables()
-    m = np.abs(v).view(np.uint64)           # |int64 min| is 2**63
-    top = m // np.uint64(_P16)
-    rest = (m - top * np.uint64(_P16)).view(np.int64)
-    words = np.empty((len(v), WORDS), np.uint32)
-    words[:, 0] = _word(b"\0-\0\0")
-    words[:, 6] = t["quad"].take(top.view(np.int64))
+def _int_cells(t: dict, v: np.ndarray, words: np.ndarray, pids: np.ndarray,
+               s: np.ndarray):
+    """Fill words and pids with the cells of an int64 array v of their shape,
+    in s, SLOTS float64 rows of v's size."""
+    m = np.abs(v, out=s[0].view(np.int64).reshape(v.shape)).view(np.uint64)
+    top = np.floor_divide(m, np.uint64(_P16), out=s[1].view(np.uint64).reshape(v.shape))
+    rest = s[2].view(np.int64).reshape(v.shape)
+    np.multiply(top, np.uint64(_P16), out=rest.view(np.uint64))
+    np.subtract(m, rest.view(np.uint64), out=rest.view(np.uint64))
+    group = s[3].view(np.int64).reshape(v.shape)
+    words[..., 0] = _word(b"\0-\0\0")
+    words[..., 6] = t["quad"].take(top.view(np.int64))
     for column, place in enumerate((10 ** 12, 10 ** 8, 10 ** 4, 1), 7):
-        words[:, column] = t["quad"].take(rest // place % 10 ** 4)
-    digits = np.searchsorted(t["powers"], m, side="right") + 1
-    return words, _INTS + 20 * (v < 0) + digits - 1
+        np.floor_divide(rest, place, out=group)
+        np.remainder(group, 10 ** 4, out=group)
+        words[..., column] = t["quad"].take(group)
+    digits = np.searchsorted(t["powers"], m, side="right")
+    pids[...] = _INTS + 20 * (v < 0) + digits

@@ -437,9 +437,9 @@ def held_bytes(grid: GridSpec, snapshot_stride: int) -> int:
     Writing the files never sets the peak: a run's plan and working levels
     (428 bytes a node) are freed when it returns, before a command's CSV
     writers start, which then hold the run's snapshots and series, the x
-    cells of the snapshot file (about 64 bytes a node) and one piece of at
-    most cli.PIECE_ROWS rows (about 2,300 bytes a series row and 900 a
-    snapshot row)."""
+    texts of the snapshot file (about 30 bytes a node) and one piece of at
+    most cli.PIECE_ROWS rows (about 1,500 bytes a series row and 600 a
+    snapshot row, traced slopes)."""
     levels = (grid.J - 1) // snapshot_stride + 2 + _block_pairs(grid) + 1
     return (grid.K * (16 * levels + PLAN_BYTES_PER_NODE + WORK_BYTES_PER_NODE)
             + 8 * (grid.J + 1) * (len(diagnostics.SERIES_COLUMNS) + 2))
@@ -500,12 +500,14 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
     consecutive rows are evaluated as [B, K] stacks (see diagnostics) once
     it fills and once more at the end of the run, and slice-assigned into
     the columns.  Per block, diagnostics.half_nodes builds the half-node
-    fields once for both invariants and the observer, and the exact solution
-    is evaluated once on the block's slice of t.  The scheme's own columns
-    come from observe(levels, energy, mass, mean) -> {name: array}: levels
-    is the block's (n+1, K) stack of consecutive levels, energy and mass the
-    invariants of its n pairs and mean their half-node temporal means; the
-    other two half-node fields are released before observe runs.  The
+    fields once for both invariants and the observer, with the |mean| and
+    skew sum that they share (diagnostics.HalfNodes), and the exact
+    solution is evaluated once on the block's slice of t.  The scheme's own
+    columns come from observe(levels, energy, mass, mean, abs2_mean) ->
+    {name: array}: levels is the block's (n+1, K) stack of consecutive
+    levels, energy and mass the invariants of its n pairs, mean their
+    half-node temporal means and abs2_mean their |mean|^2; the other
+    half-node fields are released before observe runs.  The
     bootstrap pair is evaluated first, on its own, and gives meta its
     references: energy_ref, mass_ref and <name>_ref for each observed name.
     meta also records the table's linear_modes, taken once the plan has
@@ -547,13 +549,13 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
             """The invariants and the observed columns of the pairs of
             consecutive levels."""
             u_cur, u_next = levels[:-1], levels[1:]
-            half = diagnostics.half_nodes(u_cur, u_next, grid)
+            half = diagnostics.HalfNodes.of(diagnostics.half_nodes(u_cur, u_next, grid))
             energy = diagnostics.mi_energy(u_cur, u_next, params, grid, half=half)
             mass = diagnostics.mi_mass(u_cur, u_next, params, grid, half=half)
-            mean = half[1]
+            mean, abs2_mean = half[1], half.abs2_mid
             del half
             return {"energy_mi": energy, "mass_mi": mass,
-                    **observe(levels, energy, mass, mean)}
+                    **observe(levels, energy, mass, mean, abs2_mean)}
 
         def flush(start, stop):
             """Fill rows start..stop-1 from levels[:stop - start + 1].  On a
@@ -632,23 +634,27 @@ def run_mi(problem, grid: GridSpec, config: SolverConfig,
     """Run the midpoint scheme through integrate, adding the identity gaps
     of each step from the invariant increments and the half-node means of
     its pair and of the previous pair; the last pair of each block (first
-    the bootstrap pair, which has no gaps) is carried to the next."""
+    the bootstrap pair, which has no gaps) is carried to the next, with its
+    |mean|^2, the previous pair's |b|^2 of the identity."""
     params = problem.params
     carried = None
 
-    def identity_gaps(levels, energy, mass, mean):
+    def identity_gaps(levels, energy, mass, mean, abs2_mean):
         nonlocal carried
-        previous, carried = carried, (energy[-1], mass[-1], mean[-1])
+        previous, carried = carried, (energy[-1], mass[-1], mean[-1], abs2_mean[-1])
         if previous is None:
             return {}
-        energy_prev, mass_prev, mean_prev = previous
+        energy_prev, mass_prev, mean_prev, abs2_prev = previous
         # A one-row block's previous means are the carried row itself.
-        means_prev = (mean_prev[None] if len(mean) == 1
-                      else np.vstack((mean_prev, mean[:-1])))
+        if len(mean) == 1:
+            means_prev, abs2_prev = mean_prev[None], abs2_prev[None]
+        else:
+            means_prev = np.vstack((mean_prev, mean[:-1]))
+            abs2_prev = np.vstack((abs2_prev, abs2_mean[:-1]))
         gaps = diagnostics.identity_gaps(
             energy - np.append(energy_prev, energy[:-1]),
             mass - np.append(mass_prev, mass[:-1]),
-            mean, means_prev, params, grid)
+            mean, means_prev, params, grid, abs2=(abs2_mean, abs2_prev))
         return {"energy_gap": gaps.energy_gap, "mass_gap": gaps.mass_gap}
 
     traj = integrate(problem, grid, config, snapshot_stride,

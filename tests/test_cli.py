@@ -576,7 +576,7 @@ class TestWritersInPieces:
     def test_long_series_written_in_bounded_memory(self, tmp_path, rng, monkeypatch):
         # The longer file's traced peak is no higher, give or take the step
         # numbers above Python's small-int cache: under 10 B a row more,
-        # where one piece for the whole file costs about 710 B a row.
+        # where one piece for the whole file costs about 1,500 B a row.
         monkeypatch.setattr("nlsw.cli.PIECE_ROWS", self.PIECE)
         peaks = []
         for n in (4 * self.PIECE, 16 * self.PIECE):
@@ -592,9 +592,9 @@ class TestWritersInPieces:
     def test_large_snapshot_file_written_in_bounded_memory(self, tmp_path, rng,
                                                            monkeypatch):
         # A block of 16 pieces of nodes peaks above one of 4 only by its x
-        # templates, formatted once for the file (about 40 B a node): under
+        # texts, formatted once for the file (about 30 B a node): under
         # 100 B a node more, where one piece for the whole block costs about
-        # 300 B a node.
+        # 600 B a node.
         monkeypatch.setattr("nlsw.cli.PIECE_ROWS", self.PIECE)
         peaks = []
         for K in (4 * self.PIECE, 16 * self.PIECE):
@@ -607,6 +607,32 @@ class TestWritersInPieces:
             assert (tmp_path / "n.csv").read_bytes().count(b"\r\n") == 2 * K + 1
             peaks.append(peak)
         assert peaks[1] - peaks[0] < 100 * 12 * self.PIECE
+
+    def test_a_piece_costs_a_bounded_number_of_bytes_a_row(self, tmp_path, rng,
+                                                            monkeypatch):
+        # The traced peak of a file of one piece, against the piece's rows:
+        # about 1,500 B a series row of eleven fields, and 600 B a snapshot
+        # row of its t,x text and three cells (x formatted once, for 4096
+        # nodes, at either size).
+        def slope(write, rows):
+            peaks = []
+            for n in rows:
+                monkeypatch.setattr("nlsw.cli.PIECE_ROWS", n)
+                write(n)
+                peaks.append(traced_peak(lambda: write(n))[1])
+            return (peaks[1] - peaks[0]) / (rows[1] - rows[0])
+
+        def series(n):
+            columns = {name: rng.normal(size=n) for name in SERIES_COLUMNS}
+            columns["step"] = np.arange(2, n + 2)
+            columns["fp_iters"] = rng.integers(1, 10, n)
+            _write_series(tmp_path / "s.csv", columns)
+
+        grid = build_grid(-20.0, 20.0, 4096, 1.0, 10)
+        u = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+        assert slope(series, (256, 1024)) < 1600
+        assert slope(lambda n: _write_snapshots(tmp_path / "n.csv", grid, [(0.1, u)]),
+                     (256, 1024)) < 700
 
 
 @pytest.mark.parametrize("piece_rows", [5, 13, 64, 1024])

@@ -4,6 +4,7 @@ floats of every kind and over the values where the digits are hardest to
 get right (powers of ten and their neighbours, the carry to 10**17, exact
 ties of the 17th digit, the ends of the float and int64 ranges)."""
 
+import json
 import sys
 
 import numpy as np
@@ -11,15 +12,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlsw import g17
+from test_startup import fresh_python
 
 INT64 = np.iinfo(np.int64)
+
+# Values that take the special path (zeros, infinities, NaNs of both signs)
+# and the finite values nearest it: subnormals, the smallest normal and the
+# largest finite value.
+SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0))
+EDGES = (5e-324, -5e-324, 2.5e-310, -1.5e-308, sys.float_info.min,
+         sys.float_info.max, -sys.float_info.max)
+special = st.sampled_from(SPECIALS)
+finite = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False))
 
 
 def texts(values) -> list:
     """The text g17 writes for each value, as bytes, via one column of rows."""
-    values = np.asarray(values)
-    words, pids = g17.cells(values.reshape(-1, 1))
-    return bytes(g17.rows(words, pids)).split(b"\r\n")[:-1]
+    values = np.asarray(values).reshape(-1, 1)
+    piece = g17.Piece(len(values), 1)
+    piece.cells(values)
+    return bytes(piece.rows(len(values))).split(b"\r\n")[:-1]
 
 
 def python_texts(values) -> list:
@@ -40,6 +52,27 @@ def assert_same(values):
 def test_every_float_is_percent_17g(values):
     # st.floats() draws subnormals, signed zeros, infinities and NaNs.
     assert_same(np.array(values, np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([0.1, 0.9]), st.integers(1, 3))
+def test_special_values_among_finite_ones(data, share, fields):
+    # A few special values among many finite ones, and mostly special
+    # values, in cells of one to three fields.
+    rows = data.draw(st.integers(1, 30))
+    values = data.draw(st.lists(
+        st.one_of(special, finite) if share == 0.9 else finite,
+        min_size=rows * fields, max_size=rows * fields))
+    at = data.draw(st.lists(st.integers(0, rows * fields - 1),
+                            max_size=max(1, int(share * rows * fields))))
+    for i in at:
+        values[i] = data.draw(special)
+    values = np.array(values, np.float64).reshape(rows, fields)
+    piece = g17.Piece(rows, fields)
+    piece.cells(values)
+    want = b"".join(b",".join(b"%.17g" % v for v in row) + b"\r\n"
+                    for row in values.tolist())
+    assert bytes(piece.rows(rows)) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -121,9 +154,51 @@ def test_int64_extremes_and_powers_of_ten():
 
 
 def test_rows_join_fields_with_commas_and_end_in_crlf():
-    words, pids = g17.cells(np.array([[1.5, -0.0, 0.1], [np.nan, 7.0, 1e-300]]))
-    assert bytes(g17.rows(words, pids)) == b"1.5,-0,0.10000000000000001\r\nnan,7,1e-300\r\n"
-    ints, int_pids = g17.cells(np.array([[3, -4]]))
-    pids = np.concatenate([int_pids, np.full((1, 1), g17.EMPTY)], axis=1)
-    words = np.concatenate([ints, np.empty((1, 1, g17.WORDS), np.uint32)], axis=1)
-    assert bytes(g17.rows(words, pids)) == b"3,-4,\r\n"
+    piece = g17.Piece(2, 3)
+    piece.cells(np.array([[1.5, -0.0, 0.1], [np.nan, 7.0, 1e-300]]))
+    assert bytes(piece.rows(2)) == b"1.5,-0,0.10000000000000001\r\nnan,7,1e-300\r\n"
+    piece = g17.Piece(1, 3)
+    piece.cells(np.array([[3, -4]]), slice(0, 2))
+    assert bytes(piece.rows(1)) == b"3,-4,\r\n"
+
+
+def test_rows_lead_with_their_prefix():
+    piece = g17.Piece(3, 2, prefix=6)
+    piece.cells(np.array([[0.0, -2.5], [np.inf, 1e-7], [3.0, np.nan]]))
+    for row, text in enumerate((b"a,", b"bcd,", b"efghi,")):
+        piece.chars[row, :len(text)] = np.frombuffer(text, np.uint8)
+        piece.lead[row] = len(text)
+    assert bytes(piece.rows(3)) == b"a,0,-2.5\r\nbcd,inf,9.9999999999999995e-08\r\nefghi,3,nan\r\n"
+
+
+def test_texts_lay_single_cells_left_aligned():
+    values = np.array([-1.2345678901234567e-308, 0.0, 20.0])
+    piece = g17.Piece(3, 1)
+    piece.cells(values[:, None])
+    out = np.zeros((3, g17.TEXT), np.uint8)
+    assert piece.texts(3, out).tolist() == [g17.TEXT, 2, 3]
+    assert [bytes(row[:n]) for row, n in zip(out, (g17.TEXT, 2, 3))] == [
+        b"-1.2345678901234567e-308,", b"0,", b"20,"]
+
+
+FILLED = """
+import json, sys
+import numpy as np
+from nlsw import g17
+values = np.array(json.loads(sys.argv[1]))
+piece = g17.Piece(len(values), 1)
+piece.cells(values[:, None])
+print(json.dumps(np.flatnonzero(g17._tables()["filled"]).tolist()))
+"""
+
+
+def test_a_first_call_fills_only_the_power_rows_it_reaches():
+    # The rows of 10**(16 - E) for E = floor(log10 |v|) of each value, and
+    # their neighbours only where the product falls outside [1e16, 1e17).
+    values = [1.5, -2.5e-7, 3e200, 0.0, np.inf, 9.999999999999999e22, 1e23]
+    done = fresh_python("-c", FILLED, json.dumps(values))
+    assert done.returncode == 0, done.stderr
+    rows = set(json.loads(done.stdout))
+    exponents = {0, -7, 200, 22, 23}
+    reach = {g17._E_MAX - E + d for E in exponents for d in (-1, 0, 1)}
+    assert {g17._E_MAX - E for E in exponents} <= rows <= reach

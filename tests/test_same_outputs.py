@@ -38,10 +38,37 @@ def test_a_tree_matches_itself_and_not_a_perturbed_copy(tmp_path, capsys):
     assert "fp_tol: float = 1e-13" in text
     mi.write_text(text.replace("fp_tol: float = 1e-13", "fp_tol: float = 1e-6"))
     assert tool.check(src, perturbed, SMALL, tmp_path / "differs") == 1
-    verdicts = dict(reversed(line.split(maxsplit=1))
-                    for line in capsys.readouterr().out.splitlines())
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = dict(reversed(line.split(maxsplit=1)) for line in lines
+                    if not line.startswith(" "))
     assert verdicts["small/series_mi.csv"] == "differs"
     assert verdicts["small/process.txt"] == "differs"
+    # Each differing file is followed by its first differing line from
+    # each tree: the series' header agrees, a row below it does not.
+    at = lines.index("differs      small/series_mi.csv")
+    parent, change = lines[at + 1], lines[at + 2]
+    assert parent.startswith("    line ") and " parent: '" in parent
+    assert change.startswith(parent.split(" parent:")[0] + " change: '")
+    assert int(parent.split()[1]) > 1
+
+
+def test_the_first_differing_line_names_its_number_and_both_texts(tmp_path, capsys):
+    tool = load_tool()
+    for label, zero, rows in (("a", b"0", b"3,1\r\n"), ("b", b"-0", b"")):
+        (tmp_path / label).mkdir()
+        (tmp_path / label / "s.csv").write_bytes(
+            b"step,x\r\n1,0.10000000000000001\r\n2," + zero + b"\r\n" + rows)
+        (tmp_path / label / "t.csv").write_bytes(b"step\r\n1\r\n" + rows)
+    verdicts = tool.compare(tmp_path / "a", tmp_path / "b")
+    tool.report(tmp_path / "a", tmp_path / "b", verdicts)
+    assert capsys.readouterr().out.splitlines() == [
+        "differs      s.csv",
+        "    line 3 parent: '2,0\\r\\n'",
+        "    line 3 change: '2,-0\\r\\n'",
+        "differs      t.csv",
+        "    line 3 parent: '3,1\\r\\n'",
+        "    line 3 change: (no such line)"]
+    assert tool.first_difference(b"x\ny\n", b"x\ny\n") is None
 
 
 def test_a_refusal_reads_the_same_on_its_own_tree(tmp_path, capsys):

@@ -16,7 +16,9 @@ Each case also keeps its exit code, stdout and stderr in process.txt.
 Every file is compared byte for byte, except that meta.json is compared
 without wall_time_seconds, timings and config.output_dir, the fields that
 differ between repeated runs or output directories.  One line is printed
-per file; the exit code is 1 on any difference and 0 otherwise.
+per file, and under a file that differs its first differing line from each
+tree, with the line's number, so that a changed sign or last digit shows
+at once; the exit code is 1 on any difference and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -84,7 +86,19 @@ def _comparable(path: Path) -> bytes:
     meta.pop("wall_time_seconds", None)
     meta.pop("timings", None)
     meta.get("config", {}).pop("output_dir", None)
-    return json.dumps(meta, sort_keys=True).encode()
+    return json.dumps(meta, sort_keys=True, indent=1).encode()
+
+
+def first_difference(parent: bytes, change: bytes):
+    """(line number from 1, parent's line, change's line) of the first line
+    where two texts differ, a line that one of them lacks as None, or None
+    if they are the same."""
+    lines = parent.splitlines(keepends=True), change.splitlines(keepends=True)
+    for number in range(max(map(len, lines))):
+        left, right = (side[number] if number < len(side) else None for side in lines)
+        if left != right:
+            return number + 1, left, right
+    return None
 
 
 def compare(parent: Path, change: Path) -> list:
@@ -113,10 +127,23 @@ def check(parent_src: Path, change_src: Path, cases, work: Path) -> int:
         for case in cases:
             run_case(src, case, work / label / "outputs" / case[0],
                      work / label / f"{case[0]}.json")
-    verdicts = compare(work / "parent" / "outputs", work / "change" / "outputs")
+    parent, change = work / "parent" / "outputs", work / "change" / "outputs"
+    verdicts = compare(parent, change)
+    report(parent, change, verdicts)
+    return int(any(verdict != "same" for verdict, _ in verdicts))
+
+
+def report(parent: Path, change: Path, verdicts):
+    """Print one line per verdict, each file that differs followed by its
+    first differing line in each tree."""
     for verdict, name in verdicts:
         print(f"{verdict:<12} {name}")
-    return int(any(verdict != "same" for verdict, _ in verdicts))
+        if verdict == "differs":
+            number, *lines = first_difference(_comparable(parent / name),
+                                              _comparable(change / name))
+            for label, line in zip(("parent", "change"), lines):
+                text = "(no such line)" if line is None else repr(line.decode(errors="replace"))
+                print(f"    line {number} {label}: {text}")
 
 
 def main(argv=None) -> int:
