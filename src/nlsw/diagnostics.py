@@ -188,12 +188,15 @@ def mi_mass(u_cur, u_next, params: PdeParams, grid: GridSpec,
 
 
 def _half_node_means(u_prev, u_cur, u_next, grid):
-    """Half-node values of the two temporal means around level j."""
-    return half_nodes(u_cur, u_next, grid)[1], half_nodes(u_prev, u_cur, grid)[1]
+    """(a, b, abs2) of _identity_rhs: the half-node values of the two
+    temporal means around level j and their squared moduli."""
+    plus = HalfNodes.of(half_nodes(u_cur, u_next, grid))
+    minus = HalfNodes.of(half_nodes(u_prev, u_cur, grid))
+    return plus[1], minus[1], (plus.abs2_mid, minus.abs2_mid)
 
 
-def _identity_rhs(a, b, params: PdeParams, grid: GridSpec,
-                  factor: float = VALIDATED_MASS_FACTOR, abs2=None):
+def _identity_rhs(a, b, abs2, params: PdeParams, grid: GridSpec,
+                  factor: float = VALIDATED_MASS_FACTOR):
     """Right-hand sides (energy, mass) of the two identities, from the
     half-node means a of u^{j+1/2} and b of u^{j-1/2} (row-wise for stacks).
 
@@ -206,17 +209,12 @@ def _identity_rhs(a, b, params: PdeParams, grid: GridSpec,
     factor=0.25 is the validated mass constant that mass_rhs and every run
     use; 0.5 reproduces the printed form, and the oracle fits factor=1.0.
 
-    abs2, if given, is (|a|^2, |b|^2), each as x * x of |x|, already built.
-    d, a - b, d (a - b) and a + b are formed in place, with the operands
+    abs2 is (|a|^2, |b|^2), each x * x of |x| (HalfNodes.abs2_mid), so d is
+    one subtraction; a - b, d (a - b) and a + b are formed with the operands
     and in the order written, a + b in the buffer of a - b once the energy
     is summed.
     """
-    if abs2 is None:
-        d = np.abs(a)
-        abs2_b = np.abs(b)
-        np.subtract(np.square(d, out=d), np.square(abs2_b, out=abs2_b), out=d)
-    else:
-        d = np.subtract(*abs2)
+    d = np.subtract(*abs2)
     jump = np.subtract(a, b)
     weighted = np.multiply(d, jump)
     energy = -0.5 * params.beta * grid.h * np.vecdot(jump, weighted).real
@@ -227,20 +225,18 @@ def _identity_rhs(a, b, params: PdeParams, grid: GridSpec,
 
 def energy_rhs(u_prev, u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
     """Right-hand side of the energy identity (see _identity_rhs)."""
-    a, b = _half_node_means(u_prev, u_cur, u_next, grid)
-    return _identity_rhs(a, b, params, grid)[0]
+    return _identity_rhs(*_half_node_means(u_prev, u_cur, u_next, grid), params, grid)[0]
 
 
 def mass_rhs(u_prev, u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
     """Right-hand side of the mass identity, imaginary part as a real, with
     the validated beta/4; mass_rhs_printed uses the printed beta/2."""
-    a, b = _half_node_means(u_prev, u_cur, u_next, grid)
-    return _identity_rhs(a, b, params, grid)[1]
+    return _identity_rhs(*_half_node_means(u_prev, u_cur, u_next, grid), params, grid)[1]
 
 
 def mass_rhs_printed(u_prev, u_cur, u_next, params: PdeParams, grid: GridSpec) -> float:
-    a, b = _half_node_means(u_prev, u_cur, u_next, grid)
-    return _identity_rhs(a, b, params, grid, PRINTED_MASS_FACTOR)[1]
+    return _identity_rhs(*_half_node_means(u_prev, u_cur, u_next, grid), params, grid,
+                         PRINTED_MASS_FACTOR)[1]
 
 
 @dataclass(frozen=True)
@@ -249,8 +245,8 @@ class IdentityGaps:
     mass_gap: float
 
 
-def identity_gaps(d_energy, d_mass, a, b, params: PdeParams,
-                  grid: GridSpec, abs2=None) -> IdentityGaps:
+def identity_gaps(d_energy, d_mass, a, b, abs2, params: PdeParams,
+                  grid: GridSpec) -> IdentityGaps:
     """Identity gaps from the invariant increments E^{j+1/2} - E^{j-1/2} and
     Q^{j+1/2} - Q^{j-1/2} and the half-node means a, b of the two pairs;
     row-wise for stacks (arrays of increments, [..., K] means).
@@ -259,7 +255,7 @@ def identity_gaps(d_energy, d_mass, a, b, params: PdeParams,
     |mean|^2 forward, so each level's invariants and each mean's modulus
     are evaluated once; abs2 is as in _identity_rhs.
     """
-    rhs_e, rhs_q = _identity_rhs(a, b, params, grid, abs2=abs2)
+    rhs_e, rhs_q = _identity_rhs(a, b, abs2, params, grid)
     return IdentityGaps(energy_gap=d_energy - rhs_e,
                         mass_gap=d_mass / grid.tau - rhs_q)
 
@@ -273,13 +269,14 @@ def theorem_identity_gaps(u_prev, u_cur, u_next, params: PdeParams,
 
     Both sit at round-off for a converged midpoint step.
     """
-    plus = half_nodes(u_cur, u_next, grid)
-    minus = half_nodes(u_prev, u_cur, grid)
+    plus = HalfNodes.of(half_nodes(u_cur, u_next, grid))
+    minus = HalfNodes.of(half_nodes(u_prev, u_cur, grid))
     d_energy = (mi_energy(u_cur, u_next, params, grid, half=plus)
                 - mi_energy(u_prev, u_cur, params, grid, half=minus))
     d_mass = (mi_mass(u_cur, u_next, params, grid, half=plus)
               - mi_mass(u_prev, u_cur, params, grid, half=minus))
-    return identity_gaps(d_energy, d_mass, plus[1], minus[1], params, grid)
+    return identity_gaps(d_energy, d_mass, plus[1], minus[1],
+                         (plus.abs2_mid, minus.abs2_mid), params, grid)
 
 
 def max_rel_drift(values, ref) -> float:

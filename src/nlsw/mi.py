@@ -654,7 +654,7 @@ def run_mi(problem, grid: GridSpec, config: SolverConfig,
         gaps = diagnostics.identity_gaps(
             energy - np.append(energy_prev, energy[:-1]),
             mass - np.append(mass_prev, mass[:-1]),
-            mean, means_prev, params, grid, abs2=(abs2_mean, abs2_prev))
+            mean, means_prev, (abs2_mean, abs2_prev), params, grid)
         return {"energy_gap": gaps.energy_gap, "mass_gap": gaps.mass_gap}
 
     traj = integrate(problem, grid, config, snapshot_stride,

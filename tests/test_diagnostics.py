@@ -456,7 +456,8 @@ class TestDotProductEvaluator:
         rhs_e_scale = 0.5 * abs(beta) * h * np.sum(d * np.abs(a - b) ** 2)
         rhs_q_scale = 0.25 * abs(beta) * h * np.sum(d * np.abs(a - b)
                                                      * np.abs(a + b))
-        rhs_e, rhs_q = diagnostics._identity_rhs(a, b, p, g)
+        rhs_e, rhs_q = diagnostics._identity_rhs(
+            a, b, (np.abs(a) * np.abs(a), np.abs(b) * np.abs(b)), p, g)
         ref_e, ref_q = oracles.identity_rhs_elementwise(a, b, p, g)
         assert abs(rhs_e - ref_e) <= 1e-13 * rhs_e_scale
         assert abs(rhs_q - ref_q) <= 1e-13 * rhs_q_scale
@@ -485,10 +486,11 @@ class TestStackedEvaluation:
         half = half_nodes(u_cur, u_next, g)
         # Each row's mean against the previous row's, wrapping around.
         a, b = half[1], np.roll(half[1], 1, axis=0)
+        abs2 = half.abs2_mid, np.roll(half.abs2_mid, 1, axis=0)
         kinetic = kinetic_gradient(stack, g)
         blocked = (mi_energy(u_cur, u_next, p, g, half=half),
                    mi_mass(u_cur, u_next, p, g, half=half),
-                   *diagnostics._identity_rhs(a, b, p, g),
+                   *diagnostics._identity_rhs(a, b, abs2, p, g),
                    energy_wang(u_cur, u_next, p, g, kinetic=kinetic),
                    energy_wang_printed(u_cur, u_next, p, g, kinetic=kinetic),
                    *astuple(error_metrics(u_next, ref, g)))
@@ -497,7 +499,8 @@ class TestStackedEvaluation:
             assert all(np.array_equal(x[i], y) for x, y in zip(half, one))
             rowwise = (mi_energy(u_cur[i], u_next[i], p, g),
                        mi_mass(u_cur[i], u_next[i], p, g),
-                       *diagnostics._identity_rhs(a[i], b[i], p, g),
+                       *diagnostics._identity_rhs(a[i], b[i], (abs2[0][i], abs2[1][i]),
+                                                  p, g),
                        energy_wang(u_cur[i], u_next[i], p, g),
                        energy_wang_printed(u_cur[i], u_next[i], p, g),
                        *astuple(error_metrics(u_next[i], ref[i], g)))

@@ -52,11 +52,10 @@ def test_half_nodes_and_identity_rhs_keep_their_bytes(data, problem):
     # A run hands the identities |a|^2 and |b|^2 from its HalfNodes.
     abs2 = tuple(diagnostics.HalfNodes((None, u, None)).abs2_mid for u in (u_cur, u_next))
     for factor in (diagnostics.VALIDATED_MASS_FACTOR, diagnostics.PRINTED_MASS_FACTOR):
-        want = oracles.identity_rhs_allocating(u_cur, u_next, params, grid, factor)
-        assert same_bits(diagnostics._identity_rhs(u_cur, u_next, params, grid, factor),
-                         want)
-        assert same_bits(diagnostics._identity_rhs(u_cur, u_next, params, grid, factor,
-                                                   abs2=abs2), want)
+        assert same_bits(diagnostics._identity_rhs(u_cur, u_next, abs2, params, grid,
+                                                   factor),
+                         oracles.identity_rhs_allocating(u_cur, u_next, params, grid,
+                                                         factor))
 
 
 @settings(max_examples=60, deadline=None)
