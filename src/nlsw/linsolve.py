@@ -79,6 +79,10 @@ zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
 # correction scale, anything below this means A itself is singular.
 _DEGENERACY_TOL = 1e-10
 
+# The message of a solve whose result is not finite: PreparedCyclicSolver.solve
+# refuses one with it, and mi.picard a sweep's, given a finite right-hand side.
+OVERFLOWED = "cyclic solve overflowed (near-singular matrix or huge right-hand side)"
+
 
 @dataclass(frozen=True)
 class CyclicTridiagonalSystem:
@@ -151,27 +155,37 @@ class PreparedCyclicSolver:
         self._correction = np.empty(K, dtype=np.complex128)
         self._zeros = np.zeros(K, dtype=np.complex128)
 
-    def solve(self, rhs) -> np.ndarray:
-        """x with A x = rhs, a fresh array: one gttrs call on the bound
-        factors, y = T^-1 rhs, then in place  y -= ((y_0 + v_{K-1} y_{K-1})
-        / (1 + v.q)) * q  from the scalar coefficient, one multiply into the
-        correction buffer and one subtraction, and the finiteness test.
-        That test is one vdot of a zero vector with the result: 0*y is 0
-        for every finite entry and NaN for an inf or NaN one, and vdot,
+    def solve(self, rhs, out=None) -> np.ndarray:
+        """x with A x = rhs: one gttrs call on the bound factors,
+        y = T^-1 rhs, then in place  y -= ((y_0 + v_{K-1} y_{K-1}) / (1 + v.q))
+        * q  from the scalar coefficient, one multiply into the correction
+        buffer and one subtraction.
+
+        Without out, rhs is coerced and its shape checked, x is a fresh
+        array, and a non-finite x is refused (SingularSystemError,
+        OVERFLOWED).  That test is one vdot of a zero vector with x: 0*x is
+        0 for every finite entry and NaN for an inf or NaN one, and vdot,
         unlike the ufuncs and dot, raises no floating-point warning on the
-        way."""
-        rhs = np.asarray(rhs, dtype=np.complex128)
-        if rhs.shape != self._shape:
-            raise UsageError(f"rhs has shape {rhs.shape}, expected {self._shape}")
-        y, info = self._core_solve(rhs)
+        way.  With out, a contiguous complex128 (K,) buffer that may be rhs
+        itself, gttrs overwrites out and the correction works there: no
+        coercion, no allocation and no finiteness test, which is the
+        caller's (mi.picard reads it off its sweep's maximum)."""
+        if out is None:
+            rhs = np.asarray(rhs, dtype=np.complex128)
+            if rhs.shape != self._shape:
+                raise UsageError(f"rhs has shape {rhs.shape}, expected {self._shape}")
+            y, info = self._core_solve(rhs)
+        else:
+            if out is not rhs:
+                np.copyto(out, rhs)
+            y, info = self._core_solve(out, overwrite_b=1)
         if info != 0:
             raise SingularSystemError(f"tridiagonal core solve failed (info={info})")
         coefficient = self._coefficient
         coefficient[()] = (y[0] + self._v_last * y[-1]) / self._den
         np.subtract(y, np.multiply(coefficient, self._q, out=self._correction), out=y)
-        if np.vdot(self._zeros, y) != 0:
-            raise SingularSystemError(
-                "cyclic solve overflowed (near-singular matrix or huge right-hand side)")
+        if out is None and np.vdot(self._zeros, y) != 0:
+            raise SingularSystemError(OVERFLOWED)
         return y
 
 

@@ -28,7 +28,7 @@ from . import diagnostics, problems
 from .errors import (ConfigurationError, DivergenceError, NlswError,
                      SingularSystemError, StepFailureError)
 from .grid import GridSpec, as_field, central_diff, is_number, second_diff, shown
-from .linsolve import CyclicTridiagonalSystem, PreparedCyclicSolver
+from .linsolve import OVERFLOWED, CyclicTridiagonalSystem, PreparedCyclicSolver
 from .model import PdeParams, pde_utt
 
 BOOTSTRAP_MODES = ("taylor2", "exact")
@@ -60,17 +60,19 @@ PLAN_BYTES_PER_NODE = 16 * 17 + 8 * 2 + 4
 # u^{j-2}, u^{j-1} and u^j that the next step reads, the half-node mean
 # carried from the block before, the block's three half-node fields (see
 # diagnostics.half_nodes) and up to three float temporaries of an
-# invariant.  A step holds less (the three levels, the carried mean, its
-# iterate and the solve's result), and so does the bootstrap.
+# invariant.  A step holds less (the three levels, the carried mean and
+# the copy of its converged iterate that it returns: the sweeps solve in
+# the plan's buffers), and so does the bootstrap.
 WORK_BYTES_PER_NODE = 16 * (3 + 1 + 3) + 8 * 3
 
 # The floating-point policy of a run, entered once by integrate around its
 # factorisation, bootstrap, steps and diagnostics, by a step called on its
 # own, and by the CLI's snapshot writer, whose |u| of a huge u is inf.  An
 # overflow or invalid operation leaves an inf or NaN that a check reports:
-# the factorisation and every solve refuse a non-finite result
-# (SingularSystemError, which picard tells apart from a non-finite
-# right-hand side), so the warning itself stays quiet.
+# the factorisation and every allocating solve refuse a non-finite result,
+# and picard a sweep's in-place one (SingularSystemError, which picard tells
+# apart from a non-finite right-hand side), so the warning itself stays
+# quiet.
 quiet_overflow = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 # The factors of picard's starts as 0-d complex arrays, like the cubics'
@@ -219,12 +221,13 @@ class StepPlan:
     """What every step reuses, built once per run (once per call for a step
     called on its own): the solver of A, table's B and C columns, the padded
     pair (u^j, u^{j-1}), cubic(beta/4, u^{j-1}, u^j, rhs) over its rows and
-    the rhs buffer as (lag, nonlinear), and the known, rhs, start and change
-    buffers, with every view a step reads or writes through taken here:
-    among them the float64 views of known and rhs, on which a step flips
-    their sign, as componentwise negation gives the complex negative's
-    bits and numpy's float loop is vectorised.  The mesh axis is last
-    throughout, so a batch axis can go in front of it."""
+    the rhs buffer as (lag, nonlinear), and the known, rhs, change and two
+    iterate buffers, start and spare, with every view a step reads or
+    writes through taken here: among them the float64 views of known, rhs
+    and both iterates, on which a step flips their sign, as componentwise
+    negation gives the complex negative's bits and numpy's float loop is
+    vectorised.  The mesh axis is last throughout, so a batch axis can go
+    in front of it."""
 
     def __init__(self, system, params: PdeParams, grid: GridSpec, table, cubic):
         self.solver = system if isinstance(system, PreparedCyclicSolver) \
@@ -240,13 +243,15 @@ class StepPlan:
         # neighbours[s] is the pair read s - 1 nodes on, for columns[s].  The
         # contiguous products[s] are summed into products[0], whose rows then
         # hold the known terms and the step's right-hand sides.  products[1]
-        # and [2] are spent once summed, and products[1, 0] holds the start.
+        # and [2] are spent once summed, and the rows of products[1] hold
+        # the two iterates, the start and the spare that a sweep solves in.
         self.neighbours = np.moveaxis(sliding_window_view(pair, K, axis=-1), -2, 0)
         self.products = products = np.empty((3, 2, K), dtype=np.complex128)
         self.terms = tuple(products)
         self.known, self.rhs = products[0]
         self.known_floats, self.rhs_floats = products[0].view(np.float64)
-        self.start = products[1, 0]
+        self.start, self.spare = products[1]
+        self.start_floats, self.spare_floats = products[1].view(np.float64)
         self.change = np.empty(K)
         self.lag, self.nonlinear = cubic(0.25 * params.beta, self.levels[1],
                                          self.levels[0], self.rhs)
@@ -314,7 +319,8 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     """The step of both schemes: solve A u + B u^j + C u^{j-1} + N(u) = 0
     for the new level u, with (A, B, C) = table(params, grid), system the
     run's StepPlan, or A or its PreparedCyclicSolver to build one from.
-    Returns (u, sweeps), u a fresh array.
+    Returns (u, sweeps), u a fresh array: at beta = 0 the solve's own
+    result, otherwise the one copy a step makes, of its converged iterate.
 
     beta = 0 makes one solve exact.  Otherwise the plan's lag() builds the
     lagged half of N, and nonlinear(u) writes N(u) into the plan's rhs.  The
@@ -331,17 +337,25 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     (1-D, K long, finite), builds its plan and runs under quiet_overflow for
     the call; a run's plan steps on the run's own levels, unchecked, under
     the run's policy.  The start and its modulus go into the plan's start
-    and change buffers, and a sweep writes the right-hand side and the
-    change there too: a sweep is nonlinear(u), rhs = -(known + rhs),
-    one solve, |u_new - u| and its maximum.  The starts' factors 2 and 3
-    are 0-d complex arrays (_TWO, _THREE), and the sign flips of rhs, and
-    of known at beta = 0, act on the plan's float64 views, which give the
-    complex negative's bits.  Every maximum is the entry at argmax, the
-    exact maximum; where a NaN is present argmax picks the first, and the
-    maximum is NaN, as np.maximum.reduce gives.
-    |iterate| is taken only when the change could pass: it is at most
-    |start| plus the changes so far, so a change above twice fp_tol times
-    max(1, that bound) fails the test whatever |iterate| is.
+    and change buffers.  A sweep is nonlinear(u) into rhs,
+    spare = -(known + rhs), one solve in place in spare (solve(spare,
+    spare)), |u_new - u| into rhs and change, and its maximum; then spare
+    and u swap buffers, so the sweeps allocate nothing.  The starts'
+    factors 2 and 3 are 0-d complex arrays (_TWO, _THREE), and the sign
+    flips of the spare iterate, and of known at beta = 0, act on the plan's
+    float64 views, which give the complex negative's bits.  Every maximum
+    is the entry at argmax, the exact maximum; where a NaN is present
+    argmax picks the first, and the maximum is NaN, as np.maximum.reduce
+    gives.  |iterate| is taken only when the change could pass: it is at
+    most |start| plus the changes so far, so a change above twice fp_tol
+    times max(1, that bound) fails the test whatever |iterate| is.
+
+    The in-place solve leaves finiteness to the sweep: an inf or NaN in
+    u_new makes the maximum change inf or NaN, so only a change that is
+    not below inf has u_new checked.  A non-finite u_new is the solver's
+    SingularSystemError (linsolve.OVERFLOWED) if known + N(u), evaluated
+    again, is finite, and a DivergenceError naming the sweep if it is not,
+    the rule of the allocating solve, which refuses the same results.
     """
     if not isinstance(system, StepPlan):
         window = StateWindow(*(None if u is None else as_field(u, grid) for u in window))
@@ -350,13 +364,13 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
                           params, grid, config, table, cubic)
     plan = system
     solve, nonlinear = plan.solver.solve, plan.nonlinear
-    rhs, change, u = plan.rhs, plan.change, plan.start
-    rhs_floats = plan.rhs_floats
+    rhs, change, u, spare = plan.rhs, plan.change, plan.start, plan.spare
+    u_floats, spare_floats = plan.start_floats, plan.spare_floats
     u_prev, u_cur, u_prev2 = window
     known = plan.known_terms(u_prev, u_cur)
     negative = np.negative
     if params.beta == 0.0:
-        negative(plan.known_floats, rhs_floats)
+        negative(plan.known_floats, plan.rhs_floats)
         return solve(rhs), 1
     plan.lag()
     add, subtract, multiply, absolute = np.add, np.subtract, np.multiply, np.abs
@@ -369,30 +383,30 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
     bound = change.item(argmax())
     fp_tol = config.fp_tol
     could_pass = 2.0 * fp_tol
-    diff = smallest = np.inf
+    inf = diff = smallest = np.inf
     stalled = 0
     for it in range(1, config.fp_max_iter + 1):
-        add(known, nonlinear(u), rhs)
-        negative(rhs_floats, rhs_floats)
-        try:
-            u_new = solve(rhs)
-        except SingularSystemError:
-            if np.logical_and.reduce(np.isfinite(rhs)):
-                raise
+        add(known, nonlinear(u), spare)
+        negative(spare_floats, spare_floats)
+        solve(spare, spare)
+        previous = diff
+        # N(u) is spent, so its buffer holds u_new - u.
+        absolute(subtract(spare, u, rhs), change)
+        diff = change.item(argmax())
+        if not diff < inf and not np.logical_and.reduce(np.isfinite(spare)):
+            if np.logical_and.reduce(np.isfinite(add(known, nonlinear(u), rhs))):
+                raise SingularSystemError(OVERFLOWED)
             raise DivergenceError(
                 f"fixed-point iterate diverged: non-finite nonlinear term "
                 f"in sweep {it}") from None
-        previous = diff
-        # The right-hand side is spent, so its buffer holds u_new - u.
-        absolute(subtract(u_new, u, rhs), change)
-        diff = change.item(argmax())
         bound += diff
-        u = u_new
+        u, spare = spare, u
+        u_floats, spare_floats = spare_floats, u_floats
         if diff <= could_pass * max(1.0, bound):
             absolute(u, change)
             peak = change.item(argmax())
             if diff <= fp_tol * max(1.0, peak):
-                return u, it
+                return u.copy(), it
         if diff < smallest:
             smallest, stalled = diff, 0
             continue

@@ -14,6 +14,7 @@ import importlib
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nlsw import (PreparedCyclicSolver, SolverConfig, build_grid, builtin_problem,
@@ -87,19 +88,21 @@ def test_run_loop_calls_patched_module_attributes(monkeypatch, runner, kernel):
 def test_every_sweep_solves_through_the_class_attribute(monkeypatch, runner):
     # spans.py traces linsolve.solve by patching PreparedCyclicSolver.solve,
     # and linsolve.solve.us_per_call divides by the calls it records: every
-    # sweep of a beta != 0 run must go through that attribute.
+    # sweep of a beta != 0 run must go through that attribute, and each
+    # solves in place, in a buffer of the run's plan.
     original = PreparedCyclicSolver.solve
     calls = []
 
-    def counted(self, rhs):
-        calls.append(rhs.shape)
-        return original(self, rhs)
+    def counted(self, rhs, out=None):
+        calls.append(out)
+        return original(self, rhs, out)
     monkeypatch.setattr(PreparedCyclicSolver, "solve", counted)
     prob = builtin_problem("plane_beta2")
     grid = build_grid(prob.x_l, prob.x_r, 64, 0.5, 10)
     traj = runner(prob, grid, SolverConfig())
     assert prob.params.beta != 0.0
     assert len(calls) == traj.meta["total_fp_iters"] > grid.J - 1
+    assert all(isinstance(out, np.ndarray) and out.shape == (grid.K,) for out in calls)
 
 
 @pytest.mark.parametrize("runner, module", [(run_mi, mi), (run_wang, wang)])

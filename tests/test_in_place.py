@@ -4,7 +4,7 @@ and so does the taylor2 bootstrap of its rolled reference, on levels drawn
 with exact zeros of both signs and subnormals, where a reordered operation
 shows.  So do the pieces of a Picard sweep, which work through the views
 and buffers of a StepPlan: its known terms, each scheme's lag() and
-nonlinear(), and the cyclic solve."""
+nonlinear(), and the cyclic solve, allocating and in place."""
 
 import dataclasses
 
@@ -106,9 +106,18 @@ def test_sweep_pieces_keep_their_bytes(data, problem, scheme):
 @given(data=st.data(), problem=problems(), scheme=st.sampled_from(sorted(SCHEMES)))
 def test_cyclic_solve_keeps_its_bytes(data, problem, scheme):
     # Outside any floating-point policy: a finite solve warns of nothing.
+    # solve(b, b), the sweep's form, gives solve(b)'s bytes in b itself,
+    # and solve(b, out) gives them in out, leaving b as it was.
     _, _, _, K, system = scheme_problem(scheme, problem)
     solver = PreparedCyclicSolver(system)
     for _ in range(2):
         rhs = data.draw(stacks(K))
-        assert same_bits((solver.solve(rhs),),
-                         (oracles.cyclic_solve_allocating(system, rhs),))
+        fresh = solver.solve(rhs)
+        assert same_bits((fresh,), (oracles.cyclic_solve_allocating(system, rhs),))
+        b = rhs.copy()
+        in_place = solver.solve(b, b)
+        assert np.shares_memory(in_place, b)
+        assert same_bits((in_place,), (fresh,))
+        b, out = rhs.copy(), np.empty(K, dtype=np.complex128)
+        assert solver.solve(b, out) is out
+        assert same_bits((out, b), (fresh, rhs))

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import subprocess
 import sys
@@ -153,7 +154,9 @@ class TestSolve:
 class TestFinitenessRule:
     """A solve refuses a result with an inf or NaN anywhere, and passes
     every finite one, however large, without a floating-point warning.
-    Results are planted by standing in for the core solve T^-1 rhs."""
+    Results are planted by standing in for the core solve T^-1 rhs.  A
+    solve into a caller's buffer (out=) leaves the test to its caller, so
+    it returns a planted result unrefused."""
 
     K = 8
     NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.inf),
@@ -161,11 +164,17 @@ class TestFinitenessRule:
 
     def planted(self, y):
         """A solver of the shifted periodic Laplacian whose core solve
-        returns a copy of y."""
+        gives y, like gttrs in rhs itself if asked to overwrite it and in
+        a copy otherwise."""
         K = self.K
         solver = PreparedCyclicSolver(CyclicTridiagonalSystem(
             lower=-np.ones(K), diag=np.full(K, 2.5), upper=-np.ones(K)))
-        solver._core_solve = lambda rhs: (y.copy(), 0)
+
+        def core_solve(rhs, overwrite_b=0):
+            x = rhs if overwrite_b else rhs.copy()
+            x[...] = y
+            return x, 0
+        solver._core_solve = core_solve
         return solver
 
     @pytest.mark.parametrize("value", NON_FINITE)
@@ -189,6 +198,23 @@ class TestFinitenessRule:
         with nlsw.mi.quiet_overflow(), \
                 pytest.raises(SingularSystemError, match="cyclic solve overflowed"):
             self.planted(y).solve(np.ones(self.K))
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("position", range(K))
+    def test_solve_into_a_buffer_returns_a_planted_result_unrefused(self, value,
+                                                                    position):
+        # A corner entry's arithmetic in the correction warns unless the
+        # run's policy is entered, as in the allocating solve; an inner one
+        # is solved outside any policy, where a warning is an error.
+        y = np.full(self.K, 1.0 - 0.5j)
+        y[position] = value
+        out = np.ones(self.K, dtype=np.complex128)
+        policy = nlsw.mi.quiet_overflow() if position in (0, self.K - 1) \
+            else contextlib.nullcontext()
+        with policy:
+            x = self.planted(y).solve(out, out)
+        assert x is out
+        assert not np.isfinite(x[position])
 
     def test_huge_finite_result_passes_without_a_warning(self):
         # Every entry near the float max: a sum over them would overflow.

@@ -10,6 +10,10 @@ stopping tolerance, and a run's first step, which has no u^{j-2}, must be
 bit for bit the step of the linear-start loop.
 """
 
+import itertools
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,8 +23,9 @@ from nlsw import (DivergenceError, PdeParams, PreparedCyclicSolver,
                   SingularSystemError, SolverConfig, StateWindow, StepFailureError,
                   UsageError, assemble_linear, assemble_wang, bootstrap, build_grid,
                   builtin_problem, customized, run_mi, run_wang, step_mi, step_wang)
-from nlsw import mi, wang
+from nlsw import linsolve, mi, wang
 
+import test_linsolve
 from oracles import picard_reference
 from strategies import (coefficient, gamma_coefficient, levels, periodic_grid,
                         seeds, sizes, special_coefficient, special_entry,
@@ -329,3 +334,115 @@ def test_step_refuses_a_nan_level(scheme, beta, slot):
     with pytest.raises(UsageError, match="NaN/Inf"):
         step(StateWindow(window["u_prev"], window["u_cur"], window["u_prev2"]),
              assemble(problem.params, grid), problem.params, grid, SolverConfig())
+
+
+PLANTED_SWEEP = 2
+
+
+def planted_plan(scheme, position, value, rhs_value=None):
+    """(window, a run's StepPlan, the grid) of a plane_beta2 step at
+    K = TestFinitenessRule.K, whose solve result in sweep PLANTED_SWEEP
+    carries value at position: the plan's core solve stands in for gttrs as
+    TestFinitenessRule's does, and gives gttrs' own result there.  With
+    rhs_value, every N(u) from that sweep on carries it too, so that the
+    right-hand side, and known + N(u) evaluated again, are not finite."""
+    _, assemble = SCHEMES[scheme]
+    module = mi if scheme == "mi" else wang
+    grid = build_grid(PLANE.x_l, PLANE.x_r, test_linsolve.TestFinitenessRule.K, 1.0, 100)
+    plan = mi.StepPlan(assemble(PLANE.params, grid), PLANE.params, grid,
+                       module._stencils, module._cubic)
+    core_solve, solves = plan.solver._core_solve, itertools.count(1)
+
+    def planted(b, **kwargs):
+        y, info = core_solve(b, **kwargs)
+        if next(solves) == PLANTED_SWEEP:
+            y[position] = value
+        return y, info
+    plan.solver._core_solve = planted
+    if rhs_value is not None:
+        nonlinear, terms = plan.nonlinear, itertools.count(1)
+
+        def planted_nonlinear(u):
+            term = nonlinear(u)
+            if next(terms) >= PLANTED_SWEEP:
+                term[position] = rhs_value
+            return term
+        plan.nonlinear = planted_nonlinear
+    u = [PLANE.exact(grid.nodes, j * grid.tau) for j in (3, 4, 5)]
+    return StateWindow(u[1], u[2], u[0]), plan, grid
+
+
+class TestSweepFinitenessRule:
+    """A sweep solves in place, unchecked, and picard reads a non-finite
+    result off the sweep's maximum update, refusing it by the allocating
+    solve's rule: SingularSystemError for a finite right-hand side,
+    DivergenceError naming the sweep for a non-finite one.  Each case steps
+    on a run's plan under the run's policy, where no floating-point warning
+    may be raised."""
+
+    K = test_linsolve.TestFinitenessRule.K
+    NON_FINITE = test_linsolve.TestFinitenessRule.NON_FINITE
+    POSITIONS = [0, 1, K // 2, K - 1]
+
+    @staticmethod
+    def refusal(scheme, window, plan, grid):
+        """The error a step on the plan raises, under the run's policy and
+        with a floating-point warning made an error."""
+        step, _ = SCHEMES[scheme]
+        with mi.quiet_overflow(), warnings.catch_warnings(), \
+                pytest.raises((SingularSystemError, StepFailureError)) as err:
+            warnings.simplefilter("error")
+            step(window, plan, PLANE.params, grid, SolverConfig())
+        return err.value
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("position", POSITIONS)
+    def test_finite_rhs_gives_the_solvers_overflow(self, scheme, value, position):
+        window, plan, grid = planted_plan(scheme, position, value)
+        error = self.refusal(scheme, window, plan, grid)
+        assert (type(error), str(error)) == (SingularSystemError, linsolve.OVERFLOWED)
+        # The allocating reference loop, on a solver planted alike, refuses
+        # the same sweep with the same error.
+        reference_plan = planted_plan(scheme, position, value)[1]
+        with mi.quiet_overflow():
+            assert outcome(lambda: picard_reference(
+                window, reference_plan.solver, PLANE.params, grid, SolverConfig(),
+                scheme)) == (SingularSystemError, linsolve.OVERFLOWED)
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("position", POSITIONS)
+    def test_non_finite_rhs_gives_divergence_in_its_sweep(self, scheme, value, position):
+        window, plan, grid = planted_plan(scheme, position, value, rhs_value=value)
+        error = self.refusal(scheme, window, plan, grid)
+        assert type(error) is DivergenceError
+        assert f"non-finite nonlinear term in sweep {PLANTED_SWEEP}" in str(error)
+        assert error.__cause__ is None and error.__suppress_context__
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_a_planned_step_holds_one_level(scheme):
+    # The sweeps solve in the plan's two iterate buffers, so a step on a
+    # run's plan allocates only the copy of the level it returns: 16 bytes
+    # a node, where a solve into a fresh array would hold two levels at
+    # once.  The constant covers the step's Python objects.
+    step, assemble = SCHEMES[scheme]
+    module = mi if scheme == "mi" else wang
+    problem = builtin_problem("gauss_split")
+    K = 4096
+    grid = build_grid(problem.x_l, problem.x_r, K, 0.1, 10)
+    plan = mi.StepPlan(assemble(problem.params, grid), problem.params, grid,
+                       module._stencils, module._cubic)
+    u0, u1 = bootstrap(problem.f0, problem.f1, problem.params, grid)
+    window = StateWindow(u0, u1)
+    with mi.quiet_overflow():
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            u2, sweeps = step(window, plan, problem.params, grid, SolverConfig())
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+    assert problem.params.beta != 0.0 and sweeps > 1
+    assert 16 * K <= peak <= 16 * K + 2048

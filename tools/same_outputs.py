@@ -9,8 +9,13 @@ output_dir ".", so that a record naming an output path reads the same on
 both trees: `nlsw run` on the three benchmark workload configs
 (benchmarks/workloads.make_config) at seeds 3 and 7, `nlsw converge --levels
 3` on linear_plane (the linear_k64 config) along each axis,
-repr(run_identity_oracle()), and two refusals, `nlsw run` with a directory
-where meta.json goes and `nlsw converge` with one where orders.csv goes.
+repr(run_identity_oracle()), two refusals, `nlsw run` with a directory
+where meta.json goes and `nlsw converge` with one where orders.csv goes,
+and two beta != 0 runs off the workloads' meshes: `nlsw run` of the
+midpoint scheme on nonlinear_plane (K = 64, J = 200), whose nonzero gamma
+and theta make the operator's bands differ, so that its corner correction
+acts on an asymmetric system, and `nlsw compare` on soliton (K = 128,
+J = 200, T = 20).
 Each case also keeps its exit code, stdout and stderr in process.txt.
 
 Every file is compared byte for byte, except that meta.json is compared
@@ -55,6 +60,11 @@ def default_cases() -> list:
     cases.append(("refused_run_meta", linear, ["run"], "meta.json"))
     cases.append(("refused_converge_orders", linear,
                   ["converge", "--axis", "space", "--levels", "3"], "orders.csv"))
+    cases.append(("run_nonlinear_plane",
+                  {"problem": "nonlinear_plane", "K": 64, "J": 200, "scheme": "mi"},
+                  ["run"]))
+    cases.append(("compare_soliton", {"problem": "soliton", "K": 128, "J": 200, "T": 20.0},
+                  ["compare"]))
     return cases
 
 
