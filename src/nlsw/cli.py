@@ -215,37 +215,31 @@ def _header(names) -> bytes:
 
 def _write_csv(path: Path, header, columns):
     """Write columns, a dict from names of header to arrays of one length:
-    an empty field for a name without a column, '%d' for an integer column
-    and '%.17g' for any other, byte for byte what csv.writer writes for
-    those fields.  The rows are formatted and written PIECE_ROWS at a time
-    in one g17.Piece, each run of adjacent fields of one kind through one
-    cells call: a field without a column joins the run it stands in,
-    formatted from a stand-in 1 and then emptied."""
-    runs = []                   # [first field, end, integer or None]
-    for j, name in enumerate(header):
-        kind = np.issubdtype(columns[name].dtype, np.integer) if name in columns else None
-        if runs and kind in (None, runs[-1][2]):
-            runs[-1][1] = j + 1
-        elif runs and runs[-1][2] is None:
-            runs[-1][1:] = j + 1, kind
-        else:
-            runs.append([j, j + 1, kind])
+    an empty field for a name without a column and '%.17g' for every value,
+    byte for byte what csv.writer writes for those fields, with an integer
+    written as '%d'.  The rows are formatted and written PIECE_ROWS at a
+    time in one g17.Piece, by one cells call: a field without a column is
+    formatted from a stand-in 1 and then emptied.  An integer column that
+    holds a value beyond +-2**53, which no float64 need hold exactly, is a
+    UsageError naming it, raised before the file is opened."""
+    for name, column in columns.items():
+        # min and max, not abs: abs of int64 min overflows.
+        if np.issubdtype(column.dtype, np.integer) and not \
+                -2 ** 53 <= column.min() <= column.max() <= 2 ** 53:
+            raise UsageError(f"integer column {name!r} holds a value beyond "
+                             f"+-2**53, which '%.17g' cannot write exactly")
     empty = [j for j, name in enumerate(header) if name not in columns]
     rows = len(next(columns[name] for name in header if name in columns))
     piece = g17.Piece(min(rows, PIECE_ROWS), len(header))
-    values = np.empty(piece.pids.shape)
-    for lo, hi, integer in runs:
-        (values.view(np.int64) if integer else values)[:, lo:hi] = 1
+    values = np.ones(piece.pids.shape)
     with _output_file(path, "wb") as fh:
         fh.write(_header(header))
         for start in range(0, rows, PIECE_ROWS):
             n = min(len(values), rows - start)
-            for lo, hi, integer in runs:
-                run = (values.view(np.int64) if integer else values)[:n, lo:hi]
-                for j in range(lo, hi):
-                    if header[j] in columns:
-                        run[:, j - lo] = columns[header[j]][start:start + n]
-                piece.cells(run, slice(lo, hi))
+            for j, name in enumerate(header):
+                if name in columns:
+                    values[:n, j] = columns[name][start:start + n]
+            piece.cells(values[:n])
             piece.pids[:n, empty] = g17.EMPTY
             fh.write(piece.rows(n))
 

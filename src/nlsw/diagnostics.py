@@ -77,11 +77,6 @@ class HalfNodes(tuple):
     its first use: abs_mid = |mid_half|, abs2_mid = abs_mid * abs_mid, and
     skew, the sum s of _skew_imag with the scale of its realness check."""
 
-    @classmethod
-    def of(cls, half) -> HalfNodes:
-        """half itself if it is a HalfNodes, else its three fields in one."""
-        return half if isinstance(half, cls) else cls(half)
-
     @functools.cached_property
     def abs_mid(self):
         return np.abs(self[1])
@@ -143,7 +138,7 @@ def mi_energy(u_cur, u_next, params: PdeParams, grid: GridSpec,
     half_nodes(u_cur, u_next, grid), already built, whose shared fields
     (HalfNodes) the mass and the identities then reuse.
     """
-    half = HalfNodes.of(half_nodes(u_cur, u_next, grid) if half is None else half)
+    half = half_nodes(u_cur, u_next, grid) if half is None else half
     dt_half, _, dx_half = half
     h = grid.h
     theta_h = params.theta * h
@@ -174,7 +169,7 @@ def mi_mass(u_cur, u_next, params: PdeParams, grid: GridSpec,
     skew-adjointness, whose check guards that where gamma != 0.  half and
     stacks are as in mi_energy.
     """
-    half = HalfNodes.of(half_nodes(u_cur, u_next, grid) if half is None else half)
+    half = half_nodes(u_cur, u_next, grid) if half is None else half
     dt_half, mid_half, _ = half
     h = grid.h
     gamma_h = params.gamma * h
@@ -190,8 +185,8 @@ def mi_mass(u_cur, u_next, params: PdeParams, grid: GridSpec,
 def _half_node_means(u_prev, u_cur, u_next, grid):
     """(a, b, abs2) of _identity_rhs: the half-node values of the two
     temporal means around level j and their squared moduli."""
-    plus = HalfNodes.of(half_nodes(u_cur, u_next, grid))
-    minus = HalfNodes.of(half_nodes(u_prev, u_cur, grid))
+    plus = half_nodes(u_cur, u_next, grid)
+    minus = half_nodes(u_prev, u_cur, grid)
     return plus[1], minus[1], (plus.abs2_mid, minus.abs2_mid)
 
 
@@ -269,8 +264,8 @@ def theorem_identity_gaps(u_prev, u_cur, u_next, params: PdeParams,
 
     Both sit at round-off for a converged midpoint step.
     """
-    plus = HalfNodes.of(half_nodes(u_cur, u_next, grid))
-    minus = HalfNodes.of(half_nodes(u_prev, u_cur, grid))
+    plus = half_nodes(u_cur, u_next, grid)
+    minus = half_nodes(u_prev, u_cur, grid)
     d_energy = (mi_energy(u_cur, u_next, params, grid, half=plus)
                 - mi_energy(u_prev, u_cur, params, grid, half=minus))
     d_mass = (mi_mass(u_cur, u_next, params, grid, half=plus)

@@ -1,15 +1,15 @@
-"""Exact vectorised '%.17g' and '%d': numbers formatted a whole array at a
+"""Exact vectorised '%.17g': float64 values formatted a whole array at a
 time, byte for byte what Python's % operator writes for each of them.
 
 A Piece holds a CSV writer's buffers for up to `rows` rows of `fields`
-fields.  Piece.cells gives each value of an array a cell of CELL bytes in
-a run of the fields, and a pattern id; the row KEEP[pid] of the keep table
-picks, in order, the cell's bytes that make up the value's text, so
-chars[KEEP[pids]] over an array of cells is the concatenation of their
-texts, and Piece.rows compacts a piece's rows into CSV bytes that way.  The
-bytes at END and END + 1 belong to no pattern: rows puts a field's
-separator there.  A float cell holds every character any of its layouts
-may need, in the order they appear:
+fields.  Piece.cells gives each value of an array a cell of CELL bytes and
+a pattern id; the row KEEP[pid] of the keep table picks, in order, the
+cell's bytes that make up the value's text, so chars[KEEP[pids]] over an
+array of cells is the concatenation of their texts, and Piece.rows
+compacts a piece's rows into CSV bytes that way.  The bytes at END and
+END + 1 belong to no pattern: rows puts a field's separator there.  A cell
+holds every character any of its layouts may need, in the order they
+appear:
 
     byte  1      '-'
     2-6          '0' '.' '0' '0' '0'  (0.000ddd; '0', 'inf' or 'nan' at 2-4)
@@ -53,9 +53,6 @@ PLDI 2010), without formatting a value on its own:
    half, an exact or a near tie of the rounding, takes its digits from
    '%.16e' % v alone (_alone), which rounds the same 17 significant digits.
 
-An integer array (int64 range) is written as '%d' writes it, in cells of
-its own layout: '-' at byte 1 and up to 20 digits ending at byte 43.
-
 A call works in its piece's scratch, SLOTS 8-byte values for each number;
 those bytes later hold the piece's keep mask, so a piece allocates its
 buffers once, whatever the number of calls and rows.
@@ -79,17 +76,15 @@ _P16, _P17 = 10 ** 16, 10 ** 17
 _E_MIN, _E_MAX = -325, 309      # exponents E that a correction can reach
 _SPLIT = 134217729.0            # 2**27 + 1, Dekker's splitter
 
-# Pattern ids.  A float's body: fixed form (E + 4) * 17 + nd - 1 for
-# -4 <= E <= 16 and nd significant digits, exponent form from _EXP2 (two
-# exponent digits) or _EXP3 (three), then 0, inf and nan; a sign adds
-# _BODIES.  Integers from _INTS: 20 * negative + digits - 1.  EMPTY keeps
+# Pattern ids.  A body: fixed form (E + 4) * 17 + nd - 1 for -4 <= E <= 16
+# and nd significant digits, exponent form from _EXP2 (two exponent digits)
+# or _EXP3 (three), then 0, inf and nan; a sign adds _BODIES.  EMPTY keeps
 # no byte.
 _EXP2 = 21 * _DIGITS
 _EXP3 = _EXP2 + _DIGITS
 _ZERO, _INF, _NAN = _EXP3 + _DIGITS, _EXP3 + _DIGITS + 1, _EXP3 + _DIGITS + 2
 _BODIES = _NAN + 1
-_INTS = 2 * _BODIES
-EMPTY = _INTS + 40
+EMPTY = 2 * _BODIES
 
 
 def _word(text: bytes) -> int:
@@ -97,7 +92,7 @@ def _word(text: bytes) -> int:
     return int.from_bytes(text, "little")
 
 
-# A float cell's constant words: 0 and 1 with d0 = 0 at byte 7 (word 0 is
+# A cell's constant words: 0 and 1 with d0 = 0 at byte 7 (word 0 is
 # also the cell of a zero), 6 the point at byte 24; and words 0 and 1 of
 # inf and of nan.
 _W0, _W1 = _word(b"\0-0."), _word(b"0000")
@@ -137,8 +132,7 @@ def _tables() -> dict:
               "zeros": zeros.astype(np.int16),
               "digits": (_DIGITS - 1 - zeros).astype(np.int16),
               "exp": exp_chars.view(np.uint32), "body": body.astype(np.int16),
-              "keep": _keep_table(),
-              "powers": np.array([10 ** k for k in range(1, 20)], np.uint64)}
+              "keep": _keep_table()}
     for table in tables.values():       # shared by every call
         table.flags.writeable = False
     rows = len(exponent)
@@ -207,11 +201,7 @@ def _keep_table() -> np.ndarray:
     bodies[[_INF, _NAN], 2:5] = True
     signed = bodies.copy()
     signed[:_NAN, 1] = True
-
-    digits = np.arange(1, 21)[:, None]
-    ints = (pos >= 44 - digits) & (pos < 44)
-    return np.concatenate([bodies, signed, ints, ints | (pos == 1),
-                           np.zeros((1, CELL), bool)])
+    return np.concatenate([bodies, signed, np.zeros((1, CELL), bool)])
 
 
 class Piece:
@@ -234,17 +224,14 @@ class Piece:
         self._keep = buffer[:rows * width].view(bool).reshape(rows, width)
         self._scratch = buffer[:8 * SLOTS * rows * fields].view(np.float64)
 
-    def cells(self, values, fields=slice(None)):
-        """Format values, an (n, m) array, into the cells of the first n rows
-        and the m fields of the slice fields: '%d' for an integer array and
-        '%.17g' for any other."""
-        values = np.asarray(values)
-        words, pids = self.words[:len(values), fields], self.pids[:len(values), fields]
+    def cells(self, values):
+        """Format values, an (n, fields) array taken as float64, with '%.17g'
+        into the cells of the first n rows.  An integer of magnitude at most
+        2**53 is a float exactly, so its text is its '%d'."""
+        values = np.asarray(values, np.float64)
+        n = len(values)
         slots = self._scratch[:SLOTS * values.size].reshape(SLOTS, values.size)
-        if np.issubdtype(values.dtype, np.integer):
-            _int_cells(_tables(), np.asarray(values, np.int64), words, pids, slots)
-        else:
-            _float_cells(_tables(), np.asarray(values, np.float64), words, pids, slots)
+        _float_cells(_tables(), values, self.words[:n], self.pids[:n], slots)
 
     def rows(self, n: int, end: bytes = b"\r\n") -> np.ndarray:
         """The bytes, as a uint8 array, of the first n rows: the lead of
@@ -442,22 +429,3 @@ def _alone(a: float) -> tuple[int, int]:
     mantissa, _, exponent = ("%.16e" % a).partition("e")
     return int(mantissa.replace(".", "")), int(exponent)
 
-
-def _int_cells(t: dict, v: np.ndarray, words: np.ndarray, pids: np.ndarray,
-               s: np.ndarray):
-    """Fill words and pids with the cells of an int64 array v of their shape,
-    in s, SLOTS float64 rows of v's size."""
-    m = np.abs(v, out=s[0].view(np.int64).reshape(v.shape)).view(np.uint64)
-    top = np.floor_divide(m, np.uint64(_P16), out=s[1].view(np.uint64).reshape(v.shape))
-    rest = s[2].view(np.int64).reshape(v.shape)
-    np.multiply(top, np.uint64(_P16), out=rest.view(np.uint64))
-    np.subtract(m, rest.view(np.uint64), out=rest.view(np.uint64))
-    group = s[3].view(np.int64).reshape(v.shape)
-    words[..., 0] = _word(b"\0-\0\0")
-    words[..., 6] = t["quad"].take(top.view(np.int64))
-    for column, place in enumerate((10 ** 12, 10 ** 8, 10 ** 4, 1), 7):
-        np.floor_divide(rest, place, out=group)
-        np.remainder(group, 10 ** 4, out=group)
-        words[..., column] = t["quad"].take(group)
-    digits = np.searchsorted(t["powers"], m, side="right")
-    pids[...] = _INTS + 20 * (v < 0) + digits

@@ -212,9 +212,14 @@ def linear_modes(table, params: PdeParams, grid: GridSpec) -> dict:
             "operator_inverse_condition": smallest / float(np.max(modulus))}
 
 
-def assemble_linear(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSystem:
-    """The cyclic tridiagonal operator of the scheme: its u^{j+1} stencil."""
-    return CyclicTridiagonalSystem(*(np.full(grid.K, c) for c in _stencils(params, grid)[0]))
+def _assemble(table, params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSystem:
+    """The cyclic tridiagonal operator A of a scheme: the u^{j+1} stencil of
+    table(params, grid)."""
+    return CyclicTridiagonalSystem(*(np.full(grid.K, c) for c in table(params, grid)[0]))
+
+
+# assemble_linear(params, grid): the midpoint scheme's operator.
+assemble_linear = functools.partial(_assemble, _stencils)
 
 
 class StepPlan:
@@ -317,45 +322,20 @@ def _cubic(quarter_beta, u_prev, u_cur, rhs):
 def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
            config: SolverConfig, table, cubic):
     """The step of both schemes: solve A u + B u^j + C u^{j-1} + N(u) = 0
-    for the new level u, with (A, B, C) = table(params, grid), system the
-    run's StepPlan, or A or its PreparedCyclicSolver to build one from.
-    Returns (u, sweeps), u a fresh array: at beta = 0 the solve's own
-    result, otherwise the one copy a step makes, of its converged iterate.
+    for the new level u, with (A, B, C) = table(params, grid), N from cubic
+    and window = StateWindow(u^{j-1}, u^j, u^{j-2} or None).  system is a
+    run's StepPlan, whose buffers the step works in and whose levels it
+    takes unchecked, under the run's quiet_overflow; or A or its
+    PreparedCyclicSolver, from which the call builds a plan, after checking
+    the window's levels with as_field, and runs under quiet_overflow.
 
-    beta = 0 makes one solve exact.  Otherwise the plan's lag() builds the
-    lagged half of N, and nonlinear(u) writes N(u) into the plan's rhs.  The
-    iteration starts from the quadratic extrapolation
-    3 u^j - 3 u^{j-1} + u^{j-2}, or from the linear
-    2 u^j - u^{j-1} when the window carries no u^{j-2}.  Every sweep
-    re-evaluates N at the current iterate and solves the frozen linear
-    system, stopping once the sup-norm change drops below
-    fp_tol * max(1, |iterate|).  STALL_SWEEPS sweeps in a row that bring no
-    smaller change than the smallest so far end the step early, and so does
-    a budget of fp_max_iter sweeps, both with StepFailureError.
-
-    A step on A or its solver checks its window's levels with as_field
-    (1-D, K long, finite), builds its plan and runs under quiet_overflow for
-    the call; a run's plan steps on the run's own levels, unchecked, under
-    the run's policy.  The start and its modulus go into the plan's start
-    and change buffers.  A sweep is nonlinear(u) into rhs,
-    spare = -(known + rhs), one solve in place in spare (solve(spare,
-    spare)), |u_new - u| into rhs and change, and its maximum; then spare
-    and u swap buffers, so the sweeps allocate nothing.  The starts'
-    factors 2 and 3 are 0-d complex arrays (_TWO, _THREE), and the sign
-    flips of the spare iterate, and of known at beta = 0, act on the plan's
-    float64 views, which give the complex negative's bits.  Every maximum
-    is the entry at argmax, the exact maximum; where a NaN is present
-    argmax picks the first, and the maximum is NaN, as np.maximum.reduce
-    gives.  |iterate| is taken only when the change could pass: it is at
-    most |start| plus the changes so far, so a change above twice fp_tol
-    times max(1, that bound) fails the test whatever |iterate| is.
-
-    The in-place solve leaves finiteness to the sweep: an inf or NaN in
-    u_new makes the maximum change inf or NaN, so only a change that is
-    not below inf has u_new checked.  A non-finite u_new is the solver's
-    SingularSystemError (linsolve.OVERFLOWED) if known + N(u), evaluated
-    again, is finite, and a DivergenceError naming the sweep if it is not,
-    the rule of the allocating solve, which refuses the same results.
+    Returns (u, sweeps), u a fresh array: one solve at beta = 0, otherwise
+    Picard sweeps on the frozen A until the sup-norm update is at most
+    fp_tol * max(1, |u|).  Raises StepFailureError after STALL_SWEEPS
+    sweeps in a row without a smaller update than the smallest so far, or
+    after fp_max_iter sweeps; DivergenceError, naming the sweep, where the
+    nonlinear term is not finite; and SingularSystemError (OVERFLOWED)
+    where the solve of a finite right-hand side is not.
     """
     if not isinstance(system, StepPlan):
         window = StateWindow(*(None if u is None else as_field(u, grid) for u in window))
@@ -374,18 +354,28 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
         return solve(rhs), 1
     plan.lag()
     add, subtract, multiply, absolute = np.add, np.subtract, np.multiply, np.abs
+    # Every maximum is the entry at argmax, exact; where a NaN is present
+    # argmax picks the first, so the maximum is NaN, as np.maximum.reduce
+    # gives.
     argmax = change.argmax
+    # The start: the quadratic extrapolation 3 u^j - 3 u^{j-1} + u^{j-2}, or
+    # the linear 2 u^j - u^{j-1} without u^{j-2}.
     if u_prev2 is None:
         subtract(multiply(_TWO, u_cur, u), u_prev, u)
     else:
         add(multiply(_THREE, subtract(u_cur, u_prev, u), u), u_prev2, u)
     absolute(u, change)
+    # |u| is at most bound, |start| plus the updates so far, so an update
+    # above 2 fp_tol max(1, bound) fails the test whatever |u| is, and |u|
+    # is taken only below that.
     bound = change.item(argmax())
     fp_tol = config.fp_tol
     could_pass = 2.0 * fp_tol
     inf = diff = smallest = np.inf
     stalled = 0
     for it in range(1, config.fp_max_iter + 1):
+        # spare = -(known + N(u)), solved in place; the sign flip acts on the
+        # float64 view, which gives the complex negative's bits.
         add(known, nonlinear(u), spare)
         negative(spare_floats, spare_floats)
         solve(spare, spare)
@@ -393,6 +383,9 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
         # N(u) is spent, so its buffer holds u_new - u.
         absolute(subtract(spare, u, rhs), change)
         diff = change.item(argmax())
+        # An inf or NaN in u_new makes diff inf or NaN, so only then is u_new
+        # checked: the solver's SingularSystemError if known + N(u) is
+        # finite, as the allocating solve rules, else a divergence.
         if not diff < inf and not np.logical_and.reduce(np.isfinite(spare)):
             if np.logical_and.reduce(np.isfinite(add(known, nonlinear(u), rhs))):
                 raise SingularSystemError(OVERFLOWED)
@@ -400,6 +393,7 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
                 f"fixed-point iterate diverged: non-finite nonlinear term "
                 f"in sweep {it}") from None
         bound += diff
+        # The iterates swap buffers, so the sweeps allocate nothing.
         u, spare = spare, u
         u_floats, spare_floats = spare_floats, u_floats
         if diff <= could_pass * max(1.0, bound):
@@ -496,59 +490,40 @@ def check_run(problem, grid: GridSpec, config: SolverConfig, snapshot_stride,
 
 
 def integrate(problem, grid: GridSpec, config: SolverConfig,
-              snapshot_stride: int, assemble, table, cubic, step, observe) -> Trajectory:
-    """The run loop of both schemes: check_run the run with its table before
-    allocating anything, then, under one quiet_overflow, build one StepPlan
-    of assemble(params, grid), table and cubic, bootstrap, and advance J-1
-    steps and their diagnostics with the scheme's step
-    step(window, plan, params, grid, config) -> (u_next, fp_iters).  That
-    window, StateWindow(u^{j-1}, u^j, u^{j-2}), is the loop's state; it
+              snapshot_stride: int, table, cubic, step, observe) -> Trajectory:
+    """The run loop of both schemes.  check_run refuses the run, with table,
+    before anything is allocated; then, under one quiet_overflow, integrate
+    builds one StepPlan of table's operator A and of cubic, bootstraps, and
+    advances J-1 steps with step(window, plan, params, grid, config) ->
+    (u_next, fp_iters), window = StateWindow(u^{j-1}, u^j, u^{j-2}), which
     carries no u^{j-2} on the first step.
 
-    The series holds step (the produced level index, 2..J), t, fp_iters, the
-    midpoint invariants energy_mi and mass_mi of each step's pair, the error
-    metrics when the problem carries a verified exact solution, and the
-    scheme's own columns.  None of these feeds back into the stepping, so
-    they are evaluated a block at a time: each new level is copied into a
-    (B+1, K) buffer, B = max(1, BLOCK_VALUES // K), whose B pairs of
-    consecutive rows are evaluated as [B, K] stacks (see diagnostics) once
-    it fills and once more at the end of the run, and slice-assigned into
-    the columns.  Per block, diagnostics.half_nodes builds the half-node
-    fields once for both invariants and the observer, with the |mean| and
-    skew sum that they share (diagnostics.HalfNodes), and the exact
-    solution is evaluated once on the block's slice of t.  The scheme's own
-    columns come from observe(levels, energy, mass, mean, abs2_mean) ->
-    {name: array}: levels is the block's (n+1, K) stack of consecutive
-    levels, energy and mass the invariants of its n pairs, mean their
-    half-node temporal means and abs2_mean their |mean|^2; the other
-    half-node fields are released before observe runs.  The
-    bootstrap pair is evaluated first, on its own, and gives meta its
-    references: energy_ref, mass_ref and <name>_ref for each observed name.
-    meta also records the table's linear_modes, taken once the plan has
-    refused a singular A.
+    Returns a Trajectory of:
+    - series: step (the produced level index, 2..J), t, fp_iters, the
+      midpoint invariants energy_mi and mass_mi of each step's pair, the
+      error metrics when the problem carries a verified exact solution, and
+      the scheme's columns, observe(levels, energy, mass, mean, abs2_mean)
+      -> {name: array} for levels, an (n+1, K) stack of consecutive levels,
+      the invariants of its n pairs, their half-node temporal means and
+      their |mean|^2;
+    - snapshots: copies of level n at t = n tau for each n = 0..J that
+      snapshot_stride divides, and of level J, (J - 1) // snapshot_stride
+      + 2 levels;
+    - meta: the bootstrap pair's energy_ref, mass_ref and <name>_ref for
+      each observed name, and the table's linear_modes;
+    - timings: the wall seconds of plan_s (the factorisation and
+      linear_modes), bootstrap_s, diagnostics_s (every evaluation, the
+      bootstrap pair's included) and steps_s (the rest of the loop).
 
-    The trajectory's timings hold the wall seconds of four phases, from
-    time.perf_counter read once per phase and twice per block: plan_s
-    builds the plan (the factorisation) and takes linear_modes,
-    bootstrap_s the starting levels, diagnostics_s every evaluate and
-    flush, the bootstrap pair's included, and steps_s the rest of the
-    loop, the steps and the snapshot copies.
-
-    A failure names its step.  A guard that fires on the bootstrap pair
-    names step 1, the level the bootstrap produced, as does a non-finite
-    taylor2 level (see bootstrap).  A realness guard that fires on row i of
-    a block names the block's first step plus i, and a failing step first
-    evaluates the block's completed steps, so the earliest failure in step
-    order is the one reported.  Snapshots, copies of the levels, hold level
-    n at t = n tau for each n = 0..J that snapshot_stride divides, and
-    level J: (J - 1) // snapshot_stride + 2 levels, as J >= 2.
+    A failure names its step: step 1 for the bootstrap (see bootstrap) and
+    its pair, and the earliest failing step in step order otherwise.
     """
     exact_fn = check_run(problem, grid, config, snapshot_stride, table)
     params = problem.params
     clock = time.perf_counter
     with quiet_overflow():
         started = clock()
-        plan = StepPlan(assemble(params, grid), params, grid, table, cubic)
+        plan = StepPlan(_assemble(table, params, grid), params, grid, table, cubic)
         modes = linear_modes(table, params, grid)
         planned = clock()
         window = StateWindow(*bootstrap(problem.f0, problem.f1, params, grid,
@@ -557,13 +532,19 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
         t = grid.times[2:]
         fp_iters = np.empty(grid.J - 1, dtype=np.int64)
         series = {"step": np.arange(2, grid.J + 1), "t": t, "fp_iters": fp_iters}
+        # The diagnostics never feed back into the stepping, so they run a
+        # block at a time: each new level is copied into levels, and its
+        # B = _block_pairs(grid) pairs of consecutive rows are evaluated as
+        # [B, K] stacks once it fills, and once more at the end of the run.
         levels = np.empty((_block_pairs(grid) + 1, grid.K), dtype=np.complex128)
 
         def evaluate(levels):
             """The invariants and the observed columns of the pairs of
             consecutive levels."""
             u_cur, u_next = levels[:-1], levels[1:]
-            half = diagnostics.HalfNodes.of(diagnostics.half_nodes(u_cur, u_next, grid))
+            # The half-node fields, built once for both invariants and the
+            # observer, which gets the mean alone.
+            half = diagnostics.half_nodes(u_cur, u_next, grid)
             energy = diagnostics.mi_energy(u_cur, u_next, params, grid, half=half)
             mass = diagnostics.mi_mass(u_cur, u_next, params, grid, half=half)
             mean, abs2_mean = half[1], half.abs2_mid
@@ -672,6 +653,6 @@ def run_mi(problem, grid: GridSpec, config: SolverConfig,
         return {"energy_gap": gaps.energy_gap, "mass_gap": gaps.mass_gap}
 
     traj = integrate(problem, grid, config, snapshot_stride,
-                     assemble_linear, _stencils, _cubic, step_mi, identity_gaps)
+                     _stencils, _cubic, step_mi, identity_gaps)
     traj.meta["scheme"] = "mi"
     return traj

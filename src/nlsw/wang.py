@@ -18,19 +18,20 @@ only for auditing its drift.
 As in mi.py, the linear part is A u^{j+1} + B u^j + C u^{j-1} with constant
 three-point stencils from one table, and C = A^H, the adjoint that time
 reversal produces.  A step is mi.picard with this scheme's table and cubic
-term, and run_wang is mi.integrate with this scheme's operator, step and
+term, and run_wang is mi.integrate with this scheme's table, step and
 energies.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .diagnostics import max_rel_drift
 from .errors import ConfigurationError
 from .grid import GridSpec, as_level, backward_diff, scalar_or_rows
-from .linsolve import CyclicTridiagonalSystem
-from .mi import SolverConfig, StateWindow, Trajectory, integrate, picard
+from .mi import SolverConfig, StateWindow, Trajectory, _assemble, integrate, picard
 from .model import PdeParams
 
 
@@ -53,9 +54,8 @@ def _stencils(params: PdeParams, grid: GridSpec):
     return (off, diag, off), (0.0, -2.0 / tau ** 2, 0.0), (off, diag.conjugate(), off)
 
 
-def assemble_wang(params: PdeParams, grid: GridSpec) -> CyclicTridiagonalSystem:
-    """The cyclic tridiagonal operator of the scheme: its u^{j+1} stencil."""
-    return CyclicTridiagonalSystem(*(np.full(grid.K, c) for c in _stencils(params, grid)[0]))
+# assemble_wang(params, grid): the scheme's operator.
+assemble_wang = functools.partial(_assemble, _stencils)
 
 
 def _cubic(quarter_beta, u_prev, u_cur, rhs):
@@ -179,7 +179,7 @@ def run_wang(problem, grid: GridSpec, config: SolverConfig,
                                                            grid, kinetic, quartic)}
 
     traj = integrate(problem, grid, config, snapshot_stride,
-                     assemble_wang, _stencils, _cubic, _step_wang, wang_energies)
+                     _stencils, _cubic, _step_wang, wang_energies)
     printed = traj.series.pop("energy_wang_printed")
     traj.meta["scheme"] = "wang"
     traj.meta["energy_wang_printed_max_rel_drift"] = max_rel_drift(

@@ -226,16 +226,15 @@ def test_cli_and_library_refuse_alike(problem, alpha, scheme, K, J, mode, stride
     payload = {"problem": problem, "K": K, "J": J, "scheme": scheme,
                "bootstrap_mode": mode, "snapshot_stride": stride}
     cli_error, cli_peak = traced_peak(lambda: parse_config(json.dumps(payload)))
-    runner, module, assemble, table = {
-        "mi": (run_mi, mi, "assemble_linear", mi._stencils),
-        "wang": (run_wang, wang, "assemble_wang", wang._stencils)}[scheme]
+    runner, table = {"mi": (run_mi, mi._stencils),
+                     "wang": (run_wang, wang._stencils)}[scheme]
 
     def library():
         spec = builtin_problem(problem) if isinstance(problem, str) else \
             customized(builtin_problem(problem["base"]), **problem["params"])
         grid = build_grid(spec.x_l, spec.x_r, K, spec.default_T, J)
         config = SolverConfig(bootstrap_mode=mode)
-        with mock.patch.object(module, assemble, side_effect=WouldRun):
+        with mock.patch.object(mi, "_assemble", side_effect=WouldRun):
             try:
                 runner(spec, grid, config, snapshot_stride=stride)
             except WouldRun:
@@ -529,7 +528,7 @@ class TestSeriesWriter:
                      for name in SERIES_COLUMNS[1:-1] if name != "energy_wang"}
         synthetic["t"][:len(extremes)] = extremes
         synthetic["step"] = np.arange(n, dtype=np.int64) - 7
-        synthetic["step"][-1] = np.iinfo(np.int64).max  # no float holds it exactly
+        synthetic["step"][-1] = 2 ** 53  # beyond it, not every integer is a float
         synthetic["fp_iters"] = rng.integers(1, 100, n).astype(np.int32)
         synthetic["fp_iters"][:2] = np.iinfo(np.int32).max, np.iinfo(np.int32).min
         for i, series in enumerate((run_mi(prob, grid, SolverConfig()).series,
@@ -541,7 +540,7 @@ class TestSeriesWriter:
             assert block == (tmp_path / f"rows{i}.csv").read_bytes()
         for token in (b",,", b"nan", b"-0,", b"inf", b"-inf", b"4.9406564584124654e-324",
                       b"1e+300",
-                      b"-2147483648", b"9223372036854775807"):
+                      b"-2147483648", b"9007199254740992"):
             assert token in block
 
 
@@ -661,9 +660,10 @@ def test_snapshot_pieces_cross_blocks_and_keep_every_byte(tmp_path, rng, monkeyp
     assert written.count(b"\r\n") == 7 * K + 1
 
 
-def test_series_integer_columns_hold_the_int64_extremes(tmp_path, rng):
-    # '%d' of int64 min, whose magnitude no int64 holds, and of int64 max,
-    # beside an all-NaN float column and an absent one.
+def test_series_integer_columns_beyond_2_53_are_refused(tmp_path, rng):
+    # An integer column is written through '%.17g', which is '%d' only up to
+    # 2**53: one holding int64 min, whose magnitude no int64 holds, int64 max
+    # or 2**53 + 1 is refused by name, before the file is opened.
     n = 6
     series = {name: rng.normal(size=n) for name in SERIES_COLUMNS
               if name != "energy_wang"}
@@ -671,11 +671,20 @@ def test_series_integer_columns_hold_the_int64_extremes(tmp_path, rng):
                                0, -1, 10 ** 18, -10 ** 18], np.int64)
     series["fp_iters"] = np.array([np.iinfo(np.int64).max] * n, np.int64)
     series["err_max"] = np.full(n, np.nan)
-    _write_series(tmp_path / "block.csv", series)
-    write_series_rowwise(tmp_path / "rows.csv", series)
-    written = (tmp_path / "block.csv").read_bytes()
-    assert written == (tmp_path / "rows.csv").read_bytes()
-    assert b"\r\n-9223372036854775808," in written
+    path = tmp_path / "block.csv"
+    with pytest.raises(UsageError, match="integer column 'step'"):
+        _write_series(path, series)
+    series["step"] = np.arange(n, dtype=np.int64)
+    series["step"][0] = np.iinfo(np.int64).min
+    with pytest.raises(UsageError, match="integer column 'step'"):
+        _write_series(path, series)
+    series["step"][0] = 0
+    with pytest.raises(UsageError, match="integer column 'fp_iters'"):
+        _write_series(path, series)
+    series["fp_iters"][:] = 2 ** 53 + 1
+    with pytest.raises(UsageError, match="integer column 'fp_iters'"):
+        _write_series(path, series)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("runner, columns", [
@@ -982,11 +991,11 @@ class TestMainExitCodes:
         original = diag_module.half_nodes
 
         def noisy(u_cur, u_next, grid):
-            dt, mid, dx = original(u_cur, u_next, grid)
+            half = original(u_cur, u_next, grid)
             if grid.K == 64:
                 rng = np.random.default_rng(0)
-                mid[0] = rng.normal(size=grid.K) + 1j * rng.normal(size=grid.K)
-            return dt, mid, dx
+                half[1][0] = rng.normal(size=grid.K) + 1j * rng.normal(size=grid.K)
+            return half
 
         monkeypatch.setattr(diag_module, "half_nodes", noisy)
         path = write_config(tmp_path, {"problem": "linear_plane", "K": 64,

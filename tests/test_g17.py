@@ -1,8 +1,8 @@
 """The vectorised formatter against Python's own: every float's cell text is
-'%.17g' % v and every int64's is '%d' % v, byte for byte, over hypothesis
-floats of every kind and over the values where the digits are hardest to
-get right (powers of ten and their neighbours, the carry to 10**17, exact
-ties of the 17th digit, the ends of the float and int64 ranges)."""
+'%.17g' % v, byte for byte, over hypothesis floats of every kind and over
+the values where the digits are hardest to get right (powers of ten and
+their neighbours, the carry to 10**17, exact ties of the 17th digit, the
+ends of the float range), and every integer's within 2**53 is '%d' % v."""
 
 import json
 import sys
@@ -15,6 +15,7 @@ from nlsw import g17
 from test_startup import fresh_python
 
 INT64 = np.iinfo(np.int64)
+EXACT = 2 ** 53         # every integer of magnitude up to it is a float
 
 # Values that take the special path (zeros, infinities, NaNs of both signs)
 # and the finite values nearest it: subnormals, the smallest normal and the
@@ -76,8 +77,8 @@ def test_special_values_among_finite_ones(data, share, fields):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(INT64.min, INT64.max), min_size=1, max_size=40))
-def test_every_int64_is_percent_d(values):
+@given(st.lists(st.integers(-EXACT, EXACT), min_size=1, max_size=40))
+def test_every_integer_within_2_53_is_percent_d(values):
     assert_same(np.array(values, np.int64))
 
 
@@ -143,14 +144,17 @@ def test_random_bit_patterns():
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
 def test_integer_columns_are_percent_d(dtype):
     info = np.iinfo(dtype)
-    assert_same(np.array([info.min, info.max, 0, 1, 9, 10, 99, 100], dtype))
+    low, high = max(info.min, -EXACT), min(info.max, EXACT)
+    assert_same(np.array([low, high, 0, 1, 9, 10, 99, 100], dtype))
 
 
-def test_int64_extremes_and_powers_of_ten():
-    # |int64 min| = 2**63 is beyond int64, and 19 digits is the most.
-    powers = np.array([10 ** k for k in range(19)], np.int64)
-    assert_same(np.concatenate([[INT64.min, INT64.max, -1], powers, powers - 1,
-                                -powers, 1 - powers]))
+def test_powers_of_ten_and_the_edge_of_exact_integers():
+    # 16 digits is the most within 2**53.  Beyond it a float rounds: 2**53 + 1
+    # would be written as 2**53, so the CSV writer refuses such a column.
+    powers = np.array([10 ** k for k in range(16)], np.int64)
+    assert_same(np.concatenate([[EXACT, EXACT - 1, -EXACT, 1 - EXACT, -1], powers,
+                                powers - 1, -powers, 1 - powers]))
+    assert texts(np.array([EXACT + 1], np.int64)) == [b"9007199254740992"]
 
 
 def test_rows_join_fields_with_commas_and_end_in_crlf():
@@ -158,7 +162,8 @@ def test_rows_join_fields_with_commas_and_end_in_crlf():
     piece.cells(np.array([[1.5, -0.0, 0.1], [np.nan, 7.0, 1e-300]]))
     assert bytes(piece.rows(2)) == b"1.5,-0,0.10000000000000001\r\nnan,7,1e-300\r\n"
     piece = g17.Piece(1, 3)
-    piece.cells(np.array([[3, -4]]), slice(0, 2))
+    piece.cells(np.array([[3, -4, 1]]))
+    piece.pids[:, 2] = g17.EMPTY
     assert bytes(piece.rows(1)) == b"3,-4,\r\n"
 
 

@@ -6,16 +6,23 @@ Each SRC is a directory that holds the nlsw package, such as a checkout's
 src/.  For each tree, every case runs in a fresh interpreter with only that
 SRC on PYTHONPATH, in a working directory of its own that is also its
 output_dir ".", so that a record naming an output path reads the same on
-both trees: `nlsw run` on the three benchmark workload configs
-(benchmarks/workloads.make_config) at seeds 3 and 7, `nlsw converge --levels
-3` on linear_plane (the linear_k64 config) along each axis,
-repr(run_identity_oracle()), two refusals, `nlsw run` with a directory
-where meta.json goes and `nlsw converge` with one where orders.csv goes,
-and two beta != 0 runs off the workloads' meshes: `nlsw run` of the
-midpoint scheme on nonlinear_plane (K = 64, J = 200), whose nonzero gamma
-and theta make the operator's bands differ, so that its corner correction
-acts on an asymmetric system, and `nlsw compare` on soliton (K = 128,
-J = 200, T = 20).
+both trees.  The cases are:
+
+- `nlsw run` on the three benchmark workload configs
+  (benchmarks/workloads.make_config) at seeds 3 and 7;
+- `nlsw converge --levels 3` on linear_plane (the linear_k64 config) along
+  each axis;
+- repr(run_identity_oracle());
+- two refusals, `nlsw run` with a directory where meta.json goes and
+  `nlsw converge` with one where orders.csv goes;
+- two beta != 0 runs off the workloads' meshes: `nlsw run` of the midpoint
+  scheme on nonlinear_plane (K = 64, J = 200), whose nonzero gamma and
+  theta make the operator's bands differ, so that its corner correction
+  acts on an asymmetric system, and `nlsw compare` on soliton (K = 128,
+  J = 200, T = 20);
+- `nlsw run` on linear_plane at K = 8, J = 20,000 and snapshot_stride
+  20,000, whose integer step column reaches five digits.
+
 Each case also keeps its exit code, stdout and stderr in process.txt.
 
 Every file is compared byte for byte, except that meta.json is compared
@@ -65,6 +72,9 @@ def default_cases() -> list:
                   ["run"]))
     cases.append(("compare_soliton", {"problem": "soliton", "K": 128, "J": 200, "T": 20.0},
                   ["compare"]))
+    cases.append(("run_linear_plane_long",
+                  {"problem": "linear_plane", "K": 8, "J": 20_000,
+                   "snapshot_stride": 20_000}, ["run"]))
     return cases
 
 
