@@ -255,20 +255,18 @@ def _write_snapshots(path: Path, grid: GridSpec, snapshots):
     |u| beyond the float max is written as inf, where Python's abs raises.
 
     A row is its block's "t,x," text, laid in as a prefix, and three cells.
-    The x texts are formatted once per file, PIECE_ROWS at a time, and t
-    once per block; re_u, im_u and abs_u are formatted, and the rows
-    written, a piece of PIECE_ROWS rows at a time (g17.Piece), and a piece
-    runs on across the blocks."""
-    K = grid.K
-    nodes = grid.nodes
-    x = g17.Piece(min(K, PIECE_ROWS), 1)
-    x_text = np.empty((K, g17.TEXT), np.uint8)
+    The t and x texts come from Python's '%.17g,' % v: x once per file,
+    PIECE_ROWS nodes at a time, and t once per block.  re_u, im_u and abs_u
+    are formatted, and the rows written, a piece of PIECE_ROWS rows at a
+    time (g17.Piece), and a piece runs on across the blocks."""
+    K, nodes = grid.K, grid.nodes
+    x_text = np.empty(K, f"S{g17.TEXT}")        # left-aligned, NUL-padded
     x_len = np.empty(K, np.uint8)
     for start in range(0, K, PIECE_ROWS):
-        stop = min(start + PIECE_ROWS, K)
-        x.cells(nodes[start:stop, None])
-        x_len[start:stop] = x.texts(stop - start, x_text[start:stop])
-    del x
+        texts = [b"%.17g," % x for x in nodes[start:start + PIECE_ROWS].tolist()]
+        x_text[start:start + len(texts)] = texts
+        x_len[start:start + len(texts)] = list(map(len, texts))
+    x_text = x_text.view(np.uint8).reshape(K, g17.TEXT)
     x_width = int(x_len.max())
     t_texts = [np.frombuffer(b"%.17g," % t, np.uint8) for t, _ in snapshots]
     piece = g17.Piece(min(PIECE_ROWS, K * len(snapshots)), 3,

@@ -2,60 +2,24 @@
 time, byte for byte what Python's % operator writes for each of them.
 
 A Piece holds a CSV writer's buffers for up to `rows` rows of `fields`
-fields.  Piece.cells gives each value of an array a cell of CELL bytes and
-a pattern id; the row KEEP[pid] of the keep table picks, in order, the
-cell's bytes that make up the value's text, so chars[KEEP[pids]] over an
-array of cells is the concatenation of their texts, and Piece.rows
-compacts a piece's rows into CSV bytes that way.  The bytes at END and
-END + 1 belong to no pattern: rows puts a field's separator there.  A cell
-holds every character any of its layouts may need, in the order they
-appear:
+cells.  Its two methods guarantee:
 
-    byte  1      '-'
-    2-6          '0' '.' '0' '0' '0'  (0.000ddd; '0', 'inf' or 'nan' at 2-4)
-    7            d0, the leading digit
-    8-23         d1..d16, the digits before a fixed-form point
-    24           '.'
-    28-43        d1..d16 again, the digits after the point
-    44-48        'e', the exponent's sign and three exponent digits
+- Piece.cells(values) formats an (n, fields) array, taken as float64, into
+  the cells of the first n rows.  Each cell reads as Python's '%.17g' % v:
+  -0.0 as -0, infinities as inf and -inf, and a NaN as nan whatever its
+  sign bit.  An integer of magnitude at most 2**53 is a float exactly, so
+  its cell reads as its '%d'.
+- Piece.rows(n) returns the bytes of the first n rows as a uint8 array.  A
+  row is its optional prefix (the first lead[r] bytes that the writer laid
+  into chars[r, :prefix] of a piece built with a prefix), then its cells
+  joined by ',' and ended by CRLF.  A cell whose pattern id the writer set
+  to EMPTY is empty; its separator stays.
 
-'%.17g' rounds the value to 17 significant digits d0..d16, D = d0d1..d16,
-with the decimal exponent E: the fixed form when -4 <= E < 17 and the
-exponent form otherwise, with trailing zeros and a bare point dropped, and
-at least two exponent digits.  The digits are found as Grisu does (Loitsch,
-PLDI 2010), without formatting a value on its own:
-
-1. Scale exactly: D = round(|v| * 10**(16 - E)), with 10**p from a table of
-   double-double mantissas, (hi + lo) * 2**k, built in integer arithmetic;
-   |v| * 2**k is exact for every finite v, a subnormal scaled up by that
-   power of two like any other, and its product with hi is exact as a
-   Dekker two-product.  The table's rows are built on demand: each call
-   checks the rows its exponents read against a mask of the filled ones and
-   builds only those missing, so a run's values, which span a few
-   exponents, build a few of its 635 rows.
-2. Correct the exponent: E starts as floor(log10|v|), and a product
-   outside [10**16, 10**17) moves it by one; a rounding up to 10**17
-   carries into E.
-3. Make the digits: 4-digit groups from a lookup table of uint32 words,
-   with the trailing zeros counted in the same groups.
-4. Lay out the cell: words from tables and the pattern from (sign, E,
-   number of digits).  Zeros, infinities and NaNs take constant words and
-   patterns, and a NaN with its sign bit set is written nan, as Python
-   writes it.  When a call holds such values, steps 1-3 run on its finite
-   nonzero values alone, gathered as floats, and their digits and
-   exponents are scattered back as integers; the special values are laid
-   out from stand-in digits and then take their patterns, so no cell is
-   moved.  A call of zeros alone, or of special values alone, makes no
-   digits at all.
-5. Fall back rarely: the computed fraction of the scaled value is within
-   about 1e-14 of the true one (lo's rounding and the sum of the product's
-   error terms), so a value whose fraction lies within _TIE = 1e-9 of a
-   half, an exact or a near tie of the rounding, takes its digits from
-   '%.16e' % v alone (_alone), which rounds the same 17 significant digits.
-
-A call works in its piece's scratch, SLOTS 8-byte values for each number;
-those bytes later hold the piece's keep mask, so a piece allocates its
-buffers once, whatever the number of calls and rows.
+TEXT is the length of the longest '%.17g' text and a separator.  A piece
+allocates its buffers once, whatever the number of calls and rows.  The
+digits are found as Grisu does (Loitsch, PLDI 2010), without formatting a
+value on its own; the comments beside _scaled, _digits and _layout give
+the steps.
 """
 
 from __future__ import annotations
@@ -64,6 +28,26 @@ import functools
 
 import numpy as np
 
+# Piece.cells gives each value a cell of CELL bytes and a pattern id; row
+# KEEP[pid] of the keep table picks, in order, the cell's bytes that make up
+# the value's text, so chars[KEEP[pids]] over an array of cells is the
+# concatenation of their texts, and Piece.rows compacts a piece's rows that
+# way.  The bytes at END and END + 1 belong to no pattern: rows puts a
+# field's separator there.  A cell holds every character any of its
+# layouts may need, in the order they appear:
+#
+#     byte  1      '-'
+#     2-6          '0' '.' '0' '0' '0'  (0.000ddd; '0', 'inf' or 'nan' at 2-4)
+#     7            d0, the leading digit
+#     8-23         d1..d16, the digits before a fixed-form point
+#     24           '.'
+#     28-43        d1..d16 again, the digits after the point
+#     44-48        'e', the exponent's sign and three exponent digits
+#
+# '%.17g' rounds the value to 17 significant digits d0..d16, D = d0d1..d16,
+# with the decimal exponent E: the fixed form when -4 <= E < 17 and the
+# exponent form otherwise, with trailing zeros and a bare point dropped, and
+# at least two exponent digits.
 CELL = 52               # bytes of a cell
 WORDS = CELL // 4       # its uint32 words
 END = 49                # the separator's bytes: END and END + 1
@@ -233,33 +217,33 @@ class Piece:
         slots = self._scratch[:SLOTS * values.size].reshape(SLOTS, values.size)
         _float_cells(_tables(), values, self.words[:n], self.pids[:n], slots)
 
-    def rows(self, n: int, end: bytes = b"\r\n") -> np.ndarray:
+    def rows(self, n: int) -> np.ndarray:
         """The bytes, as a uint8 array, of the first n rows: the lead of
-        each row's prefix, then its fields, each followed by ',' and the
-        last one by end, CRLF or ','."""
+        each row's prefix, then its fields, joined by ',' and ended by
+        CRLF."""
         chars, keep = self.chars[:n], self._keep[:n]
         shape = (n, self.words.shape[1], CELL)
         cells = chars[:, self.prefix:].reshape(shape)
         kept = keep[:, self.prefix:].reshape(shape)
         cells[:, :, END] = ord(",")
-        cells[:, -1, END:END + len(end)] = np.frombuffer(end, np.uint8)
+        cells[:, -1, END:END + 2] = list(b"\r\n")
         np.take(_tables()["keep"], self.pids[:n], axis=0, out=kept, mode="clip")
         kept[:, :, END] = True
-        kept[:, -1, END + 1] = len(end) == 2
+        kept[:, -1, END + 1] = True
         if self.prefix:
             np.take(self._leads, self.lead[:n], axis=0, out=keep[:, :self.prefix],
                     mode="clip")
         return chars[keep]
 
-    def texts(self, n: int, out: np.ndarray) -> np.ndarray:
-        """Lay the first n rows, each ending in ',', left-aligned into the
-        rows of out, as wide as the longest, and return their lengths."""
-        text = self.rows(n, b",")
-        lengths = self._keep[:n].sum(axis=1)
-        out[np.arange(out.shape[1]) < lengths[:, None]] = text
-        return lengths
 
-
+# Step 1, scale exactly: D = round(|v| * 10**(16 - E)), with 10**p from a
+# table of double-double mantissas, (hi + lo) * 2**k, built in integer
+# arithmetic (_power); |v| * 2**k is exact for every finite v, a subnormal
+# scaled up by that power of two like any other, and its product with hi is
+# exact as a Dekker two-product.  The table's rows are built on demand
+# (_fill): each call checks the rows its exponents read against a mask of
+# the filled ones and builds only those missing, so a run's values, which
+# span a few exponents, build a few of its 635 rows.
 def _scaled(t: dict, b: np.ndarray, i: np.ndarray, s: np.ndarray):
     """(N, frac): a * 10**(16 - E) = N + frac, N an integer and frac in
     [0, 1), within about 1e-14, for positive finite a, given in b, and the
@@ -302,6 +286,13 @@ def _scaled(t: dict, b: np.ndarray, i: np.ndarray, s: np.ndarray):
     return N, e
 
 
+# Special values: zeros, infinities and NaNs take constant words and
+# patterns, and a NaN with its sign bit set is written nan, as Python writes
+# it.  When a call holds such values, steps 1-3 run on its finite nonzero
+# values alone, gathered as floats, and their digits and exponents are
+# scattered back as integers; the special values are laid out from stand-in
+# digits and then take their patterns, so no cell is moved.  A call of zeros
+# alone, or of special values alone, makes no digits at all.
 def _float_cells(t: dict, v: np.ndarray, words: np.ndarray, pids: np.ndarray,
                  s: np.ndarray):
     """Fill words and pids with the cells of a float64 array v of their
@@ -346,6 +337,14 @@ def _float_cells(t: dict, v: np.ndarray, words: np.ndarray, pids: np.ndarray,
     np.add(pids, _BODIES, out=pids, where=np.signbit(v))
 
 
+# Step 2, correct the exponent: E starts as floor(log10|v|), and a product
+# outside [10**16, 10**17) moves it by one; a rounding up to 10**17 carries
+# into E.
+# Step 5, fall back rarely: the computed fraction of the scaled value is
+# within about 1e-14 of the true one (lo's rounding and the sum of the
+# product's error terms), so a value whose fraction lies within _TIE = 1e-9
+# of a half, an exact or a near tie of the rounding, takes its digits from
+# '%.16e' % v alone (_alone), which rounds the same 17 significant digits.
 def _digits(t: dict, a: np.ndarray, s: np.ndarray):
     """(D, at): the 17 digits of each positive finite a, row 0 of s, as an
     int64 view of row 1, and the row of its exponent E in the tables exp and
@@ -379,6 +378,10 @@ def _digits(t: dict, a: np.ndarray, s: np.ndarray):
     return D, np.subtract(_E_MAX - _E_MIN, i, out=s[0].view(np.intp))
 
 
+# Step 3, make the digits: 4-digit groups from a lookup table of uint32
+# words, with the trailing zeros counted in the same groups.
+# Step 4, lay out the cell: words from tables and the pattern from (sign, E,
+# number of digits); the sign is added by _float_cells.
 def _layout(t: dict, D: np.ndarray, at: np.ndarray, words: np.ndarray,
             pids: np.ndarray, s: np.ndarray):
     """Fill words and pids, of shape S + (WORDS,) and S, with the cells of

@@ -18,6 +18,7 @@ import nlsw
 from nlsw import (ConfigurationError, ConsistencyError, GridSpec, NlswError,
                   SolverConfig, UsageError, build_grid, builtin_problem,
                   customized, mi, parse_config, run_mi, run_wang, wang)
+from nlsw import cli, g17
 from nlsw.cli import (ORDERS_HEADER, SNAPSHOT_HEADER, RunConfig, main, resolve,
                       run_convergence, run_experiment)
 from nlsw.cli import _write_series, _write_snapshots
@@ -658,6 +659,73 @@ def test_snapshot_pieces_cross_blocks_and_keep_every_byte(tmp_path, rng, monkeyp
     written = (tmp_path / "block.csv").read_bytes()
     assert written == (tmp_path / "rows.csv").read_bytes()
     assert written.count(b"\r\n") == 7 * K + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_snapshot_writer_matches_rowwise_oracle_around_a_zero_node(data):
+    # Nodes x_k = x_l + k*h with an exact zero at node k0, and h placed so
+    # that the nodes cross the edge of '%.17g''s fixed form (1e-4 or 1e17):
+    # both layouts, of both signs, and zero.  Times include -0 and
+    # subnormals, and the piece size goes from one row to the default.
+    K = data.draw(st.integers(4, 300))
+    k0 = data.draw(st.integers(0, K - 1))
+    far = max(k0, K - 1 - k0)
+    edge = data.draw(st.sampled_from([1e-4, 1e17]))
+    h = data.draw(st.floats(edge / far * (1 + 1e-9), edge / 1.5))
+    x_l = -(h * k0)
+    grid = GridSpec(x_l=x_l, x_r=x_l + K * h, K=K, J=2, T=1.0, h=h, tau=0.5)
+    nodes = grid.nodes
+    assert nodes[k0] == 0.0
+    assert {b"e" in b"%.17g" % x for x in nodes[nodes != 0].tolist()} == {True, False}
+    times = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310]) | st.floats()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    extremes = np.array([0.0, -0.0, 5e-324, 1e-300, 1e300, np.inf, -np.inf, np.nan])
+    snapshots = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        u = np.empty(K, complex)
+        u.real = np.where(rng.uniform(size=K) < 0.2, rng.choice(extremes, K),
+                          rng.normal(size=K))
+        u.imag = rng.normal(size=K) * 10.0 ** rng.uniform(-300.0, 300.0, K)
+        snapshots.append((data.draw(times), u))
+    piece_rows = data.draw(st.sampled_from([1, 5, 64, 1024]))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "PIECE_ROWS", piece_rows):
+        block, rows = Path(tmp, "block.csv"), Path(tmp, "rows.csv")
+        _write_snapshots(block, grid, snapshots)
+        write_snapshots_rowwise(rows, grid, snapshots)
+        assert block.read_bytes() == rows.read_bytes()
+
+
+@pytest.mark.parametrize("K, blocks", [(64, 3), (4096, 2)])
+def test_snapshot_file_formats_only_its_values_in_one_piece(tmp_path, rng, monkeypatch,
+                                                            K, blocks):
+    # The t and x texts come from Python's %, so a file builds one
+    # g17.Piece, and its cells calls, one per PIECE_ROWS rows, each format
+    # the three value fields re_u, im_u and abs_u.
+    pieces, calls = [], []
+
+    class Spy(g17.Piece):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pieces.append(self)
+
+        def cells(self, values):
+            calls.append(np.shape(values))
+            super().cells(values)
+
+    monkeypatch.setattr(g17, "Piece", Spy)
+    grid = build_grid(-20.0, 20.0, K, 1.0, 10)
+    snapshots = [(j / 3.0, rng.normal(size=K) + 1j * rng.normal(size=K))
+                 for j in range(blocks)]
+    _write_snapshots(tmp_path / "block.csv", grid, snapshots)
+    rows = K * blocks
+    assert len(pieces) == 1
+    assert len(calls) == -(-rows // cli.PIECE_ROWS)
+    assert [fields for _, fields in calls] == [3] * len(calls)
+    assert sum(n for n, _ in calls) == rows
+    write_snapshots_rowwise(tmp_path / "rows.csv", grid, snapshots)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_series_integer_columns_beyond_2_53_are_refused(tmp_path, rng):

@@ -176,14 +176,12 @@ def test_rows_lead_with_their_prefix():
     assert bytes(piece.rows(3)) == b"a,0,-2.5\r\nbcd,inf,9.9999999999999995e-08\r\nefghi,3,nan\r\n"
 
 
-def test_texts_lay_single_cells_left_aligned():
-    values = np.array([-1.2345678901234567e-308, 0.0, 20.0])
-    piece = g17.Piece(3, 1)
-    piece.cells(values[:, None])
-    out = np.zeros((3, g17.TEXT), np.uint8)
-    assert piece.texts(3, out).tolist() == [g17.TEXT, 2, 3]
-    assert [bytes(row[:n]) for row, n in zip(out, (g17.TEXT, 2, 3))] == [
-        b"-1.2345678901234567e-308,", b"0,", b"20,"]
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(finite, special))
+def test_text_is_the_longest_percent_17g_text_and_a_separator(value):
+    # The snapshot writer's prefix array holds an x text of TEXT bytes.
+    assert g17.TEXT == len(b"%.17g," % -1.2345678901234567e-308) == 25
+    assert len(b"%.17g," % value) <= g17.TEXT
 
 
 FILLED = """
