@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import errno
+import functools
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from . import diagnostics, g17, mi, problems, wang
 from .errors import ConfigurationError, IdentityValidationError, NlswError, UsageError
 from .grid import GridSpec, build_grid, is_number, shown
 from .linsolve import SCIPY_VERSION
-from .mi import SolverConfig, Trajectory, check_run, quiet_overflow, run_mi
+from .mi import SolverConfig, check_run, quiet_overflow, run_mi
 from .problems import ProblemSpec, builtin_problem, convergence_order, customized
 from .wang import run_wang
 
@@ -42,13 +43,10 @@ SNAPSHOT_HEADER = ("t", "x", "re_u", "im_u", "abs_u")
 ORDERS_HEADER = ("level", "mesh_param", "err_max", "fitted_order")
 
 # The most rows that a CSV writer formats at once: series or orders rows,
-# or snapshot rows, which run on across blocks.  A writer's temporaries stay
-# bounded whatever J or K, at about 2.4 MB a piece of series rows and 0.9 MB
-# of snapshot rows, and a command writes only after its run has freed its
-# plan and working levels (see mi.held_bytes).  On gauss_k4096_io, peak RSS
-# is the same for pieces of 256 to 1024 rows, 0.7 MB higher at 2048 and
-# 1.6 MB higher at 4096; its snapshot writer takes 1.4 times as long with
-# pieces of 256 rows as with 1024.
+# or snapshot rows, which run on across blocks.  It bounds a writer's
+# temporaries whatever J or K, so that writing, which starts only once a run
+# has freed its plan and working levels, never sets a command's peak (see
+# mi.held_bytes).
 PIECE_ROWS = 1024
 
 # Config key -> accepted JSON types; float stands for any JSON number and
@@ -214,31 +212,31 @@ def _header(names) -> bytes:
 
 
 def _write_csv(path: Path, header, columns):
-    """Write columns, a dict from names of header to arrays of one length:
-    an empty field for a name without a column and '%.17g' for every value,
-    byte for byte what csv.writer writes for those fields, with an integer
-    written as '%d'.  The rows are formatted and written PIECE_ROWS at a
-    time in one g17.Piece, by one cells call: a field without a column is
-    formatted from a stand-in 1 and then emptied.  An integer column that
-    holds a value beyond +-2**53, which no float64 need hold exactly, is a
-    UsageError naming it, raised before the file is opened."""
+    """Write header and the rows of columns, {name of header: array}, all
+    of one length, to path: byte for byte what csv.writer writes for an
+    empty field where a name has no column and '%.17g' of every value, so
+    an integer reads as '%d'.  Holds one piece of PIECE_ROWS rows at a time.
+    Raises UsageError naming an integer column with a value beyond +-2**53,
+    which '%.17g' cannot write exactly, before the file is opened, and
+    ConfigurationError where the file cannot be written."""
     for name, column in columns.items():
         # min and max, not abs: abs of int64 min overflows.
         if np.issubdtype(column.dtype, np.integer) and not \
                 -2 ** 53 <= column.min() <= column.max() <= 2 ** 53:
             raise UsageError(f"integer column {name!r} holds a value beyond "
                              f"+-2**53, which '%.17g' cannot write exactly")
+    given = [(j, columns[name]) for j, name in enumerate(header) if name in columns]
     empty = [j for j, name in enumerate(header) if name not in columns]
-    rows = len(next(columns[name] for name in header if name in columns))
+    rows = len(given[0][1])
     piece = g17.Piece(min(rows, PIECE_ROWS), len(header))
+    # A field without a column is formatted from a stand-in 1, then emptied.
     values = np.ones(piece.pids.shape)
     with _output_file(path, "wb") as fh:
         fh.write(_header(header))
         for start in range(0, rows, PIECE_ROWS):
             n = min(len(values), rows - start)
-            for j, name in enumerate(header):
-                if name in columns:
-                    values[:n, j] = columns[name][start:start + n]
+            for j, column in given:
+                values[:n, j] = column[start:start + n]
             piece.cells(values[:n])
             piece.pids[:n, empty] = g17.EMPTY
             fh.write(piece.rows(n))
@@ -248,26 +246,32 @@ def _write_series(path: Path, series):
     _write_csv(path, diagnostics.SERIES_COLUMNS, series)
 
 
-def _write_snapshots(path: Path, grid: GridSpec, snapshots):
-    """One CSV block per snapshot, byte for byte what csv.writer writes for
-    rows of f"{v:.17g}" fields: '%.17g' formats a float the same way, and
-    hypot gives the same |u| as Python's abs of a complex, except that a
-    |u| beyond the float max is written as inf, where Python's abs raises.
-
-    A row is its block's "t,x," text, laid in as a prefix, and three cells.
-    The t and x texts come from Python's '%.17g,' % v: x once per file,
-    PIECE_ROWS nodes at a time, and t once per block.  re_u, im_u and abs_u
-    are formatted, and the rows written, a piece of PIECE_ROWS rows at a
-    time (g17.Piece), and a piece runs on across the blocks."""
+@functools.lru_cache(maxsize=1)
+def _node_texts(grid: GridSpec):
+    """(texts, lengths, width) of grid's nodes, read-only: row k of the
+    (K, g17.TEXT) uint8 texts is b"%.17g," % x_k, NUL-padded, lengths[k]
+    its length and width the largest.  Only the last grid's table is kept."""
     K, nodes = grid.K, grid.nodes
-    x_text = np.empty(K, f"S{g17.TEXT}")        # left-aligned, NUL-padded
-    x_len = np.empty(K, np.uint8)
+    texts = np.empty(K, f"S{g17.TEXT}")
     for start in range(0, K, PIECE_ROWS):
-        texts = [b"%.17g," % x for x in nodes[start:start + PIECE_ROWS].tolist()]
-        x_text[start:start + len(texts)] = texts
-        x_len[start:start + len(texts)] = list(map(len, texts))
-    x_text = x_text.view(np.uint8).reshape(K, g17.TEXT)
-    x_width = int(x_len.max())
+        texts[start:start + PIECE_ROWS] = [
+            b"%.17g," % x for x in nodes[start:start + PIECE_ROWS].tolist()]
+    texts = texts.view(np.uint8).reshape(K, g17.TEXT)
+    lengths = np.count_nonzero(texts, axis=1).astype(np.uint8)
+    texts.flags.writeable = lengths.flags.writeable = False
+    return texts, lengths, int(lengths.max())
+
+
+def _write_snapshots(path: Path, grid: GridSpec, snapshots):
+    """Write snapshots, a list of (t, u) with u of grid.K complex values, to
+    path: a block of K rows t,x,re_u,im_u,abs_u per snapshot, byte for byte
+    what csv.writer writes for rows of f"{v:.17g}" fields, abs_u being
+    Python's abs(u), or inf where that raises beyond the float max.  Holds
+    one piece of PIECE_ROWS rows and keeps the last grid's node texts
+    (_node_texts).  Raises ConfigurationError where the file cannot be
+    written."""
+    K = grid.K
+    x_text, x_len, x_width = _node_texts(grid)
     t_texts = [np.frombuffer(b"%.17g," % t, np.uint8) for t, _ in snapshots]
     piece = g17.Piece(min(PIECE_ROWS, K * len(snapshots)), 3,
                       prefix=max(map(len, t_texts)) + x_width)
@@ -291,6 +295,8 @@ def _write_snapshots(path: Path, grid: GridSpec, snapshots):
                 part = u[k:k + n]
                 values[rows, 0] = part.real
                 values[rows, 1] = part.imag
+                # hypot is Python's abs of a complex, and inf beyond the
+                # float max under quiet_overflow.
                 np.hypot(part.real, part.imag, out=values[rows, 2])
                 filled += n
                 k += n
@@ -332,10 +338,9 @@ CONVENTIONS = {
 
 
 def _versions() -> dict:
-    """The Python, numpy, scipy and nlsw versions, read from what the
-    package has already loaded: importing importlib.metadata alone takes
-    about 17 ms.  scipy's is linsolve's SCIPY_VERSION, read from scipy's
-    version.py at import, since the scipy package is never imported."""
+    """The Python, numpy, scipy (linsolve.SCIPY_VERSION) and nlsw versions,
+    read from what the package has already loaded rather than through
+    importlib.metadata, whose import would add to every run's start-up."""
     from . import __version__
     return {"python": ".".join(map(str, sys.version_info[:3])),
             "numpy": np.__version__, "scipy": SCIPY_VERSION,
@@ -355,37 +360,27 @@ def _write_meta(path: Path, config: RunConfig, problem: ProblemSpec,
         fh.write("\n")
 
 
-def _series_summary(traj: Trajectory) -> dict:
-    """Max relative and absolute drifts of the recorded invariants, for
-    quick auditing: the relative drift floors |ref| at 1e-30, so only the
-    absolute one means anything where a reference is about 0."""
-    series, meta = traj.series, traj.meta
-
-    def drift(name, ref, relative=True):
-        if name not in series:
-            return None
-        if relative:
-            return diagnostics.max_rel_drift(series[name], meta[ref])
-        return float(np.max(np.abs(series[name] - meta[ref])))
-
-    def final(name):
-        return float(series[name][-1]) if name in series else None
-
-    return {
-        "steps": len(series["step"]),
-        "total_fp_iters": meta.get("total_fp_iters"),
-        "min_fp_iters": int(series["fp_iters"].min()),
-        "mean_fp_iters": float(series["fp_iters"].mean()),
-        "max_fp_iters": int(series["fp_iters"].max()),
-        "energy_mi_max_rel_drift": drift("energy_mi", "energy_ref"),
-        "mass_mi_max_rel_drift": drift("mass_mi", "mass_ref"),
-        "energy_wang_max_rel_drift": drift("energy_wang", "energy_wang_ref"),
-        "energy_mi_max_abs_drift": drift("energy_mi", "energy_ref", False),
-        "mass_mi_max_abs_drift": drift("mass_mi", "mass_ref", False),
-        "energy_wang_max_abs_drift": drift("energy_wang", "energy_wang_ref", False),
-        "final_err_max": final("err_max"),
-        "final_e_infty_sq": final("e_infty_sq"),
-    }
+def _series_summary(series: dict, meta: dict) -> dict:
+    """The summary of a run's series against the references in its meta:
+    the step count, the Picard sweeps per step, the largest relative and
+    absolute drift of each invariant, None where the run has no such column
+    (the relative drift floors |ref| at 1e-30, so only the absolute one
+    means anything where a reference is about 0), and the final errors,
+    None without a verified exact solution."""
+    fp_iters = series["fp_iters"]
+    summary = {"steps": len(series["step"]), "total_fp_iters": meta.get("total_fp_iters"),
+               "min_fp_iters": int(fp_iters.min()), "mean_fp_iters": float(fp_iters.mean()),
+               "max_fp_iters": int(fp_iters.max())}
+    for name, ref in (("energy_mi", "energy_ref"), ("mass_mi", "mass_ref"),
+                      ("energy_wang", "energy_wang_ref")):
+        drifts = (None, None)
+        if name in series:
+            drifts = (diagnostics.max_rel_drift(series[name], meta[ref]),
+                      float(np.max(np.abs(series[name] - meta[ref]))))
+        summary[f"{name}_max_rel_drift"], summary[f"{name}_max_abs_drift"] = drifts
+    for name in ("err_max", "e_infty_sq"):
+        summary[f"final_{name}"] = float(series[name][-1]) if name in series else None
+    return summary
 
 
 def _output_paths(config: RunConfig, output_dir, names: dict) -> dict:
@@ -421,7 +416,7 @@ def _run_scheme(runner, problem, grid, solver_config, snapshot_stride,
     timings = {"run_s": ran - started, **traj.timings,
                "write_series_s": wrote_series - ran,
                "write_snapshots_s": time.perf_counter() - wrote_series}
-    return traj.meta, _series_summary(traj), timings
+    return traj.meta, _series_summary(traj.series, traj.meta), timings
 
 
 def run_experiment(config: RunConfig, output_dir=None) -> dict:

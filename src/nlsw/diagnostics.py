@@ -1,32 +1,21 @@
-"""Discrete two-level invariants, their per-step identities, and recording.
+"""Discrete two-level invariants of the midpoint scheme, their per-step
+identities, and the oracle that validates the mass identity's constant.
 
-The midpoint scheme carries a discrete energy E^{j+1/2} and a discrete
-mass Q^{j+1/2}, both built from half-node values of the pair
-(u^j, u^{j+1}).  For beta = 0 they are conserved exactly; for beta != 0
-their per-step increments equal explicit cubic residuals, so the measured
-increment minus that residual ("identity gap") must sit at round-off on
-any converged trajectory.
+The midpoint scheme carries a discrete energy E^{j+1/2} and a discrete mass
+Q^{j+1/2} of each pair (u^j, u^{j+1}), both built from the pair's half-node
+fields (half_nodes).  For beta = 0 they are conserved exactly; for beta != 0
+their increments equal explicit cubic right-hand sides, so an identity gap,
+increment minus right-hand side, sits at round-off on a converged run.
 
-The three half-node fields of a pair (time quotient, temporal mean and its
-space quotient) come from half_nodes, as a HalfNodes that also computes,
-once, the modulus of the mean and the skew sum that the invariants share.
-A run builds them once per block of pairs and hands them to the energy,
-the mass and the identity mean through their `half` argument, and the
-squared modulus of the mean on to the identities; the functions keep no
-state between calls.
+Each invariant and identity takes one pair of levels, shape (K,), or
+stacks of pairs, shape [..., K], and gives a Python float for one pair and
+a float array of shape [...] for a stack, each row with the bits of its
+one-pair evaluation.  No function keeps state between calls; a caller that
+has built a pair's half_nodes passes them as `half`.
 
-Every function here takes one pair of levels, shape (K,), or stacks of
-pairs, shape [..., K], evaluated row by row: each sum is one np.vecdot or
-one sum over the last axis, which gives every row the same bits as its
-one-pair evaluation.  One pair gives Python floats, a stack float arrays of
-shape [...].  The run loop (mi.integrate) evaluates a block of levels at a
-time this way.
-
-The printed constant of the mass identity does not survive re-derivation:
-expanding the inner-product argument on a tiny grid shows the increment
-equals the stated bilinear form with constant beta/4, not beta/2.  The
-corrected constant is the one every run writes and the one run_identity_oracle
-accepts on re-measuring it; mass_rhs_printed keeps the printed form for auditing.
+The mass identity's constant is beta/4, which every run writes and
+run_identity_oracle re-measures on a tiny grid, not the printed beta/2,
+which mass_rhs_printed keeps for auditing.
 """
 
 from __future__ import annotations
@@ -93,23 +82,19 @@ class HalfNodes(tuple):
 
 
 def half_nodes(u_cur, u_next, grid):
-    """Half-node values (slot k is k+1/2) of the time quotient, the temporal
-    mean and its space quotient for the pair (u^j, u^{j+1}), or for each row
-    of [..., K] stacks of pairs.
-
-    The invariants run on every level of a run, whose levels are already
-    checked (see as_level), so only the last axis is checked here: a NaN
-    level gives a NaN invariant.
-
-    With u_mid = 0.5 * (u^j + u^{j+1}), du = u^{j+1} - u^j and
-    mid_next = shift_next(u_mid), the fields are
-        (du + shift_next(du)) * (0.5 / tau), 0.5 * (u_mid + mid_next)
-        and (mid_next - u_mid) / h,
-    each operation done in place, with the operands and in the order
-    written, so that no more than one array beyond the three fields is live.
+    """HalfNodes of the pair (u^j, u^{j+1}), or of each row of [..., K]
+    stacks of pairs: slot k holds the value at k+1/2 of the time quotient
+    (du + shift_next(du)) * (0.5 / tau), of the temporal mean's half-node
+    mean 0.5 * (u_mid + mid_next) and of its space quotient
+    (mid_next - u_mid) / h, with du = u^{j+1} - u^j,
+    u_mid = 0.5 * (u^j + u^{j+1}) and mid_next = shift_next(u_mid), each
+    evaluated with the operands and in the order written.  Only the last
+    axis is checked (as_level): a NaN level gives NaN fields.  The levels
+    are not written; the result holds the three fields.
     """
     v_cur = as_level(u_cur, grid)
     v_next = as_level(u_next, grid)
+    # In place, so that one array beyond the three fields is live at a time.
     du = np.subtract(v_next, v_cur)
     dt_half = shift_next(du)
     np.add(du, dt_half, out=dt_half)
@@ -193,26 +178,21 @@ def _half_node_means(u_prev, u_cur, u_next, grid):
 def _identity_rhs(a, b, abs2, params: PdeParams, grid: GridSpec,
                   factor: float = VALIDATED_MASS_FACTOR):
     """Right-hand sides (energy, mass) of the two identities, from the
-    half-node means a of u^{j+1/2} and b of u^{j-1/2} (row-wise for stacks).
-
-    With d = |a|^2 - |b|^2 and c = factor * beta:
-        energy: -(beta/2) * h * sum d * |a - b|^2   (|a - b| = tau * |centered
-                time quotient|)
-        mass:   -c * h * sum d (a-b)(conj a + conj b) + c * h * sum d^2,
-                which is purely imaginary; its imaginary part is returned
-                (the real c*h*sum d^2 does not enter it).
+    half-node means a of u^{j+1/2} and b of u^{j-1/2} and
+    abs2 = (|a|^2, |b|^2) as HalfNodes.abs2_mid gives them, row-wise for
+    stacks.  With d = |a|^2 - |b|^2 and c = factor * beta:
+        energy: -(beta/2) * h * sum d * |a - b|^2
+        mass:   Im of -c * h * sum d (a-b)(conj a + conj b) + c * h * sum d^2,
+                a purely imaginary sum, so the real c*h*sum d^2 drops out.
     factor=0.25 is the validated mass constant that mass_rhs and every run
     use; 0.5 reproduces the printed form, and the oracle fits factor=1.0.
-
-    abs2 is (|a|^2, |b|^2), each x * x of |x| (HalfNodes.abs2_mid), so d is
-    one subtraction; a - b, d (a - b) and a + b are formed with the operands
-    and in the order written, a + b in the buffer of a - b once the energy
-    is summed.
+    a, b and abs2 are not written; two K-value temporaries are held.
     """
     d = np.subtract(*abs2)
     jump = np.subtract(a, b)
     weighted = np.multiply(d, jump)
     energy = -0.5 * params.beta * grid.h * np.vecdot(jump, weighted).real
+    # a + b goes in the buffer of a - b, spent once the energy is summed.
     mass = -factor * params.beta * grid.h * np.vecdot(np.add(a, b, out=jump),
                                                        weighted).imag
     return scalar_or_rows(energy), scalar_or_rows(mass)
@@ -243,13 +223,9 @@ class IdentityGaps:
 def identity_gaps(d_energy, d_mass, a, b, abs2, params: PdeParams,
                   grid: GridSpec) -> IdentityGaps:
     """Identity gaps from the invariant increments E^{j+1/2} - E^{j-1/2} and
-    Q^{j+1/2} - Q^{j-1/2} and the half-node means a, b of the two pairs;
-    row-wise for stacks (arrays of increments, [..., K] means).
-
-    A run carries the invariants, the mean of the previous pair and its
-    |mean|^2 forward, so each level's invariants and each mean's modulus
-    are evaluated once; abs2 is as in _identity_rhs.
-    """
+    Q^{j+1/2} - Q^{j-1/2}, the half-node means a, b of the two pairs and
+    abs2 = (|a|^2, |b|^2) as in _identity_rhs; row-wise for stacks (arrays
+    of increments, [..., K] means)."""
     rhs_e, rhs_q = _identity_rhs(a, b, abs2, params, grid)
     return IdentityGaps(energy_gap=d_energy - rhs_e,
                         mass_gap=d_mass / grid.tau - rhs_q)
@@ -351,10 +327,9 @@ def run_identity_oracle() -> IdentityOracleResult:
         raise UsageError("identity oracle produced no usable mass increments")
     measured = float(np.mean(factors))
     spread = float(np.max(np.abs(factors - measured)))
-    matches_validated = (spread < 1e-6
-                         and abs(measured - VALIDATED_MASS_FACTOR) < 1e-6)
-    matches_printed = (spread < 1e-6
-                       and abs(measured - PRINTED_MASS_FACTOR) < 1e-6)
+    matches_validated, matches_printed = (
+        spread < 1e-6 and abs(measured - factor) < 1e-6
+        for factor in (VALIDATED_MASS_FACTOR, PRINTED_MASS_FACTOR))
     ok = energy_max < 1e-10 and matches_validated
     return IdentityOracleResult(ok=ok,
                                 energy_max_rel_gap=energy_max,

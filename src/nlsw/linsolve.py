@@ -7,20 +7,15 @@ Row k of the matrix reads
 with indices modulo K, so lower[0] and upper[K-1] carry the periodic
 corner couplings.  The solve peels the two corners off as a rank-one
 update of a plain tridiagonal core (Sherman-Morrison).  The core is
-factored once with LAPACK's gttrf (LU with partial pivoting, which keeps
-the fill-in within one extra super-diagonal), and every solve after that
-is one gttrs call against the stored factors.
+factored once with LAPACK's gttrf (LU with partial pivoting), and every
+solve after that is one gttrs call against the stored factors.
 
-zgttrf and zgttrs are scipy's own f2py wrappers from its `_flapack`
-extension, loaded without importing the scipy.linalg package: its
-__init__ pulls in numpy.f2py, numpy.testing, numpy.random and more, about
-0.25 s of start-up, while the extension alone loads in a few ms.  Nor is
-the scipy package itself imported: its folder is found from its import
-spec, which leaves scipy/__init__.py unexecuted (a numpy-range check,
-scipy.__config__ and scipy._lib, which pulls in subprocess and sysconfig:
-about 5 ms).  The extension needs nothing from that init, since it finds
-its OpenBLAS through its own RPATH, $ORIGIN/../../scipy.libs on the PyPI
-wheels.  SCIPY_VERSION is read from scipy's own version.py in that folder.
+zgttrf and zgttrs come from scipy's `_flapack` extension, loaded from the
+folder that scipy's import spec names, so that neither scipy.linalg's
+package imports nor scipy/__init__.py, most of a short run's start-up, are
+executed; the extension finds its OpenBLAS through its own RPATH
+($ORIGIN/../../scipy.libs on the PyPI wheels).  SCIPY_VERSION is read from
+scipy's version.py in that folder.
 """
 
 from __future__ import annotations
@@ -132,7 +127,6 @@ class PreparedCyclicSolver:
                 f"tridiagonal core is singular: zero pivot at row {info}")
         # zgttrs with the factors bound, so that a solve passes only b.
         self._core_solve = functools.partial(zgttrs, *factors)
-        self._shape = (K,)
         self._v_last = lo[0] / gamma0
         u = np.zeros(K, dtype=np.complex128)
         u[0] = gamma0
@@ -156,24 +150,17 @@ class PreparedCyclicSolver:
         self._zeros = np.zeros(K, dtype=np.complex128)
 
     def solve(self, rhs, out=None) -> np.ndarray:
-        """x with A x = rhs: one gttrs call on the bound factors,
-        y = T^-1 rhs, then in place  y -= ((y_0 + v_{K-1} y_{K-1}) / (1 + v.q))
-        * q  from the scalar coefficient, one multiply into the correction
-        buffer and one subtraction.
-
-        Without out, rhs is coerced and its shape checked, x is a fresh
-        array, and a non-finite x is refused (SingularSystemError,
-        OVERFLOWED).  That test is one vdot of a zero vector with x: 0*x is
-        0 for every finite entry and NaN for an inf or NaN one, and vdot,
-        unlike the ufuncs and dot, raises no floating-point warning on the
-        way.  With out, a contiguous complex128 (K,) buffer that may be rhs
-        itself, gttrs overwrites out and the correction works there: no
-        coercion, no allocation and no finiteness test, which is the
-        caller's (mi.picard reads it off its sweep's maximum)."""
+        """x with A x = rhs.  Without out, rhs is coerced to complex128 and
+        must have shape (K,) (UsageError otherwise), x is a fresh array,
+        and a non-finite x is refused with SingularSystemError(OVERFLOWED).
+        With out, a contiguous complex128 (K,) buffer that may be rhs
+        itself, x is solved in out and returned, with no coercion, no
+        allocation and no finiteness test, which is the caller's.  A failed
+        gttrs call is a SingularSystemError either way."""
         if out is None:
             rhs = np.asarray(rhs, dtype=np.complex128)
-            if rhs.shape != self._shape:
-                raise UsageError(f"rhs has shape {rhs.shape}, expected {self._shape}")
+            if rhs.shape != self._q.shape:
+                raise UsageError(f"rhs has shape {rhs.shape}, expected {self._q.shape}")
             y, info = self._core_solve(rhs)
         else:
             if out is not rhs:
@@ -184,6 +171,8 @@ class PreparedCyclicSolver:
         coefficient = self._coefficient
         coefficient[()] = (y[0] + self._v_last * y[-1]) / self._den
         np.subtract(y, np.multiply(coefficient, self._q, out=self._correction), out=y)
+        # 0 * x is 0 for a finite x and NaN for an inf or NaN anywhere; vdot,
+        # unlike the ufuncs and dot, warns of nothing on the way.
         if out is None and np.vdot(self._zeros, y) != 0:
             raise SingularSystemError(OVERFLOWED)
         return y

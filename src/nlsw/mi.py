@@ -48,21 +48,20 @@ STALL_SWEEPS = 3
 MEMORY_CAP_BYTES = 4 * 2 ** 30
 
 # Bytes per node that a run's StepPlan and its PreparedCyclicSolver hold for
-# the whole run, from their shapes: the plan's (2, K+2) pair and (3, 2, K)
-# products, the midpoint cubic's cubes and lagged buffers (the
-# energy-preserving cubic holds less), and the solver's four gttrf factor
-# bands, q, correction and zeros are 17 complex values; the cubic's abs2 and
-# the change are two floats; and the solver's int32 pivots.
+# the whole run, counted from their shapes so that check_run can refuse a
+# run before anything is allocated: the plan's (2, K+2) pair and (3, 2, K)
+# products, the midpoint cubic's cubes and lagged buffers, and the solver's
+# four gttrf factor bands, q, correction and zeros are 17 complex values; the
+# cubic's abs2 and the change are two floats; and the solver's int32 pivots.
+# The energy-preserving cubic holds less, so the count bounds both schemes.
 PLAN_BYTES_PER_NODE = 16 * 17 + 8 * 2 + 4
 
-# Bytes per node that a run holds at its peak beyond its stored levels and
-# its plan: while the diagnostics of a block of one pair run, the levels
-# u^{j-2}, u^{j-1} and u^j that the next step reads, the half-node mean
-# carried from the block before, the block's three half-node fields (see
-# diagnostics.half_nodes) and up to three float temporaries of an
-# invariant.  A step holds less (the three levels, the carried mean and
-# the copy of its converged iterate that it returns: the sweeps solve in
-# the plan's buffers), and so does the bootstrap.
+# Bytes per node that a run holds beyond its stored levels and its plan,
+# counted where it peaks, while the diagnostics of a block of one pair run:
+# the levels u^{j-2}, u^{j-1} and u^j that the next step reads, the
+# half-node mean carried from the block before, the block's three half-node
+# fields and up to three float temporaries of an invariant.  A step and the
+# bootstrap hold less.
 WORK_BYTES_PER_NODE = 16 * (3 + 1 + 3) + 8 * 3
 
 # The floating-point policy of a run, entered once by integrate around its
@@ -223,16 +222,15 @@ assemble_linear = functools.partial(_assemble, _stencils)
 
 
 class StepPlan:
-    """What every step reuses, built once per run (once per call for a step
-    called on its own): the solver of A, table's B and C columns, the padded
-    pair (u^j, u^{j-1}), cubic(beta/4, u^{j-1}, u^j, rhs) over its rows and
-    the rhs buffer as (lag, nonlinear), and the known, rhs, change and two
-    iterate buffers, start and spare, with every view a step reads or
-    writes through taken here: among them the float64 views of known, rhs
-    and both iterates, on which a step flips their sign, as componentwise
-    negation gives the complex negative's bits and numpy's float loop is
-    vectorised.  The mesh axis is last throughout, so a batch axis can go
-    in front of it."""
+    """What every step of a run reuses, built once per run, or once per
+    call for a step called on its own: the solver of system (A, or its
+    PreparedCyclicSolver, used as it is), the B and C stencils of
+    table(params, grid), the level buffers that known_terms fills,
+    cubic(beta/4, u^{j-1}, u^j, rhs) over them as (lag, nonlinear), and the
+    known, rhs, change, start and spare buffers that picard works in, with
+    every view it reads or writes through.  Holds PLAN_BYTES_PER_NODE bytes
+    a node at most; picard returns nothing that shares memory with it.  The
+    mesh axis is last throughout, so a batch axis can go in front of it."""
 
     def __init__(self, system, params: PdeParams, grid: GridSpec, table, cubic):
         self.solver = system if isinstance(system, PreparedCyclicSolver) \
@@ -276,20 +274,13 @@ class StepPlan:
 
 
 def _cubic(quarter_beta, u_prev, u_cur, rhs):
-    """The nonlinear term over the level buffers u_prev and u_cur as
-    (lag, nonlinear): lag() builds the lagged sum from their contents, and
-    nonlinear(u) writes N(u), beta/4 times both sums, into the plan's rhs
-    buffer and returns it.
-
-    Each sum is y_{k+1/2} + y_{k-1/2} over the cubes |y|^2 y of the
-    half-node means y_{k+1/2} = (m_k + m_{k+1})/2 of a temporal mean m, so
-    the K+1 means from k-1/2 to K-1/2 are the K-1 inner sums of m with the
-    wrapped sum m_{K-1} + m_0 at both ends, and the pair sum comes from two
-    slices of their cubes.  m is built in the sum's own buffer, lagged or
-    rhs, which the pair sum then overwrites.  m is halved and the means
-    halved again, never quartered at once: a quarter of a sum of subnormals
-    rounds to zeros of another sign.  The scratch arrays, and the slices of
-    them and of the lagged and rhs buffers, are taken once, here."""
+    """The midpoint scheme's nonlinear term over a StepPlan's level buffers
+    u_prev and u_cur, as (lag, nonlinear).  The pair sum of a level v is
+    |y|^2 y at k+1/2 plus at k-1/2, y the half-node means of the temporal
+    mean (u_cur + v)/2.  lag() writes the pair sum of u_prev, once a step,
+    and nonlinear(u) writes N(u) = quarter_beta times (the pair sum of u
+    plus the lagged one) into rhs and returns it.  Holds K+1 complex cubes,
+    K+1 floats and K complex lagged values."""
     K = u_cur.shape[-1]
     cubes = np.empty(K + 1, dtype=np.complex128)
     abs2 = np.empty(K + 1)
@@ -302,10 +293,15 @@ def _cubic(quarter_beta, u_prev, u_cur, rhs):
     add, multiply = np.add, np.multiply
 
     def pair(level, out, head, tail):
+        # The temporal mean m goes in the sum's own buffer, which the sum
+        # then overwrites.  The K+1 half-node means from -1/2 to K-1/2 are
+        # the K-1 inner sums of m with the wrapped sum at both ends.
         mean = add(u_cur, level, out)
         multiply(mean, half, mean)
         add(head, tail, inner)
         cubes[0] = cubes[-1] = mean[-1] + mean[0]
+        # Halved twice, never quartered at once: a quarter of a sum of
+        # subnormals rounds to zeros of another sign.
         multiply(cubes, half, cubes)
         np.square(np.abs(cubes, abs2), abs2)
         multiply(cubes, abs2, cubes)
@@ -424,30 +420,17 @@ def step_mi(window: StateWindow, system, params: PdeParams, grid: GridSpec,
 
 
 def held_bytes(grid: GridSpec, snapshot_stride: int) -> int:
-    """The bytes integrate holds for a run at its peak: the snapshot
-    levels, the block buffer of levels, the StepPlan and its solver
-    (PLAN_BYTES_PER_NODE), the working levels and temporaries of the steps
-    and diagnostics (WORK_BYTES_PER_NODE), and J+1 rows of each series
-    column (at most every name of diagnostics.SERIES_COLUMNS, the printed
-    wang energy and grid.times).
-
-    On gauss_split with J = 4 and snapshot_stride 1 this counts 540 bytes
-    per node.  The traced peak (tracemalloc, K = 8192 and 16384) grows by
-    516 bytes per node for run_mi and 492 for run_wang, whose plan holds 24
-    less.  Peak RSS (ru_maxrss, K = 2e5 and 4e5, one fresh process each,
-    x86-64, numpy 2.4.6) grows by 516 for run_mi and 483 for run_wang, as
-    the solver's zero vector is read but never written, and for
-    cli.run_experiment by 517 with scheme mi and 484 with wang; with both,
-    the second run starts on a heap the first has left fragmented and
-    reaches 544.  Blocks of B > 1 pairs (K < BLOCK_VALUES) add fields of at
-    most BLOCK_VALUES + K nodes, a fixed few hundred kilobytes.
-
-    Writing the files never sets the peak: a run's plan and working levels
-    (428 bytes a node) are freed when it returns, before a command's CSV
-    writers start, which then hold the run's snapshots and series, the x
-    texts of the snapshot file (about 30 bytes a node) and one piece of at
-    most cli.PIECE_ROWS rows (about 1,500 bytes a series row and 600 a
-    snapshot row, traced slopes)."""
+    """The bytes integrate holds for a run of grid at its peak, which
+    check_run holds to MEMORY_CAP_BYTES: the snapshot levels, the block
+    buffer of levels, the StepPlan with its solver (PLAN_BYTES_PER_NODE),
+    the working levels and temporaries of the steps and diagnostics
+    (WORK_BYTES_PER_NODE), and J+1 rows of each series column (every name of
+    diagnostics.SERIES_COLUMNS, the printed wang energy and grid.times).
+    Not counted: the half-node fields of a block of B > 1 pairs, at most
+    BLOCK_VALUES + K nodes.  Writing a run's files does not raise the peak,
+    since the plan and working levels are freed first and the CSV writers
+    hold one piece of cli.PIECE_ROWS rows and the snapshot file's node
+    texts."""
     levels = (grid.J - 1) // snapshot_stride + 2 + _block_pairs(grid) + 1
     return (grid.K * (16 * levels + PLAN_BYTES_PER_NODE + WORK_BYTES_PER_NODE)
             + 8 * (grid.J + 1) * (len(diagnostics.SERIES_COLUMNS) + 2))

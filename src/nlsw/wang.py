@@ -59,10 +59,11 @@ assemble_wang = functools.partial(_assemble, _stencils)
 
 
 def _cubic(quarter_beta, u_prev, u_cur, rhs):
-    """(beta/4)(|u|^2 + |u^{j-1}|^2)(u + u^{j-1}) over the level buffer
-    u_prev as (lag, nonlinear), like mi._cubic: lag() takes |u^{j-1}|^2, and
-    nonlinear(u) writes the term into the plan's rhs buffer and returns it.
-    Nothing is sliced, so u_cur goes unused."""
+    """The scheme's nonlinear term (beta/4)(|u|^2 + |u^{j-1}|^2)(u + u^{j-1})
+    over a StepPlan's level buffer u_prev, as (lag, nonlinear) like
+    mi._cubic: lag() writes |u^{j-1}|^2, once a step, and nonlinear(u)
+    writes the term into rhs and returns it.  u_cur is not read.  Holds 2 K
+    floats."""
     abs2_prev, weight = np.empty((2,) + u_prev.shape)
     # beta/4 as a 0-d array, which numpy need not convert on every call.
     scale = np.array(quarter_beta)
@@ -100,10 +101,9 @@ def gradient_sums(levels, grid: GridSpec):
 
 
 def _abs4(u):
-    """|u|^4 elementwise, by squaring |u| twice: a power of 4 makes one libm
-    pow call per value, about ten times slower.  Every energy of the scheme
-    takes it from here, so a run's carried terms and a fresh energy_wang
-    agree bit for bit."""
+    """|u|^4 elementwise, |u| squared twice, where a power of 4 would make a
+    libm pow call per value.  Every energy of the scheme takes it from here,
+    so a run's carried terms and a fresh energy_wang agree bit for bit."""
     modulus = np.abs(u)
     return np.square(np.square(modulus, out=modulus), out=modulus)
 

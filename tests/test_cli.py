@@ -18,7 +18,7 @@ import nlsw
 from nlsw import (ConfigurationError, ConsistencyError, GridSpec, NlswError,
                   SolverConfig, UsageError, build_grid, builtin_problem,
                   customized, mi, parse_config, run_mi, run_wang, wang)
-from nlsw import cli, g17
+from nlsw import cli, diagnostics, g17
 from nlsw.cli import (ORDERS_HEADER, SNAPSHOT_HEADER, RunConfig, main, resolve,
                       run_convergence, run_experiment)
 from nlsw.cli import _write_series, _write_snapshots
@@ -313,27 +313,44 @@ class TestRunExperiment:
                       + phases["diagnostics_s"])
             assert 0.0 < inside <= phases["run_s"]
 
-    def test_summaries_record_absolute_drifts(self, tmp_path):
-        # max |series - ref| of each invariant, next to the relative drift,
-        # from the written series and the refs in meta.json; None where the
-        # run has no such column.
-        payload = {"problem": "plane_beta2", "K": 32, "J": 20, "T": 0.2,
+    @pytest.mark.parametrize("problem", ["plane_beta2", "gauss_split"])
+    def test_summaries_record_absolute_drifts(self, tmp_path, problem):
+        # Each summary holds exactly these keys.  The largest relative and
+        # absolute drift of each invariant come from the written series and
+        # the refs in meta.json, None where the run has no such column, and
+        # the final errors from the last row, None without a verified exact
+        # solution (gauss_split has none).
+        payload = {"problem": problem, "K": 32, "J": 20, "T": 0.2,
                    "scheme": "both", "output_dir": str(tmp_path / "ad")}
         report = run_experiment(parse_config(json.dumps(payload)))
         meta = json.loads(Path(report["paths"]["meta"]).read_text())
+        invariants = (("energy_mi", "energy_ref"), ("mass_mi", "mass_ref"),
+                      ("energy_wang", "energy_wang_ref"))
+        keys = {"steps", "total_fp_iters", "min_fp_iters", "mean_fp_iters",
+                "max_fp_iters", "final_err_max", "final_e_infty_sq"} | {
+            f"{name}_max_{kind}_drift" for name, _ in invariants for kind in ("rel", "abs")}
         for label in ("mi", "wang"):
             with open(report["paths"][f"series_{label}"], newline="") as fh:
                 rows = list(csv.DictReader(fh))
             summary, refs = meta["summaries"][label], meta["schemes"][label]
             assert summary == report["summaries"][label]
-            for name, ref in (("energy_mi", "energy_ref"), ("mass_mi", "mass_ref"),
-                              ("energy_wang", "energy_wang_ref")):
+            assert set(summary) == keys
+            for name, ref in invariants:
+                relative = summary[f"{name}_max_rel_drift"]
                 drift = summary[f"{name}_max_abs_drift"]
                 if name == "energy_wang" and label == "mi":
-                    assert drift is None
+                    assert relative is drift is None
                     continue
+                values = np.array([float(row[name]) for row in rows])
+                assert relative == diagnostics.max_rel_drift(values, refs[ref])
                 assert drift == max(abs(float(row[name]) - refs[ref]) for row in rows)
                 assert drift > 0.0
+            for name in ("err_max", "e_infty_sq"):
+                final = summary[f"final_{name}"]
+                if problem == "gauss_split":
+                    assert final is None and rows[-1][name] == ""
+                else:
+                    assert final == float(rows[-1][name])
 
     def test_one_run_held_at_a_time(self, tmp_path, monkeypatch):
         # Each runner call first checks that every trajectory returned
@@ -726,6 +743,34 @@ def test_snapshot_file_formats_only_its_values_in_one_piece(tmp_path, rng, monke
     assert sum(n for n, _ in calls) == rows
     write_snapshots_rowwise(tmp_path / "rows.csv", grid, snapshots)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_compare_formats_the_node_texts_once(tmp_path, monkeypatch):
+    # Both snapshot files of a compare are on one grid, whose node texts the
+    # writer formats, reading grid.nodes, for the first file only; the
+    # second reuses the table, which is kept read-only for the last grid.
+    cli._node_texts.cache_clear()
+    nodes, writing, reads = GridSpec.nodes, [], []
+
+    def counted(grid):
+        reads.extend(writing)
+        return nodes.fget(grid)
+
+    def spy(path, grid, snapshots, write=cli._write_snapshots):
+        writing.append(path.name)
+        write(path, grid, snapshots)
+        writing.pop()
+
+    monkeypatch.setattr(GridSpec, "nodes", property(counted))
+    monkeypatch.setattr(cli, "_write_snapshots", spy)
+    payload = {"problem": "plane_beta2", "K": 64, "J": 20, "T": 0.2,
+               "snapshot_stride": 5}
+    config = write_config(tmp_path, payload)
+    assert main(["compare", config, "--output", str(tmp_path / "out")]) == 0
+    assert reads == ["snapshots_mi.csv"]
+    texts, lengths, _ = cli._node_texts(resolve(parse_config(json.dumps(payload)))[1])
+    assert cli._node_texts.cache_info()[:2] == (2, 1)
+    assert not texts.flags.writeable and not lengths.flags.writeable
 
 
 def test_series_integer_columns_beyond_2_53_are_refused(tmp_path, rng):
