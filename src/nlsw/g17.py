@@ -230,9 +230,7 @@ class Piece:
         np.take(_tables()["keep"], self.pids[:n], axis=0, out=kept, mode="clip")
         kept[:, :, END] = True
         kept[:, -1, END + 1] = True
-        if self.prefix:
-            np.take(self._leads, self.lead[:n], axis=0, out=keep[:, :self.prefix],
-                    mode="clip")
+        np.take(self._leads, self.lead[:n], axis=0, out=keep[:, :self.prefix], mode="clip")
         return chars[keep]
 
 
@@ -303,10 +301,7 @@ def _float_cells(t: dict, v: np.ndarray, words: np.ndarray, pids: np.ndarray,
     a = s[0]
     np.abs(v, out=a.reshape(v.shape))
     high = a.max()                      # NaN if any is NaN
-    if high == 0:
-        words[..., 0] = _W0
-        pids[...] = _ZERO
-    elif high < np.inf and a.min() > 0:
+    if high < np.inf and a.min() > 0:
         _layout(t, *_digits(t, a, s), words, pids, s)
     else:
         finite = np.flatnonzero((a > 0) & (a < np.inf))

@@ -151,21 +151,21 @@ class PreparedCyclicSolver:
 
     def solve(self, rhs, out=None) -> np.ndarray:
         """x with A x = rhs.  Without out, rhs is coerced to complex128 and
-        must have shape (K,) (UsageError otherwise), x is a fresh array,
-        and a non-finite x is refused with SingularSystemError(OVERFLOWED).
+        must have shape (K,) (UsageError otherwise), x is a fresh array
+        solved in a copy of rhs, which is left as it was, and a non-finite
+        x is refused with SingularSystemError(OVERFLOWED).
         With out, a contiguous complex128 (K,) buffer that may be rhs
         itself, x is solved in out and returned, with no coercion, no
         allocation and no finiteness test, which is the caller's.  A failed
         gttrs call is a SingularSystemError either way."""
-        if out is None:
-            rhs = np.asarray(rhs, dtype=np.complex128)
-            if rhs.shape != self._q.shape:
-                raise UsageError(f"rhs has shape {rhs.shape}, expected {self._q.shape}")
-            y, info = self._core_solve(rhs)
-        else:
-            if out is not rhs:
-                np.copyto(out, rhs)
-            y, info = self._core_solve(out, overwrite_b=1)
+        allocating = out is None
+        if allocating:
+            out = np.array(rhs, dtype=np.complex128)
+            if out.shape != self._q.shape:
+                raise UsageError(f"rhs has shape {out.shape}, expected {self._q.shape}")
+        elif out is not rhs:
+            np.copyto(out, rhs)
+        y, info = self._core_solve(out, overwrite_b=1)
         if info != 0:
             raise SingularSystemError(f"tridiagonal core solve failed (info={info})")
         coefficient = self._coefficient
@@ -173,7 +173,7 @@ class PreparedCyclicSolver:
         np.subtract(y, np.multiply(coefficient, self._q, out=self._correction), out=y)
         # 0 * x is 0 for a finite x and NaN for an inf or NaN anywhere; vdot,
         # unlike the ufuncs and dot, warns of nothing on the way.
-        if out is None and np.vdot(self._zeros, y) != 0:
+        if allocating and np.vdot(self._zeros, y) != 0:
             raise SingularSystemError(OVERFLOWED)
         return y
 

@@ -568,9 +568,8 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
             exc.step = 1
             raise
         diagnostics_s = clock() - booted
-        snapshots = [(0.0, window.u_prev.copy())]
-        if snapshot_stride == 1:
-            snapshots.append((grid.tau, window.u_cur.copy()))
+        snapshots = [(n * grid.tau, u.copy()) for n, u in enumerate(window[:2])
+                     if n % snapshot_stride == 0]
         levels[0] = window.u_cur
         start = 0
         for j in range(1, grid.J):

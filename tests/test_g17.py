@@ -87,6 +87,12 @@ def test_signs_and_constants():
     assert np.signbit(negative_nan)
     assert texts([0.0, -0.0, np.inf, -np.inf, np.nan, negative_nan]) == [
         b"0", b"-0", b"inf", b"-inf", b"nan", b"nan"]
+    # A piece of zeros alone, of both signs, in rows of three fields.
+    zeros = np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0], [0.0, 0.0, -0.0],
+                      [-0.0, 0.0, -0.0]])
+    piece = g17.Piece(len(zeros), 3)
+    piece.cells(zeros)
+    assert bytes(piece.rows(len(zeros))) == b"0,-0,0\r\n-0,-0,0\r\n0,0,-0\r\n-0,0,-0\r\n"
 
 
 def test_powers_of_ten_and_their_neighbours():

@@ -106,13 +106,17 @@ def test_sweep_pieces_keep_their_bytes(data, problem, scheme):
 @given(data=st.data(), problem=problems(), scheme=st.sampled_from(sorted(SCHEMES)))
 def test_cyclic_solve_keeps_its_bytes(data, problem, scheme):
     # Outside any floating-point policy: a finite solve warns of nothing.
-    # solve(b, b), the sweep's form, gives solve(b)'s bytes in b itself,
-    # and solve(b, out) gives them in out, leaving b as it was.
+    # solve(b) leaves b as it was and shares no memory with it; solve(b, b),
+    # the sweep's form, gives solve(b)'s bytes in b itself, and
+    # solve(b, out) gives them in out, leaving b as it was.
     _, _, _, K, system = scheme_problem(scheme, problem)
     solver = PreparedCyclicSolver(system)
     for _ in range(2):
         rhs = data.draw(stacks(K))
-        fresh = solver.solve(rhs)
+        b = rhs.copy()
+        fresh = solver.solve(b)
+        assert same_bits((b,), (rhs,))
+        assert not np.shares_memory(fresh, b)
         assert same_bits((fresh,), (oracles.cyclic_solve_allocating(system, rhs),))
         b = rhs.copy()
         in_place = solver.solve(b, b)
