@@ -267,14 +267,13 @@ def _write_snapshots(path: Path, grid: GridSpec, snapshots):
     path: a block of K rows t,x,re_u,im_u,abs_u per snapshot, byte for byte
     what csv.writer writes for rows of f"{v:.17g}" fields, abs_u being
     Python's abs(u), or inf where that raises beyond the float max.  Holds
-    one piece of PIECE_ROWS rows and keeps the last grid's node texts
-    (_node_texts).  Raises ConfigurationError where the file cannot be
-    written."""
+    one piece of PIECE_ROWS rows and the t text of the snapshot it is on,
+    and keeps the last grid's node texts (_node_texts).  Raises
+    ConfigurationError where the file cannot be written."""
     K = grid.K
     x_text, x_len, x_width = _node_texts(grid)
-    t_texts = [np.frombuffer(b"%.17g," % t, np.uint8) for t, _ in snapshots]
     piece = g17.Piece(min(PIECE_ROWS, K * len(snapshots)), 3,
-                      prefix=max(map(len, t_texts)) + x_width)
+                      prefix=max(len(b"%.17g," % t) for t, _ in snapshots) + x_width)
     values = np.empty((len(piece.lead), 3))
 
     def flush(n):
@@ -284,7 +283,8 @@ def _write_snapshots(path: Path, grid: GridSpec, snapshots):
     with _output_file(path, "wb") as fh, quiet_overflow():
         fh.write(_header(SNAPSHOT_HEADER))
         filled = 0
-        for t_text, (_, u) in zip(t_texts, snapshots):
+        for t, u in snapshots:
+            t_text = np.frombuffer(b"%.17g," % t, np.uint8)
             k, lead = 0, len(t_text)
             while k < K:
                 n = min(K - k, len(values) - filled)

@@ -3,10 +3,12 @@
 
 class NlswError(Exception):
     """Base class for all package errors.  exit_code is what the CLI returns
-    for the type; step is the level a failed run's step loop was producing."""
+    for the type; step is the level a failed run's step loop was producing,
+    and row the first offending row of a stacked evaluation, if known."""
 
     exit_code = 1
     step = None
+    row = None
 
 
 class ConfigurationError(NlswError):
@@ -42,8 +44,7 @@ class DivergenceError(StepFailureError):
 
 
 class ConsistencyError(NlswError):
-    """An internal realness/imaginariness invariant was violated; row is the
-    first offending row of a stacked evaluation, if known."""
+    """An internal realness/imaginariness invariant was violated."""
 
     def __init__(self, message, row=None):
         super().__init__(message)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diagnostics, problems
 from .errors import (ConfigurationError, DivergenceError, NlswError,
@@ -63,6 +62,11 @@ PLAN_BYTES_PER_NODE = 16 * 17 + 8 * 2 + 4
 # fields and up to three float temporaries of an invariant.  A step and the
 # bootstrap hold less.
 WORK_BYTES_PER_NODE = 16 * (3 + 1 + 3) + 8 * 3
+
+# Bytes that each stored snapshot holds beside its 16 K bytes of values, as
+# tracemalloc counts them: its (t, u) tuple (56), the float t (24) and u's
+# array object with its shape and strides (112).
+SNAPSHOT_OBJECT_BYTES = 56 + 24 + 112
 
 # The floating-point policy of a run, entered once by integrate around its
 # factorisation, bootstrap, steps and diagnostics, by a step called on its
@@ -248,7 +252,8 @@ class StepPlan:
         # hold the known terms and the step's right-hand sides.  products[1]
         # and [2] are spent once summed, and the rows of products[1] hold
         # the two iterates, the start and the spare that a sweep solves in.
-        self.neighbours = np.moveaxis(sliding_window_view(pair, K, axis=-1), -2, 0)
+        self.neighbours = np.ndarray((3, 2, K), np.complex128, pair, 0,
+                                     (16, pair.strides[0], 16))
         self.products = products = np.empty((3, 2, K), dtype=np.complex128)
         self.terms = tuple(products)
         self.known, self.rhs = products[0]
@@ -411,28 +416,27 @@ def picard(window: StateWindow, system, params: PdeParams, grid: GridSpec,
         f"(last update {diff:.3e})", residual=diff)
 
 
-def step_mi(window: StateWindow, system, params: PdeParams, grid: GridSpec,
-            config: SolverConfig):
-    """Advance one level: picard with this scheme's table and cubic term on
-    the assemble_linear operator, its solver or a run's StepPlan.
-    Returns (u_next, fp_iters)."""
-    return picard(window, system, params, grid, config, _stencils, _cubic)
+# step_mi(window, system, params, grid, config) -> (u_next, fp_iters), by picard.
+step_mi = functools.partial(picard, table=_stencils, cubic=_cubic)
 
 
 def held_bytes(grid: GridSpec, snapshot_stride: int) -> int:
     """The bytes integrate holds for a run of grid at its peak, which
-    check_run holds to MEMORY_CAP_BYTES: the snapshot levels, the block
-    buffer of levels, the StepPlan with its solver (PLAN_BYTES_PER_NODE),
-    the working levels and temporaries of the steps and diagnostics
-    (WORK_BYTES_PER_NODE), and J+1 rows of each series column (every name of
-    diagnostics.SERIES_COLUMNS, the printed wang energy and grid.times).
+    check_run holds to MEMORY_CAP_BYTES: the snapshot levels with their
+    objects (SNAPSHOT_OBJECT_BYTES each), the block buffer of levels, the
+    StepPlan with its solver (PLAN_BYTES_PER_NODE), the working levels and
+    temporaries of the steps and diagnostics (WORK_BYTES_PER_NODE), and J+1
+    rows of each series column (every name of diagnostics.SERIES_COLUMNS,
+    the printed wang energy and grid.times).
     Not counted: the half-node fields of a block of B > 1 pairs, at most
     BLOCK_VALUES + K nodes.  Writing a run's files does not raise the peak,
     since the plan and working levels are freed first and the CSV writers
     hold one piece of cli.PIECE_ROWS rows and the snapshot file's node
     texts."""
-    levels = (grid.J - 1) // snapshot_stride + 2 + _block_pairs(grid) + 1
+    snapshots = (grid.J - 1) // snapshot_stride + 2
+    levels = snapshots + _block_pairs(grid) + 1
     return (grid.K * (16 * levels + PLAN_BYTES_PER_NODE + WORK_BYTES_PER_NODE)
+            + SNAPSHOT_OBJECT_BYTES * snapshots
             + 8 * (grid.J + 1) * (len(diagnostics.SERIES_COLUMNS) + 2))
 
 
@@ -498,8 +502,16 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
       linear_modes), bootstrap_s, diagnostics_s (every evaluation, the
       bootstrap pair's included) and steps_s (the rest of the loop).
 
-    A failure names its step: step 1 for the bootstrap (see bootstrap) and
-    its pair, and the earliest failing step in step order otherwise.
+    A failure names its step, the earliest failing one in step order, by
+    one rule:
+    - the bootstrap's failure (see bootstrap) and its pair's name step 1;
+    - a failure in row i of a block whose first pair is series row start
+      names step start + 2 + i.  Only the invariants' realness guards raise
+      there, and both test the block's one HalfNodes.skew against one
+      threshold, so the first row either flags is the first failing step;
+    - a step's failure names j + 1, the level it was producing, once the
+      pending pairs before it are flushed, whose failure, earlier, wins;
+    - an observer must not raise.
     """
     exact_fn = check_run(problem, grid, config, snapshot_stride, table)
     params = problem.params
@@ -521,52 +533,45 @@ def integrate(problem, grid: GridSpec, config: SolverConfig,
         # [B, K] stacks once it fills, and once more at the end of the run.
         levels = np.empty((_block_pairs(grid) + 1, grid.K), dtype=np.complex128)
 
-        def evaluate(levels):
+        def evaluate(levels, first):
             """The invariants and the observed columns of the pairs of
-            consecutive levels."""
+            consecutive levels, whose row i produces step first + i, the step
+            that a guard failure in that row names."""
             u_cur, u_next = levels[:-1], levels[1:]
             # The half-node fields, built once for both invariants and the
             # observer, which gets the mean alone.
             half = diagnostics.half_nodes(u_cur, u_next, grid)
-            energy = diagnostics.mi_energy(u_cur, u_next, params, grid, half=half)
-            mass = diagnostics.mi_mass(u_cur, u_next, params, grid, half=half)
+            try:
+                energy = diagnostics.mi_energy(u_cur, u_next, params, grid, half=half)
+                mass = diagnostics.mi_mass(u_cur, u_next, params, grid, half=half)
+            except NlswError as exc:
+                exc.step = first + (exc.row or 0)
+                raise
             mean, abs2_mean = half[1], half.abs2_mid
             del half
             return {"energy_mi": energy, "mass_mi": mass,
                     **observe(levels, energy, mass, mean, abs2_mean)}
 
         def flush(start, stop):
-            """Fill rows start..stop-1 from levels[:stop - start + 1].  On a
-            failure in row start + i, the rows before it are evaluated alone
-            first, so that a failure there, which the row-by-row order meets
-            first, is the one raised.  Adds its wall time to diagnostics_s."""
+            """Fill rows start..stop-1 from levels[:stop - start + 1], adding
+            its wall time to diagnostics_s."""
             nonlocal diagnostics_s
             if start == stop:
                 return
             tick = clock()
-            try:
-                columns = evaluate(levels[:stop - start + 1])
-                if exact_fn is not None:
-                    columns.update(vars(problems.error_metrics(
-                        levels[1:stop - start + 1],
-                        exact_fn(grid.nodes, t[start:stop, None]), grid)))
-            except NlswError as exc:
-                row = getattr(exc, "row", None) or 0
-                flush(start, start + row)
-                exc.step = start + 2 + row
-                raise
+            columns = evaluate(levels[:stop - start + 1], start + 2)
+            if exact_fn is not None:
+                columns.update(vars(problems.error_metrics(
+                    levels[1:stop - start + 1],
+                    exact_fn(grid.nodes, t[start:stop, None]), grid)))
             for name, values in columns.items():
                 if name not in series:
                     series[name] = np.empty(grid.J - 1)
                 series[name][start:stop] = values
             diagnostics_s += clock() - tick
 
-        try:
-            refs = {f"{name}_ref": float(values[0])
-                    for name, values in evaluate(np.stack(window[:2])).items()}
-        except NlswError as exc:
-            exc.step = 1
-            raise
+        refs = {f"{name}_ref": float(values[0])
+                for name, values in evaluate(np.stack(window[:2]), 1).items()}
         diagnostics_s = clock() - booted
         snapshots = [(n * grid.tau, u.copy()) for n, u in enumerate(window[:2])
                      if n % snapshot_stride == 0]

@@ -31,7 +31,7 @@ import numpy as np
 from .diagnostics import max_rel_drift
 from .errors import ConfigurationError
 from .grid import GridSpec, as_level, backward_diff, scalar_or_rows
-from .mi import SolverConfig, StateWindow, Trajectory, _assemble, integrate, picard
+from .mi import SolverConfig, Trajectory, _assemble, integrate, picard
 from .model import PdeParams
 
 
@@ -81,12 +81,8 @@ def _cubic(quarter_beta, u_prev, u_cur, rhs):
     return lag, nonlinear
 
 
-def step_wang(window: StateWindow, system, params: PdeParams, grid: GridSpec,
-              config: SolverConfig):
-    """Advance one level: picard with this scheme's table and cubic term on
-    the assemble_wang operator, its solver or a run's StepPlan.
-    Returns (u_next, fp_iters)."""
-    return picard(window, system, params, grid, config, _stencils, _cubic)
+# step_wang(window, system, params, grid, config) -> (u_next, fp_iters), by picard.
+step_wang = functools.partial(picard, table=_stencils, cubic=_cubic)
 
 
 # The name run_wang steps through: benchmarks/spans.py traces wang.step under

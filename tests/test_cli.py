@@ -501,6 +501,23 @@ class TestSnapshotWriter:
             write_snapshots_rowwise(rows, grid, snapshots)
             assert block.read_bytes() == rows.read_bytes()
 
+    def test_peak_holds_no_text_per_snapshot(self, tmp_path):
+        # Each t text is formatted when its snapshot starts, so between
+        # 10,000 and 20,000 snapshots at K = 4 the traced peak grows by less
+        # than 16 B a snapshot; a list of every snapshot's text grows it by
+        # about 150-180 B.  A one-snapshot write fills the caches first.
+        grid = build_grid(0.0, 1.0, 4, 1.0, 2)
+        u = np.arange(4) * (1.0 + 1.0j) / 3.0
+        peaks = []
+        for count in (10_000, 20_000):
+            snapshots = [(j / 3.0, u) for j in range(count)]
+            _write_snapshots(tmp_path / "s.csv", grid, snapshots[:1])
+            error, peak = traced_peak(
+                lambda: _write_snapshots(tmp_path / "s.csv", grid, snapshots))
+            assert error is None
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 16 * 10_000, peaks
+
     def test_modulus_beyond_float_max_written_as_inf(self, tmp_path):
         # hypot overflows quietly (a warning would fail the suite) to inf,
         # where Python's abs raises.

@@ -21,7 +21,14 @@ both trees.  The cases are:
   acts on an asymmetric system, and `nlsw compare` on soliton (K = 128,
   J = 200, T = 20);
 - `nlsw run` on linear_plane at K = 8, J = 20,000 and snapshot_stride
-  20,000, whose integer step column reaches five digits.
+  20,000, whose integer step column reaches five digits;
+- three failing runs, whose process.txt holds the failure record: a
+  StepFailureError at step 2 (plane_beta2, K = 64, J = 100, fp_max_iter
+  1), a DivergenceError of the bootstrap at step 1 (plane_beta2 with
+  beta = 1e308, K = 16, J = 10), and a SingularSystemError at step
+  19,459 of linear_plane with alpha = 3.67, gamma = 1.75, theta = -1.4
+  and lambda = -0.52 (K = 4, J = 20,000, T = 1,800), met with pairs of
+  a 1,024-pair block pending, which are flushed before the step fails.
 
 Each case also keeps its exit code, stdout and stderr in process.txt.
 
@@ -75,6 +82,16 @@ def default_cases() -> list:
     cases.append(("run_linear_plane_long",
                   {"problem": "linear_plane", "K": 8, "J": 20_000,
                    "snapshot_stride": 20_000}, ["run"]))
+    cases.append(("failed_step", {"problem": "plane_beta2", "K": 64, "J": 100,
+                                  "fp_max_iter": 1}, ["run"]))
+    cases.append(("failed_bootstrap",
+                  {"problem": {"base": "plane_beta2", "params": {"beta": 1e308}},
+                   "K": 16, "J": 10}, ["run"]))
+    cases.append(("failed_solve_mid_block",
+                  {"problem": {"base": "linear_plane",
+                               "params": {"alpha": 3.67, "gamma": 1.75,
+                                          "theta": -1.4, "lam": -0.52}},
+                   "K": 4, "J": 20_000, "T": 1800.0}, ["run"]))
     return cases
 
 
